@@ -10,6 +10,7 @@ Diagnostics go to stderr, data to stdout; exit code 0 means no fatal error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import dataclasses
 import json
@@ -52,6 +53,10 @@ RESOLVED_DEFAULTS = {
 }
 
 STAGE_NAMES = ["W", "N1", "N2", "N3", "REM"]
+
+# mallopt parameters from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -202,9 +207,29 @@ def cmd_count(args) -> int:
     return 0
 
 
+def _keep_batch_memory() -> None:
+    """Let the model's batches reuse each other's memory (glibc only).
+
+    Every batch allocates and frees the same set of activation arrays. With
+    glibc's defaults the freed top of the heap goes back to the kernel after
+    each batch, so the next batch page-faults all of its memory in again,
+    and the time those faults take swings with the load on the machine.
+    Arrays up to 32 MB (the largest mmap threshold glibc accepts) now come
+    from the heap, and up to 512 MB of freed heap stays mapped for the next
+    batch. Other C libraries lack `mallopt` or ignore it.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+
+
 # --- train ----------------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    _keep_batch_memory()
     cache_path = Path(args.cache)
     dataset = read_cache(cache_path)
     mcfg = _model_config(args, dataset)
@@ -297,6 +322,12 @@ def _prediction_files(paths: list[str], strict: bool) -> list[Path]:
             raise UlwsError(f"{p}: no such predictions file")
         else:
             _warn(f"{p}: no such predictions file, skipped")
+    seen: set[Path] = set()
+    for f in files:
+        resolved = f.resolve()
+        if resolved in seen:
+            raise UlwsError(f"{f}: predictions file given more than once")
+        seen.add(resolved)
     return files
 
 
@@ -340,6 +371,7 @@ def cmd_evaluate(args) -> int:
 # --- predict -----------------------------------------------------------------------
 
 def cmd_predict(args) -> int:
+    _keep_batch_memory()
     params = load_checkpoint(Path(args.checkpoint))
     dataset = read_cache(Path(args.cache))
     cfg = params.config

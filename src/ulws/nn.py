@@ -5,9 +5,22 @@ length) order, follow the dtype of their inputs (float32 for training,
 float64 for gradient checking), and use fixed reduction orders so equal
 inputs give bit-identical outputs.
 
+Layout contract:
+
+- Every array a kernel returns (activation, gradient, mask, argmax table)
+  is channels-first and C-contiguous, so the next kernel streams through
+  memory with unit stride.
+- Scratch and output buffers are allocated in the input's dtype and
+  filled with `out=` / in-place ufuncs; no kernel writes to an array it
+  was given.
+- Caches hold no more than the backward pass needs: a convolution keeps
+  its unpadded input, and infer-mode batch norm keeps its input and
+  rebuilds the normalized activation only if a backward pass asks for it.
+
 Padding is SAME everywhere: output length is ceil(L / stride), zeros split
-evenly with the extra sample on the right. Max pooling pads on the right
-with -inf so padding never wins a window.
+evenly with the extra sample on the right. Taps that would read the zero
+padding are skipped rather than padded for. Max pooling skips the samples
+past the right edge, which is the same as padding with -inf.
 """
 
 from __future__ import annotations
@@ -26,11 +39,35 @@ def ceil_div(n: int, d: int) -> int:
     return -(-n // d)
 
 
-def _same_pad(length: int, kernel: int, stride: int) -> tuple[int, int, int]:
-    """(pad_left, pad_right, out_length) for SAME padding."""
+def _same_pad(length: int, kernel: int, stride: int) -> tuple[int, int]:
+    """(pad_left, out_length) for SAME padding; pad_right is the remainder."""
     out_length = ceil_div(length, stride)
     total = max((out_length - 1) * stride + kernel - length, 0)
-    return total // 2, total - total // 2, out_length
+    return total // 2, out_length
+
+
+def _tap_slices(
+    tap: int, stride: int, pad_left: int, length: int, out_length: int
+) -> tuple[slice, slice]:
+    """(output slice, input slice) of the outputs j whose `tap` reads input
+    sample j * stride + tap - pad_left inside [0, length); the reads that
+    would land in the zero padding are left out.
+    """
+    first = max(0, ceil_div(pad_left - tap, stride))
+    stop = max(first, min(out_length, ceil_div(length + pad_left - tap, stride)))
+    start = first * stride + tap - pad_left
+    return slice(first, stop), slice(start, start + (stop - first) * stride, stride)
+
+
+def _taps_centre_first(kernel: int, stride: int, pad_left: int, length: int, out_length: int):
+    """(tap, output slice, input slice) for every tap, centre tap first.
+
+    The centre tap is tap `pad_left`: output j reads input j * stride, which
+    is inside the input for every output, so it can initialise an output
+    buffer that the other taps then accumulate into.
+    """
+    for tap in sorted(range(kernel), key=lambda t: t != pad_left):
+        yield (tap, *_tap_slices(tap, stride, pad_left, length, out_length))
 
 
 # --- separable convolution -------------------------------------------------
@@ -46,10 +83,9 @@ class SepConvParams:
 @dataclass
 class SepConvCache:
     params: SepConvParams
-    x_padded: np.ndarray
+    x: np.ndarray  # the unpadded input
     dw_out: np.ndarray
     pad_left: int
-    in_length: int
 
 
 def sepconv1d_forward(x: np.ndarray, p: SepConvParams) -> tuple[np.ndarray, SepConvCache]:
@@ -58,38 +94,49 @@ def sepconv1d_forward(x: np.ndarray, p: SepConvParams) -> tuple[np.ndarray, SepC
     k, mk = p.depthwise.shape
     if mk != m or p.pointwise.shape[0] != m:
         raise ShapeMismatch(f"input has {m} channels, kernel expects {mk}")
-    left, right, out_length = _same_pad(length, k, p.stride)
-    xp = np.pad(x, ((0, 0), (0, 0), (left, right))) if left or right else x
-    span = (out_length - 1) * p.stride + 1
+    left, out_length = _same_pad(length, k, p.stride)
+    taps = _taps_centre_first(k, p.stride, left, length, out_length)
+    _, _, centre = next(taps)  # the centre tap reaches every output
     dw = np.empty((b, m, out_length), dtype=x.dtype)
-    np.multiply(xp[:, :, 0:span : p.stride], p.depthwise[0][None, :, None], out=dw)
-    for tap in range(1, k):
-        dw += xp[:, :, tap : tap + span : p.stride] * p.depthwise[tap][None, :, None]
-    y = np.moveaxis(np.moveaxis(dw, 1, 2) @ p.pointwise, 2, 1) + p.bias[None, :, None]
-    return y, SepConvCache(p, xp, dw, left, length)
+    np.multiply(x[:, :, centre], p.depthwise[left][:, None], out=dw)
+    term = np.empty_like(dw)
+    for tap, o, i in taps:
+        np.multiply(x[:, :, i], p.depthwise[tap][:, None], out=term[:, :, o])
+        dw[:, :, o] += term[:, :, o]
+    if m == 1:  # one input channel: the channel mix is an outer product
+        y = np.multiply(dw, p.pointwise.T)
+    else:
+        y = np.matmul(p.pointwise.T, dw)
+    y += p.bias[:, None]
+    return y, SepConvCache(p, x, dw, left)
 
 
 def sepconv1d_backward(
     cache: SepConvCache, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Adjoints of both stages: (grad_x, grad_depthwise, grad_pointwise, grad_bias)."""
-    p = cache.params
-    k = p.depthwise.shape[0]
-    out_length = grad_out.shape[2]
-    span = (out_length - 1) * p.stride + 1
+    p, x = cache.params, cache.x
+    length, out_length = x.shape[2], grad_out.shape[2]
 
     grad_bias = grad_out.sum(axis=(0, 2))
-    g_t = np.moveaxis(grad_out, 1, 2)  # (B, L_out, N)
-    grad_pointwise = np.tensordot(np.moveaxis(cache.dw_out, 1, 2), g_t, axes=([0, 1], [0, 1]))
-    grad_dw = np.moveaxis(g_t @ p.pointwise.T, 2, 1)  # (B, M, L_out)
+    grad_pointwise = np.matmul(cache.dw_out, grad_out.swapaxes(1, 2)).sum(axis=0)
+    grad_dw = np.matmul(p.pointwise, grad_out)  # (B, M, L_out)
 
     grad_depthwise = np.empty_like(p.depthwise)
-    grad_xp = np.zeros_like(cache.x_padded)
-    for tap in range(k):
-        window = cache.x_padded[:, :, tap : tap + span : p.stride]
-        grad_depthwise[tap] = np.einsum("bml,bml->m", window, grad_dw)
-        grad_xp[:, :, tap : tap + span : p.stride] += grad_dw * p.depthwise[tap][None, :, None]
-    grad_x = grad_xp[:, :, cache.pad_left : cache.pad_left + cache.in_length]
+    # at stride 1 the centre tap alone reaches every input sample, so it goes
+    # first and initialises grad_x; otherwise every tap accumulates into zeros
+    unit_stride = p.stride == 1
+    grad_x = (np.empty_like if unit_stride else np.zeros_like)(x)
+    term = np.empty_like(grad_dw)
+    for tap, o, i in _taps_centre_first(p.depthwise.shape[0], p.stride, cache.pad_left,
+                                        length, out_length):
+        g = grad_dw[:, :, o]
+        grad_depthwise[tap] = np.einsum("bml,bml->m", x[:, :, i], g)
+        if unit_stride and tap == cache.pad_left:
+            np.multiply(g, p.depthwise[tap][:, None], out=grad_x)
+        else:
+            np.multiply(g, p.depthwise[tap][:, None], out=term[:, :, o])
+            grad_x[:, :, i] += term[:, :, o]
     return grad_x, grad_depthwise, grad_pointwise, grad_bias
 
 
@@ -105,9 +152,8 @@ class ConvParams:
 @dataclass
 class ConvCache:
     params: ConvParams
-    x_padded: np.ndarray
+    x: np.ndarray  # the unpadded input
     pad_left: int
-    in_length: int
 
 
 def conv1d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]:
@@ -115,32 +161,30 @@ def conv1d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]
     k, mk, n = p.kernel.shape
     if mk != m:
         raise ShapeMismatch(f"input has {m} channels, kernel expects {mk}")
-    left, right, out_length = _same_pad(length, k, p.stride)
-    xp = np.pad(x, ((0, 0), (0, 0), (left, right))) if left or right else x
-    span = (out_length - 1) * p.stride + 1
-    y_t = np.zeros((b, out_length, n), dtype=x.dtype)
-    for tap in range(k):
-        y_t += np.moveaxis(xp[:, :, tap : tap + span : p.stride], 1, 2) @ p.kernel[tap]
-    return np.moveaxis(y_t, 2, 1) + p.bias[None, :, None], ConvCache(p, xp, left, length)
+    left, out_length = _same_pad(length, k, p.stride)
+    taps = _taps_centre_first(k, p.stride, left, length, out_length)
+    _, _, centre = next(taps)  # the centre tap reaches every output
+    y = np.matmul(p.kernel[left].T, x[:, :, centre])
+    for tap, o, i in taps:
+        y[:, :, o] += np.matmul(p.kernel[tap].T, x[:, :, i])
+    y += p.bias[:, None]
+    return y, ConvCache(p, x, left)
 
 
 def conv1d_backward(
     cache: ConvCache, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p = cache.params
-    k = p.kernel.shape[0]
-    out_length = grad_out.shape[2]
-    span = (out_length - 1) * p.stride + 1
+    p, x = cache.params, cache.x
+    length, out_length = x.shape[2], grad_out.shape[2]
 
     grad_bias = grad_out.sum(axis=(0, 2))
-    g_t = np.moveaxis(grad_out, 1, 2)  # (B, L_out, N)
+    g_t = grad_out.swapaxes(1, 2)  # (B, L_out, N)
     grad_kernel = np.empty_like(p.kernel)
-    grad_xp = np.zeros_like(cache.x_padded)
-    for tap in range(k):
-        window_t = np.moveaxis(cache.x_padded[:, :, tap : tap + span : p.stride], 1, 2)
-        grad_kernel[tap] = np.tensordot(window_t, g_t, axes=([0, 1], [0, 1]))
-        grad_xp[:, :, tap : tap + span : p.stride] += np.moveaxis(g_t @ p.kernel[tap].T, 2, 1)
-    grad_x = grad_xp[:, :, cache.pad_left : cache.pad_left + cache.in_length]
+    grad_x = np.zeros_like(x)
+    for tap in range(p.kernel.shape[0]):
+        o, i = _tap_slices(tap, p.stride, cache.pad_left, length, out_length)
+        grad_kernel[tap] = np.matmul(x[:, :, i], g_t[:, o]).sum(axis=0)
+        grad_x[:, :, i] += np.matmul(p.kernel[tap], grad_out[:, :, o])
     return grad_x, grad_kernel, grad_bias
 
 
@@ -159,7 +203,7 @@ class BatchNormParams:
 @dataclass
 class BatchNormCache:
     params: BatchNormParams
-    x_hat: np.ndarray
+    saved: np.ndarray  # train: the input minus its batch mean; infer: the input
     inv_std: np.ndarray
     mode: Mode
 
@@ -171,27 +215,30 @@ def batchnorm_forward(
 
     Train mode uses batch statistics and decays the running ones (unless
     update_running is off, e.g. while finite-differencing); infer mode
-    normalizes with the stored running statistics.
+    applies the running statistics as one per-channel affine map.
     """
     b, _, length = x.shape
-    if mode == "train":
-        if b * length < 2:
-            raise DegenerateBatch(f"need at least 2 values per feature, got {b * length}")
-        mean = x.mean(axis=(0, 2))
-        centered = x - mean[None, :, None]
-        var = (centered * centered).mean(axis=(0, 2))
-        if update_running:
-            mom = p.momentum
-            p.running_mean[...] = mom * p.running_mean + (1 - mom) * mean
-            p.running_var[...] = mom * p.running_var + (1 - mom) * var
-    else:
-        centered = x - p.running_mean[None, :, None]
-        var = p.running_var
-    inv_std = 1.0 / np.sqrt(var + np.asarray(p.epsilon, dtype=x.dtype))
-    x_hat = centered
-    x_hat *= inv_std[None, :, None]
-    y = p.gamma[None, :, None] * x_hat + p.beta[None, :, None]
-    return y, BatchNormCache(p, x_hat, inv_std, mode)
+    eps = np.asarray(p.epsilon, dtype=x.dtype)
+    if mode == "infer":
+        inv_std = 1.0 / np.sqrt(p.running_var + eps)
+        scale = p.gamma * inv_std
+        y = np.multiply(x, scale[:, None])
+        y += (p.beta - p.running_mean * scale)[:, None]
+        return y, BatchNormCache(p, x, inv_std, mode)
+    if b * length < 2:
+        raise DegenerateBatch(f"need at least 2 values per feature, got {b * length}")
+    mean = x.mean(axis=(0, 2))
+    centered = np.subtract(x, mean[:, None])
+    # einsum reduces the products without materialising them
+    var = np.einsum("bcl,bcl->c", centered, centered) / (b * length)
+    if update_running:
+        mom = p.momentum
+        p.running_mean[...] = mom * p.running_mean + (1 - mom) * mean
+        p.running_var[...] = mom * p.running_var + (1 - mom) * var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    y = np.multiply(centered, (p.gamma * inv_std)[:, None])
+    y += p.beta[:, None]
+    return y, BatchNormCache(p, centered, inv_std, mode)
 
 
 def batchnorm_backward(
@@ -199,32 +246,36 @@ def batchnorm_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(grad_x, grad_gamma, grad_beta); train mode routes gradient through
     the batch mean and variance as well."""
-    p = cache.params
-    grad_beta = grad_out.sum(axis=(0, 2))
-    grad_gamma = (grad_out * cache.x_hat).sum(axis=(0, 2))
-    scale = (p.gamma * cache.inv_std)[None, :, None]
+    p, inv_std = cache.params, cache.inv_std
     if cache.mode == "infer":
-        return grad_out * scale, grad_gamma, grad_beta
-    # grad_x = inv_std * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat))
-    g_hat = grad_out * p.gamma[None, :, None]
-    g_hat_mean = g_hat.mean(axis=(0, 2), keepdims=True)
-    proj = (g_hat * cache.x_hat).mean(axis=(0, 2), keepdims=True)
-    grad_x = g_hat
-    grad_x -= g_hat_mean
-    grad_x -= cache.x_hat * proj
-    grad_x *= cache.inv_std[None, :, None]
+        centered = np.subtract(cache.saved, p.running_mean[:, None])
+    else:
+        centered = cache.saved
+    scale = p.gamma * inv_std
+    grad_beta = grad_out.sum(axis=(0, 2))
+    grad_gamma = np.einsum("bcl,bcl->c", grad_out, centered) * inv_std  # sum of g * x_hat
+    grad_x = np.multiply(grad_out, scale[:, None])
+    if cache.mode == "infer":
+        return grad_x, grad_gamma, grad_beta
+    # grad_x = scale * (g - mean(g) - x_hat * mean(g * x_hat)), x_hat = centered * inv_std
+    n = grad_out.shape[0] * grad_out.shape[2]
+    correction = np.multiply(centered, (scale * inv_std * grad_gamma / n)[:, None])
+    correction += (scale * grad_beta / n)[:, None]
+    grad_x -= correction
     return grad_x, grad_gamma, grad_beta
 
 
 # --- activations, pooling, head ----------------------------------------------
 
 def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mask = x > 0  # subgradient 0 at exactly 0
-    return x * mask, mask
+    y = np.maximum(x, 0)
+    return y, y > 0  # subgradient 0 at exactly 0
 
 
 def relu_backward(mask: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out * mask
+    grad_x = mask.astype(grad_out.dtype)  # a plain cast beats a mixed-type multiply
+    grad_x *= grad_out
+    return grad_x
 
 
 @dataclass
@@ -233,37 +284,44 @@ class MaxPoolCache:
     pool_size: int
     stride: int
     in_length: int
-    padded_length: int
 
 
 def maxpool1d_forward(
     x: np.ndarray, pool_size: int = 2, stride: int = 2
 ) -> tuple[np.ndarray, MaxPoolCache]:
-    b, c, length = x.shape
+    length = x.shape[2]
     out_length = ceil_div(length, stride)
-    span = (out_length - 1) * stride + 1
-    padded = max(length, (out_length - 1) * stride + pool_size)
-    if padded > length:
-        xp = np.pad(x, ((0, 0), (0, 0), (0, padded - length)), constant_values=-np.inf)
-    else:
-        xp = x
-    y = xp[:, :, 0:span:stride].copy()
+    y = x[:, :, 0 : (out_length - 1) * stride + 1 : stride].copy()
     argmax = np.zeros(y.shape, dtype=np.int8)
+    won = np.empty_like(argmax)
     for k in range(1, pool_size):
-        cand = xp[:, :, k : k + span : stride]
-        better = cand > y  # strict: ties resolve to the first maximum
-        argmax[better] = k
-        np.maximum(y, cand, out=y)
-    return y, MaxPoolCache(argmax, pool_size, stride, length, padded)
+        o, i = _tap_slices(k, stride, 0, length, out_length)
+        cand, best, won_k = x[:, :, i], y[:, :, o], won[:, :, o]
+        # strict: ties resolve to the first maximum, so the argmax is the
+        # largest offset that beat every earlier one
+        np.greater(cand, best, out=won_k)
+        if k > 1:
+            won_k *= k
+        np.maximum(argmax[:, :, o], won_k, out=argmax[:, :, o])
+        np.maximum(best, cand, out=best)
+    return y, MaxPoolCache(argmax, pool_size, stride, length)
 
 
 def maxpool1d_backward(cache: MaxPoolCache, grad_out: np.ndarray) -> np.ndarray:
     b, c, out_length = grad_out.shape
-    span = (out_length - 1) * cache.stride + 1
-    grad_xp = np.zeros((b, c, cache.padded_length), dtype=grad_out.dtype)
+    # windows that tile the input write each sample once; gaps stay zero and
+    # overlapping windows accumulate
+    tiled = cache.pool_size == cache.stride
+    overlapping = cache.pool_size > cache.stride
+    grad_x = (np.empty if tiled else np.zeros)((b, c, cache.in_length), dtype=grad_out.dtype)
     for k in range(cache.pool_size):
-        grad_xp[:, :, k : k + span : cache.stride] += grad_out * (cache.argmax == k)
-    return grad_xp[:, :, : cache.in_length]
+        o, i = _tap_slices(k, cache.stride, 0, cache.in_length, out_length)
+        won = cache.argmax[:, :, o] == k
+        if overlapping:
+            grad_x[:, :, i] += grad_out[:, :, o] * won
+        else:
+            np.multiply(grad_out[:, :, o], won, out=grad_x[:, :, i])
+    return grad_x
 
 
 def global_avg_pool_forward(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -302,7 +360,10 @@ def dropout_forward(
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     draw_dtype = np.float32 if x.dtype == np.float32 else np.float64
-    mask = (rng.random(x.shape, dtype=draw_dtype) >= rate).astype(x.dtype) / (1.0 - rate)
+    mask = rng.random(x.shape, dtype=draw_dtype)
+    np.greater_equal(mask, rate, out=mask)  # 1 where kept, 0 where dropped
+    mask /= 1.0 - rate
+    mask = mask.astype(x.dtype, copy=False)
     return x * mask, mask
 
 

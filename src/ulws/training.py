@@ -10,11 +10,11 @@ walks parameters in a fixed traversal order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NonFiniteGradient, TooFewSubjects
+from .errors import BadConfig, NonFiniteGradient, TooFewSubjects
 from .model import (
     ModelConfig,
     ModelParams,
@@ -41,14 +41,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(isinstance(v, int) for v in (self.batch_size, self.epochs, self.seed)):
+            raise BadConfig("batch_size, epochs and seed must be integers")
         if self.base_lr <= 0 or self.adam_eps <= 0:
-            raise ValueError("learning rate and epsilon must be positive")
+            raise BadConfig("learning rate and epsilon must be positive")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in (0, 1)")
+            raise BadConfig("adam betas must lie in (0, 1)")
         if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
+            raise BadConfig("l2_lambda must be >= 0")
         if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+            raise BadConfig("batch_size must be >= 1 and epochs >= 0")
 
     def to_dict(self) -> dict:
         return {
@@ -64,7 +66,15 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        if not isinstance(d, dict):
+            raise BadConfig(f"train config must be a JSON object, got {type(d).__name__}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise BadConfig(f"unknown train config keys: {sorted(unknown)}")
+        try:
+            return cls(**d)
+        except TypeError as e:  # a value of the wrong type, e.g. "epochs": "50"
+            raise BadConfig(f"train config: {e}") from None
 
 
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:

@@ -1,12 +1,14 @@
 import csv
 import json
+import platform
 
 import numpy as np
 import pytest
 
 from edf_fixtures import hypnogram_bytes, psg_bytes
 from oracles import pairwise_accuracy, pairwise_kappa, pairwise_macro_f1
-from ulws.cli import main
+from ulws.cli import _keep_batch_memory, main
+from ulws.model import ModelConfig, build_model, predict
 from ulws.preprocess import read_cache, write_cache
 from ulws.synthetic import sinusoid_dataset
 
@@ -229,6 +231,20 @@ def test_train_too_few_subjects(toy_cache, configs, tmp_path, capsys):
     assert "TooFewSubjects" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [{"bogus": 1}, {"epochs": -1}, {"epochs": "2"}])
+def test_train_bad_train_config_is_typed_error(toy_cache, configs, tmp_path, capsys, bad):
+    model_cfg, _ = configs
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps(bad))
+    code = main(
+        ["train", "--cache", str(toy_cache), "--model-config", str(model_cfg),
+         "--train-config", str(train_cfg), "--folds", "2", "--out", str(tmp_path / "run")]
+    )
+    assert code == 2
+    assert "error: BadConfig" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_seed_env_override(toy_cache, configs, tmp_path, monkeypatch):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("ULWS_SEED", "5")  # same as config -> identical
@@ -337,3 +353,29 @@ def test_evaluate_missing_file_nonstrict_vs_strict(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["evaluate", "--predictions", str(good), str(missing)]) == 0
     assert main(["evaluate", "--predictions", str(good), str(missing), "--strict"]) != 0
+
+
+def test_evaluate_rejects_a_file_given_twice(tmp_path, capsys):
+    y = [0, 1, 2, 3, 4]
+    fold0 = tmp_path / "fold0" / "predictions.csv"
+    write_predictions_csv(fold0, y, y)
+    again = tmp_path / "fold0" / ".." / "fold0" / "predictions.csv"
+    for argv in ([str(tmp_path), str(fold0)], [str(fold0), str(again)]):
+        assert main(["evaluate", "--predictions", *argv, "--json"]) == 2
+        err = capsys.readouterr().err
+        assert "given more than once" in err and "predictions.csv" in err
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+def test_predict_batches_reuse_freed_memory():
+    resource = pytest.importorskip("resource")
+    _keep_batch_memory()
+    params = build_model(ModelConfig(), seed=0)
+    x = np.random.default_rng(0).standard_normal((64, 4, 3000)).astype(np.float32)
+    predict(params, x)  # maps the heap that the batches then share
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    predict(params, x)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # a batch of 32 default-model epochs touches ~100 MB; mapped afresh for
+    # each batch, that is tens of thousands of 4 KiB page faults per call
+    assert faults < 1000

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,51 @@ def test_same_stride_arithmetic(length, stride, kernel):
     assert y_conv.shape[2] == nn.ceil_div(length, stride)
     y_pool, _ = nn.maxpool1d_forward(x, pool_size=2, stride=stride)
     assert y_pool.shape[2] == nn.ceil_div(length, stride)
+
+
+def padded_windows(x, kernel, stride, pad_left, pad_right, fill=0.0):
+    """Reference: window t of every output, read from an explicitly padded copy."""
+    out_length = nn.ceil_div(x.shape[2], stride)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)), constant_values=fill)
+    return [xp[:, :, t : t + (out_length - 1) * stride + 1 : stride] for t in range(kernel)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(min_value=1, max_value=24),
+    stride=st.sampled_from([1, 2, 4]),
+    kernel=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_windowed_kernels_match_padded_reference(length, stride, kernel, seed):
+    """Skipping the padded taps equals padding; backward is the exact adjoint."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, 3, length))
+    out_length = nn.ceil_div(length, stride)
+    total = max((out_length - 1) * stride + kernel - length, 0)
+    windows = padded_windows(x, kernel, stride, total // 2, total - total // 2)
+
+    sep = sep_params(rng.standard_normal((kernel, 3)), rng.standard_normal((3, 2)), stride=stride)
+    dw = sum(sep.depthwise[t][None, :, None] * w for t, w in enumerate(windows))
+    std = nn.ConvParams(rng.standard_normal((kernel, 3, 2)), np.zeros(2), stride)
+    cases = [
+        (nn.sepconv1d_forward(x, sep), nn.sepconv1d_backward,
+         np.einsum("mn,bml->bnl", sep.pointwise, dw)),
+        (nn.conv1d_forward(x, std), nn.conv1d_backward,
+         sum(np.einsum("mn,bml->bnl", std.kernel[t], w) for t, w in enumerate(windows))),
+    ]
+    pool = min(kernel, 4)
+    pool_windows = padded_windows(x, pool, stride, 0, max(0, (out_length - 1) * stride + pool - length),
+                                  fill=-np.inf)
+    cases.append((nn.maxpool1d_forward(x, pool, stride), nn.maxpool1d_backward,
+                  np.max(pool_windows, axis=0)))
+    for (y, cache), backward, reference in cases:
+        assert np.allclose(y, reference, atol=1e-12)
+        g = rng.standard_normal(y.shape)
+        gx = backward(cache, g)
+        gx = gx[0] if isinstance(gx, tuple) else gx
+        # all three maps are linear in x here (zero biases; pooling selects)
+        assert (y * g).sum() == pytest.approx((x * gx).sum(), abs=1e-10)
 
 
 # --- batch norm ---------------------------------------------------------------------
@@ -415,3 +462,75 @@ def test_kernels_bit_deterministic():
     y1, _ = nn.sepconv1d_forward(x, p)
     y2, _ = nn.sepconv1d_forward(x, p)
     assert np.array_equal(y1, y2)
+
+
+# --- layout contract ------------------------------------------------------------------------
+#
+# Every forward and backward returns C-contiguous arrays in the input's dtype and
+# writes to none of the arrays it was given (inputs, parameters, caches, grad_out).
+
+def contract_case(name, dtype):
+    """(x, parameter arrays, forward(x) -> (y, state), backward(state, g))."""
+    rng = np.random.default_rng(17)
+
+    def a(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    x = a(3, 4, 11)  # odd length: clipped taps and a short last pooling window
+    kind, _, variant = name.partition("_")
+    stride = 2 if variant == "s2" else 1
+    if kind == "sepconv":
+        m = 1 if variant == "m1" else 4
+        p = nn.SepConvParams(a(3, m), a(m, 5), a(5), stride)
+        forward = partial(nn.sepconv1d_forward, p=p)
+        return x[:, :m].copy(), [p.depthwise, p.pointwise, p.bias], forward, nn.sepconv1d_backward
+    if kind == "conv":
+        p = nn.ConvParams(a(3, 4, 5), a(5), stride)
+        return x, [p.kernel, p.bias], partial(nn.conv1d_forward, p=p), nn.conv1d_backward
+    if kind == "bn":
+        p = bn_params(4, dtype)
+        p.gamma[...], p.beta[...] = a(4), a(4)
+        p.running_mean[...], p.running_var[...] = a(4), 1.0 + a(4) ** 2
+        forward = partial(nn.batchnorm_forward, p=p, mode=variant, update_running=False)
+        return x, [p.gamma, p.beta, p.running_mean, p.running_var], forward, nn.batchnorm_backward
+    if kind == "relu":
+        return x, [], nn.relu_forward, nn.relu_backward
+    if kind == "maxpool":
+        pool, stride = {"tiled": (2, 2), "overlap": (3, 2), "gapped": (1, 2), "s1": (2, 1)}[variant]
+        forward = partial(nn.maxpool1d_forward, pool_size=pool, stride=stride)
+        return x, [], forward, nn.maxpool1d_backward
+    assert kind == "dropout"
+    forward = partial(nn.dropout_forward, rate=0.4, mode="train", rng=np.random.default_rng(1))
+    return x, [], forward, nn.dropout_backward
+
+
+CONTRACT_CASES = [
+    "sepconv_s1", "sepconv_s2", "sepconv_m1", "conv_s1", "conv_s2", "bn_train", "bn_infer",
+    "relu", "maxpool_tiled", "maxpool_overlap", "maxpool_gapped", "maxpool_s1", "dropout",
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", CONTRACT_CASES)
+def test_kernel_layout_contract(name, dtype):
+    x, param_arrays, forward, backward = contract_case(name, dtype)
+    given = [x] + param_arrays
+    before = [arr.copy() for arr in given]
+
+    y, state = forward(x)
+    g = np.random.default_rng(18).standard_normal(y.shape).astype(dtype)
+    # a mask, or a cache whose array fields the backward pass reads
+    state_arrays = ([state] if isinstance(state, np.ndarray)
+                    else [v for v in vars(state).values() if isinstance(v, np.ndarray)])
+    given += [g, y] + state_arrays
+    before += [arr.copy() for arr in [g, y] + state_arrays]
+    grads = backward(state, g)
+    grads = grads if isinstance(grads, tuple) else (grads,)
+
+    for out in (y, *grads):
+        assert out.dtype == dtype
+    for out in (y, *state_arrays, *grads):
+        assert out.flags.c_contiguous
+    assert grads[0].shape == x.shape
+    for arr, copy in zip(given, before):
+        assert np.array_equal(arr, copy)
