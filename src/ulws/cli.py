@@ -23,15 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, complexity, evaluation
-from .edf import load_record
+from .edf import load_record, subject_key_and_night
 from .errors import ShapeMismatch, UlwsError
 from .evaluation import N_CLASSES
 from .model import ModelConfig, load_checkpoint, predict, save_checkpoint
 from .preprocess import (
     EpochDataset,
+    collect_epochs,
     design_bandpass,
-    preprocess_record,
     read_cache,
+    stream_epochs,
     write_cache,
 )
 from .training import TrainConfig, subject_folds, split_indices, train_fold
@@ -76,7 +77,11 @@ def _load_json(path: Path) -> dict:
 
 
 def _crc_of(path: Path) -> str:
-    return f"{zlib.crc32(path.read_bytes()):08x}"
+    crc = 0
+    with path.open("rb") as fh:
+        while block := fh.read(1 << 20):
+            crc = zlib.crc32(block, crc)
+    return f"{crc:08x}"
 
 
 def _write_manifest(directory: Path, name: str, payload: dict) -> None:
@@ -143,39 +148,35 @@ def cmd_preprocess(args) -> int:
     pairs, skipped = _discover_pairs(data_dir)
     if not pairs and skipped == 0:
         return _fail(f"no records found in {data_dir}")
+    # subject_key_and_night is the key load_record gives each record, so
+    # this is the (subject, night) order without loading anything
+    pairs.sort(key=lambda pair: subject_key_and_night(pair[0]))
 
-    records = []
-    for psg, hyp in pairs:
-        try:
-            records.append(load_record(psg, hyp, channels))
-        except UlwsError as e:
-            _warn(f"{psg.name}: {type(e).__name__}: {e}")
-            skipped += 1
-    records.sort(key=lambda r: (r.subject_key, r.night))
+    def skip(what: str, error: UlwsError) -> None:
+        nonlocal skipped
+        _warn(f"{what}: {type(error).__name__}: {error}")
+        skipped += 1
 
-    spec = design_bandpass()
-    xs, ys, subjects = [], [], []
-    for record in records:
-        try:
-            x, y = preprocess_record(record, channels, spec, args.filter_all_channels)
-        except UlwsError as e:
-            _warn(f"{record.subject_key} night {record.night}: {type(e).__name__}: {e}")
-            skipped += 1
-            continue
-        print(f"{record.subject_key} night {record.night}: kept {len(y)} epochs")
-        xs.append(x)
-        ys.append(y)
-        subjects.extend([record.subject_key] * len(y))
-    if not xs:
-        return _fail("no records loaded")
+    def records():
+        for psg, hyp in pairs:
+            try:
+                yield load_record(psg, hyp, channels)
+            except UlwsError as e:
+                skip(psg.name, e)
 
-    dataset = EpochDataset(
-        x=np.concatenate(xs), y=np.concatenate(ys), subject_keys=subjects,
-        channel_labels=channels,
-    )
-    dataset.validate()
+    def report(chunks):
+        for chunk in chunks:
+            print(f"{chunk[0]} night {chunk[1]}: kept {len(chunk[3])} epochs")
+            yield chunk
+            del chunk  # hold no chunk while the next record loads
+
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    chunks = stream_epochs(records(), channels, design_bandpass(), args.filter_all_channels, skip)
+    dataset = collect_epochs(report(chunks), channels, spool_dir=out.parent)
+    if not dataset.n_epochs:
+        return _fail("no records loaded")
+
     write_cache(dataset, out)
     print(f"wrote {dataset.n_epochs} epochs x {dataset.n_channels} channels to {out}")
     print(f"skipped: {skipped}")

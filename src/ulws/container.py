@@ -1,0 +1,73 @@
+"""The binary container shared by `.ulws` caches and `.ulwm` checkpoints.
+
+    magic (4 bytes) | u8 version | body | u32 LE CRC-32 of version + body
+
+Writes stream their parts through one incremental CRC into a temporary
+file next to the target, then rename it over the target, so a failed or
+interrupted write leaves any existing file as it was. Reads fill one
+buffer and hand back a view of the body, so callers can build numpy
+arrays on it with `np.frombuffer` and no further copy.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import zlib
+from collections.abc import Iterable
+from pathlib import Path
+
+from .errors import BadMagic, ChecksumMismatch, VersionMismatch
+
+
+def write(path: str | Path, magic: bytes, version: int, parts: Iterable) -> None:
+    """Write magic, version, the `parts` in order, then the CRC.
+
+    Each part is any C-contiguous buffer (bytes, a numpy array); it is
+    checksummed and written in place, without a copy.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(magic)
+            crc = 0
+            for part in itertools.chain([bytes([version])], parts):
+                crc = zlib.crc32(part, crc)
+                fh.write(part)
+            fh.write(crc.to_bytes(4, "little"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_exact(fh, view) -> None:
+    """Fill the writable buffer `view` from `fh`, or raise ChecksumMismatch."""
+    view = memoryview(view)
+    if not view.nbytes:
+        return
+    view = view.cast("B")
+    while view:
+        n = fh.readinto(view)
+        if not n:
+            raise ChecksumMismatch(f"{fh.name}: truncated")
+        view = view[n:]
+
+
+def read(path: str | Path, magic: bytes, version: int, kind: str) -> memoryview:
+    """Check magic, CRC and version; return a writable view of the body."""
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise BadMagic(f"{path}: not a {kind}")
+        size = os.fstat(fh.fileno()).st_size - len(magic)
+        if size < 5:
+            raise ChecksumMismatch(f"{path}: truncated")
+        buf = bytearray(size)
+        read_exact(fh, buf)
+    body = memoryview(buf)[:-4]
+    if zlib.crc32(body) != int.from_bytes(buf[-4:], "little"):
+        raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
+    if body[0] != version:
+        raise VersionMismatch(f"{path}: {kind} version {body[0]}, expected {version}")
+    return body[1:]

@@ -112,9 +112,12 @@ def _int(raw: bytes, what: str) -> int:
 
 def _float(raw: bytes, what: str) -> float:
     try:
-        return float(_text(raw))
+        value = float(_text(raw))
     except ValueError:
         raise MalformedField(f"{what}: expected number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise MalformedField(f"{what}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_edf_header(data: bytes) -> EdfHeader:
@@ -254,6 +257,8 @@ def _parse_tal(tal: bytes) -> list[tuple[float, float, str]]:
         duration = float(pieces[1]) if len(pieces) == 2 else 0.0
     except ValueError:
         raise MalformedTal(f"non-numeric onset/duration: {tal!r}") from None
+    if not (math.isfinite(onset) and math.isfinite(duration)):
+        raise MalformedTal(f"non-finite onset/duration: {tal!r}")
     out = []
     for raw_text in parts[1:-1]:
         text = raw_text.decode("utf-8", errors="replace").strip()

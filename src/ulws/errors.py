@@ -81,6 +81,14 @@ class DegenerateSignal(PreprocessError):
     """A channel has zero variance over the retained epochs."""
 
 
+class NonFiniteSignal(PreprocessError):
+    """Epochs hold NaN or infinity."""
+
+
+class InvalidDataset(PreprocessError):
+    """An epoch dataset's arrays disagree in dtype, length or label range."""
+
+
 # --- binary container files (dataset cache, model checkpoint) ------------
 
 class BadMagic(UlwsError):

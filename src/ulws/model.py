@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import nn
-from .errors import BadConfig, BadMagic, ChecksumMismatch, ShapeMismatch, VersionMismatch
+from . import container, nn
+from .errors import BadConfig, ChecksumMismatch, ShapeMismatch
 
 CHECKPOINT_MAGIC = b"ULWM"
 CHECKPOINT_VERSION = 1
@@ -469,35 +468,25 @@ def predict(params: ModelParams, x: np.ndarray, batch_size: int = 32):
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     config_blob = json.dumps(params.config.to_dict(), sort_keys=True).encode("utf-8")
-    body = bytearray()
-    body += CHECKPOINT_VERSION.to_bytes(1, "little")
-    body += len(config_blob).to_bytes(4, "little") + config_blob
-    for _, arr in named_arrays(params, trainable_only=False):
-        body += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    crc = zlib.crc32(body)
-    Path(path).write_bytes(CHECKPOINT_MAGIC + bytes(body) + crc.to_bytes(4, "little"))
+    parts = [len(config_blob).to_bytes(4, "little") + config_blob]
+    parts += [
+        np.ascontiguousarray(arr, dtype="<f4")
+        for _, arr in named_arrays(params, trainable_only=False)
+    ]
+    container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, parts)
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    blob = Path(path).read_bytes()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"{path}: not a model checkpoint")
-    if len(blob) < 9:
-        raise ChecksumMismatch(f"{path}: truncated")
-    body, crc_stored = blob[4:-4], int.from_bytes(blob[-4:], "little")
-    if zlib.crc32(body) != crc_stored:
-        raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
-    if body[0] != CHECKPOINT_VERSION:
-        raise VersionMismatch(f"{path}: checkpoint version {body[0]}")
-    n_cfg = int.from_bytes(body[1:5], "little")
-    config = ModelConfig.from_dict(json.loads(body[5 : 5 + n_cfg].decode("utf-8")))
+    body = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "model checkpoint")
+    n_cfg = int.from_bytes(body[:4], "little")
+    config = ModelConfig.from_dict(json.loads(bytes(body[4 : 4 + n_cfg]).decode("utf-8")))
     params = build_model(config, seed=0, dtype=np.float32)
-    pos = 5 + n_cfg
+    pos = 4 + n_cfg
     for name, arr in named_arrays(params, trainable_only=False):
         nbytes = arr.size * 4
         if pos + nbytes > len(body):
             raise ChecksumMismatch(f"{path}: payload shorter than {name} needs")
-        arr[...] = np.frombuffer(body[pos : pos + nbytes], dtype="<f4").reshape(arr.shape)
+        arr[...] = np.frombuffer(body, dtype="<f4", count=arr.size, offset=pos).reshape(arr.shape)
         pos += nbytes
     if pos != len(body):
         raise ChecksumMismatch(f"{path}: {len(body) - pos} trailing payload bytes")

@@ -3,11 +3,15 @@
 Band-pass filtering of the EEG channels, stage-text mapping, wake-period
 trimming around the main sleep span, 30-second epoching with per-record
 z-scoring, and a checksummed binary dataset cache.
+
+Records stream through `stream_epochs` one at a time, so memory holds one
+raw record and the epochs kept so far wait in a spool file, not in RAM.
 """
 
 from __future__ import annotations
 
-import zlib
+import tempfile
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -15,18 +19,20 @@ from pathlib import Path
 import numpy as np
 import scipy.signal
 
+from . import container
 from .edf import RawRecord
 from .errors import (
     AllWake,
-    BadMagic,
     ChecksumMismatch,
     DegenerateSignal,
     EpochAlignmentError,
     InvalidBand,
+    InvalidDataset,
     MissingChannel,
+    NonFiniteSignal,
     SignalTooShort,
+    UlwsError,
     UnknownLabel,
-    VersionMismatch,
 )
 
 EPOCH_SECONDS = 30.0
@@ -218,11 +224,17 @@ class EpochDataset:
         return self.x.shape[2]
 
     def validate(self) -> None:
-        n, _, _ = self.x.shape
-        assert self.x.dtype == np.float32
-        assert len(self.y) == n and len(self.subject_keys) == n
-        assert np.all(np.isfinite(self.x))
-        assert self.y.size == 0 or (self.y.min() >= 0 and self.y.max() < N_STAGES)
+        if self.x.ndim != 3 or self.x.dtype != np.float32:
+            raise InvalidDataset(f"x must be (N, C, T) float32, got {self.x.dtype} {self.x.shape}")
+        n = self.n_epochs
+        if len(self.y) != n or len(self.subject_keys) != n:
+            raise InvalidDataset(
+                f"{n} epochs but {len(self.y)} labels and {len(self.subject_keys)} subject keys"
+            )
+        if not _all_finite(self.x):
+            raise NonFiniteSignal("epochs hold NaN or infinity")
+        if self.y.size and (self.y.min() < 0 or self.y.max() >= N_STAGES):
+            raise InvalidDataset(f"labels outside [0, {N_STAGES})")
 
     def equals(self, other: "EpochDataset") -> bool:
         return (
@@ -232,6 +244,11 @@ class EpochDataset:
             and self.channel_labels == other.channel_labels
             and self.sample_rate_hz == other.sample_rate_hz
         )
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all(), 256 rows at a time, without an x-sized mask."""
+    return all(np.isfinite(x[i : i + 256]).all() for i in range(0, len(x), 256))
 
 
 def _is_eeg(label: str) -> bool:
@@ -260,20 +277,18 @@ def preprocess_record(
     start, stop = trim_wake([lab for _, lab in entries])
     retained = entries[start:stop]
 
-    traces = []
     for label in channels:
         if label not in record.signals:
             raise MissingChannel(f"{label!r} absent from record {record.subject_key}")
-        trace = record.signals[label]
-        samples = np.asarray(trace.samples, dtype=np.float64)
-        if filter_all_channels or _is_eeg(label):
-            samples = filtfilt(samples, filter_spec)
-        traces.append(samples)
 
     t = EPOCH_SAMPLES
     n = len(retained)
     x = np.empty((n, len(channels), t), dtype=np.float64)
-    for c, samples in enumerate(traces):
+    # one channel's float64 trace at a time: widen, filter, epoch, z-score
+    for c, label in enumerate(channels):
+        samples = np.asarray(record.signals[label].samples, dtype=np.float64)
+        if filter_all_channels or _is_eeg(label):
+            samples = filtfilt(samples, filter_spec)
         for row, (epoch_idx, _) in enumerate(retained):
             lo = epoch_idx * t
             if lo + t > len(samples):
@@ -281,14 +296,79 @@ def preprocess_record(
                     f"epoch {epoch_idx} needs samples up to {lo + t}, signal has {len(samples)}"
                 )
             x[row, c] = samples[lo : lo + t]
+        del samples
         mean = x[:, c].mean()
         std = x[:, c].std()
         if std == 0:
-            raise DegenerateSignal(f"channel {channels[c]!r} constant over retained epochs")
-        x[:, c] = (x[:, c] - mean) / std
+            raise DegenerateSignal(f"channel {label!r} constant over retained epochs")
+        x[:, c] -= mean
+        x[:, c] /= std
 
     y = np.array([int(lab) for _, lab in retained], dtype=np.uint8)
     return x.astype(np.float32), y
+
+
+def stream_epochs(
+    records: Iterable[RawRecord],
+    channels: list[str],
+    filter_spec: FilterSpec | None = None,
+    filter_all_channels: bool = False,
+    on_skip: Callable[[str, UlwsError], None] | None = None,
+) -> Iterator[tuple[str, int, np.ndarray, np.ndarray]]:
+    """Preprocess records one at a time: (subject_key, night, x, y) per kept record.
+
+    `records` may be lazy; each raw record is dropped as soon as its epochs
+    exist, before the next one is asked for. A record whose epochs are not
+    all finite is rejected with NonFiniteSignal. With `on_skip` None a
+    UlwsError propagates; otherwise `on_skip("<subject> night <n>", error)`
+    is called and the record is skipped.
+    """
+    if filter_spec is None:
+        filter_spec = design_bandpass()
+    for record in records:
+        key, night = record.subject_key, record.night
+        try:
+            # NaN or infinity in a trace is reported once, by the check below
+            with np.errstate(invalid="ignore", over="ignore"):
+                x, y = preprocess_record(record, channels, filter_spec, filter_all_channels)
+            if not _all_finite(x):
+                raise NonFiniteSignal("preprocessed epochs hold NaN or infinity")
+        except UlwsError as e:
+            if on_skip is None:
+                raise
+            on_skip(f"{key} night {night}", e)
+            continue
+        finally:
+            del record
+        yield key, night, x, y
+        del x, y  # hold no chunk while the next record loads
+
+
+def collect_epochs(
+    chunks: Iterable[tuple[str, int, np.ndarray, np.ndarray]],
+    channels: list[str],
+    spool_dir: str | Path | None = None,
+) -> EpochDataset:
+    """Concatenate `stream_epochs` chunks into one validated EpochDataset.
+
+    Each chunk's epochs go to an unnamed spool file in `spool_dir` as they
+    arrive, so kept epochs take no memory while later records are
+    preprocessed; x is read back into one array at the end.
+    """
+    ys, subjects = [], []
+    with tempfile.TemporaryFile(dir=spool_dir) as spool:
+        for key, _, x, y in chunks:
+            spool.write(np.ascontiguousarray(x, dtype=np.float32))
+            ys.append(y)
+            subjects.extend([key] * len(y))
+            del x, y
+        y_all = np.concatenate(ys) if ys else np.zeros(0, dtype=np.uint8)
+        x_all = np.empty((len(y_all), len(channels), EPOCH_SAMPLES), dtype=np.float32)
+        spool.seek(0)
+        container.read_exact(spool, x_all)
+    dataset = EpochDataset(x=x_all, y=y_all, subject_keys=subjects, channel_labels=list(channels))
+    dataset.validate()
+    return dataset
 
 
 def build_epoch_dataset(
@@ -298,23 +378,10 @@ def build_epoch_dataset(
     filter_all_channels: bool = False,
 ) -> EpochDataset:
     """Preprocess and concatenate records in deterministic (subject, night) order."""
-    xs, ys, subjects = [], [], []
-    for record in sorted(records, key=lambda r: (r.subject_key, r.night)):
-        x, y = preprocess_record(record, channels, filter_spec, filter_all_channels)
-        xs.append(x)
-        ys.append(y)
-        subjects.extend([record.subject_key] * len(y))
-    if xs:
-        x_all = np.concatenate(xs, axis=0)
-        y_all = np.concatenate(ys, axis=0)
-    else:
-        x_all = np.zeros((0, len(channels), EPOCH_SAMPLES), dtype=np.float32)
-        y_all = np.zeros((0,), dtype=np.uint8)
-    dataset = EpochDataset(
-        x=x_all, y=y_all, subject_keys=subjects, channel_labels=list(channels)
+    ordered = sorted(records, key=lambda r: (r.subject_key, r.night))
+    return collect_epochs(
+        stream_epochs(ordered, channels, filter_spec, filter_all_channels), channels
     )
-    dataset.validate()
-    return dataset
 
 
 # --- binary cache ---------------------------------------------------------
@@ -331,58 +398,54 @@ def _pack_str(s: str) -> bytes:
 
 
 def write_cache(dataset: EpochDataset, path: str | Path) -> None:
+    """Atomically write `dataset`; its arrays are checksummed and written in place."""
     dataset.validate()
     n, c, t = dataset.x.shape
-    body = bytearray()
-    body += CACHE_VERSION.to_bytes(1, "little")
-    body += n.to_bytes(8, "little") + c.to_bytes(8, "little") + t.to_bytes(8, "little")
-    body += int(round(dataset.sample_rate_hz)).to_bytes(4, "little")
+    head = bytearray()
+    head += n.to_bytes(8, "little") + c.to_bytes(8, "little") + t.to_bytes(8, "little")
+    head += int(round(dataset.sample_rate_hz)).to_bytes(4, "little")
     for label in dataset.channel_labels:
-        body += _pack_str(label)
+        head += _pack_str(label)
     for key in dataset.subject_keys:
-        body += _pack_str(key)
-    body += np.ascontiguousarray(dataset.x, dtype="<f4").tobytes()
-    body += dataset.y.astype(np.uint8).tobytes()
-    crc = zlib.crc32(body)
-    Path(path).write_bytes(CACHE_MAGIC + bytes(body) + crc.to_bytes(4, "little"))
+        head += _pack_str(key)
+    container.write(
+        path,
+        CACHE_MAGIC,
+        CACHE_VERSION,
+        [
+            head,
+            np.ascontiguousarray(dataset.x, dtype="<f4"),
+            np.ascontiguousarray(dataset.y, dtype=np.uint8),
+        ],
+    )
 
 
 def read_cache(path: str | Path) -> EpochDataset:
-    blob = Path(path).read_bytes()
-    if blob[:4] != CACHE_MAGIC:
-        raise BadMagic(f"{path}: not a dataset cache")
-    if len(blob) < 9:
-        raise ChecksumMismatch(f"{path}: truncated")
-    body, crc_stored = blob[4:-4], int.from_bytes(blob[-4:], "little")
-    if zlib.crc32(body) != crc_stored:
-        raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
-    version = body[0]
-    if version != CACHE_VERSION:
-        raise VersionMismatch(f"{path}: cache version {version}, expected {CACHE_VERSION}")
-
-    pos = 1
-    n = int.from_bytes(body[pos : pos + 8], "little"); pos += 8
-    c = int.from_bytes(body[pos : pos + 8], "little"); pos += 8
-    t = int.from_bytes(body[pos : pos + 8], "little"); pos += 8
-    rate = int.from_bytes(body[pos : pos + 4], "little"); pos += 4
+    """Read a cache; x and y are views on the one buffer the file was read into."""
+    body = container.read(path, CACHE_MAGIC, CACHE_VERSION, "dataset cache")
+    if len(body) < 28:
+        raise ChecksumMismatch(f"{path}: header truncated")
+    n, c, t = (int.from_bytes(body[i : i + 8], "little") for i in (0, 8, 16))
+    rate = int.from_bytes(body[24:28], "little")
+    pos = 28
 
     def unpack_str() -> str:
         nonlocal pos
         length = int.from_bytes(body[pos : pos + 4], "little")
-        pos += 4
-        s = body[pos : pos + length].decode("utf-8")
-        pos += length
+        if pos + 4 + length > len(body):
+            raise ChecksumMismatch(f"{path}: header truncated")
+        s = str(body[pos + 4 : pos + 4 + length], "utf-8")
+        pos += 4 + length
         return s
 
     channel_labels = [unpack_str() for _ in range(c)]
     subject_keys = [unpack_str() for _ in range(n)]
     payload = n * c * t * 4
-    x = np.frombuffer(body[pos : pos + payload], dtype="<f4").reshape(n, c, t).copy()
-    pos += payload
-    y = np.frombuffer(body[pos : pos + n], dtype=np.uint8).copy()
-    pos += n
-    if pos != len(body):
-        raise ChecksumMismatch(f"{path}: {len(body) - pos} trailing bytes")
+    extra = len(body) - (pos + payload + n)
+    if extra:
+        raise ChecksumMismatch(f"{path}: body is {extra:+d} bytes off the size its header gives")
+    x = np.frombuffer(body, dtype="<f4", count=n * c * t, offset=pos).reshape(n, c, t)
+    y = np.frombuffer(body, dtype=np.uint8, count=n, offset=pos + payload)
     return EpochDataset(
         x=x, y=y, subject_keys=subject_keys, channel_labels=channel_labels,
         sample_rate_hz=float(rate),

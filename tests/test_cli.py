@@ -1,15 +1,20 @@
 import csv
 import json
+import os
 import platform
+import subprocess
+import sys
+import zlib
 
 import numpy as np
 import pytest
 
-from edf_fixtures import hypnogram_bytes, psg_bytes
+from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
 from oracles import pairwise_accuracy, pairwise_kappa, pairwise_macro_f1
-from ulws.cli import _keep_batch_memory, main
+from ulws.cli import DEFAULT_CHANNELS, _crc_of, _keep_batch_memory, main
+from ulws.edf import load_record
 from ulws.model import ModelConfig, build_model, predict
-from ulws.preprocess import read_cache, write_cache
+from ulws.preprocess import build_epoch_dataset, read_cache, write_cache
 from ulws.synthetic import sinusoid_dataset
 
 TINY_MODEL = {
@@ -118,6 +123,99 @@ def test_preprocess_filter_all_channels_changes_non_eeg(tmp_path):
     eeg, emg = a.channel_labels.index("EEG Fpz-Cz"), a.channel_labels.index("EMG submental")
     assert np.allclose(a.x[:, eeg], b.x[:, eeg], atol=1e-5)  # EEG filtered either way
     assert not np.allclose(a.x[:, emg], b.x[:, emg], atol=1e-3)  # EMG only with the flag
+
+
+def psg_with_range(n_epochs, physical_min, physical_max, seed=0):
+    """psg_bytes with the first channel's physical range replaced."""
+    signals = [
+        FixtureSignal(label, 3000, digital=sine_digital(3000 * n_epochs, 1.0 + 2.0 * i, 100.0,
+                                                        seed=seed + i))
+        for i, label in enumerate(DEFAULT_CHANNELS)
+    ]
+    signals[0].physical_min, signals[0].physical_max = physical_min, physical_max
+    return edf_bytes(signals, n_data_records=n_epochs)
+
+
+@pytest.mark.parametrize(
+    "physical_range, error",
+    [((float("nan"), 204.7), "MalformedField"), ((-1e300, 1e300), "NonFiniteSignal")],
+)
+def test_preprocess_skips_record_with_non_finite_values(tmp_path, capsys, physical_range, error):
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    write_record_pair(data_dir, "SC4001", seed=1)
+    psg, _ = write_record_pair(data_dir, "SC4012", seed=2)
+    psg.write_bytes(psg_with_range(24, *physical_range, seed=2))
+    out = tmp_path / "cache.ulws"
+    code = main(["preprocess", "--data-dir", str(data_dir), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "skipped: 1" in captured.out.splitlines()
+    assert error in captured.err and "Traceback" not in captured.err
+    ds = read_cache(out)
+    assert set(ds.subject_keys) == {"SC400"} and np.isfinite(ds.x).all()
+
+
+def test_preprocess_cache_matches_library_path(tmp_path):
+    """Streamed CLI cache == write_cache(build_epoch_dataset(all records loaded))."""
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    pairs = [write_record_pair(data_dir, stem, seed=i)
+             for i, stem in enumerate(["SC4022", "SC4001", "SC4012", "SC4011"])]
+    out = tmp_path / "cli.ulws"
+    assert main(["preprocess", "--data-dir", str(data_dir), "--out", str(out)]) == 0
+    records = [load_record(psg, hyp, DEFAULT_CHANNELS) for psg, hyp in pairs]
+    library = tmp_path / "library.ulws"
+    write_cache(build_epoch_dataset(records, DEFAULT_CHANNELS), library)
+    assert out.read_bytes() == library.read_bytes()
+    manifest = json.loads((tmp_path / "cli.ulws.manifest.json").read_text())
+    assert manifest["cache_crc32"] == f"{zlib.crc32(out.read_bytes()):08x}"
+
+
+def test_crc_of_reads_in_blocks_and_matches_whole_file(tmp_path):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(0).bytes(3 * (1 << 20) + 17))
+    assert _crc_of(path) == f"{zlib.crc32(path.read_bytes()):08x}"
+
+
+PEAK_PROBE = """
+import sys
+from ulws.cli import main
+assert main(["preprocess", "--data-dir", sys.argv[1], "--out", sys.argv[2]]) == 0
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_preprocess_peak_memory_is_bounded_by_one_record(tmp_path):
+    """Peak RSS over 4 nights exceeds that over 1 night by less than one raw record.
+
+    A raw record here is 4 channels x 2 h at 100 Hz in float32, 11 MiB.
+    Holding the raw records, or their epochs, until all are preprocessed
+    would add about three of them. The kept epochs of the 4 nights (46 MB)
+    stay below one record's working set, so the one in-memory copy that
+    write_cache needs does not set the peak either. VmHWM belongs to the
+    child's own address space; ru_maxrss would also count this process.
+    """
+    n_epochs = 240
+    pattern = [("Sleep stage W", 30), ("Sleep stage 2", 180), ("Sleep stage W", 30)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def peak_bytes(nights):
+        data_dir = tmp_path / f"edf{nights}"
+        data_dir.mkdir()
+        for i in range(nights):
+            (data_dir / f"SC40{i}1E0-PSG.edf").write_bytes(psg_bytes(n_epochs, seed=i))
+            (data_dir / f"SC40{i}1EC-Hypnogram.edf").write_bytes(
+                hypnogram_bytes(stage_events(pattern)))
+        run = subprocess.run([sys.executable, "-c", PEAK_PROBE, str(data_dir),
+                              str(tmp_path / f"out{nights}" / "cache.ulws")],
+                             env=env, capture_output=True, text=True, check=True)
+        return int(run.stdout.splitlines()[-1]) * 1024
+
+    raw_record = len(DEFAULT_CHANNELS) * n_epochs * 3000 * 4
+    assert peak_bytes(4) - peak_bytes(1) < raw_record
 
 
 # --- count ---------------------------------------------------------------------

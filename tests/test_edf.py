@@ -80,6 +80,21 @@ def test_malformed_numeric_field():
         parse_edf_header(corrupted)
 
 
+@pytest.mark.parametrize("field", ["physical_min", "physical_max"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_header_number_rejected(field, value):
+    sigs, _ = two_signal_fixture()
+    setattr(sigs[0], field, value)
+    with pytest.raises(MalformedField, match="finite"):
+        parse_edf_header(edf_bytes(sigs, n_data_records=2))
+
+
+def test_non_finite_record_duration_rejected():
+    sigs, _ = two_signal_fixture()
+    with pytest.raises(MalformedField, match="finite"):
+        parse_edf_header(edf_bytes(sigs, n_data_records=2, record_duration_s=float("inf")))
+
+
 def test_streaming_record_count_rejected():
     sig = FixtureSignal("X", 10, digital=np.zeros(10, np.int16))
     data = edf_bytes([sig], n_data_records=0)
@@ -184,6 +199,16 @@ def test_missing_text_terminator():
     bad = b"+0" + b"\x15" + b"30" + b"Sleep stage W"  # no 0x14 at all
     data = hypnogram_bytes([], extra_tal_bytes=bad + b"\x00")
     with pytest.raises(MalformedTal):
+        parse_hypnogram(data)
+
+
+@pytest.mark.parametrize(
+    "onset, duration",
+    [(float("nan"), 30.0), (float("inf"), 30.0), (0.0, float("nan")), (0.0, float("inf"))],
+)
+def test_non_finite_tal_numbers_rejected(onset, duration):
+    data = hypnogram_bytes([(onset, duration, "Sleep stage W")])
+    with pytest.raises(MalformedTal, match="non-finite"):
         parse_hypnogram(data)
 
 

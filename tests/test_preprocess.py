@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import weakref
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +11,7 @@ from hypothesis import strategies as st
 
 from edf_fixtures import hypnogram_bytes, psg_bytes
 from oracles import best_lag, sos_gain
+from ulws import container
 from ulws.edf import HypnogramEvent, load_record, parse_hypnogram
 from ulws.errors import (
     AllWake,
@@ -12,19 +19,25 @@ from ulws.errors import (
     ChecksumMismatch,
     EpochAlignmentError,
     InvalidBand,
+    InvalidDataset,
+    NonFiniteSignal,
     SignalTooShort,
     UnknownLabel,
     VersionMismatch,
 )
+from ulws.model import ModelConfig, build_model, save_checkpoint
 from ulws.preprocess import (
+    CACHE_MAGIC,
     EpochDataset,
     StageClass,
     build_epoch_dataset,
+    collect_epochs,
     design_bandpass,
     expand_events,
     filtfilt,
     map_stage_label,
     read_cache,
+    stream_epochs,
     trim_wake,
     write_cache,
 )
@@ -356,3 +369,235 @@ def test_cache_version_mismatch(tmp_path):
     path.write_bytes(blob[:4] + body + zlib.crc32(body).to_bytes(4, "little"))
     with pytest.raises(VersionMismatch):
         read_cache(path)
+
+
+def test_read_cache_returns_views_on_one_buffer(tmp_path):
+    ds = sinusoid_dataset(n_epochs=6, n_channels=2, epoch_samples=50, seed=8)
+    path = tmp_path / "toy.ulws"
+    write_cache(ds, path)
+    again = read_cache(path)
+    assert again.equals(ds) and again.x.flags.writeable
+
+    def owner(a):
+        while isinstance(a, np.ndarray):
+            a = a.base
+        return a.obj if isinstance(a, memoryview) else a
+
+    assert isinstance(owner(again.x), bytearray) and owner(again.x) is owner(again.y)
+
+
+def rewrite_body(path, edit):
+    """Apply `edit` to the bytes between magic and CRC and re-seal the CRC."""
+    blob = path.read_bytes()
+    body = edit(bytearray(blob[4:-4]))
+    path.write_bytes(blob[:4] + body + zlib.crc32(body).to_bytes(4, "little"))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda b: b[:-1],  # one label short
+        lambda b: b + b"\x00",  # a trailing byte
+        lambda b: b[:1] + (10**6).to_bytes(8, "little") + b[9:],  # N far beyond the body
+        lambda b: b[:20],  # header cut inside the dimensions
+    ],
+)
+def test_cache_body_disagreeing_with_header_is_typed(tmp_path, edit):
+    ds = sinusoid_dataset(n_epochs=3, n_channels=2, epoch_samples=40, seed=9)
+    path = tmp_path / "toy.ulws"
+    write_cache(ds, path)
+    rewrite_body(path, edit)
+    with pytest.raises(ChecksumMismatch):
+        read_cache(path)
+
+
+# --- typed validation -----------------------------------------------------------------
+
+def toy_dataset(**changes):
+    ds = sinusoid_dataset(n_epochs=4, n_channels=2, epoch_samples=30, seed=10)
+    for name, value in changes.items():
+        setattr(ds, name, value)
+    return ds
+
+
+@pytest.mark.parametrize(
+    "changes, error",
+    [
+        ({}, None),
+        ({"x": np.zeros((4, 2, 30), np.float64)}, InvalidDataset),
+        ({"x": np.zeros((4, 60), np.float32)}, InvalidDataset),
+        ({"y": np.zeros(3, np.uint8)}, InvalidDataset),
+        ({"subject_keys": ["S"] * 5}, InvalidDataset),
+        ({"y": np.array([0, 1, 2, 5], np.uint8)}, InvalidDataset),
+        ({"y": np.array([0, -1, 2, 3])}, InvalidDataset),
+    ],
+)
+def test_validate_raises_typed_errors(changes, error):
+    ds = toy_dataset(**changes)
+    if error is None:
+        ds.validate()
+    else:
+        with pytest.raises(error):
+            ds.validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_dataset_is_never_written(tmp_path, bad):
+    ds = toy_dataset()
+    ds.x[3, 1, 29] = bad
+    path = tmp_path / "toy.ulws"
+    with pytest.raises(NonFiniteSignal):
+        write_cache(ds, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+# --- streaming ------------------------------------------------------------------------
+
+def renamed(record, key):
+    return type(record)(subject_key=key, night=record.night, signals=record.signals,
+                        events=record.events)
+
+
+def all_wake_record(record):
+    events = [HypnogramEvent(0.0, 30.0 * 40, "Sleep stage W")]
+    return type(record)(subject_key="SC499", night=1, signals=record.signals, events=events)
+
+
+def test_stream_propagates_errors_without_on_skip(toy_record):
+    record, channels = toy_record
+    with pytest.raises(AllWake):
+        list(stream_epochs([record, all_wake_record(record)], channels))
+
+
+def test_stream_skips_with_on_skip(toy_record):
+    record, channels = toy_record
+    skipped = []
+    chunks = list(stream_epochs(
+        [renamed(record, "SC398"), all_wake_record(record), renamed(record, "SC399")],
+        channels, on_skip=lambda what, e: skipped.append((what, type(e))),
+    ))
+    assert [key for key, *_ in chunks] == ["SC398", "SC399"]
+    assert skipped == [("SC499 night 1", AllWake)]
+
+
+def test_stream_skips_non_finite_records(toy_record):
+    record, channels = toy_record
+    signals = dict(record.signals)
+    trace = signals["EMG submental"]
+    samples = trace.samples.copy()
+    samples[100] = np.inf
+    signals["EMG submental"] = type(trace)(trace.label, trace.sample_rate_hz, samples)
+    broken = type(record)(subject_key="SC401", night=1, signals=signals, events=record.events)
+    skipped = []
+    chunks = list(stream_epochs([broken, record], channels,
+                                on_skip=lambda what, e: skipped.append(type(e))))
+    assert [key for key, *_ in chunks] == ["SC400"] and skipped == [NonFiniteSignal]
+    with pytest.raises(NonFiniteSignal):
+        build_epoch_dataset([broken], channels)
+
+
+def test_stream_holds_one_raw_record_at_a_time(toy_record):
+    record, channels = toy_record
+    loaded = []
+
+    def tracked(fresh):
+        loaded.append(weakref.ref(fresh))
+        return fresh
+
+    def lazy_records():
+        for key in ("SC397", "SC398", "SC399"):
+            yield tracked(renamed(record, key))
+
+    for i, (key, _, x, _) in enumerate(stream_epochs(lazy_records(), channels)):
+        # the record behind this chunk is gone, and the next is not loaded yet
+        assert len(loaded) == i + 1 and loaded[i]() is None
+        assert key == f"SC39{7 + i}" and x.shape == (39, 4, 3000)
+
+
+def test_collect_matches_concatenation(toy_record, tmp_path):
+    record, channels = toy_record
+    records = [renamed(record, "SC398"), renamed(record, "SC399")]
+    chunks = list(stream_epochs(records, channels))
+    ds = collect_epochs(iter(chunks), channels, spool_dir=tmp_path)
+    assert np.array_equal(ds.x, np.concatenate([x for _, _, x, _ in chunks]))
+    assert np.array_equal(ds.y, np.concatenate([y for *_, y in chunks]))
+    assert ds.subject_keys == ["SC398"] * 39 + ["SC399"] * 39
+    assert list(tmp_path.iterdir()) == []  # the spool file is gone
+    empty = collect_epochs(iter([]), channels)
+    assert empty.x.shape == (0, 4, 3000) and empty.y.shape == (0,)
+
+
+# --- container: atomic writes and memory ------------------------------------------------
+
+def test_failed_write_leaves_old_file_and_no_temp(tmp_path):
+    path = tmp_path / "toy.ulws"
+    write_cache(toy_dataset(), path)
+    before = path.read_bytes()
+
+    def parts():
+        yield b"\x01" * 1000
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        container.write(path, CACHE_MAGIC, 1, parts())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["toy.ulws"]
+
+
+@pytest.mark.parametrize("which", ["cache", "checkpoint"])
+def test_write_interrupted_before_rename_keeps_old_file(tmp_path, monkeypatch, which):
+    if which == "cache":
+        path, write = tmp_path / "toy.ulws", lambda: write_cache(toy_dataset(), path)
+    else:
+        params = build_model(ModelConfig(n_blocks=1, filters=(2,), input_length=64), seed=0)
+        path, write = tmp_path / "toy.ulwm", lambda: save_checkpoint(params, path)
+    path.write_bytes(b"previous contents")
+
+    def crash(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(container.os, "replace", crash)
+    with pytest.raises(KeyboardInterrupt):
+        write()
+    assert path.read_bytes() == b"previous contents"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+GROWTH_PROBE = """
+import json, sys
+from ulws.preprocess import read_cache, write_cache
+from ulws.synthetic import sinusoid_dataset
+
+def status_kib(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
+op, path = sys.argv[1], sys.argv[2]
+if op == "write":
+    dataset = sinusoid_dataset(n_epochs=600, n_channels=4, seed=3)
+    before = status_kib("VmRSS")
+    write_cache(dataset, path)
+else:
+    before = status_kib("VmRSS")
+    dataset = read_cache(path)
+print(json.dumps((status_kib("VmHWM") - before) * 1024 / dataset.x.nbytes))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_cache_io_memory_growth(tmp_path):
+    """Peak RSS growth of one write and one read of a 29 MB payload, in fresh processes.
+
+    The peak is VmHWM, which belongs to the process's own address space;
+    ru_maxrss would also count the pytest process that spawned it.
+    """
+    path = tmp_path / "big.ulws"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def growth(op):
+        run = subprocess.run([sys.executable, "-c", GROWTH_PROBE, op, str(path)], env=env,
+                             capture_output=True, text=True, check=True)
+        return float(run.stdout)
+
+    assert growth("write") <= 0.5  # the payload is written in place, not copied
+    assert growth("read") <= 1.2  # one buffer, with x and y as views on it
