@@ -26,7 +26,7 @@ from . import __version__, complexity, evaluation
 from .edf import load_record, subject_key_and_night
 from .errors import ShapeMismatch, UlwsError
 from .evaluation import N_CLASSES
-from .model import ModelConfig, load_checkpoint, predict, save_checkpoint
+from .model import ModelConfig, decode_json, load_checkpoint, predict, save_checkpoint
 from .preprocess import (
     EpochDataset,
     collect_epochs,
@@ -69,13 +69,6 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_json(path: Path) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise UlwsError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from None
-
-
 def _crc_of(path: Path) -> str:
     crc = 0
     with path.open("rb") as fh:
@@ -95,33 +88,25 @@ def _write_manifest(directory: Path, name: str, payload: dict) -> None:
 
 
 def _model_config(args, cache: EpochDataset | None = None) -> ModelConfig:
-    if getattr(args, "model_config", None):
-        cfg = ModelConfig.from_dict(_load_json(Path(args.model_config)))
-    elif cache is not None:
-        cfg = ModelConfig(
-            n_input_channels=cache.n_channels, input_length=cache.epoch_samples
-        )
-    else:
-        cfg = ModelConfig()
-    if cache is not None and (
-        cfg.n_input_channels != cache.n_channels or cfg.input_length != cache.epoch_samples
-    ):
-        raise ShapeMismatch(
-            f"model expects C={cfg.n_input_channels}, T={cfg.input_length} but cache "
-            f"holds C={cache.n_channels}, T={cache.epoch_samples}"
-        )
-    return cfg
+    if args.model_config:
+        return ModelConfig.from_json(Path(args.model_config).read_bytes(), args.model_config)
+    if cache is None:
+        return ModelConfig()
+    return ModelConfig(n_input_channels=cache.n_channels, input_length=cache.epoch_samples)
+
+
+def _check_fits(cfg: ModelConfig, cache: EpochDataset) -> None:
+    want, have = (cfg.n_input_channels, cfg.input_length), (cache.n_channels, cache.epoch_samples)
+    if want != have:
+        raise ShapeMismatch(f"model expects (C, T) = {want} but cache holds {have}")
 
 
 def _train_config(args) -> TrainConfig:
-    cfg = (
-        TrainConfig.from_dict(_load_json(Path(args.train_config)))
-        if getattr(args, "train_config", None)
-        else TrainConfig()
-    )
+    path = args.train_config
+    cfg = TrainConfig.from_json(Path(path).read_bytes(), path) if path else TrainConfig()
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(env_seed))
+        cfg = TrainConfig.from_dict(dict(cfg.to_dict(), seed=decode_json(env_seed, SEED_ENV_VAR)))
     return cfg
 
 
@@ -199,7 +184,7 @@ def cmd_preprocess(args) -> int:
 def cmd_count(args) -> int:
     cfg = _model_config(args)
     if args.conv_type:
-        cfg = ModelConfig.from_dict({**cfg.to_dict(), "conv_type": args.conv_type})
+        cfg = dataclasses.replace(cfg, conv_type=args.conv_type)
     report = complexity.count_flops(cfg)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -234,6 +219,7 @@ def cmd_train(args) -> int:
     cache_path = Path(args.cache)
     dataset = read_cache(cache_path)
     mcfg = _model_config(args, dataset)
+    _check_fits(mcfg, dataset)
     tcfg = _train_config(args)
     folds = subject_folds(dataset.subject_keys, k=args.folds, seed=tcfg.seed)
     if args.fold == "all":
@@ -285,8 +271,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_predictions(path: Path, dataset: EpochDataset, params, indices) -> None:
-    pred, probs = predict(params, dataset.x[indices].astype(np.float32, copy=False))
+def _write_predictions(path: Path, dataset: EpochDataset, params, indices=None) -> None:
+    """Score the epochs at `indices`, or every epoch of `dataset` without a copy."""
+    if indices is None:
+        x, indices = dataset.x, range(dataset.n_epochs)
+    else:
+        x = dataset.x[indices]
+    pred, probs = predict(params, x.astype(np.float32, copy=False))
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -335,9 +326,15 @@ def _prediction_files(paths: list[str], strict: bool) -> list[Path]:
 def _read_prediction_pairs(path: Path) -> tuple[list[int], list[int]]:
     trues, preds = [], []
     with path.open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            trues.append(int(row["true"]))
-            preds.append(int(row["predicted"]))
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                trues.append(int(row["true"]))
+                preds.append(int(row["predicted"]))
+            except (KeyError, TypeError, ValueError):
+                raise UlwsError(
+                    f"{path}: line {reader.line_num}: 'true' and 'predicted' must be integers"
+                ) from None
     return trues, preds
 
 
@@ -375,15 +372,10 @@ def cmd_predict(args) -> int:
     _keep_batch_memory()
     params = load_checkpoint(Path(args.checkpoint))
     dataset = read_cache(Path(args.cache))
-    cfg = params.config
-    if cfg.n_input_channels != dataset.n_channels or cfg.input_length != dataset.epoch_samples:
-        raise ShapeMismatch(
-            f"checkpoint expects C={cfg.n_input_channels}, T={cfg.input_length}; cache has "
-            f"C={dataset.n_channels}, T={dataset.epoch_samples}"
-        )
+    _check_fits(params.config, dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_predictions(out, dataset, params, np.arange(dataset.n_epochs))
+    _write_predictions(out, dataset, params)
     print(f"wrote {dataset.n_epochs} predictions to {out}")
     _write_manifest(
         out.parent,

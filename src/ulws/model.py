@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,8 +27,62 @@ CONV_SEPARABLE = "separable"
 CONV_STANDARD = "standard"
 
 
+def decode_json(blob: bytes | str, source) -> object:
+    """Parse a UTF-8 JSON document; a malformed one raises BadConfig naming `source`."""
+    try:
+        return json.loads(blob if isinstance(blob, str) else str(blob, "utf-8"))
+    except json.JSONDecodeError as e:
+        raise BadConfig(f"{source}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except (UnicodeDecodeError, RecursionError) as e:
+        raise BadConfig(f"{source}: {e}") from None
+
+
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", tuple: "a list of integers"}
+
+
+def _json_fits(value, default) -> bool:
+    """Whether `value` has the JSON type of `default`: booleans are not
+    integers, and a float field takes any number a finite float can hold."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_json_fits(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is type(default)
+
+
+class JsonConfig:
+    """The JSON form of a frozen config dataclass.
+
+    Each field takes the JSON type of its default. `from_dict` checks keys
+    and types, `__post_init__` ranges. Values are kept as given (an integer
+    in a float field stays one), so `to_dict` returns what came in.
+    """
+
+    def to_dict(self) -> dict:
+        d = dataclasses.asdict(self)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
+
+    @classmethod
+    def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise BadConfig(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        if unknown := set(d) - set(defaults):
+            raise BadConfig(f"{cls.__name__}: unknown config keys: {sorted(unknown)}")
+        for name, value in d.items():
+            if not _json_fits(value, defaults[name]):
+                kind = _JSON_KINDS[type(defaults[name])]
+                raise BadConfig(f"{cls.__name__}.{name} must be {kind}, got {value!r}")
+        return cls(**d)
+
+    @classmethod
+    def from_json(cls, blob: bytes | str, source):
+        """The one way in for config files and a checkpoint's config."""
+        return cls.from_dict(decode_json(blob, source))
+
+
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonConfig):
     n_blocks: int = 3
     kernel_size: int = 3
     pool_size: int = 2
@@ -64,19 +119,6 @@ class ModelConfig:
         for rate in (self.dropout_block, self.dropout_head):
             if not 0.0 <= rate < 1.0:
                 raise BadConfig(f"dropout rates must lie in [0, 1), got {rate}")
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["filters"] = list(self.filters)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise BadConfig(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def variant_configs(n_input_channels: int = 4) -> dict[str, ModelConfig]:
@@ -479,7 +521,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> ModelParams:
     body = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "model checkpoint")
     n_cfg = int.from_bytes(body[:4], "little")
-    config = ModelConfig.from_dict(json.loads(bytes(body[4 : 4 + n_cfg]).decode("utf-8")))
+    config = ModelConfig.from_json(body[4 : 4 + n_cfg], f"{path}: config")
     params = build_model(config, seed=0, dtype=np.float32)
     pos = 4 + n_cfg
     for name, arr in named_arrays(params, trainable_only=False):

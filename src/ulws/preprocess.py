@@ -434,7 +434,10 @@ def read_cache(path: str | Path) -> EpochDataset:
         length = int.from_bytes(body[pos : pos + 4], "little")
         if pos + 4 + length > len(body):
             raise ChecksumMismatch(f"{path}: header truncated")
-        s = str(body[pos + 4 : pos + 4 + length], "utf-8")
+        try:
+            s = str(body[pos + 4 : pos + 4 + length], "utf-8")
+        except UnicodeDecodeError:
+            raise InvalidDataset(f"{path}: a channel label or subject key is not UTF-8") from None
         pos += 4 + length
         return s
 

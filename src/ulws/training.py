@@ -10,12 +10,13 @@ walks parameters in a fixed traversal order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadConfig, NonFiniteGradient, TooFewSubjects
 from .model import (
+    JsonConfig,
     ModelConfig,
     ModelParams,
     build_model,
@@ -30,7 +31,7 @@ from .preprocess import EpochDataset
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     base_lr: float = 1e-3
     batch_size: int = 32
     epochs: int = 50
@@ -41,8 +42,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(v, int) for v in (self.batch_size, self.epochs, self.seed)):
-            raise BadConfig("batch_size, epochs and seed must be integers")
         if self.base_lr <= 0 or self.adam_eps <= 0:
             raise BadConfig("learning rate and epsilon must be positive")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
@@ -51,30 +50,6 @@ class TrainConfig:
             raise BadConfig("l2_lambda must be >= 0")
         if self.batch_size < 1 or self.epochs < 0:
             raise BadConfig("batch_size must be >= 1 and epochs >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "base_lr": self.base_lr,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "l2_lambda": self.l2_lambda,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        if not isinstance(d, dict):
-            raise BadConfig(f"train config must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise BadConfig(f"unknown train config keys: {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as e:  # a value of the wrong type, e.g. "epochs": "50"
-            raise BadConfig(f"train config: {e}") from None
 
 
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
@@ -176,6 +151,8 @@ def subject_folds(subject_keys, k: int = 10, seed: int = 0) -> list[FoldSplit]:
     Every recording of a subject follows the subject, so no identity ever
     appears on both sides of a split.
     """
+    if k < 2:
+        raise BadConfig(f"k-fold CV needs at least 2 folds, got {k}")
     subjects = sorted(set(subject_keys))
     if len(subjects) < k:
         raise TooFewSubjects(f"{len(subjects)} subjects cannot fill {k} folds")
@@ -222,7 +199,6 @@ def train_fold(
 
     x = dataset.x.astype(dtype, copy=False)
     y = dataset.y.astype(np.int64)
-    x_train, y_train = x[train_idx], y[train_idx]
     x_test, y_test = x[test_idx], y[test_idx]
 
     params = build_model(mcfg, seed=tcfg.seed, dtype=dtype)
@@ -234,7 +210,8 @@ def train_fold(
         lr = cosine_lr(epoch, tcfg.epochs, tcfg.base_lr)
         loss_sum, n_seen = 0.0, 0
         for batch in make_batches(len(train_idx), tcfg.batch_size, [tcfg.seed, 2, epoch]):
-            xb, yb = x_train[batch], y_train[batch]
+            rows = train_idx[batch]
+            xb, yb = x[rows], y[rows]
             _, cache = model_forward(xb, params, mode="train", rng=dropout_rng)
             loss = regularized_loss(model_loss(cache, yb), params, tcfg.l2_lambda)
             grads = model_backward(cache, yb)

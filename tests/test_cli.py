@@ -11,9 +11,17 @@ import pytest
 
 from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
 from oracles import pairwise_accuracy, pairwise_kappa, pairwise_macro_f1
+from ulws import container
 from ulws.cli import DEFAULT_CHANNELS, _crc_of, _keep_batch_memory, main
 from ulws.edf import load_record
-from ulws.model import ModelConfig, build_model, predict
+from ulws.model import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    ModelConfig,
+    build_model,
+    predict,
+    save_checkpoint,
+)
 from ulws.preprocess import build_epoch_dataset, read_cache, write_cache
 from ulws.synthetic import sinusoid_dataset
 
@@ -343,6 +351,78 @@ def test_train_bad_train_config_is_typed_error(toy_cache, configs, tmp_path, cap
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("folds", ["1", "0", "-2"])
+def test_train_needs_two_folds(toy_cache, configs, tmp_path, capsys, folds):
+    out = tmp_path / "run"
+    assert run_train(toy_cache, configs, out, fold="all", folds=folds) == 2
+    err = capsys.readouterr().err
+    assert "error: BadConfig" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+BAD_MODEL_CONFIGS = [{"kernel_size": "3"}, {"kernel_size": 3.0}, {"filters": 8},
+                     {"dropout_head": None}, [1, 2]]
+BAD_CHECKPOINT_CONFIGS = {
+    "broken-json": b'{"n_blocks": 2,,}',
+    "byte-0xff": b'{"conv_type": "\xff"}',
+    "wrong-type": json.dumps(dict(TINY_MODEL, kernel_size="3")).encode(),
+}
+
+
+def bad_config_cases():
+    for bad in BAD_MODEL_CONFIGS:
+        for command in ("count", "train", "evaluate"):
+            yield pytest.param(command, {"model": bad}, id=f"{command}-{json.dumps(bad)}")
+    yield pytest.param("train", {"train": {"seed": True}}, id="train-config-seed-true")
+    for seed in ("abc", "7.0"):
+        yield pytest.param("train", {"env": seed}, id=f"ULWS_SEED={seed}")
+    for name, blob in BAD_CHECKPOINT_CONFIGS.items():
+        yield pytest.param("predict", {"checkpoint": blob}, id=f"predict-checkpoint-{name}")
+
+
+def checkpoint_with_config(path, blob):
+    """A CRC-valid checkpoint of TINY_MODEL whose config JSON is `blob`."""
+    save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=0), path)
+    body = bytes(container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint"))
+    arrays = body[4 + int.from_bytes(body[:4], "little"):]
+    container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                    [len(blob).to_bytes(4, "little") + blob, arrays])
+
+
+@pytest.mark.parametrize("command, bad", bad_config_cases())
+def test_bad_config_is_typed_error(toy_cache, configs, tmp_path, capsys, monkeypatch,
+                                   command, bad):
+    """Config files, ULWS_SEED and a checkpoint's config share one typed decoder."""
+    model_cfg, train_cfg = configs
+    if "model" in bad:
+        model_cfg = tmp_path / "model.json"
+        model_cfg.write_text(json.dumps(bad["model"]))
+    if "train" in bad:
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps(bad["train"]))
+    if "env" in bad:
+        monkeypatch.setenv("ULWS_SEED", bad["env"])
+    checkpoint = tmp_path / "checkpoint.ulwm"
+    if "checkpoint" in bad:
+        checkpoint_with_config(checkpoint, bad["checkpoint"])
+    predictions = tmp_path / "fold0" / "predictions.csv"
+    write_predictions_csv(predictions, [0, 1, 2], [0, 1, 2])
+    out = tmp_path / "out"
+    argv = {
+        "count": ["count", "--config", str(model_cfg)],
+        "train": ["train", "--cache", str(toy_cache), "--model-config", str(model_cfg),
+                  "--train-config", str(train_cfg), "--folds", "2", "--out", str(out)],
+        "evaluate": ["evaluate", "--predictions", str(predictions),
+                     "--model-config", str(model_cfg)],
+        "predict": ["predict", "--checkpoint", str(checkpoint), "--cache", str(toy_cache),
+                    "--out", str(out / "predictions.csv")],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: BadConfig" in captured.err and "Traceback" not in captured.err
+    assert not captured.out and not out.exists()
+
+
 def test_train_seed_env_override(toy_cache, configs, tmp_path, monkeypatch):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("ULWS_SEED", "5")  # same as config -> identical
@@ -462,6 +542,21 @@ def test_evaluate_rejects_a_file_given_twice(tmp_path, capsys):
         assert main(["evaluate", "--predictions", *argv, "--json"]) == 2
         err = capsys.readouterr().err
         assert "given more than once" in err and "predictions.csv" in err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("index,subject,true,predicted\n0,S0,1,1\n1,S0,2,two\n", 3),  # not an integer
+        ("index,subject,true\n0,S0,1\n", 2),  # no predicted column
+    ],
+)
+def test_evaluate_bad_prediction_rows_are_typed(tmp_path, capsys, text, line):
+    path = tmp_path / "predictions.csv"
+    path.write_text(text)
+    assert main(["evaluate", "--predictions", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: UlwsError: {path}: line {line}:" in err and "Traceback" not in err
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")

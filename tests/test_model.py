@@ -54,6 +54,31 @@ def test_config_rejects_unknown_keys():
         ModelConfig.from_dict({"n_blocks": 3, "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"kernel_size": "3"}, {"kernel_size": 3.0}, {"kernel_size": True}, {"filters": 8},
+     {"filters": [2.0, 4]}, {"dropout_head": None}, {"dropout_head": float("inf")},
+     {"conv_type": 1}, [1, 2], "{}"],
+)
+def test_config_from_dict_checks_json_types(bad):
+    with pytest.raises(BadConfig):
+        ModelConfig.from_dict(bad)
+
+
+def test_config_keeps_an_integer_in_a_float_field():
+    d = ModelConfig.from_dict({"dropout_head": 0}).to_dict()
+    assert d["dropout_head"] == 0 and type(d["dropout_head"]) is int
+
+
+def test_config_from_json_names_its_source():
+    with pytest.raises(BadConfig, match=r"model\.json: line 1 column 2"):
+        ModelConfig.from_json(b"{,}", "model.json")
+    with pytest.raises(BadConfig, match=r"model\.json: .* byte 0xff in position 1"):
+        ModelConfig.from_json(b"[\xff]", "model.json")
+    with pytest.raises(BadConfig, match=r"ModelConfig: unknown config keys"):
+        ModelConfig.from_json('{"bogus": 1}', "model.json")
+
+
 def test_config_round_trips_through_dict():
     cfg = ModelConfig(n_blocks=2, filters=(4, 8), conv_type="standard")
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg

@@ -411,6 +411,18 @@ def test_cache_body_disagreeing_with_header_is_typed(tmp_path, edit):
         read_cache(path)
 
 
+@pytest.mark.parametrize("label, key", [(b"EEG \xff", b"S0"), (b"EEG", b"S\xff")])
+def test_cache_string_not_utf8_is_typed(tmp_path, label, key):
+    """A CRC-valid cache whose channel label or subject key is not UTF-8."""
+    head = b"".join(v.to_bytes(8, "little") for v in (1, 1, 2)) + (100).to_bytes(4, "little")
+    for s in (label, key):
+        head += len(s).to_bytes(4, "little") + s
+    path = tmp_path / "bad.ulws"
+    container.write(path, CACHE_MAGIC, 1, [head, np.zeros(2, "<f4"), np.zeros(1, np.uint8)])
+    with pytest.raises(InvalidDataset, match="not UTF-8"):
+        read_cache(path)
+
+
 # --- typed validation -----------------------------------------------------------------
 
 def toy_dataset(**changes):

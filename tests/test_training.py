@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ulws.errors import NonFiniteGradient, TooFewSubjects
+from ulws.errors import BadConfig, NonFiniteGradient, TooFewSubjects
 from ulws.model import (
     ModelConfig,
     build_model,
@@ -35,6 +35,24 @@ TINY = ModelConfig(
     n_blocks=2, filters=(2, 3), kernel_size=3, n_input_channels=2,
     input_length=200, head_hidden=8,
 )
+
+
+# --- config --------------------------------------------------------------------
+
+def test_train_config_dict_lists_every_field_in_order():
+    cfg = TrainConfig(base_lr=0.01, seed=3)
+    assert list(cfg.to_dict()) == [f.name for f in dataclasses.fields(TrainConfig)]
+    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"seed": True}, {"epochs": 2.0}, {"base_lr": "0.1"}, {"base_lr": float("nan")},
+     {"base_lr": 10**400}],
+)
+def test_train_config_from_dict_checks_json_types(bad):
+    with pytest.raises(BadConfig):
+        TrainConfig.from_dict(bad)
 
 
 # --- learning-rate schedule -----------------------------------------------
@@ -179,6 +197,12 @@ def test_subject_folds_partition_twenty_subjects():
 def test_subject_folds_too_few():
     with pytest.raises(TooFewSubjects):
         subject_folds([f"S{i}" for i in range(9)], k=10)
+
+
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_subject_folds_need_two_folds(k):
+    with pytest.raises(BadConfig):
+        subject_folds([f"S{i}" for i in range(4)], k=k)
 
 
 def test_subject_folds_keep_nights_together():
