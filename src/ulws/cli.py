@@ -10,21 +10,25 @@ Diagnostics go to stderr, data to stdout; exit code 0 means no fatal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import csv
 import dataclasses
+import io
 import json
+import multiprocessing
 import os
 import sys
 import time
 import zlib
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, complexity, evaluation
 from .edf import load_record, subject_key_and_night
-from .errors import ShapeMismatch, UlwsError
+from .errors import ChecksumMismatch, ShapeMismatch, UlwsError
 from .evaluation import N_CLASSES
 from .model import ModelConfig, decode_json, load_checkpoint, predict, save_checkpoint
 from .preprocess import (
@@ -35,7 +39,7 @@ from .preprocess import (
     stream_epochs,
     write_cache,
 )
-from .training import TrainConfig, subject_folds, split_indices, train_fold
+from .training import FoldSplit, TrainConfig, subject_folds, split_indices, train_fold
 
 DEFAULT_CHANNELS = ["EEG Fpz-Cz", "EEG Pz-Oz", "EOG horizontal", "EMG submental"]
 
@@ -214,53 +218,126 @@ def _keep_batch_memory() -> None:
 
 # --- train ----------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which `taskset` narrows."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _run_fold(
+    cache_path: Path,
+    cache_crc: str,
+    split: FoldSplit,
+    mcfg: ModelConfig,
+    tcfg: TrainConfig,
+    fold_dir: Path,
+    dataset: EpochDataset | None = None,
+) -> float:
+    """Train one fold, write its checkpoint, history and predictions; return its final test_acc.
+
+    Without `dataset` the cache is read from `cache_path`, and its whole-file
+    CRC-32 must still be `cache_crc`, the one the run started from.
+    """
+    if dataset is None:
+        crc = _crc_of(cache_path)
+        if crc != cache_crc:
+            raise ChecksumMismatch(
+                f"{cache_path}: CRC-32 is {crc}, but training started on {cache_crc}"
+            )
+        dataset = read_cache(cache_path)
+    params, history = train_fold(dataset, split, mcfg, tcfg)
+    fold_dir.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(params, fold_dir / "checkpoint.ulwm")
+    with (fold_dir / "history.jsonl").open("w") as fh:
+        for row in history:
+            fh.write(json.dumps(row) + "\n")
+    _, test_idx = split_indices(dataset, split)
+    _write_predictions(fold_dir / "predictions.csv", dataset, params, test_idx)
+    return history[-1]["test_acc"] if history else float("nan")
+
+
+def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, float | UlwsError]:
+    """Run `_run_fold(*jobs[i])` for every fold i on min(folds, usable CPUs) processes.
+
+    This process trains `list(jobs)[0::n]` on `dataset`, which it has read already.
+    Spawned workers train the rest, each reading the cache by path; spawned,
+    not forked, because this process already runs BLAS threads. Once a fold
+    fails no further fold starts. Returns each fold that ran mapped to its
+    final test_acc or its UlwsError.
+    """
+    wanted = list(jobs)
+    n = min(len(wanted), _usable_cpus())
+    own = wanted[0::n]
+    outcomes: dict[int, float | UlwsError] = {}
+    with contextlib.ExitStack() as stack:
+        futures = {}
+        if n > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                n - 1, mp_context=multiprocessing.get_context("spawn"),
+                initializer=_keep_batch_memory,
+            ))
+            futures = {i: pool.submit(_run_fold, *jobs[i]) for i in wanted if i not in own}
+        for i in own:
+            if any(f.done() and f.exception() is not None for f in futures.values()):
+                break
+            try:
+                outcomes[i] = _run_fold(*jobs[i], dataset=dataset)
+            except UlwsError as e:
+                outcomes[i] = e
+                break
+        if not any(isinstance(outcome, UlwsError) for outcome in outcomes.values()):
+            wait(futures.values(), return_when=FIRST_EXCEPTION)
+        for i, future in futures.items():
+            if future.cancel():  # not started: a fold failed
+                continue
+            try:
+                outcomes[i] = future.result()
+            except UlwsError as e:
+                outcomes[i] = e
+    return outcomes
+
+
 def cmd_train(args) -> int:
     _keep_batch_memory()
     cache_path = Path(args.cache)
     dataset = read_cache(cache_path)
+    cache_crc = _crc_of(cache_path)
     mcfg = _model_config(args, dataset)
     _check_fits(mcfg, dataset)
     tcfg = _train_config(args)
     folds = subject_folds(dataset.subject_keys, k=args.folds, seed=tcfg.seed)
     if args.fold == "all":
-        wanted = range(len(folds))
+        wanted = list(range(len(folds)))
     else:
         try:
             wanted = [int(args.fold)]
         except ValueError:
             return _fail(f"--fold must be an index or 'all', got {args.fold!r}")
+        if not 0 <= wanted[0] < len(folds):
+            return _fail(f"fold {wanted[0]} outside [0, {len(folds)})")
     out_dir = Path(args.out)
-
+    jobs = {
+        i: (cache_path, cache_crc, folds[i], mcfg, dataclasses.replace(tcfg, seed=tcfg.seed + i),
+            out_dir / f"fold{i}")
+        for i in wanted
+    }
+    outcomes = _train_folds(jobs, dataset)
     for i in wanted:
-        if not 0 <= i < len(folds):
-            return _fail(f"fold {i} outside [0, {len(folds)})")
-        split = folds[i]
-        fold_cfg = dataclasses.replace(tcfg, seed=tcfg.seed + i)
-        try:
-            params, history = train_fold(dataset, split, mcfg, fold_cfg)
-        except UlwsError as e:
-            return _fail(f"fold {i}: {type(e).__name__}: {e}", code=3)
-
-        fold_dir = out_dir / f"fold{i}"
-        fold_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(params, fold_dir / "checkpoint.ulwm")
-        with (fold_dir / "history.jsonl").open("w") as fh:
-            for row in history:
-                fh.write(json.dumps(row) + "\n")
-        _, test_idx = split_indices(dataset, split)
-        _write_predictions(
-            fold_dir / "predictions.csv", dataset, params, test_idx
-        )
-        last = history[-1] if history else {"test_acc": float("nan")}
-        print(f"fold {i}: {len(split.test_subjects)} test subjects, "
-              f"final test_acc {last['test_acc']:.4f}")
+        if i not in outcomes or isinstance(outcomes[i], UlwsError):
+            failed = next(j for j in wanted if isinstance(outcomes.get(j), UlwsError))
+            e = outcomes[failed]
+            return _fail(f"fold {failed}: {type(e).__name__}: {e}", code=3)
+        print(f"fold {i}: {len(folds[i].test_subjects)} test subjects, "
+              f"final test_acc {outcomes[i]:.4f}")
 
     _write_manifest(
         out_dir,
         "train",
         {
             "command": ["train", str(cache_path), str(out_dir)],
-            "cache_crc32": _crc_of(cache_path),
+            "cache_crc32": cache_crc,
             "model_config": mcfg.to_dict(),
             "train_config": tcfg.to_dict(),
             "folds": args.folds,
@@ -324,17 +401,22 @@ def _prediction_files(paths: list[str], strict: bool) -> list[Path]:
 
 
 def _read_prediction_pairs(path: Path) -> tuple[list[int], list[int]]:
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise UlwsError(f"{path}: line {line}: not UTF-8") from None
     trues, preds = [], []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                trues.append(int(row["true"]))
-                preds.append(int(row["predicted"]))
-            except (KeyError, TypeError, ValueError):
-                raise UlwsError(
-                    f"{path}: line {reader.line_num}: 'true' and 'predicted' must be integers"
-                ) from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    for row in reader:
+        try:
+            trues.append(int(row["true"]))
+            preds.append(int(row["predicted"]))
+        except (KeyError, TypeError, ValueError):
+            raise UlwsError(
+                f"{path}: line {reader.line_num}: 'true' and 'predicted' must be integers"
+            ) from None
     return trues, preds
 
 

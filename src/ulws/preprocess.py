@@ -17,7 +17,6 @@ from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from . import container
 from .edf import RawRecord
@@ -116,6 +115,8 @@ def design_bandpass(
     `order` follows the usual prototype convention: butter(order, band)
     yields `order` biquad sections. The -3 dB points sit at the cutoffs.
     """
+    import scipy.signal  # ~1 s to import; only EDF ingest designs or applies filters
+
     if not 0 < low_hz < high_hz < sample_rate_hz / 2:
         raise InvalidBand(
             f"need 0 < low < high < Nyquist, got ({low_hz}, {high_hz}) at {sample_rate_hz} Hz"
@@ -164,6 +165,8 @@ def filtfilt(signal: np.ndarray, spec: FilterSpec) -> np.ndarray:
     padlen = pad_length(spec)
     if x.shape[-1] <= padlen:
         raise SignalTooShort(f"need more than {padlen} samples, got {x.shape[-1]}")
+    import scipy.signal
+
     return scipy.signal.sosfiltfilt(spec.as_sos(), x, padtype="odd", padlen=padlen)
 
 
@@ -176,13 +179,21 @@ def trim_wake(labels: list[StageClass]) -> tuple[int, int]:
     return max(0, first - WAKE_MARGIN_EPOCHS), min(len(labels), last + WAKE_MARGIN_EPOCHS + 1)
 
 
-def expand_events(events) -> list[StageClass | None]:
+def expand_events(events, record_epochs: int | None = None) -> list[StageClass | None]:
     """Per-30s-epoch stage labels from hypnogram events.
 
     Events must sit on the 30 s grid; gaps between events come out as None
     (excluded later, like MOVEMENT/UNKNOWN epochs).
+
+    With `record_epochs`, the whole epochs the record's signals hold, the
+    list stops at the record's end however far an event reaches. A sleep
+    stage scored past the end raises EpochAlignmentError. Wake scored past
+    the end becomes one WAKE at index `record_epochs`: trimming keeps it
+    exactly where it would keep the first of those epochs, and the signal
+    then rejects it, so every record keeps the outcome it has without the
+    bound. Unscored epochs past the end are dropped.
     """
-    n_epochs = 0
+    end = 0
     spans = []
     for ev in events:
         start, n = ev.onset_s / EPOCH_SECONDS, ev.duration_s / EPOCH_SECONDS
@@ -193,11 +204,21 @@ def expand_events(events) -> list[StageClass | None]:
         label = map_stage_label(ev.stage_text)
         start, n = round(start), round(n)
         spans.append((start, n, label))
-        n_epochs = max(n_epochs, start + n)
-    labels: list[StageClass | None] = [None] * n_epochs
+        end = max(end, start + n)
+    past_end: set[StageClass] = set()
+    if record_epochs is not None and end > record_epochs:
+        past_end = {label for start, n, label in spans if start + n > record_epochs} - {None}
+        if past_end - {StageClass.WAKE}:
+            raise EpochAlignmentError(
+                f"sleep scored past the end of the signals ({record_epochs} epochs)"
+            )
+        end = record_epochs
+    labels: list[StageClass | None] = [None] * end
     for start, n, label in spans:
-        for i in range(start, start + n):
+        for i in range(start, min(start + n, end)):
             labels[i] = label
+    if past_end:
+        labels.append(StageClass.WAKE)
     return labels
 
 
@@ -270,7 +291,8 @@ def preprocess_record(
     if filter_spec is None:
         filter_spec = design_bandpass()
 
-    per_epoch = expand_events(record.events)
+    lengths = [len(record.signals[c].samples) for c in channels if c in record.signals]
+    per_epoch = expand_events(record.events, max(lengths, default=0) // EPOCH_SAMPLES)
     entries = [(i, lab) for i, lab in enumerate(per_epoch) if lab is not None]
     if not entries:
         raise AllWake(f"{record.subject_key} night {record.night}: no scored epochs")

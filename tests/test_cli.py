@@ -1,19 +1,24 @@
 import csv
 import json
+import multiprocessing
 import os
 import platform
+import shutil
 import subprocess
 import sys
+import threading
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
 from oracles import pairwise_accuracy, pairwise_kappa, pairwise_macro_f1
-from ulws import container
-from ulws.cli import DEFAULT_CHANNELS, _crc_of, _keep_batch_memory, main
+from ulws import cli, container
+from ulws.cli import DEFAULT_CHANNELS, _crc_of, _keep_batch_memory, _run_fold, main
 from ulws.edf import load_record
+from ulws.errors import ChecksumMismatch
 from ulws.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -24,6 +29,7 @@ from ulws.model import (
 )
 from ulws.preprocess import build_epoch_dataset, read_cache, write_cache
 from ulws.synthetic import sinusoid_dataset
+from ulws.training import TrainConfig, subject_folds
 
 TINY_MODEL = {
     "n_blocks": 2,
@@ -44,23 +50,20 @@ def stage_events(pattern):
     return events
 
 
+RECORD_STAGES = [
+    ("Sleep stage W", 4),
+    ("Sleep stage 1", 4),
+    ("Sleep stage 2", 8),
+    ("Sleep stage R", 4),
+    ("Sleep stage W", 4),
+]
+
+
 def write_record_pair(directory, stem_prefix, seed=0):
     psg = directory / f"{stem_prefix}E0-PSG.edf"
     hyp = directory / f"{stem_prefix}EC-Hypnogram.edf"
     psg.write_bytes(psg_bytes(n_epochs=24, seed=seed))
-    hyp.write_bytes(
-        hypnogram_bytes(
-            stage_events(
-                [
-                    ("Sleep stage W", 4),
-                    ("Sleep stage 1", 4),
-                    ("Sleep stage 2", 8),
-                    ("Sleep stage R", 4),
-                    ("Sleep stage W", 4),
-                ]
-            )
-        )
-    )
+    hyp.write_bytes(hypnogram_bytes(stage_events(RECORD_STAGES)))
     return psg, hyp
 
 
@@ -102,6 +105,24 @@ def test_preprocess_empty_directory(tmp_path, capsys):
     code = main(["preprocess", "--data-dir", str(data_dir), "--out", str(tmp_path / "c")])
     assert code != 0
     assert "no records found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("onset", [3e20, 1.2e12])  # 1e12 s lies off the 30 s grid
+def test_preprocess_skips_record_scored_far_past_its_end(tmp_path, capsys, onset):
+    """A wake event ~1e19 or 4e10 epochs out is a typed error, not a list that long."""
+    data_dir, alone = tmp_path / "edf", tmp_path / "alone"
+    for directory in (data_dir, alone):
+        directory.mkdir()
+        write_record_pair(directory, "SC4001", seed=1)
+    _, hyp = write_record_pair(data_dir, "SC4012", seed=2)
+    hyp.write_bytes(hypnogram_bytes(stage_events(RECORD_STAGES) + [(onset, 30.0, "Sleep stage W")]))
+    for directory in (data_dir, alone):
+        assert main(["preprocess", "--data-dir", str(directory), "--out",
+                     str(directory / "cache.ulws")]) == 0
+    captured = capsys.readouterr()
+    assert "warning: SC401 night 2: EpochAlignmentError" in captured.err
+    assert "skipped: 1" in captured.out and "Traceback" not in captured.err
+    assert (data_dir / "cache.ulws").read_bytes() == (alone / "cache.ulws").read_bytes()
 
 
 def test_preprocess_channel_subset(tmp_path):
@@ -435,6 +456,107 @@ def test_train_seed_env_override(toy_cache, configs, tmp_path, monkeypatch):
     )
 
 
+def call_with_timeout(fn, timeout_s):
+    """fn() in a daemon thread: a hung pool fails the test instead of hanging the run."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as e:
+            box["error"] = e
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"no result after {timeout_s} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def train_on_cpus(monkeypatch, cpus, run):
+    """`run()` with `cpus` usable CPUs.
+
+    Returns its result, the sizes of the pools it made, and the folds this
+    process trained (spawned workers import an unpatched `train_fold`).
+    """
+    pools, trained = [], []
+    train_fold = cli.train_fold
+
+    def recording_train_fold(dataset, split, *args):
+        trained.append(split.fold_index)
+        return train_fold(dataset, split, *args)
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "train_fold", recording_train_fold)
+    return call_with_timeout(run, 300), pools, trained
+
+
+def test_train_outputs_do_not_depend_on_the_cpu_count(toy_cache, configs, tmp_path, capsys,
+                                                      monkeypatch):
+    out = tmp_path / "run"
+    seen = {}
+    for cpus in (1, 3):
+        code, pools, trained = train_on_cpus(
+            monkeypatch, cpus, lambda: run_train(toy_cache, configs, out, fold="all", folds="3"))
+        assert code == 0
+        # with 3 CPUs this process trains fold 0 and two workers train folds 1 and 2
+        assert (pools, trained) == (([], [0, 1, 2]) if cpus == 1 else ([2], [0]))
+        files = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*"))
+                 if f.is_file() and f.name != "runlog.jsonl"}  # runlog holds wall-clock times
+        seen[cpus] = files, capsys.readouterr().out
+        shutil.rmtree(out)
+    assert sorted(seen[1][0]) == [f"fold{i}/{name}" for i in range(3) for name in
+                                  ("checkpoint.ulwm", "history.jsonl", "predictions.csv")
+                                  ] + ["train.manifest.json"]
+    assert seen[1] == seen[3]
+    assert [line.split(":")[0] for line in seen[1][1].splitlines()] == ["fold 0", "fold 1",
+                                                                        "fold 2"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow on the way to NaN
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_train_fold_error_exits_3_on_any_cpu_count(toy_cache, configs, tmp_path, capsys,
+                                                   monkeypatch, cpus):
+    model_cfg, _ = configs
+    diverging = tmp_path / "train.json"
+    diverging.write_text(json.dumps(dict(TINY_TRAIN, base_lr=1e30)))
+    argv = ["train", "--cache", str(toy_cache), "--model-config", str(model_cfg),
+            "--train-config", str(diverging), "--folds", "3", "--out", str(tmp_path / "run")]
+    code, _, _ = train_on_cpus(monkeypatch, cpus, lambda: main(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "error: fold 0: NonFiniteGradient: " in captured.err and "Traceback" not in captured.err
+    assert not captured.out
+
+
+def test_run_fold_in_a_worker_rejects_a_changed_cache(toy_cache, tmp_path):
+    ds = read_cache(toy_cache)
+    stale_crc = f"{int(_crc_of(toy_cache), 16) ^ 1:08x}"
+    args = (toy_cache, stale_crc, subject_folds(ds.subject_keys, k=2)[0],
+            ModelConfig.from_dict(TINY_MODEL), TrainConfig.from_dict(TINY_TRAIN), tmp_path / "fold0")
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with pytest.raises(ChecksumMismatch, match="training started on"):
+            pool.submit(_run_fold, *args).result(timeout=120)
+    assert not (tmp_path / "fold0").exists()
+
+
+def test_importing_the_cli_leaves_scipy_signal_out():
+    """Each training worker imports ulws.cli; scipy.signal would add ~1 s to its start."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    probe = "import sys, ulws.cli; print('scipy.signal' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert run.stdout.strip() == "False"
+
+
 def test_predict_roundtrip(toy_cache, configs, tmp_path, capsys):
     out = tmp_path / "run"
     assert run_train(toy_cache, configs, out) == 0
@@ -549,11 +671,12 @@ def test_evaluate_rejects_a_file_given_twice(tmp_path, capsys):
     [
         ("index,subject,true,predicted\n0,S0,1,1\n1,S0,2,two\n", 3),  # not an integer
         ("index,subject,true\n0,S0,1\n", 2),  # no predicted column
+        (b"index,subject,true,predicted\n0,S0,1,1\n1,S\xff,2,2\n", 3),  # not UTF-8
     ],
 )
 def test_evaluate_bad_prediction_rows_are_typed(tmp_path, capsys, text, line):
     path = tmp_path / "predictions.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["evaluate", "--predictions", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"error: UlwsError: {path}: line {line}:" in err and "Traceback" not in err
