@@ -22,19 +22,19 @@ import sys
 import time
 import zlib
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, complexity, evaluation
+from . import __version__, complexity, evaluation, nn, preprocess
 from .edf import load_record, subject_key_and_night
-from .errors import ChecksumMismatch, ShapeMismatch, UlwsError
+from .errors import ChecksumMismatch, ShapeMismatch, UlwsError, WorkerDied
 from .evaluation import N_CLASSES
 from .model import ModelConfig, decode_json, load_checkpoint, predict, save_checkpoint
 from .preprocess import (
     EpochDataset,
     collect_epochs,
-    design_bandpass,
     read_cache,
     stream_epochs,
     write_cache,
@@ -47,11 +47,11 @@ SEED_ENV_VAR = "ULWS_SEED"
 
 # constants the run manifest pins down for reproducibility
 RESOLVED_DEFAULTS = {
-    "bn_epsilon": 1e-3,
-    "bn_decay": 0.99,
+    "bn_epsilon": nn.BatchNormParams.epsilon,
+    "bn_decay": nn.BatchNormParams.momentum,
     "filter_type": "butterworth_bandpass_sos",
-    "filter_order": 4,
-    "filter_band_hz": [0.3, 45.0],
+    "filter_order": preprocess.FILTER_ORDER,
+    "filter_band_hz": list(preprocess.BAND_HZ),
     "filter_applied_to": "EEG channels unless --filter-all-channels",
     "fold_aggregation": evaluation.AGGREGATION,
     "checkpoint_policy": "final epoch",
@@ -161,7 +161,7 @@ def cmd_preprocess(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    chunks = stream_epochs(records(), channels, design_bandpass(), args.filter_all_channels, skip)
+    chunks = stream_epochs(records(), channels, args.filter_all_channels, skip)
     dataset = collect_epochs(report(chunks), channels, spool_dir=out.parent)
     if not dataset.n_epochs:
         return _fail("no records loaded")
@@ -265,7 +265,7 @@ def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, flo
     Spawned workers train the rest, each reading the cache by path; spawned,
     not forked, because this process already runs BLAS threads. Once a fold
     fails no further fold starts. Returns each fold that ran mapped to its
-    final test_acc or its UlwsError.
+    final test_acc or its UlwsError; a worker that died gives WorkerDied.
     """
     wanted = list(jobs)
     n = min(len(wanted), _usable_cpus())
@@ -296,6 +296,12 @@ def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, flo
                 outcomes[i] = future.result()
             except UlwsError as e:
                 outcomes[i] = e
+            except BrokenProcessPool:
+                outcomes[i] = WorkerDied(
+                    "a training worker exited before its fold finished; a script that "
+                    "calls ulws.cli.main must do so under `if __name__ == \"__main__\":`, "
+                    "because each spawned worker imports that script again"
+                )
     return outcomes
 
 

@@ -29,6 +29,8 @@ from .errors import (
 FIXED_HEADER_BYTES = 256
 PER_SIGNAL_HEADER_BYTES = 256
 SAMPLE_BYTES = 2  # 16-bit LE signed
+_INT16_ENDS = (-32768, 32767)
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 ANNOTATION_LABEL = "EDF Annotations"
 
@@ -177,6 +179,14 @@ def parse_edf_header(data: bytes) -> EdfHeader:
             raise InvariantViolation(f"signal {i}: physical_min == physical_max")
         if samples_per_record[i] < 1:
             raise InvariantViolation(f"signal {i}: samples_per_record < 1")
+        # the affine map of read_signal; its extremes bound every int16 sample
+        scale = (physical_max[i] - physical_min[i]) / (digital_max[i] - digital_min[i])
+        ends = [(d - digital_min[i]) * scale + physical_min[i] for d in _INT16_ENDS]
+        if not all(abs(p) <= _FLOAT32_MAX for p in ends):
+            raise InvariantViolation(
+                f"signal {i}: physical range ({physical_min[i]}, {physical_max[i]}) "
+                f"sends int16 samples outside float32"
+            )
 
     return EdfHeader(
         version=version,
@@ -202,10 +212,8 @@ def parse_edf_header(data: bytes) -> EdfHeader:
     )
 
 
-def read_digital(data: bytes, header: EdfHeader, signal_index: int) -> np.ndarray:
-    """Raw int16 samples of one signal, concatenated across data records."""
-    if not 0 <= signal_index < header.n_signals:
-        raise MissingChannel(f"signal index {signal_index} out of range")
+def _signal_words(data: bytes, header: EdfHeader, signal_index: int) -> np.ndarray:
+    """One signal's `<i2` words as an (n_data_records, samples_per_record) view."""
     spr = header.samples_per_record
     record_words = sum(spr)
     needed = header.header_bytes + header.n_data_records * record_words * SAMPLE_BYTES
@@ -218,7 +226,14 @@ def read_digital(data: bytes, header: EdfHeader, signal_index: int) -> np.ndarra
         offset=header.header_bytes,
     ).reshape(header.n_data_records, record_words)
     start = sum(spr[:signal_index])
-    return np.ascontiguousarray(words[:, start : start + spr[signal_index]]).reshape(-1)
+    return words[:, start : start + spr[signal_index]]
+
+
+def read_digital(data: bytes, header: EdfHeader, signal_index: int) -> np.ndarray:
+    """Raw int16 samples of one signal, concatenated across data records."""
+    if not 0 <= signal_index < header.n_signals:
+        raise MissingChannel(f"signal index {signal_index} out of range")
+    return np.ascontiguousarray(_signal_words(data, header, signal_index)).reshape(-1)
 
 
 def read_signal(data: bytes, header: EdfHeader, signal_index: int) -> SignalTrace:
@@ -279,19 +294,9 @@ def parse_hypnogram(data: bytes) -> list[HypnogramEvent]:
     except MissingChannel:
         raise MalformedTal(f"no {ANNOTATION_LABEL!r} signal present") from None
 
-    spr = header.samples_per_record
-    record_words = sum(spr)
-    needed = header.header_bytes + header.n_data_records * record_words * SAMPLE_BYTES
-    if len(data) < needed:
-        raise TruncatedData(f"need {needed} bytes, got {len(data)}")
-    start = sum(spr[:ann_index]) * SAMPLE_BYTES
-    width = spr[ann_index] * SAMPLE_BYTES
-    record_bytes = record_words * SAMPLE_BYTES
-
     events: list[HypnogramEvent] = []
-    for rec in range(header.n_data_records):
-        base = header.header_bytes + rec * record_bytes + start
-        chunk = data[base : base + width]
+    for words in _signal_words(data, header, ann_index):
+        chunk = words.tobytes()
         # TALs are separated (and the region right-padded) by NUL bytes
         for tal in chunk.split(b"\x00"):
             if not tal:

@@ -127,6 +127,10 @@ class TooFewSubjects(UlwsError):
     pass
 
 
+class WorkerDied(UlwsError):
+    """A fold's worker process ended without returning the fold's outcome."""
+
+
 # --- evaluation ----------------------------------------------------------
 
 class LengthMismatch(UlwsError):

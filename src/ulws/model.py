@@ -304,11 +304,9 @@ class DsscCache:
 
 
 def dssc_forward(
-    x: np.ndarray, p: DsscParams, mode: nn.Mode, update_running: bool | None = None
+    x: np.ndarray, p: DsscParams, mode: nn.Mode, update_running: bool = True
 ) -> tuple[np.ndarray, DsscCache]:
     """Main stream plus strided shortcut; both land on length ceil(L/ps^2)."""
-    if update_running is None:
-        update_running = mode == "train"
     h, c1 = _conv_forward(x, p.main_conv1)
     h, b1 = nn.batchnorm_forward(h, p.bn1, mode, update_running)
     h, r1 = nn.relu_forward(h)
@@ -327,15 +325,11 @@ def dssc_forward(
 def dssc_backward(
     cache: DsscCache, grad_out: np.ndarray, prefix: str, grads: dict[str, np.ndarray]
 ) -> np.ndarray:
-    """Accumulate this block's parameter gradients into `grads`; return grad_x."""
+    """Store this block's parameter gradients in `grads`; return grad_x."""
 
     def put(name: str, pieces: dict[str, np.ndarray]) -> None:
         for leaf, g in pieces.items():
-            key = f"{prefix}.{name}.{leaf}"
-            if key in grads:
-                grads[key] += g
-            else:
-                grads[key] = g
+            grads[f"{prefix}.{name}.{leaf}"] = g
 
     g = nn.maxpool1d_backward(cache.pool2, grad_out)
     g = nn.relu_backward(cache.relu2, g)
@@ -369,7 +363,7 @@ def extractor_forward(
     params: ModelParams,
     mode: nn.Mode,
     rng: np.random.Generator | None = None,
-    update_running: bool | None = None,
+    update_running: bool = True,
 ) -> tuple[np.ndarray, ExtractorCache]:
     """Single-channel rows (N, 1, T) -> pooled features (N, F_n).
 
@@ -423,7 +417,7 @@ def model_forward(
     params: ModelParams,
     mode: nn.Mode = "infer",
     rng: np.random.Generator | None = None,
-    update_running: bool | None = None,
+    update_running: bool = True,
 ) -> tuple[np.ndarray, ModelCache]:
     """(B, C, T) -> class probabilities (B, n_classes).
 

@@ -38,6 +38,10 @@ EPOCH_SECONDS = 30.0
 SAMPLE_RATE_HZ = 100.0
 EPOCH_SAMPLES = int(EPOCH_SECONDS * SAMPLE_RATE_HZ)  # T = 3000
 
+# ingest band-pass: Butterworth sections over the EEG channels
+BAND_HZ = (0.3, 45.0)
+FILTER_ORDER = 4
+
 # 30 minutes of surrounding wake kept on each side of the sleep span
 WAKE_MARGIN_EPOCHS = 60
 
@@ -77,43 +81,17 @@ def map_stage_label(stage_text: str) -> StageClass | None:
         raise UnknownLabel(f"unrecognized stage text {stage_text!r}") from None
 
 
-@dataclass
-class FilterSpec:
-    """Band-pass as cascaded biquads, a0 normalized to 1.
-
-    sections[i] = (b0, b1, b2, a1, a2)
-    """
-
-    sections: np.ndarray
-    low_hz: float
-    high_hz: float
-    order: int
-    sample_rate_hz: float
-
-    def as_sos(self) -> np.ndarray:
-        """scipy layout: (b0, b1, b2, a0, a1, a2) with a0 == 1."""
-        s = np.asarray(self.sections, dtype=np.float64)
-        return np.concatenate(
-            [s[:, :3], np.ones((len(s), 1)), s[:, 3:]], axis=1
-        )
-
-    def is_stable(self) -> bool:
-        for _, _, _, a1, a2 in np.asarray(self.sections, dtype=np.float64):
-            if np.any(np.abs(np.roots([1.0, a1, a2])) >= 1.0):
-                return False
-        return True
-
-
 def design_bandpass(
-    low_hz: float = 0.3,
-    high_hz: float = 45.0,
+    low_hz: float = BAND_HZ[0],
+    high_hz: float = BAND_HZ[1],
     sample_rate_hz: float = SAMPLE_RATE_HZ,
-    order: int = 4,
-) -> FilterSpec:
-    """Butterworth band-pass as second-order sections.
+    order: int = FILTER_ORDER,
+) -> np.ndarray:
+    """Butterworth band-pass as scipy's (order, 6) second-order sections.
 
-    `order` follows the usual prototype convention: butter(order, band)
-    yields `order` biquad sections. The -3 dB points sit at the cutoffs.
+    Each row is one biquad (b0, b1, b2, a0, a1, a2) with a0 == 1. `order`
+    follows the usual prototype convention: butter(order, band) yields
+    `order` sections. The -3 dB points sit at the cutoffs.
     """
     import scipy.signal  # ~1 s to import; only EDF ingest designs or applies filters
 
@@ -124,50 +102,44 @@ def design_bandpass(
     sos = scipy.signal.butter(
         order, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="sos"
     )
-    assert np.allclose(sos[:, 3], 1.0)
-    spec = FilterSpec(
-        sections=sos[:, [0, 1, 2, 4, 5]].copy(),
-        low_hz=low_hz,
-        high_hz=high_hz,
-        order=order,
-        sample_rate_hz=sample_rate_hz,
-    )
-    if not spec.is_stable():
+    if _pole_radius(sos) >= 1.0:
         raise InvalidBand(f"unstable design for band ({low_hz}, {high_hz})")
-    return spec
+    return sos
+
+
+def _pole_radius(sos: np.ndarray) -> float:
+    """Largest pole magnitude over all sections of the cascade."""
+    return max((np.abs(np.roots(section[3:])).max(initial=0.0) for section in sos), default=0.0)
 
 
 def _impulse_length(sos: np.ndarray) -> int:
     """Samples until the slowest pole has decayed by 99%."""
-    ntaps = 2 * len(sos) + 1
-    settle = ntaps
-    for section in sos:
-        radii = np.abs(np.roots(section[3:]))
-        r = radii.max() if radii.size else 0.0
-        if 0.0 < r < 1.0:
-            settle = max(settle, int(np.ceil(np.log(0.01) / np.log(r))))
+    settle = 2 * len(sos) + 1
+    r = _pole_radius(sos)
+    if 0.0 < r < 1.0:
+        settle = max(settle, int(np.ceil(np.log(0.01) / np.log(r))))
     return settle
 
 
-def pad_length(spec: FilterSpec) -> int:
+def pad_length(sos: np.ndarray) -> int:
     """Reflective edge padding: 3x the impulse-length heuristic.
 
     Sized so boundary transients decay below ~1e-6 before reaching real
     samples, which keeps the forward-backward pass zero-phase and
     time-reversal symmetric to well under 1e-5.
     """
-    return 3 * _impulse_length(spec.as_sos())
+    return 3 * _impulse_length(sos)
 
 
-def filtfilt(signal: np.ndarray, spec: FilterSpec) -> np.ndarray:
+def filtfilt(signal: np.ndarray, sos: np.ndarray) -> np.ndarray:
     """Zero-phase forward-backward application of the section cascade."""
     x = np.asarray(signal, dtype=np.float64)
-    padlen = pad_length(spec)
+    padlen = pad_length(sos)
     if x.shape[-1] <= padlen:
         raise SignalTooShort(f"need more than {padlen} samples, got {x.shape[-1]}")
     import scipy.signal
 
-    return scipy.signal.sosfiltfilt(spec.as_sos(), x, padtype="odd", padlen=padlen)
+    return scipy.signal.sosfiltfilt(sos, x, padtype="odd", padlen=padlen)
 
 
 def trim_wake(labels: list[StageClass]) -> tuple[int, int]:
@@ -279,7 +251,6 @@ def _is_eeg(label: str) -> bool:
 def preprocess_record(
     record: RawRecord,
     channels: list[str],
-    filter_spec: FilterSpec | None = None,
     filter_all_channels: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One record -> (x (n, C, T) float32, y (n,) uint8).
@@ -288,9 +259,6 @@ def preprocess_record(
     filter is specified for) unless filter_all_channels is set. Each
     channel is z-scored per record over the retained epochs.
     """
-    if filter_spec is None:
-        filter_spec = design_bandpass()
-
     lengths = [len(record.signals[c].samples) for c in channels if c in record.signals]
     per_epoch = expand_events(record.events, max(lengths, default=0) // EPOCH_SAMPLES)
     entries = [(i, lab) for i, lab in enumerate(per_epoch) if lab is not None]
@@ -303,6 +271,7 @@ def preprocess_record(
         if label not in record.signals:
             raise MissingChannel(f"{label!r} absent from record {record.subject_key}")
 
+    sos = design_bandpass()
     t = EPOCH_SAMPLES
     n = len(retained)
     x = np.empty((n, len(channels), t), dtype=np.float64)
@@ -310,7 +279,7 @@ def preprocess_record(
     for c, label in enumerate(channels):
         samples = np.asarray(record.signals[label].samples, dtype=np.float64)
         if filter_all_channels or _is_eeg(label):
-            samples = filtfilt(samples, filter_spec)
+            samples = filtfilt(samples, sos)
         for row, (epoch_idx, _) in enumerate(retained):
             lo = epoch_idx * t
             if lo + t > len(samples):
@@ -333,7 +302,6 @@ def preprocess_record(
 def stream_epochs(
     records: Iterable[RawRecord],
     channels: list[str],
-    filter_spec: FilterSpec | None = None,
     filter_all_channels: bool = False,
     on_skip: Callable[[str, UlwsError], None] | None = None,
 ) -> Iterator[tuple[str, int, np.ndarray, np.ndarray]]:
@@ -345,14 +313,16 @@ def stream_epochs(
     UlwsError propagates; otherwise `on_skip("<subject> night <n>", error)`
     is called and the record is skipped.
     """
-    if filter_spec is None:
-        filter_spec = design_bandpass()
+    # design_bandpass imports scipy.signal (~1 s): pay that as set-up,
+    # before the first record is read, not inside the first record's work
+    import scipy.signal  # noqa: F401
+
     for record in records:
         key, night = record.subject_key, record.night
         try:
             # NaN or infinity in a trace is reported once, by the check below
             with np.errstate(invalid="ignore", over="ignore"):
-                x, y = preprocess_record(record, channels, filter_spec, filter_all_channels)
+                x, y = preprocess_record(record, channels, filter_all_channels)
             if not _all_finite(x):
                 raise NonFiniteSignal("preprocessed epochs hold NaN or infinity")
         except UlwsError as e:
@@ -391,19 +361,6 @@ def collect_epochs(
     dataset = EpochDataset(x=x_all, y=y_all, subject_keys=subjects, channel_labels=list(channels))
     dataset.validate()
     return dataset
-
-
-def build_epoch_dataset(
-    records: list[RawRecord],
-    channels: list[str],
-    filter_spec: FilterSpec | None = None,
-    filter_all_channels: bool = False,
-) -> EpochDataset:
-    """Preprocess and concatenate records in deterministic (subject, night) order."""
-    ordered = sorted(records, key=lambda r: (r.subject_key, r.night))
-    return collect_epochs(
-        stream_epochs(ordered, channels, filter_spec, filter_all_channels), channels
-    )
 
 
 # --- binary cache ---------------------------------------------------------

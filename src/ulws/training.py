@@ -212,11 +212,13 @@ def train_fold(
         for batch in make_batches(len(train_idx), tcfg.batch_size, [tcfg.seed, 2, epoch]):
             rows = train_idx[batch]
             xb, yb = x[rows], y[rows]
-            _, cache = model_forward(xb, params, mode="train", rng=dropout_rng)
-            loss = regularized_loss(model_loss(cache, yb), params, tcfg.l2_lambda)
-            grads = model_backward(cache, yb)
-            add_l2_gradients(grads, params, tcfg.l2_lambda)
-            adam_step(params, grads, state, lr, tcfg)
+            # a diverging step is reported once, by adam_step's NonFiniteGradient
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, cache = model_forward(xb, params, mode="train", rng=dropout_rng)
+                loss = regularized_loss(model_loss(cache, yb), params, tcfg.l2_lambda)
+                grads = model_backward(cache, yb)
+                add_l2_gradients(grads, params, tcfg.l2_lambda)
+                adam_step(params, grads, state, lr, tcfg)
             loss_sum += loss * len(batch)
             n_seen += len(batch)
         pred, _ = predict(params, x_test)

@@ -41,12 +41,15 @@ def fd_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def sos_gain(sections: np.ndarray, freq_hz: float, sample_rate_hz: float) -> float:
-    """|H(e^{j 2 pi f / fs})| of a biquad cascade by direct polynomial evaluation."""
+def sos_gain(sos: np.ndarray, freq_hz: float, sample_rate_hz: float) -> float:
+    """|H(e^{j 2 pi f / fs})| of a biquad cascade by direct polynomial evaluation.
+
+    Rows are scipy's (b0, b1, b2, a0, a1, a2).
+    """
     z = np.exp(-2j * np.pi * freq_hz / sample_rate_hz)  # z^{-1}
     h = 1.0 + 0.0j
-    for b0, b1, b2, a1, a2 in np.asarray(sections, dtype=np.float64):
-        h *= (b0 + b1 * z + b2 * z * z) / (1.0 + a1 * z + a2 * z * z)
+    for b0, b1, b2, a0, a1, a2 in np.asarray(sos, dtype=np.float64):
+        h *= (b0 + b1 * z + b2 * z * z) / (a0 + a1 * z + a2 * z * z)
     return abs(h)
 
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 
@@ -27,7 +28,7 @@ from ulws.model import (
     predict,
     save_checkpoint,
 )
-from ulws.preprocess import build_epoch_dataset, read_cache, write_cache
+from ulws.preprocess import collect_epochs, read_cache, stream_epochs, write_cache
 from ulws.synthetic import sinusoid_dataset
 from ulws.training import TrainConfig, subject_folds
 
@@ -167,7 +168,7 @@ def psg_with_range(n_epochs, physical_min, physical_max, seed=0):
 
 @pytest.mark.parametrize(
     "physical_range, error",
-    [((float("nan"), 204.7), "MalformedField"), ((-1e300, 1e300), "NonFiniteSignal")],
+    [((float("nan"), 204.7), "MalformedField"), ((-1e300, 1e300), "InvariantViolation")],
 )
 def test_preprocess_skips_record_with_non_finite_values(tmp_path, capsys, physical_range, error):
     data_dir = tmp_path / "edf"
@@ -186,7 +187,7 @@ def test_preprocess_skips_record_with_non_finite_values(tmp_path, capsys, physic
 
 
 def test_preprocess_cache_matches_library_path(tmp_path):
-    """Streamed CLI cache == write_cache(build_epoch_dataset(all records loaded))."""
+    """Streamed CLI cache == the library path over all records loaded, in (subject, night) order."""
     data_dir = tmp_path / "edf"
     data_dir.mkdir()
     pairs = [write_record_pair(data_dir, stem, seed=i)
@@ -194,8 +195,9 @@ def test_preprocess_cache_matches_library_path(tmp_path):
     out = tmp_path / "cli.ulws"
     assert main(["preprocess", "--data-dir", str(data_dir), "--out", str(out)]) == 0
     records = [load_record(psg, hyp, DEFAULT_CHANNELS) for psg, hyp in pairs]
+    records.sort(key=lambda r: (r.subject_key, r.night))
     library = tmp_path / "library.ulws"
-    write_cache(build_epoch_dataset(records, DEFAULT_CHANNELS), library)
+    write_cache(collect_epochs(stream_epochs(records, DEFAULT_CHANNELS), DEFAULT_CHANNELS), library)
     assert out.read_bytes() == library.read_bytes()
     manifest = json.loads((tmp_path / "cli.ulws.manifest.json").read_text())
     assert manifest["cache_crc32"] == f"{zlib.crc32(out.read_bytes()):08x}"
@@ -521,7 +523,6 @@ def test_train_outputs_do_not_depend_on_the_cpu_count(toy_cache, configs, tmp_pa
                                                                         "fold 2"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow on the way to NaN
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_train_fold_error_exits_3_on_any_cpu_count(toy_cache, configs, tmp_path, capsys,
                                                    monkeypatch, cpus):
@@ -530,11 +531,40 @@ def test_train_fold_error_exits_3_on_any_cpu_count(toy_cache, configs, tmp_path,
     diverging.write_text(json.dumps(dict(TINY_TRAIN, base_lr=1e30)))
     argv = ["train", "--cache", str(toy_cache), "--model-config", str(model_cfg),
             "--train-config", str(diverging), "--folds", "3", "--out", str(tmp_path / "run")]
-    code, _, _ = train_on_cpus(monkeypatch, cpus, lambda: main(argv))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the typed error is the only report
+        code, _, _ = train_on_cpus(monkeypatch, cpus, lambda: main(argv))
     captured = capsys.readouterr()
     assert code == 3
     assert "error: fold 0: NonFiniteGradient: " in captured.err and "Traceback" not in captured.err
     assert not captured.out
+
+
+UNGUARDED_TRAIN = """
+import sys
+import ulws.cli
+ulws.cli._usable_cpus = lambda: 2
+sys.exit(ulws.cli.main(sys.argv[1:]))
+"""
+
+
+def test_dead_worker_exits_3_with_a_typed_error(toy_cache, configs, tmp_path):
+    """Without a __main__ guard each spawned worker runs the script again and dies on start."""
+    model_cfg, train_cfg = configs
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_TRAIN)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, str(script), "train", "--cache", str(toy_cache),
+         "--model-config", str(model_cfg), "--train-config", str(train_cfg), "--folds", "2",
+         "--out", str(tmp_path / "run")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 3
+    last = run.stderr.strip().splitlines()[-1]
+    assert last.startswith("error: fold 1: WorkerDied: ")
+    assert 'if __name__ == "__main__":' in last
+    assert "BrokenProcessPool" not in run.stderr
 
 
 def test_run_fold_in_a_worker_rejects_a_changed_cache(toy_cache, tmp_path):

@@ -122,6 +122,24 @@ def test_affine_conversion_hand_values():
     assert trace.samples[3] == pytest.approx(0.1, abs=1e-6)
 
 
+def test_physical_range_overflowing_float32_rejected():
+    """Every int16 word, not only those in the digital range, must land inside float32."""
+
+    def one_signal(physical_min, physical_max, digital_min, digital_max):
+        sig = FixtureSignal("X", 3, physical_min=physical_min, physical_max=physical_max,
+                            digital_min=digital_min, digital_max=digital_max,
+                            digital=np.array([-32768, 0, 32767], np.int16))
+        return edf_bytes([sig], n_data_records=1)
+
+    for physical_min, physical_max in [(-1e300, 1e300), (-1e38, 1e38)]:
+        with pytest.raises(InvariantViolation, match="outside float32"):
+            parse_edf_header(one_signal(physical_min, physical_max, -2048, 2047))
+    widest = one_signal(-3e38, 3e38, -32768, 32767)
+    with np.errstate(all="raise"):
+        trace = read_signal(widest, parse_edf_header(widest), 0)
+    assert trace.samples[0] == np.float32(-3e38) and trace.samples[2] == np.float32(3e38)
+
+
 def test_truncated_data():
     _, data = two_signal_fixture()
     header = parse_edf_header(data)

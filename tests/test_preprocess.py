@@ -6,6 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,10 +28,11 @@ from ulws.errors import (
 )
 from ulws.model import ModelConfig, build_model, save_checkpoint
 from ulws.preprocess import (
+    BAND_HZ,
     CACHE_MAGIC,
+    FILTER_ORDER,
     EpochDataset,
     StageClass,
-    build_epoch_dataset,
     collect_epochs,
     design_bandpass,
     expand_events,
@@ -54,24 +56,30 @@ def bandpass():
 # --- filter design -----------------------------------------------------------
 
 def test_dc_gain_is_zero(bandpass):
-    assert sos_gain(bandpass.sections, 0.0, RATE) < 1e-12
+    assert sos_gain(bandpass, 0.0, RATE) < 1e-12
 
 
 def test_passband_gain_near_unity(bandpass):
-    assert 0.99 <= sos_gain(bandpass.sections, 10.0, RATE) <= 1.01
+    assert 0.99 <= sos_gain(bandpass, 10.0, RATE) <= 1.01
 
 
 def test_cutoff_gain_is_half_power(bandpass):
     for cutoff in (0.3, 45.0):
-        assert sos_gain(bandpass.sections, cutoff, RATE) == pytest.approx(
+        assert sos_gain(bandpass, cutoff, RATE) == pytest.approx(
             2 ** -0.5, rel=0.02
         )
 
 
 def test_sections_are_stable(bandpass):
-    assert bandpass.is_stable()
-    for _, _, _, a1, a2 in bandpass.sections:
-        assert np.all(np.abs(np.roots([1.0, a1, a2])) < 1.0)
+    for denominator in bandpass[:, 3:]:
+        assert np.all(np.abs(np.roots(denominator)) < 1.0)
+
+
+def test_default_design_is_scipys_butterworth_sos():
+    expected = scipy.signal.butter(
+        FILTER_ORDER, list(BAND_HZ), btype="bandpass", fs=RATE, output="sos"
+    )
+    assert np.array_equal(design_bandpass(), expected)
 
 
 def test_invalid_band():
@@ -266,7 +274,7 @@ def toy_record(tmp_path_factory):
 
 def test_build_dataset_shapes_and_labels(toy_record):
     record, channels = toy_record
-    ds = build_epoch_dataset([record], channels)
+    ds = collect_epochs(stream_epochs([record], channels), channels)
     # 40 scored minus 1 unscored -> 39 retained (wake margins stay, < 60 epochs)
     assert ds.x.shape == (39, 4, 3000)
     assert ds.x.dtype == np.float32
@@ -278,14 +286,14 @@ def test_build_dataset_shapes_and_labels(toy_record):
 
 def test_unscored_epoch_reduces_count(toy_record):
     record, channels = toy_record
-    ds = build_epoch_dataset([record], channels)
+    ds = collect_epochs(stream_epochs([record], channels), channels)
     total_scored_slots = 40
     assert ds.n_epochs == total_scored_slots - 1
 
 
 def test_standardization_per_channel(toy_record):
     record, channels = toy_record
-    ds = build_epoch_dataset([record], channels)
+    ds = collect_epochs(stream_epochs([record], channels), channels)
     for c in range(4):
         values = ds.x[:, c, :].astype(np.float64)
         assert abs(values.mean()) <= 1e-4
@@ -304,17 +312,7 @@ def test_epoch_alignment_error(toy_record):
         events=record.events,
     )
     with pytest.raises(EpochAlignmentError):
-        build_epoch_dataset([short], channels)
-
-
-def test_records_concatenate_in_subject_order(toy_record):
-    record, channels = toy_record
-    other = type(record)(
-        subject_key="SC399", night=1, signals=record.signals, events=record.events
-    )
-    ds = build_epoch_dataset([record, other], channels)
-    assert ds.subject_keys[0] == "SC399" and ds.subject_keys[-1] == "SC400"
-    assert ds.n_epochs == 78
+        collect_epochs(stream_epochs([short], channels), channels)
 
 
 # --- cache round trip ---------------------------------------------------------------------
@@ -505,7 +503,7 @@ def test_stream_skips_non_finite_records(toy_record):
                                 on_skip=lambda what, e: skipped.append(type(e))))
     assert [key for key, *_ in chunks] == ["SC400"] and skipped == [NonFiniteSignal]
     with pytest.raises(NonFiniteSignal):
-        build_epoch_dataset([broken], channels)
+        collect_epochs(stream_epochs([broken], channels), channels)
 
 
 def test_stream_holds_one_raw_record_at_a_time(toy_record):
