@@ -20,14 +20,13 @@ import multiprocessing
 import os
 import sys
 import time
-import zlib
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, complexity, evaluation, nn, preprocess
+from . import __version__, complexity, container, evaluation, nn, preprocess
 from .edf import load_record, subject_key_and_night
 from .errors import ChecksumMismatch, ShapeMismatch, UlwsError, WorkerDied
 from .evaluation import N_CLASSES
@@ -71,14 +70,6 @@ def _fail(message: str, code: int = 2) -> int:
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
-
-
-def _crc_of(path: Path) -> str:
-    crc = 0
-    with path.open("rb") as fh:
-        while block := fh.read(1 << 20):
-            crc = zlib.crc32(block, crc)
-    return f"{crc:08x}"
 
 
 def _write_manifest(directory: Path, name: str, payload: dict) -> None:
@@ -177,7 +168,7 @@ def cmd_preprocess(args) -> int:
             "channels": channels,
             "filter_all_channels": bool(args.filter_all_channels),
             "n_epochs": dataset.n_epochs,
-            "cache_crc32": _crc_of(out),
+            "cache_crc32": container.stored_crc32(out),
         },
     )
     return 0
@@ -237,16 +228,16 @@ def _run_fold(
 ) -> float:
     """Train one fold, write its checkpoint, history and predictions; return its final test_acc.
 
-    Without `dataset` the cache is read from `cache_path`, and its whole-file
-    CRC-32 must still be `cache_crc`, the one the run started from.
+    Without `dataset` the cache is read from `cache_path`, and the CRC-32 it
+    stores must then still be `cache_crc`, the one the run started from.
     """
     if dataset is None:
-        crc = _crc_of(cache_path)
+        dataset = read_cache(cache_path)
+        crc = container.stored_crc32(cache_path)
         if crc != cache_crc:
             raise ChecksumMismatch(
                 f"{cache_path}: CRC-32 is {crc}, but training started on {cache_crc}"
             )
-        dataset = read_cache(cache_path)
     params, history = train_fold(dataset, split, mcfg, tcfg)
     fold_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, fold_dir / "checkpoint.ulwm")
@@ -309,7 +300,7 @@ def cmd_train(args) -> int:
     _keep_batch_memory()
     cache_path = Path(args.cache)
     dataset = read_cache(cache_path)
-    cache_crc = _crc_of(cache_path)
+    cache_crc = container.stored_crc32(cache_path)
     mcfg = _model_config(args, dataset)
     _check_fits(mcfg, dataset)
     tcfg = _train_config(args)
@@ -330,11 +321,12 @@ def cmd_train(args) -> int:
         for i in wanted
     }
     outcomes = _train_folds(jobs, dataset)
+    # a fold is left out only once another one has failed
+    failed = next((i for i in wanted if isinstance(outcomes.get(i), UlwsError)), None)
+    if failed is not None:
+        e = outcomes[failed]
+        return _fail(f"fold {failed}: {type(e).__name__}: {e}", code=3)
     for i in wanted:
-        if i not in outcomes or isinstance(outcomes[i], UlwsError):
-            failed = next(j for j in wanted if isinstance(outcomes.get(j), UlwsError))
-            e = outcomes[failed]
-            return _fail(f"fold {failed}: {type(e).__name__}: {e}", code=3)
         print(f"fold {i}: {len(folds[i].test_subjects)} test subjects, "
               f"final test_acc {outcomes[i]:.4f}")
 
@@ -470,8 +462,8 @@ def cmd_predict(args) -> int:
         out.name,
         {
             "command": ["predict", str(args.checkpoint), str(args.cache), str(out)],
-            "checkpoint_crc32": _crc_of(Path(args.checkpoint)),
-            "cache_crc32": _crc_of(Path(args.cache)),
+            "checkpoint_crc32": container.stored_crc32(args.checkpoint),
+            "cache_crc32": container.stored_crc32(args.cache),
         },
     )
     return 0

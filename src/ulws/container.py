@@ -7,6 +7,9 @@ file next to the target, then rename it over the target, so a failed or
 interrupted write leaves any existing file as it was. Reads fill one
 buffer and hand back a view of the body, so callers can build numpy
 arrays on it with `np.frombuffer` and no further copy.
+
+The stored CRC-32 is also the file's identity: manifests record it, and a
+fold worker compares it with the one its run started from.
 """
 
 from __future__ import annotations
@@ -71,3 +74,13 @@ def read(path: str | Path, magic: bytes, version: int, kind: str) -> memoryview:
     if body[0] != version:
         raise VersionMismatch(f"{path}: {kind} version {body[0]}, expected {version}")
     return body[1:]
+
+
+def stored_crc32(path: str | Path) -> str:
+    """The CRC-32 stored in the last 4 bytes of `path`, as 8 hex digits.
+
+    Reads those 4 bytes only; `read` is what checks them against the body.
+    """
+    with open(path, "rb") as fh:
+        fh.seek(-4, os.SEEK_END)
+        return f"{int.from_bytes(fh.read(4), 'little'):08x}"

@@ -34,6 +34,10 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 ANNOTATION_LABEL = "EDF Annotations"
 
+# the one rate every wanted channel must run at: the model consumes a
+# uniform time grid
+SAMPLE_RATE_HZ = 100.0
+
 # TAL delimiters per the EDF+ grammar
 _DURATION_SEP = 0x15
 _TEXT_SEP = 0x14
@@ -41,26 +45,18 @@ _TEXT_SEP = 0x14
 
 @dataclass
 class EdfHeader:
-    version: str
-    patient_info: str
-    recording_info: str
-    start_date: str
-    start_time: str
+    """The header fields the pipeline reads; the free-text ones are not decoded."""
+
     header_bytes: int
-    reserved: str
     n_data_records: int
     record_duration_s: float
     n_signals: int
     labels: list[str]
-    transducers: list[str]
-    physical_dimensions: list[str]
     physical_min: list[float]
     physical_max: list[float]
     digital_min: list[int]
     digital_max: list[int]
-    prefiltering: list[str]
     samples_per_record: list[int]
-    signal_reserved: list[str]
 
     def signal_index(self, label: str) -> int:
         try:
@@ -127,13 +123,8 @@ def parse_edf_header(data: bytes) -> EdfHeader:
     if len(data) < FIXED_HEADER_BYTES:
         raise TruncatedHeader(f"need {FIXED_HEADER_BYTES} bytes, got {len(data)}")
 
-    version = _text(data[0:8])
-    patient_info = _text(data[8:88])
-    recording_info = _text(data[88:168])
-    start_date = _text(data[168:176])
-    start_time = _text(data[176:184])
+    # bytes 0-183 hold version, patient, recording and start time; 192-235 are reserved
     header_bytes = _int(data[184:192], "header_bytes")
-    reserved = _text(data[192:236])
     n_data_records = _int(data[236:244], "n_data_records")
     record_duration_s = _float(data[244:252], "record_duration_s")
     n_signals = _int(data[252:256], "n_signals")
@@ -160,15 +151,14 @@ def parse_edf_header(data: bytes) -> EdfHeader:
 
     offset = FIXED_HEADER_BYTES
     labels = [_text(b) for b in column(16)]
-    transducers = [_text(b) for b in column(80)]
-    physical_dimensions = [_text(b) for b in column(8)]
+    offset += (80 + 8) * n_signals  # transducer type, physical dimension
     physical_min = [_float(b, "physical_min") for b in column(8)]
     physical_max = [_float(b, "physical_max") for b in column(8)]
     digital_min = [_int(b, "digital_min") for b in column(8)]
     digital_max = [_int(b, "digital_max") for b in column(8)]
-    prefiltering = [_text(b) for b in column(80)]
+    offset += 80 * n_signals  # prefiltering
     samples_per_record = [_int(b, "samples_per_record") for b in column(8)]
-    signal_reserved = [_text(b) for b in column(32)]
+    # 32 reserved bytes per signal end the header
 
     for i in range(n_signals):
         if digital_min[i] >= digital_max[i]:
@@ -189,26 +179,16 @@ def parse_edf_header(data: bytes) -> EdfHeader:
             )
 
     return EdfHeader(
-        version=version,
-        patient_info=patient_info,
-        recording_info=recording_info,
-        start_date=start_date,
-        start_time=start_time,
         header_bytes=header_bytes,
-        reserved=reserved,
         n_data_records=n_data_records,
         record_duration_s=record_duration_s,
         n_signals=n_signals,
         labels=labels,
-        transducers=transducers,
-        physical_dimensions=physical_dimensions,
         physical_min=physical_min,
         physical_max=physical_max,
         digital_min=digital_min,
         digital_max=digital_max,
-        prefiltering=prefiltering,
         samples_per_record=samples_per_record,
-        signal_reserved=signal_reserved,
     )
 
 
@@ -338,12 +318,10 @@ def load_record(
     psg_path: str | Path,
     hyp_path: str | Path,
     wanted_channels: list[str],
-    expected_rate_hz: float | None = 100.0,
 ) -> RawRecord:
     """Load one PSG/hypnogram pair, keeping exactly the wanted channels.
 
-    Channels not running at `expected_rate_hz` are rejected (the model
-    consumes a uniform time grid); pass None to accept any rate.
+    A wanted channel not running at SAMPLE_RATE_HZ raises WrongSampleRate.
     """
     data = Path(psg_path).read_bytes()
     header = parse_edf_header(data)
@@ -352,11 +330,9 @@ def load_record(
     for label in wanted_channels:
         idx = header.signal_index(label)
         trace = read_signal(data, header, idx)
-        if expected_rate_hz is not None and not math.isclose(
-            trace.sample_rate_hz, expected_rate_hz
-        ):
+        if not math.isclose(trace.sample_rate_hz, SAMPLE_RATE_HZ):
             raise WrongSampleRate(
-                f"{label!r} runs at {trace.sample_rate_hz} Hz, need {expected_rate_hz} Hz"
+                f"{label!r} runs at {trace.sample_rate_hz} Hz, need {SAMPLE_RATE_HZ} Hz"
             )
         signals[label] = trace
 

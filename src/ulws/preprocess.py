@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .edf import RawRecord
+from .edf import SAMPLE_RATE_HZ, RawRecord
 from .errors import (
     AllWake,
     ChecksumMismatch,
@@ -35,7 +35,6 @@ from .errors import (
 )
 
 EPOCH_SECONDS = 30.0
-SAMPLE_RATE_HZ = 100.0
 EPOCH_SAMPLES = int(EPOCH_SECONDS * SAMPLE_RATE_HZ)  # T = 3000
 
 # ingest band-pass: Butterworth sections over the EEG channels

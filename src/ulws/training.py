@@ -180,7 +180,6 @@ def train_fold(
     split: FoldSplit,
     mcfg: ModelConfig,
     tcfg: TrainConfig,
-    dtype=np.float32,
     log=None,
 ) -> tuple[ModelParams, list[dict]]:
     """Train on the split's train subjects, track test accuracy per epoch.
@@ -197,11 +196,11 @@ def train_fold(
         )
     assert not set(split.train_subjects) & set(split.test_subjects)
 
-    x = dataset.x.astype(dtype, copy=False)
+    x = dataset.x.astype(np.float32, copy=False)
     y = dataset.y.astype(np.int64)
     x_test, y_test = x[test_idx], y[test_idx]
 
-    params = build_model(mcfg, seed=tcfg.seed, dtype=dtype)
+    params = build_model(mcfg, seed=tcfg.seed)
     state = init_adam(params)
     dropout_rng = np.random.default_rng([tcfg.seed, 1])
 

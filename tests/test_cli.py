@@ -17,9 +17,9 @@ import pytest
 from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
 from oracles import pairwise_accuracy, pairwise_kappa, pairwise_macro_f1
 from ulws import cli, container
-from ulws.cli import DEFAULT_CHANNELS, _crc_of, _keep_batch_memory, _run_fold, main
+from ulws.cli import DEFAULT_CHANNELS, _keep_batch_memory, _run_fold, main
 from ulws.edf import load_record
-from ulws.errors import ChecksumMismatch
+from ulws.errors import ChecksumMismatch, NonFiniteGradient
 from ulws.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -141,6 +141,15 @@ def test_preprocess_channel_subset(tmp_path):
     assert ds.n_channels == 2
 
 
+def stored_crc(path):
+    """The CRC-32 a .ulws/.ulwm keeps in its last 4 bytes (little-endian), as 8 hex digits."""
+    return f"{int.from_bytes(path.read_bytes()[-4:], 'little'):08x}"
+
+
+def manifest_of(path):
+    return json.loads(path.with_name(f"{path.name}.manifest.json").read_text())
+
+
 def test_preprocess_filter_all_channels_changes_non_eeg(tmp_path):
     data_dir = tmp_path / "edf"
     data_dir.mkdir()
@@ -153,6 +162,10 @@ def test_preprocess_filter_all_channels_changes_non_eeg(tmp_path):
     eeg, emg = a.channel_labels.index("EEG Fpz-Cz"), a.channel_labels.index("EMG submental")
     assert np.allclose(a.x[:, eeg], b.x[:, eeg], atol=1e-5)  # EEG filtered either way
     assert not np.allclose(a.x[:, emg], b.x[:, emg], atol=1e-3)  # EMG only with the flag
+    # two caches of one size: only the CRC each stores tells them apart
+    assert out_a.stat().st_size == out_b.stat().st_size
+    crcs = [manifest_of(out)["cache_crc32"] for out in (out_a, out_b)]
+    assert crcs == [stored_crc(out_a), stored_crc(out_b)] and crcs[0] != crcs[1]
 
 
 def psg_with_range(n_epochs, physical_min, physical_max, seed=0):
@@ -199,14 +212,9 @@ def test_preprocess_cache_matches_library_path(tmp_path):
     library = tmp_path / "library.ulws"
     write_cache(collect_epochs(stream_epochs(records, DEFAULT_CHANNELS), DEFAULT_CHANNELS), library)
     assert out.read_bytes() == library.read_bytes()
-    manifest = json.loads((tmp_path / "cli.ulws.manifest.json").read_text())
-    assert manifest["cache_crc32"] == f"{zlib.crc32(out.read_bytes()):08x}"
-
-
-def test_crc_of_reads_in_blocks_and_matches_whole_file(tmp_path):
-    path = tmp_path / "blob"
-    path.write_bytes(np.random.default_rng(0).bytes(3 * (1 << 20) + 17))
-    assert _crc_of(path) == f"{zlib.crc32(path.read_bytes()):08x}"
+    # the CRC-32 of everything after the magic, as the cache stores it
+    raw = out.read_bytes()
+    assert manifest_of(out)["cache_crc32"] == f"{zlib.crc32(raw[4:-4]):08x}" == stored_crc(out)
 
 
 PEAK_PROBE = """
@@ -540,6 +548,26 @@ def test_train_fold_error_exits_3_on_any_cpu_count(toy_cache, configs, tmp_path,
     assert not captured.out
 
 
+def test_failed_run_prints_no_fold_lines(toy_cache, configs, tmp_path, capsys, monkeypatch):
+    """Fold 0 finishes before fold 1 fails: the run still reports the failure alone."""
+    train_fold = cli.train_fold
+
+    def failing_on_fold_1(dataset, split, *args):
+        if split.fold_index == 1:
+            raise NonFiniteGradient("injected")
+        return train_fold(dataset, split, *args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "train_fold", failing_on_fold_1)
+    code = run_train(toy_cache, configs, tmp_path / "run", fold="all", folds="3")
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1] == "error: fold 1: NonFiniteGradient: injected"
+    assert (tmp_path / "run" / "fold0" / "checkpoint.ulwm").exists()
+    assert not (tmp_path / "run" / "fold2").exists()
+
+
 UNGUARDED_TRAIN = """
 import sys
 import ulws.cli
@@ -567,15 +595,24 @@ def test_dead_worker_exits_3_with_a_typed_error(toy_cache, configs, tmp_path):
     assert "BrokenProcessPool" not in run.stderr
 
 
-def test_run_fold_in_a_worker_rejects_a_changed_cache(toy_cache, tmp_path):
-    ds = read_cache(toy_cache)
-    stale_crc = f"{int(_crc_of(toy_cache), 16) ^ 1:08x}"
-    args = (toy_cache, stale_crc, subject_folds(ds.subject_keys, k=2)[0],
-            ModelConfig.from_dict(TINY_MODEL), TrainConfig.from_dict(TINY_TRAIN), tmp_path / "fold0")
+def test_run_fold_in_a_worker_rejects_a_changed_cache(toy_cache, configs, tmp_path):
+    """A cache of the same size but other content, swapped in after the run started."""
+    cache = tmp_path / "cache.ulws"
+    shutil.copyfile(toy_cache, cache)
+    assert run_train(cache, configs, tmp_path / "run") == 0
+    run_crc = json.loads((tmp_path / "run" / "train.manifest.json").read_text())["cache_crc32"]
+    ds = read_cache(cache)
+    args = (cache, run_crc, subject_folds(ds.subject_keys, k=2)[1],
+            ModelConfig.from_dict(TINY_MODEL), TrainConfig.from_dict(TINY_TRAIN))
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert 0.0 <= pool.submit(_run_fold, *args, tmp_path / "same").result(timeout=120) <= 1.0
+        write_cache(sinusoid_dataset(n_epochs=48, n_channels=2, epoch_samples=200,
+                                     n_subjects=4, seed=10), cache)
+        assert cache.stat().st_size == toy_cache.stat().st_size
+        assert cache.read_bytes() != toy_cache.read_bytes()
         with pytest.raises(ChecksumMismatch, match="training started on"):
-            pool.submit(_run_fold, *args).result(timeout=120)
-    assert not (tmp_path / "fold0").exists()
+            pool.submit(_run_fold, *args, tmp_path / "swapped").result(timeout=120)
+    assert not (tmp_path / "swapped").exists()
 
 
 def test_importing_the_cli_leaves_scipy_signal_out():
@@ -606,6 +643,23 @@ def test_predict_roundtrip(toy_cache, configs, tmp_path, capsys):
     main(["predict", "--checkpoint", str(out / "fold0" / "checkpoint.ulwm"),
           "--cache", str(toy_cache), "--out", str(rerun)])
     assert pred_csv.read_bytes() == rerun.read_bytes()
+
+
+def test_predict_manifest_names_the_checkpoint_it_scored_with(toy_cache, configs, tmp_path):
+    """Two fold checkpoints of one config have one size; their manifest CRCs still differ."""
+    out = tmp_path / "run"
+    assert run_train(toy_cache, configs, out, fold="all") == 0
+    checkpoints = [out / f"fold{i}" / "checkpoint.ulwm" for i in range(2)]
+    assert checkpoints[0].stat().st_size == checkpoints[1].stat().st_size
+    manifests = []
+    for i, checkpoint in enumerate(checkpoints):
+        pred_csv = tmp_path / f"pred{i}.csv"
+        assert main(["predict", "--checkpoint", str(checkpoint), "--cache", str(toy_cache),
+                     "--out", str(pred_csv)]) == 0
+        manifests.append(manifest_of(pred_csv))
+    assert [m["checkpoint_crc32"] for m in manifests] == [stored_crc(c) for c in checkpoints]
+    assert manifests[0]["checkpoint_crc32"] != manifests[1]["checkpoint_crc32"]
+    assert [m["cache_crc32"] for m in manifests] == [stored_crc(toy_cache)] * 2
 
 
 def test_predict_shape_mismatch(toy_cache, configs, tmp_path, capsys):
