@@ -406,15 +406,23 @@ def _read_prediction_pairs(path: Path) -> tuple[list[int], list[int]]:
         line = raw.count(b"\n", 0, e.start) + 1
         raise UlwsError(f"{path}: line {line}: not UTF-8") from None
     trues, preds = [], []
+    line_of: dict[int, int] = {}  # epoch index -> CSV line that scored it
     reader = csv.DictReader(io.StringIO(text, newline=""))
     for row in reader:
         try:
-            trues.append(int(row["true"]))
-            preds.append(int(row["predicted"]))
+            index, true, pred = int(row["index"]), int(row["true"]), int(row["predicted"])
         except (KeyError, TypeError, ValueError):
             raise UlwsError(
-                f"{path}: line {reader.line_num}: 'true' and 'predicted' must be integers"
+                f"{path}: line {reader.line_num}: 'index', 'true' and 'predicted' must be integers"
             ) from None
+        if index in line_of:
+            raise UlwsError(
+                f"{path}: line {reader.line_num}: index {index} already scored on line "
+                f"{line_of[index]}"
+            )
+        line_of[index] = reader.line_num
+        trues.append(true)
+        preds.append(pred)
     return trues, preds
 
 

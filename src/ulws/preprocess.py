@@ -40,6 +40,8 @@ EPOCH_SAMPLES = int(EPOCH_SECONDS * SAMPLE_RATE_HZ)  # T = 3000
 # ingest band-pass: Butterworth sections over the EEG channels
 BAND_HZ = (0.3, 45.0)
 FILTER_ORDER = 4
+# samples per sosfilt call in filtfilt's forward and backward passes
+FILTER_BLOCK = 1 << 18
 
 # 30 minutes of surrounding wake kept on each side of the sleep span
 WAKE_MARGIN_EPOCHS = 60
@@ -131,14 +133,41 @@ def pad_length(sos: np.ndarray) -> int:
 
 
 def filtfilt(signal: np.ndarray, sos: np.ndarray) -> np.ndarray:
-    """Zero-phase forward-backward application of the section cascade."""
-    x = np.asarray(signal, dtype=np.float64)
+    """Zero-phase forward-backward application of the section cascade.
+
+    Bit-identical to scipy's `sosfiltfilt(sos, x, padtype="odd",
+    padlen=pad_length(sos))` on the float64 widening `x` of the 1-D
+    `signal`, but held in one float64 buffer of n + 2 * padlen samples:
+    the odd-extended signal, filtered forward and then backward in place,
+    `FILTER_BLOCK` samples at a time with the section state carried from
+    block to block. `sosfilt` runs sample by sample, so the blocks do the
+    float operations of one call. Beyond that buffer the pass holds one
+    block's copies (a few MiB), not the three whole-signal copies of
+    `sosfiltfilt`. Returns the n real samples, a view on the buffer.
+    """
+    n = len(signal)
     padlen = pad_length(sos)
-    if x.shape[-1] <= padlen:
-        raise SignalTooShort(f"need more than {padlen} samples, got {x.shape[-1]}")
+    if n <= padlen:
+        raise SignalTooShort(f"need more than {padlen} samples, got {n}")
     import scipy.signal
 
-    return scipy.signal.sosfiltfilt(sos, x, padtype="odd", padlen=padlen)
+    buf = np.empty(n + 2 * padlen, dtype=np.float64)
+    x = buf[padlen : padlen + n]
+    x[:] = signal
+    # scipy's odd_ext, written around x instead of concatenated
+    np.subtract(2 * x[0], x[padlen:0:-1], out=buf[:padlen])
+    np.subtract(2 * x[-1], x[-2 : -(padlen + 2) : -1], out=buf[padlen + n :])
+
+    zi = scipy.signal.sosfilt_zi(sos)
+    state = zi * buf[0]
+    for lo in range(0, len(buf), FILTER_BLOCK):
+        block = buf[lo : lo + FILTER_BLOCK]
+        block[:], state = scipy.signal.sosfilt(sos, block, zi=state)
+    state = zi * buf[-1]
+    for hi in range(len(buf), 0, -FILTER_BLOCK):
+        block = buf[max(hi - FILTER_BLOCK, 0) : hi][::-1]
+        block[:], state = scipy.signal.sosfilt(sos, block, zi=state)
+    return x
 
 
 def trim_wake(labels: list[StageClass]) -> tuple[int, int]:
@@ -274,9 +303,10 @@ def preprocess_record(
     t = EPOCH_SAMPLES
     n = len(retained)
     x = np.empty((n, len(channels), t), dtype=np.float64)
-    # one channel's float64 trace at a time: widen, filter, epoch, z-score
+    # one channel at a time: filter (into a float64 trace), epoch, z-score;
+    # unfiltered float32 samples widen exactly as they are copied into x
     for c, label in enumerate(channels):
-        samples = np.asarray(record.signals[label].samples, dtype=np.float64)
+        samples = record.signals[label].samples
         if filter_all_channels or _is_eeg(label):
             samples = filtfilt(samples, sos)
         for row, (epoch_idx, _) in enumerate(retained):

@@ -756,6 +756,8 @@ def test_evaluate_rejects_a_file_given_twice(tmp_path, capsys):
         ("index,subject,true,predicted\n0,S0,1,1\n1,S0,2,two\n", 3),  # not an integer
         ("index,subject,true\n0,S0,1\n", 2),  # no predicted column
         (b"index,subject,true,predicted\n0,S0,1,1\n1,S\xff,2,2\n", 3),  # not UTF-8
+        ("subject,true,predicted\nS0,1,1\n", 2),  # no index column
+        ("index,subject,true,predicted\n0,S0,1,1\n1,S0,2,2\n0,S0,1,1\n", 4),  # index repeats
     ],
 )
 def test_evaluate_bad_prediction_rows_are_typed(tmp_path, capsys, text, line):

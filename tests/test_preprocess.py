@@ -30,6 +30,7 @@ from ulws.model import ModelConfig, build_model, save_checkpoint
 from ulws.preprocess import (
     BAND_HZ,
     CACHE_MAGIC,
+    FILTER_BLOCK,
     FILTER_ORDER,
     EpochDataset,
     StageClass,
@@ -38,6 +39,7 @@ from ulws.preprocess import (
     expand_events,
     filtfilt,
     map_stage_label,
+    pad_length,
     read_cache,
     stream_epochs,
     trim_wake,
@@ -137,6 +139,32 @@ def test_filtfilt_commutes_with_time_reversal(bandpass):
     reversed_path = filtfilt(x[::-1], bandpass)[::-1]
     scale = max(1.0, np.abs(direct).max())
     assert np.abs(direct - reversed_path).max() <= 1e-5 * scale
+
+
+_PADLEN = pad_length(design_bandpass())
+
+
+@pytest.mark.parametrize("n", [
+    _PADLEN + 1,
+    FILTER_BLOCK - 1, FILTER_BLOCK, FILTER_BLOCK + 1,
+    # the padded buffer one short of, equal to and one past a block
+    FILTER_BLOCK - 2 * _PADLEN - 1, FILTER_BLOCK - 2 * _PADLEN, FILTER_BLOCK - 2 * _PADLEN + 1,
+    3 * FILTER_BLOCK + 17,
+])
+@pytest.mark.parametrize("layout", ["float32", "float64", "strided"])
+def test_filtfilt_is_bit_identical_to_scipy(n, layout):
+    sos = design_bandpass()
+    rng = np.random.default_rng(n)
+    if layout == "strided":
+        x = 40.0 * rng.standard_normal(2 * n)[::2]
+    else:
+        x = (40.0 * rng.standard_normal(n)).astype(layout)
+    expected = scipy.signal.sosfiltfilt(
+        sos, np.asarray(x, dtype=np.float64), padtype="odd", padlen=pad_length(sos)
+    )
+    out = filtfilt(x, sos)
+    assert out.dtype == np.float64 and out.shape == (n,)
+    assert np.array_equal(out, expected)
 
 
 # --- stage mapping ---------------------------------------------------------------
@@ -611,3 +639,36 @@ def test_cache_io_memory_growth(tmp_path):
 
     assert growth("write") <= 0.5  # the payload is written in place, not copied
     assert growth("read") <= 1.2  # one buffer, with x and y as views on it
+
+
+FILTER_PROBE = """
+import json
+import numpy as np
+from ulws.preprocess import design_bandpass, filtfilt
+
+def status_kib(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
+sos = design_bandpass()
+filtfilt(np.ones(5000, np.float32), sos)  # scipy imported, first-call costs paid
+trace = np.arange(7_920_000, dtype=np.float32)  # one 22 h channel at 100 Hz
+trace *= 0.05
+np.sin(trace, out=trace)  # in place: no temporary raises VmHWM before the call
+before = status_kib("VmRSS")
+out = filtfilt(trace, sos)
+print(json.dumps((status_kib("VmHWM") - before) * 1024 / out.nbytes))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_filtfilt_memory_growth():
+    """Peak RSS growth of one band-pass of a 22 h float32 trace, in a fresh process.
+
+    The pass holds its padded float64 buffer and one block's copies;
+    scipy's sosfiltfilt on the widened trace reaches ~4x its output.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", FILTER_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert float(run.stdout) <= 1.2
