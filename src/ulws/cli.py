@@ -94,6 +94,8 @@ def _check_fits(cfg: ModelConfig, cache: EpochDataset) -> None:
     want, have = (cfg.n_input_channels, cfg.input_length), (cache.n_channels, cache.epoch_samples)
     if want != have:
         raise ShapeMismatch(f"model expects (C, T) = {want} but cache holds {have}")
+    if cfg.n_classes != N_CLASSES:
+        raise ShapeMismatch(f"model scores {cfg.n_classes} classes, the stages are {N_CLASSES}")
 
 
 def _train_config(args) -> TrainConfig:
@@ -238,14 +240,14 @@ def _run_fold(
             raise ChecksumMismatch(
                 f"{cache_path}: CRC-32 is {crc}, but training started on {cache_crc}"
             )
-    params, history = train_fold(dataset, split, mcfg, tcfg)
+    params, history, probs = train_fold(dataset, split, mcfg, tcfg)
     fold_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, fold_dir / "checkpoint.ulwm")
     with (fold_dir / "history.jsonl").open("w") as fh:
         for row in history:
             fh.write(json.dumps(row) + "\n")
     _, test_idx = split_indices(dataset, split)
-    _write_predictions(fold_dir / "predictions.csv", dataset, params, test_idx)
+    _write_predictions(fold_dir / "predictions.csv", dataset, test_idx, probs)
     return history[-1]["test_acc"] if history else float("nan")
 
 
@@ -346,13 +348,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_predictions(path: Path, dataset: EpochDataset, params, indices=None) -> None:
-    """Score the epochs at `indices`, or every epoch of `dataset` without a copy."""
-    if indices is None:
-        x, indices = dataset.x, range(dataset.n_epochs)
-    else:
-        x = dataset.x[indices]
-    pred, probs = predict(params, x.astype(np.float32, copy=False))
+def _write_predictions(path: Path, dataset: EpochDataset, indices, probs: np.ndarray) -> None:
+    """One CSV row per epoch at `indices`, whose class probabilities are the same row of `probs`."""
+    pred = probs.argmax(axis=1)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -433,9 +431,8 @@ def cmd_evaluate(args) -> int:
     pairs = [_read_prediction_pairs(f) for f in files]
     report = evaluation.aggregate_folds(pairs)
 
-    cfg = _model_config(args)
-    params_total = complexity.count_params(cfg).total_params
-    flops_total = complexity.count_flops(cfg).total_flops
+    complexity_report = complexity.count_flops(_model_config(args))
+    params_total, flops_total = complexity_report.total_params, complexity_report.total_flops
     payload = dict(report.to_dict(), params=params_total, flops=flops_total)
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -463,7 +460,8 @@ def cmd_predict(args) -> int:
     _check_fits(params.config, dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_predictions(out, dataset, params)
+    _, probs = predict(params, dataset.x)
+    _write_predictions(out, dataset, range(dataset.n_epochs), probs)
     print(f"wrote {dataset.n_epochs} predictions to {out}")
     _write_manifest(
         out.parent,

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DurationMismatch,
     InvariantViolation,
     MalformedField,
     MalformedTal,
@@ -73,10 +72,6 @@ class SignalTrace:
     label: str
     sample_rate_hz: float
     samples: np.ndarray  # float32, physical units
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
 
 
 @dataclass
@@ -335,12 +330,6 @@ def load_record(
                 f"{label!r} runs at {trace.sample_rate_hz} Hz, need {SAMPLE_RATE_HZ} Hz"
             )
         signals[label] = trace
-
-    durations = {label: t.duration_s for label, t in signals.items()}
-    if durations:
-        spread = max(durations.values()) - min(durations.values())
-        if spread > header.record_duration_s:
-            raise DurationMismatch(f"channel durations disagree: {durations}")
 
     events = parse_hypnogram(Path(hyp_path).read_bytes())
     subject_key, night = subject_key_and_night(psg_path)

@@ -43,10 +43,6 @@ class MissingChannel(EdfError):
     pass
 
 
-class DurationMismatch(EdfError):
-    pass
-
-
 class WrongSampleRate(EdfError):
     """A wanted channel is not at the sample rate the pipeline requires."""
 

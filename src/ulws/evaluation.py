@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMatrix, LabelOutOfRange, LengthMismatch
+from .preprocess import N_STAGES
 
-N_CLASSES = 5
+N_CLASSES = N_STAGES
 
 AGGREGATION = "pooled"
 

@@ -181,12 +181,14 @@ def train_fold(
     mcfg: ModelConfig,
     tcfg: TrainConfig,
     log=None,
-) -> tuple[ModelParams, list[dict]]:
+) -> tuple[ModelParams, list[dict], np.ndarray]:
     """Train on the split's train subjects, track test accuracy per epoch.
 
     Returns the final-epoch parameters (no early stopping or checkpoint
-    selection) and a history of per-epoch rows
-    {"epoch", "lr", "train_loss", "test_acc"}.
+    selection), a history of per-epoch rows
+    {"epoch", "lr", "train_loss", "test_acc"}, and the test epochs' class
+    probabilities (in `split_indices` order) from the evaluation that gave
+    the last row's test_acc; with 0 epochs, from the initial parameters.
     """
     train_idx, test_idx = split_indices(dataset, split)
     if len(train_idx) == 0 or len(test_idx) == 0:
@@ -204,7 +206,7 @@ def train_fold(
     state = init_adam(params)
     dropout_rng = np.random.default_rng([tcfg.seed, 1])
 
-    history = []
+    history, probs = [], None
     for epoch in range(tcfg.epochs):
         lr = cosine_lr(epoch, tcfg.epochs, tcfg.base_lr)
         loss_sum, n_seen = 0.0, 0
@@ -220,7 +222,7 @@ def train_fold(
                 adam_step(params, grads, state, lr, tcfg)
             loss_sum += loss * len(batch)
             n_seen += len(batch)
-        pred, _ = predict(params, x_test)
+        pred, probs = predict(params, x_test)
         row = {
             "epoch": epoch,
             "lr": lr,
@@ -230,4 +232,6 @@ def train_fold(
         history.append(row)
         if log is not None:
             log(row)
-    return params, history
+    if probs is None:
+        _, probs = predict(params, x_test)
+    return params, history, probs

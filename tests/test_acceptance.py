@@ -234,15 +234,15 @@ def test_criterion_4_overfit_oracle():
 
         # determinism under the fixed seed (short runs, byte-compared)
         short = TrainConfig(epochs=2, batch_size=16, seed=0)
-        p1, h1 = train_fold(dataset, split, ModelConfig(), short)
-        p2, h2 = train_fold(dataset, split, ModelConfig(), short)
+        p1, h1, _ = train_fold(dataset, split, ModelConfig(), short)
+        p2, h2, _ = train_fold(dataset, split, ModelConfig(), short)
         assert h1 == h2
         for (name, a), (_, b) in zip(named_arrays(p1), named_arrays(p2)):
             assert np.array_equal(a, b), name
 
         # 64 training epochs, comfortably inside the 200-epoch budget
         tcfg = TrainConfig(epochs=64, batch_size=16, seed=0)
-        params, _ = train_fold(dataset, split, ModelConfig(), tcfg)
+        params, _, _ = train_fold(dataset, split, ModelConfig(), tcfg)
         train_idx, _ = split_indices(dataset, split)
         assert len(train_idx) == 64
         pred, _ = predict(params, dataset.x[train_idx])

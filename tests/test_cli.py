@@ -16,7 +16,7 @@ import pytest
 
 from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
 from oracles import pairwise_accuracy, pairwise_kappa, pairwise_macro_f1
-from ulws import cli, container
+from ulws import cli, container, training
 from ulws.cli import DEFAULT_CHANNELS, _keep_batch_memory, _run_fold, main
 from ulws.edf import load_record
 from ulws.errors import ChecksumMismatch, NonFiniteGradient
@@ -30,7 +30,7 @@ from ulws.model import (
 )
 from ulws.preprocess import collect_epochs, read_cache, stream_epochs, write_cache
 from ulws.synthetic import sinusoid_dataset
-from ulws.training import TrainConfig, subject_folds
+from ulws.training import TrainConfig, split_indices, subject_folds
 
 TINY_MODEL = {
     "n_blocks": 2,
@@ -531,6 +531,32 @@ def test_train_outputs_do_not_depend_on_the_cpu_count(toy_cache, configs, tmp_pa
                                                                         "fold 2"]
 
 
+@pytest.mark.parametrize("epochs, scored", [(2, 2), (0, 1)])
+def test_train_scores_each_test_set_once_per_epoch(toy_cache, configs, tmp_path, monkeypatch,
+                                                   epochs, scored):
+    """The last evaluation in train_fold also gives the fold's predictions.csv."""
+    model_cfg, _ = configs
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps(dict(TINY_TRAIN, epochs=epochs)))
+    scored_x = []
+
+    def recording_predict(params, x, *args):
+        scored_x.append(x.copy())
+        return predict(params, x, *args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(training, "predict", recording_predict)
+    monkeypatch.setattr(cli, "predict", recording_predict)
+    assert main(["train", "--cache", str(toy_cache), "--model-config", str(model_cfg),
+                 "--train-config", str(train_cfg), "--folds", "2",
+                 "--out", str(tmp_path / "run")]) == 0
+    ds = read_cache(toy_cache)
+    for split in subject_folds(ds.subject_keys, k=2, seed=TINY_TRAIN["seed"]):
+        x_test = ds.x[split_indices(ds, split)[1]]
+        assert sum(np.array_equal(x, x_test) for x in scored_x) == scored, split.fold_index
+    assert len(scored_x) == 2 * scored
+
+
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_train_fold_error_exits_3_on_any_cpu_count(toy_cache, configs, tmp_path, capsys,
                                                    monkeypatch, cpus):
@@ -674,6 +700,35 @@ def test_predict_shape_mismatch(toy_cache, configs, tmp_path, capsys):
     )
     assert code != 0
     assert "ShapeMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_classes", [3, 7])
+def test_train_rejects_a_model_that_does_not_score_five_stages(toy_cache, configs, tmp_path,
+                                                                capsys, n_classes):
+    _, train_cfg = configs
+    model_cfg = tmp_path / "model.json"
+    model_cfg.write_text(json.dumps(dict(TINY_MODEL, n_classes=n_classes)))
+    out = tmp_path / "run"
+    assert main(["train", "--cache", str(toy_cache), "--model-config", str(model_cfg),
+                 "--train-config", str(train_cfg), "--folds", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: ShapeMismatch: model scores {n_classes} classes" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert not out.exists()
+
+
+def test_predict_rejects_a_checkpoint_that_does_not_score_five_stages(toy_cache, tmp_path,
+                                                                       capsys):
+    checkpoint = tmp_path / "seven.ulwm"
+    save_checkpoint(build_model(ModelConfig.from_dict(dict(TINY_MODEL, n_classes=7)), seed=0),
+                    checkpoint)
+    out = tmp_path / "out"
+    assert main(["predict", "--checkpoint", str(checkpoint), "--cache", str(toy_cache),
+                 "--out", str(out / "pred.csv")]) == 2
+    captured = capsys.readouterr()
+    assert "error: ShapeMismatch: model scores 7 classes" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert not out.exists()
 
 
 def write_predictions_csv(path, y_true, y_pred):

@@ -227,7 +227,7 @@ def tiny_split(dataset):
 
 
 def test_train_fold_zero_epochs(tiny_dataset):
-    params, history = train_fold(
+    params, history, _ = train_fold(
         tiny_dataset, tiny_split(tiny_dataset), TINY, TrainConfig(epochs=0, seed=0)
     )
     init = build_model(TINY, seed=0)
@@ -241,7 +241,7 @@ def test_train_fold_overfits_synthetic_sinusoids(tiny_dataset):
         input_length=200, head_hidden=16,
     )
     tcfg = TrainConfig(epochs=150, seed=0)
-    params, history = train_fold(tiny_dataset, tiny_split(tiny_dataset), cfg, tcfg)
+    params, history, _ = train_fold(tiny_dataset, tiny_split(tiny_dataset), cfg, tcfg)
     train_idx, _ = split_indices(tiny_dataset, tiny_split(tiny_dataset))
     pred, _ = predict(params, tiny_dataset.x[train_idx])
     accuracy = float((pred == tiny_dataset.y[train_idx].astype(np.int64)).mean())
@@ -256,8 +256,21 @@ def test_train_fold_overfits_synthetic_sinusoids(tiny_dataset):
     assert means[-1] < 0.5 * means[0]
 
 
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_train_fold_returns_its_final_test_probabilities(tiny_dataset, epochs):
+    split = tiny_split(tiny_dataset)
+    params, history, probs = train_fold(
+        tiny_dataset, split, TINY, TrainConfig(epochs=epochs, seed=3)
+    )
+    _, test_idx = split_indices(tiny_dataset, split)
+    assert np.array_equal(probs, predict(params, tiny_dataset.x[test_idx])[1])
+    if history:
+        y_test = tiny_dataset.y[test_idx].astype(np.int64)
+        assert history[-1]["test_acc"] == float((probs.argmax(axis=1) == y_test).mean())
+
+
 def test_train_fold_history_schema(tiny_dataset):
-    _, history = train_fold(
+    _, history, _ = train_fold(
         tiny_dataset, tiny_split(tiny_dataset), TINY, TrainConfig(epochs=2, seed=3)
     )
     assert [sorted(row) for row in history] == [
@@ -271,7 +284,7 @@ def test_train_fold_deterministic(tiny_dataset, tmp_path):
     tcfg = TrainConfig(epochs=3, seed=7)
     blobs = []
     for run in range(2):
-        params, _ = train_fold(tiny_dataset, split, TINY, tcfg)
+        params, _, _ = train_fold(tiny_dataset, split, TINY, tcfg)
         path = tmp_path / f"run{run}.ulwm"
         save_checkpoint(params, path)
         blobs.append(path.read_bytes())
