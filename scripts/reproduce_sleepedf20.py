@@ -17,9 +17,8 @@ import argparse
 import sys
 from pathlib import Path
 
+from ulws.cli import DEFAULT_CHANNELS
 from ulws.cli import main as ulws
-
-DEFAULT_CHANNELS = "EEG Fpz-Cz,EEG Pz-Oz,EOG horizontal,EMG submental"
 
 
 def run(argv: list[str]) -> None:
@@ -33,7 +32,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data-dir", required=True)
     parser.add_argument("--workdir", default="/tmp/ulws-repro")
-    parser.add_argument("--channels", default=DEFAULT_CHANNELS)
+    parser.add_argument("--channels", default=",".join(DEFAULT_CHANNELS))
     parser.add_argument("--folds", type=int, default=10)
     parser.add_argument("--fold", default="all", help="run one fold index, or 'all'")
     args = parser.parse_args()

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, complexity, container, evaluation, nn, preprocess
 from .edf import load_record, subject_key_and_night
-from .errors import ChecksumMismatch, ShapeMismatch, UlwsError, WorkerDied
+from .errors import BadConfig, ChecksumMismatch, ShapeMismatch, UlwsError, WorkerDied
 from .evaluation import N_CLASSES
 from .model import ModelConfig, decode_json, load_checkpoint, predict, save_checkpoint
 from .preprocess import (
@@ -228,7 +228,7 @@ def _run_fold(
     fold_dir: Path,
     dataset: EpochDataset | None = None,
 ) -> float:
-    """Train one fold, write its checkpoint, history and predictions; return its final test_acc.
+    """Train one fold, write its checkpoint, history and predictions; return their accuracy.
 
     Without `dataset` the cache is read from `cache_path`, and the CRC-32 it
     stores must then still be `cache_crc`, the one the run started from.
@@ -248,7 +248,7 @@ def _run_fold(
             fh.write(json.dumps(row) + "\n")
     _, test_idx = split_indices(dataset, split)
     _write_predictions(fold_dir / "predictions.csv", dataset, test_idx, probs)
-    return history[-1]["test_acc"] if history else float("nan")
+    return float((probs.argmax(axis=1) == dataset.y[test_idx]).mean())
 
 
 def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, float | UlwsError]:
@@ -258,7 +258,7 @@ def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, flo
     Spawned workers train the rest, each reading the cache by path; spawned,
     not forked, because this process already runs BLAS threads. Once a fold
     fails no further fold starts. Returns each fold that ran mapped to its
-    final test_acc or its UlwsError; a worker that died gives WorkerDied.
+    accuracy or its UlwsError; a worker that died gives WorkerDied.
     """
     wanted = list(jobs)
     n = min(len(wanted), _usable_cpus())
@@ -424,6 +424,19 @@ def _read_prediction_pairs(path: Path) -> tuple[list[int], list[int]]:
     return trues, preds
 
 
+def _scored_model_config(args, files: list[Path]) -> ModelConfig:
+    """--model-config, else the config of the checkpoint.ulwm beside the predictions
+    files, else (no file has one, as for `predict` CSVs) the default model."""
+    if args.model_config:
+        return _model_config(args)
+    checkpoints = [f.parent / "checkpoint.ulwm" for f in files]
+    configs = {load_checkpoint(c).config: c for c in checkpoints if c.is_file()}
+    if len(configs) > 1:
+        raise BadConfig(f"{' and '.join(map(str, configs.values()))} hold different model "
+                        "configs; name the one to count with --model-config")
+    return next(iter(configs), ModelConfig())
+
+
 def cmd_evaluate(args) -> int:
     files = _prediction_files(args.predictions, args.strict)
     if not files:
@@ -431,7 +444,7 @@ def cmd_evaluate(args) -> int:
     pairs = [_read_prediction_pairs(f) for f in files]
     report = evaluation.aggregate_folds(pairs)
 
-    complexity_report = complexity.count_flops(_model_config(args))
+    complexity_report = complexity.count_flops(_scored_model_config(args, files))
     params_total, flops_total = complexity_report.total_params, complexity_report.total_flops
     payload = dict(report.to_dict(), params=params_total, flops=flops_total)
     if args.json:
@@ -456,7 +469,9 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     _keep_batch_memory()
     params = load_checkpoint(Path(args.checkpoint))
+    checkpoint_crc = container.stored_crc32(args.checkpoint)
     dataset = read_cache(Path(args.cache))
+    cache_crc = container.stored_crc32(args.cache)
     _check_fits(params.config, dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -468,8 +483,8 @@ def cmd_predict(args) -> int:
         out.name,
         {
             "command": ["predict", str(args.checkpoint), str(args.cache), str(out)],
-            "checkpoint_crc32": container.stored_crc32(args.checkpoint),
-            "cache_crc32": container.stored_crc32(args.cache),
+            "checkpoint_crc32": checkpoint_crc,
+            "cache_crc32": cache_crc,
         },
     )
     return 0
@@ -510,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="pool fold predictions and print metrics")
     p.add_argument("--predictions", nargs="+", required=True,
                    help="prediction CSV files or directories of fold*/predictions.csv")
-    p.add_argument("--model-config", default=None, help="config used for Params/FLOPs columns")
+    p.add_argument("--model-config", default=None,
+                   help="config for the Params/FLOPs columns (default: the fold checkpoints')")
     p.add_argument("--strict", action="store_true", help="fail on missing fold files")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)

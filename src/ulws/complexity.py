@@ -45,14 +45,13 @@ class ComplexityReport:
     rows: list[LayerRow]
     total_params: int
     total_flops: int
-    convention: str = CONVENTION
 
     def to_dict(self) -> dict:
         return {
             "rows": [{"layer": r.name, "params": r.params, "flops": r.flops} for r in self.rows],
             "total_params": self.total_params,
             "total_flops": self.total_flops,
-            "convention": self.convention,
+            "convention": CONVENTION,
         }
 
     def format_text(self) -> str:
@@ -60,7 +59,7 @@ class ComplexityReport:
         lines = [f"{'layer':<{width}}  {'params':>10}  {'flops':>12}"]
         for r in self.rows:
             lines.append(f"{r.name:<{width}}  {r.params:>10}  {r.flops:>12}")
-        lines.append(f"convention: {self.convention}")
+        lines.append(f"convention: {CONVENTION}")
         lines.append(f"total_flops {self.total_flops}")
         lines.append(f"total_params {self.total_params}")
         return "\n".join(lines)
@@ -80,7 +79,10 @@ def _conv_flops(conv_type: str, k: int, m: int, n: int, out_length: int) -> int:
     return 2 * macs + n * out_length
 
 
-def _build_rows(config: ModelConfig, input_length: int) -> list[LayerRow]:
+def count_flops(config: ModelConfig) -> ComplexityReport:
+    """Per-layer params and FLOPs for one forward pass at `config.input_length`."""
+    if not isinstance(config, ModelConfig):
+        raise BadConfig(f"expected ModelConfig, got {type(config)}")
     c = config.n_input_channels
     rows: list[LayerRow] = []
 
@@ -88,7 +90,7 @@ def _build_rows(config: ModelConfig, input_length: int) -> list[LayerRow]:
         # extractor work repeats for each of the C channels; its parameters do not
         rows.append(LayerRow(name, params, flops * c if shared else flops))
 
-    m, length = 1, input_length
+    m, length = 1, config.input_length
     for i, f in enumerate(config.filters):
         ks, ps, stride = config.kernel_size, config.pool_size, config.pool_stride
         pooled1 = ceil_div(length, stride)
@@ -119,35 +121,9 @@ def _build_rows(config: ModelConfig, input_length: int) -> list[LayerRow]:
     row("head_relu", 0, h, shared=False)
     row("head_out", h * config.n_classes + config.n_classes,
         2 * h * config.n_classes + config.n_classes, shared=False)
-    return rows
-
-
-def count_flops(config: ModelConfig, input_length: int | None = None) -> ComplexityReport:
-    """Per-layer params and FLOPs for one forward pass at the given length."""
-    if not isinstance(config, ModelConfig):
-        raise BadConfig(f"expected ModelConfig, got {type(config)}")
-    rows = _build_rows(config, input_length or config.input_length)
     return ComplexityReport(
         rows=rows,
         total_params=sum(r.params for r in rows),
         total_flops=sum(r.flops for r in rows),
     )
 
-
-def count_params(config: ModelConfig) -> ComplexityReport:
-    """Parameter accounting only (FLOPs columns zeroed)."""
-    rows = [
-        LayerRow(r.name, r.params, 0)
-        for r in _build_rows(config, config.input_length)
-        if r.params > 0
-    ]
-    return ComplexityReport(
-        rows=rows, total_params=sum(r.params for r in rows), total_flops=0
-    )
-
-
-def separable_ratio(kernel_size: int, n_out: int) -> float:
-    """Separable-to-standard parameter ratio (K*M + M*N) / (K*M*N) = 1/N + 1/K."""
-    if kernel_size < 1 or n_out < 1:
-        raise BadConfig("kernel size and output channels must be >= 1")
-    return 1.0 / n_out + 1.0 / kernel_size

@@ -264,13 +264,11 @@ def trainable_scalar_count(params: ModelParams) -> int:
     return sum(arr.size for _, arr in named_arrays(params, trainable_only=True))
 
 
-def conv_kernel_names(params: ModelParams) -> list[str]:
-    """Names of convolution kernel arrays (L2 regularization applies here only)."""
-    return [
-        name
-        for name, _ in named_arrays(params, trainable_only=True)
-        if name.endswith((".depthwise", ".pointwise", ".kernel"))
-    ]
+def conv_kernels(params: ModelParams):
+    """(name, array) of each convolution kernel, in named_arrays order (L2 applies here only)."""
+    for name, arr in named_arrays(params):
+        if name.endswith((".depthwise", ".pointwise", ".kernel")):
+            yield name, arr
 
 
 # --- forward / backward ------------------------------------------------------
@@ -470,8 +468,7 @@ def model_backward(cache: ModelCache, labels: np.ndarray) -> dict[str, np.ndarra
 
 def model_loss(cache: ModelCache, labels: np.ndarray) -> float:
     """Mean cross-entropy of a finished forward pass."""
-    loss, _ = nn.softmax_xent_forward(cache.logits, np.asarray(labels))
-    return loss
+    return nn.softmax_xent_forward(cache.logits, np.asarray(labels))
 
 
 def predict(params: ModelParams, x: np.ndarray, batch_size: int = 32):

@@ -378,15 +378,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_xent_forward(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch, with max-subtracted softmax."""
+def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy over the batch, by max-subtracted log-sum-exp."""
     z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    log_probs = z - log_norm
-    loss = -log_probs[np.arange(len(labels)), labels].mean()
-    return float(loss), np.exp(log_probs)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(len(labels)), labels].mean())
 
 
 def softmax_xent_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     build_model,
-    conv_kernel_names,
+    conv_kernels,
     model_backward,
     model_forward,
     model_loss,
@@ -67,25 +67,17 @@ def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
 def l2_penalty(params: ModelParams, lam: float) -> float:
     if lam == 0.0:
         return 0.0
-    kernels = set(conv_kernel_names(params))
     total = 0.0
-    for name, arr in named_arrays(params):
-        if name in kernels:
-            total += float((arr.astype(np.float64) ** 2).sum())
+    for _, arr in conv_kernels(params):
+        total += float((arr.astype(np.float64) ** 2).sum())
     return lam * total
 
 
 def add_l2_gradients(grads: dict[str, np.ndarray], params: ModelParams, lam: float) -> None:
     if lam == 0.0:
         return
-    kernels = set(conv_kernel_names(params))
-    for name, arr in named_arrays(params):
-        if name in kernels:
-            grads[name] = grads[name] + 2.0 * lam * arr
-
-
-def regularized_loss(xent: float, params: ModelParams, lam: float) -> float:
-    return xent + l2_penalty(params, lam)
+    for name, arr in conv_kernels(params):
+        grads[name] = grads[name] + 2.0 * lam * arr
 
 
 # --- Adam --------------------------------------------------------------------
@@ -216,7 +208,7 @@ def train_fold(
             # a diverging step is reported once, by adam_step's NonFiniteGradient
             with np.errstate(over="ignore", invalid="ignore"):
                 _, cache = model_forward(xb, params, mode="train", rng=dropout_rng)
-                loss = regularized_loss(model_loss(cache, yb), params, tcfg.l2_lambda)
+                loss = model_loss(cache, yb) + l2_penalty(params, tcfg.l2_lambda)
                 grads = model_backward(cache, yb)
                 add_l2_gradients(grads, params, tcfg.l2_lambda)
                 adam_step(params, grads, state, lr, tcfg)

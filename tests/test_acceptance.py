@@ -30,7 +30,7 @@ from ulws.evaluation import (
     macro_f1,
     per_class_f1,
 )
-from ulws.complexity import count_flops, count_params
+from ulws.complexity import count_flops
 from ulws.model import (
     ModelConfig,
     build_model,
@@ -104,7 +104,7 @@ class report:
 def test_criterion_1_parameter_count_identity():
     with report(1, "parameter-count identity"):
         for name, cfg in variant_configs().items():
-            got = count_params(cfg).total_params
+            got = count_flops(cfg).total_params
             assert got == EXPECTED_PARAMS[name], f"{name}: {got}"
         rng = np.random.default_rng(2024)
         for _ in range(50):
@@ -121,7 +121,7 @@ def test_criterion_1_parameter_count_identity():
                 input_length=int(rng.integers(64, 512)),
                 head_hidden=int(rng.integers(4, 65)),
             )
-            assert count_params(cfg).total_params == trainable_scalar_count(
+            assert count_flops(cfg).total_params == trainable_scalar_count(
                 build_model(cfg, seed=0)
             )
 
@@ -129,7 +129,7 @@ def test_criterion_1_parameter_count_identity():
 def test_criterion_2_flops_bands():
     with report(2, "FLOPs accounting within 10%"):
         for name, cfg in variant_configs().items():
-            total = count_flops(cfg, input_length=3000).total_flops
+            total = count_flops(cfg).total_flops
             ref = EXPECTED_FLOPS[name]
             assert abs(total - ref) <= 0.10 * ref, f"{name}: {total} vs {ref}"
 

@@ -594,6 +594,39 @@ def test_failed_run_prints_no_fold_lines(toy_cache, configs, tmp_path, capsys, m
     assert not (tmp_path / "run" / "fold2").exists()
 
 
+
+@pytest.fixture(scope="module")
+def two_channel_cache(tmp_path_factory):
+    """40 epochs of the default length on 2 channels, for the default model's 2-channel form."""
+    path = tmp_path_factory.mktemp("two_channel") / "two.ulws"
+    write_cache(sinusoid_dataset(n_epochs=40, n_channels=2), path)
+    return path
+
+
+def train_zero_epochs(cache, tmp_path, monkeypatch, *model_config):
+    """Train every fold of a 2-fold run for 0 epochs on 1 CPU; return the run directory."""
+    tmp_path.mkdir(exist_ok=True)
+    train_cfg = tmp_path / "zero.json"
+    train_cfg.write_text(json.dumps(dict(TINY_TRAIN, epochs=0)))
+    out = tmp_path / "run"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(["train", "--cache", str(cache), "--train-config", str(train_cfg),
+                 *model_config, "--folds", "2", "--out", str(out)]) == 0
+    return out
+
+
+def test_train_with_no_epochs_reports_the_accuracy_of_each_fold_csv(two_channel_cache, tmp_path,
+                                                                    capsys, monkeypatch):
+    """With 0 epochs there is no history row; the fold line scores the fold's predictions."""
+    out = train_zero_epochs(two_channel_cache, tmp_path, monkeypatch)
+    lines = capsys.readouterr().out.splitlines()
+    for i in range(2):
+        assert (out / f"fold{i}" / "history.jsonl").read_text() == ""
+        with (out / f"fold{i}" / "predictions.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        accuracy = np.mean([row["true"] == row["predicted"] for row in rows])
+        assert lines[i] == f"fold {i}: 4 test subjects, final test_acc {accuracy:.4f}"
+
 UNGUARDED_TRAIN = """
 import sys
 import ulws.cli
@@ -687,6 +720,30 @@ def test_predict_manifest_names_the_checkpoint_it_scored_with(toy_cache, configs
     assert manifests[0]["checkpoint_crc32"] != manifests[1]["checkpoint_crc32"]
     assert [m["cache_crc32"] for m in manifests] == [stored_crc(toy_cache)] * 2
 
+
+def test_predict_manifest_names_the_inputs_it_read(toy_cache, configs, tmp_path, monkeypatch):
+    """Other valid inputs swapped in while predict scores: the manifest names what was scored."""
+    out = tmp_path / "run"
+    assert run_train(toy_cache, configs, out) == 0
+    checkpoint, cache = tmp_path / "model.ulwm", tmp_path / "cache.ulws"
+    shutil.copyfile(out / "fold0" / "checkpoint.ulwm", checkpoint)
+    shutil.copyfile(toy_cache, cache)
+    scored = {"checkpoint_crc32": stored_crc(checkpoint), "cache_crc32": stored_crc(cache)}
+
+    def swapping_predict(params, x, *args):
+        save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=1), checkpoint)
+        write_cache(sinusoid_dataset(n_epochs=48, n_channels=2, epoch_samples=200,
+                                     n_subjects=4, seed=10), cache)
+        return predict(params, x, *args)
+
+    monkeypatch.setattr(cli, "predict", swapping_predict)
+    pred_csv = tmp_path / "pred.csv"
+    assert main(["predict", "--checkpoint", str(checkpoint), "--cache", str(cache),
+                 "--out", str(pred_csv)]) == 0
+    assert stored_crc(checkpoint) != scored["checkpoint_crc32"]
+    assert stored_crc(cache) != scored["cache_crc32"]
+    manifest = manifest_of(pred_csv)
+    assert {key: manifest[key] for key in scored} == scored
 
 def test_predict_shape_mismatch(toy_cache, configs, tmp_path, capsys):
     out = tmp_path / "run"
@@ -804,6 +861,34 @@ def test_evaluate_rejects_a_file_given_twice(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "given more than once" in err and "predictions.csv" in err
 
+
+
+def test_evaluate_counts_the_model_of_the_fold_checkpoints(two_channel_cache, tmp_path, capsys,
+                                                           monkeypatch):
+    """Without --model-config, Params/FLOPs are those of the model that made the predictions."""
+    out = train_zero_epochs(two_channel_cache, tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(["evaluate", "--predictions", str(out), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["params"], payload["flops"]) == (9241, 4153173)
+    assert main(["evaluate", "--predictions", str(out)]) == 0
+    assert "9241  4153173" in capsys.readouterr().out
+
+
+def test_evaluate_rejects_predictions_of_different_models(toy_cache, configs, tmp_path, capsys,
+                                                          monkeypatch):
+    model_cfg, _ = configs
+    other_cfg = tmp_path / "other.json"
+    other_cfg.write_text(json.dumps(dict(TINY_MODEL, head_hidden=5)))
+    runs = [train_zero_epochs(toy_cache, tmp_path / name, monkeypatch, "--model-config", str(cfg))
+            for name, cfg in [("a", model_cfg), ("b", other_cfg)]]
+    capsys.readouterr()
+    argv = ["evaluate", "--predictions", *(str(run / "fold0" / "predictions.csv") for run in runs)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "hold different model configs" in err and "--model-config" in err
+    assert "Traceback" not in err
+    assert main(argv + ["--model-config", str(model_cfg)]) == 0
 
 @pytest.mark.parametrize(
     "text, line",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ulws.complexity import count_flops, count_params, separable_ratio
+from ulws.complexity import count_flops
 from ulws.errors import BadConfig
 from ulws.model import ModelConfig, build_model, trainable_scalar_count, variant_configs
 
@@ -31,7 +31,7 @@ EXPECTED_FLOPS = {
 @pytest.mark.parametrize("name", sorted(EXPECTED_PARAMS))
 def test_exact_parameter_counts(name):
     cfg = variant_configs()[name]
-    assert count_params(cfg).total_params == EXPECTED_PARAMS[name]
+    assert count_flops(cfg).total_params == EXPECTED_PARAMS[name]
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_FLOPS))
@@ -63,7 +63,7 @@ def test_count_matches_built_model_for_random_configs():
     for _ in range(50):
         cfg = random_config(rng)
         built = trainable_scalar_count(build_model(cfg, seed=0))
-        assert count_params(cfg).total_params == built, cfg
+        assert count_flops(cfg).total_params == built, cfg
 
 
 def test_report_totals_equal_row_sums():
@@ -74,7 +74,7 @@ def test_report_totals_equal_row_sums():
 
 def test_extractor_params_independent_of_channels():
     def rows(cfg):
-        return {r.name: r.params for r in count_params(cfg).rows}
+        return {r.name: r.params for r in count_flops(cfg).rows}
 
     one = rows(ModelConfig(n_input_channels=1))
     four = rows(ModelConfig(n_input_channels=4))
@@ -101,14 +101,6 @@ def test_flops_text_report_format():
     lines = text.splitlines()
     assert lines[-1] == "total_params 13337"
     assert lines[-2].startswith("total_flops ")
-
-
-def test_separable_ratio():
-    assert separable_ratio(3, 3) == pytest.approx(2.0 / 3.0)
-    assert separable_ratio(3, 10_000) == pytest.approx(1.0 / 3.0, abs=1e-3)
-    assert separable_ratio(1, 1) == pytest.approx(2.0)  # can exceed standard
-    with pytest.raises(BadConfig):
-        separable_ratio(0, 4)
 
 
 def test_bad_config_rejected():

@@ -25,7 +25,6 @@ from ulws.training import (
     init_adam,
     l2_penalty,
     make_batches,
-    regularized_loss,
     split_indices,
     subject_folds,
     train_fold,
@@ -76,7 +75,7 @@ def test_cosine_schedule_bounds():
 
 def test_l2_penalty_zero_lambda_and_zero_kernels():
     params = build_model(TINY, seed=0, dtype=np.float64)
-    assert regularized_loss(1.25, params, 0.0) == 1.25
+    assert l2_penalty(params, 0.0) == 0.0
     for name, arr in named_arrays(params):
         if name.endswith((".depthwise", ".pointwise", ".kernel")):
             arr[...] = 0.0
@@ -102,7 +101,7 @@ def test_l2_penalty_single_kernel_value():
 
 def test_l2_never_decreases_loss():
     params = build_model(TINY, seed=1, dtype=np.float64)
-    assert regularized_loss(0.7, params, 0.001) >= 0.7
+    assert l2_penalty(params, 0.001) >= 0.0
 
 
 # --- Adam -------------------------------------------------------------------
