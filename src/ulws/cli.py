@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, complexity, container, evaluation, nn, preprocess
+from . import __version__, complexity, evaluation, nn, preprocess
 from .edf import load_record, subject_key_and_night
 from .errors import BadConfig, ChecksumMismatch, ShapeMismatch, UlwsError, WorkerDied
 from .evaluation import N_CLASSES
@@ -159,7 +159,7 @@ def cmd_preprocess(args) -> int:
     if not dataset.n_epochs:
         return _fail("no records loaded")
 
-    write_cache(dataset, out)
+    cache_crc = write_cache(dataset, out)
     print(f"wrote {dataset.n_epochs} epochs x {dataset.n_channels} channels to {out}")
     print(f"skipped: {skipped}")
     _write_manifest(
@@ -170,7 +170,7 @@ def cmd_preprocess(args) -> int:
             "channels": channels,
             "filter_all_channels": bool(args.filter_all_channels),
             "n_epochs": dataset.n_epochs,
-            "cache_crc32": container.stored_crc32(out),
+            "cache_crc32": cache_crc,
         },
     )
     return 0
@@ -230,15 +230,14 @@ def _run_fold(
 ) -> float:
     """Train one fold, write its checkpoint, history and predictions; return their accuracy.
 
-    Without `dataset` the cache is read from `cache_path`, and the CRC-32 it
-    stores must then still be `cache_crc`, the one the run started from.
+    Without `dataset` the cache is read from `cache_path`, and the CRC-32 that this
+    read verified must still be `cache_crc`, the one the run started from.
     """
     if dataset is None:
         dataset = read_cache(cache_path)
-        crc = container.stored_crc32(cache_path)
-        if crc != cache_crc:
+        if dataset.crc32 != cache_crc:
             raise ChecksumMismatch(
-                f"{cache_path}: CRC-32 is {crc}, but training started on {cache_crc}"
+                f"{cache_path}: CRC-32 is {dataset.crc32}, but training started on {cache_crc}"
             )
     params, history, probs = train_fold(dataset, split, mcfg, tcfg)
     fold_dir.mkdir(parents=True, exist_ok=True)
@@ -251,19 +250,19 @@ def _run_fold(
     return float((probs.argmax(axis=1) == dataset.y[test_idx]).mean())
 
 
-def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, float | UlwsError]:
+def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, float | Exception]:
     """Run `_run_fold(*jobs[i])` for every fold i on min(folds, usable CPUs) processes.
 
     This process trains `list(jobs)[0::n]` on `dataset`, which it has read already.
     Spawned workers train the rest, each reading the cache by path; spawned,
     not forked, because this process already runs BLAS threads. Once a fold
     fails no further fold starts. Returns each fold that ran mapped to its
-    accuracy or its UlwsError; a worker that died gives WorkerDied.
+    accuracy or the Exception it raised; a worker that died gives WorkerDied.
     """
     wanted = list(jobs)
     n = min(len(wanted), _usable_cpus())
     own = wanted[0::n]
-    outcomes: dict[int, float | UlwsError] = {}
+    outcomes: dict[int, float | Exception] = {}
     with contextlib.ExitStack() as stack:
         futures = {}
         if n > 1:
@@ -277,24 +276,24 @@ def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, flo
                 break
             try:
                 outcomes[i] = _run_fold(*jobs[i], dataset=dataset)
-            except UlwsError as e:
+            except Exception as e:
                 outcomes[i] = e
                 break
-        if not any(isinstance(outcome, UlwsError) for outcome in outcomes.values()):
+        if not any(isinstance(outcome, Exception) for outcome in outcomes.values()):
             wait(futures.values(), return_when=FIRST_EXCEPTION)
         for i, future in futures.items():
             if future.cancel():  # not started: a fold failed
                 continue
             try:
                 outcomes[i] = future.result()
-            except UlwsError as e:
-                outcomes[i] = e
             except BrokenProcessPool:
                 outcomes[i] = WorkerDied(
                     "a training worker exited before its fold finished; a script that "
                     "calls ulws.cli.main must do so under `if __name__ == \"__main__\":`, "
                     "because each spawned worker imports that script again"
                 )
+            except Exception as e:
+                outcomes[i] = e
     return outcomes
 
 
@@ -302,7 +301,6 @@ def cmd_train(args) -> int:
     _keep_batch_memory()
     cache_path = Path(args.cache)
     dataset = read_cache(cache_path)
-    cache_crc = container.stored_crc32(cache_path)
     mcfg = _model_config(args, dataset)
     _check_fits(mcfg, dataset)
     tcfg = _train_config(args)
@@ -318,13 +316,13 @@ def cmd_train(args) -> int:
             return _fail(f"fold {wanted[0]} outside [0, {len(folds)})")
     out_dir = Path(args.out)
     jobs = {
-        i: (cache_path, cache_crc, folds[i], mcfg, dataclasses.replace(tcfg, seed=tcfg.seed + i),
-            out_dir / f"fold{i}")
+        i: (cache_path, dataset.crc32, folds[i], mcfg,
+            dataclasses.replace(tcfg, seed=tcfg.seed + i), out_dir / f"fold{i}")
         for i in wanted
     }
     outcomes = _train_folds(jobs, dataset)
     # a fold is left out only once another one has failed
-    failed = next((i for i in wanted if isinstance(outcomes.get(i), UlwsError)), None)
+    failed = next((i for i in wanted if isinstance(outcomes.get(i), Exception)), None)
     if failed is not None:
         e = outcomes[failed]
         return _fail(f"fold {failed}: {type(e).__name__}: {e}", code=3)
@@ -337,7 +335,7 @@ def cmd_train(args) -> int:
         "train",
         {
             "command": ["train", str(cache_path), str(out_dir)],
-            "cache_crc32": cache_crc,
+            "cache_crc32": dataset.crc32,
             "model_config": mcfg.to_dict(),
             "train_config": tcfg.to_dict(),
             "folds": args.folds,
@@ -469,9 +467,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     _keep_batch_memory()
     params = load_checkpoint(Path(args.checkpoint))
-    checkpoint_crc = container.stored_crc32(args.checkpoint)
     dataset = read_cache(Path(args.cache))
-    cache_crc = container.stored_crc32(args.cache)
     _check_fits(params.config, dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -483,8 +479,8 @@ def cmd_predict(args) -> int:
         out.name,
         {
             "command": ["predict", str(args.checkpoint), str(args.cache), str(out)],
-            "checkpoint_crc32": checkpoint_crc,
-            "cache_crc32": cache_crc,
+            "checkpoint_crc32": params.crc32,
+            "cache_crc32": dataset.crc32,
         },
     )
     return 0

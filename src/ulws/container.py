@@ -8,8 +8,10 @@ interrupted write leaves any existing file as it was. Reads fill one
 buffer and hand back a view of the body, so callers can build numpy
 arrays on it with `np.frombuffer` and no further copy.
 
-The stored CRC-32 is also the file's identity: manifests record it, and a
-fold worker compares it with the one its run started from.
+The CRC-32 is also the file's identity. `write` returns the CRC it wrote
+and `read` the CRC it verified, as 8 hex digits, so a manifest or a fold
+worker's guard names the bytes this process wrote or read, never those of
+a later open of the same path.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from pathlib import Path
 from .errors import BadMagic, ChecksumMismatch, VersionMismatch
 
 
-def write(path: str | Path, magic: bytes, version: int, parts: Iterable) -> None:
-    """Write magic, version, the `parts` in order, then the CRC.
+def write(path: str | Path, magic: bytes, version: int, parts: Iterable) -> str:
+    """Write magic, version, the `parts` in order, then the CRC; return the CRC.
 
     Each part is any C-contiguous buffer (bytes, a numpy array); it is
     checksummed and written in place, without a copy.
@@ -43,6 +45,7 @@ def write(path: str | Path, magic: bytes, version: int, parts: Iterable) -> None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return f"{crc:08x}"
 
 
 def read_exact(fh, view) -> None:
@@ -58,8 +61,8 @@ def read_exact(fh, view) -> None:
         view = view[n:]
 
 
-def read(path: str | Path, magic: bytes, version: int, kind: str) -> memoryview:
-    """Check magic, CRC and version; return a writable view of the body."""
+def read(path: str | Path, magic: bytes, version: int, kind: str) -> tuple[memoryview, str]:
+    """Check magic, CRC and version; return a writable view of the body and the CRC."""
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
             raise BadMagic(f"{path}: not a {kind}")
@@ -69,18 +72,10 @@ def read(path: str | Path, magic: bytes, version: int, kind: str) -> memoryview:
         buf = bytearray(size)
         read_exact(fh, buf)
     body = memoryview(buf)[:-4]
-    if zlib.crc32(body) != int.from_bytes(buf[-4:], "little"):
+    crc = zlib.crc32(body)
+    if crc != int.from_bytes(buf[-4:], "little"):
         raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
     if body[0] != version:
         raise VersionMismatch(f"{path}: {kind} version {body[0]}, expected {version}")
-    return body[1:]
+    return body[1:], f"{crc:08x}"
 
-
-def stored_crc32(path: str | Path) -> str:
-    """The CRC-32 stored in the last 4 bytes of `path`, as 8 hex digits.
-
-    Reads those 4 bytes only; `read` is what checks them against the body.
-    """
-    with open(path, "rb") as fh:
-        fh.seek(-4, os.SEEK_END)
-        return f"{int.from_bytes(fh.read(4), 'little'):08x}"

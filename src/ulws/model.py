@@ -166,6 +166,7 @@ class ModelParams:
     blocks: list[DsscParams]
     head_hidden: nn.DenseParams
     head_out: nn.DenseParams
+    crc32: str | None = None  # the CRC-32 load_checkpoint verified; None if not loaded
 
 
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -510,7 +511,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    body = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "model checkpoint")
+    body, crc = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "model checkpoint")
     n_cfg = int.from_bytes(body[:4], "little")
     config = ModelConfig.from_json(body[4 : 4 + n_cfg], f"{path}: config")
     params = build_model(config, seed=0, dtype=np.float32)
@@ -523,4 +524,5 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         pos += nbytes
     if pos != len(body):
         raise ChecksumMismatch(f"{path}: {len(body) - pos} trailing payload bytes")
+    params.crc32 = crc
     return params

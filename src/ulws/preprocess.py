@@ -231,6 +231,7 @@ class EpochDataset:
     subject_keys: list[str]
     channel_labels: list[str]
     sample_rate_hz: float = SAMPLE_RATE_HZ
+    crc32: str | None = None  # the CRC-32 read_cache verified; None if not read from a cache
 
     @property
     def n_epochs(self) -> int:
@@ -405,8 +406,8 @@ def _pack_str(s: str) -> bytes:
     return len(raw).to_bytes(4, "little") + raw
 
 
-def write_cache(dataset: EpochDataset, path: str | Path) -> None:
-    """Atomically write `dataset`; its arrays are checksummed and written in place."""
+def write_cache(dataset: EpochDataset, path: str | Path) -> str:
+    """Atomically write `dataset`, its arrays in place; return the CRC-32 written."""
     dataset.validate()
     n, c, t = dataset.x.shape
     head = bytearray()
@@ -416,7 +417,7 @@ def write_cache(dataset: EpochDataset, path: str | Path) -> None:
         head += _pack_str(label)
     for key in dataset.subject_keys:
         head += _pack_str(key)
-    container.write(
+    return container.write(
         path,
         CACHE_MAGIC,
         CACHE_VERSION,
@@ -430,7 +431,7 @@ def write_cache(dataset: EpochDataset, path: str | Path) -> None:
 
 def read_cache(path: str | Path) -> EpochDataset:
     """Read a cache; x and y are views on the one buffer the file was read into."""
-    body = container.read(path, CACHE_MAGIC, CACHE_VERSION, "dataset cache")
+    body, crc = container.read(path, CACHE_MAGIC, CACHE_VERSION, "dataset cache")
     if len(body) < 28:
         raise ChecksumMismatch(f"{path}: header truncated")
     n, c, t = (int.from_bytes(body[i : i + 8], "little") for i in (0, 8, 16))
@@ -459,5 +460,5 @@ def read_cache(path: str | Path) -> EpochDataset:
     y = np.frombuffer(body, dtype=np.uint8, count=n, offset=pos + payload)
     return EpochDataset(
         x=x, y=y, subject_keys=subject_keys, channel_labels=channel_labels,
-        sample_rate_hz=float(rate),
+        sample_rate_hz=float(rate), crc32=crc,
     )

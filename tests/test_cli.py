@@ -17,7 +17,7 @@ import pytest
 from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
 from oracles import pairwise_accuracy, pairwise_kappa, pairwise_macro_f1
 from ulws import cli, container, training
-from ulws.cli import DEFAULT_CHANNELS, _keep_batch_memory, _run_fold, main
+from ulws.cli import DEFAULT_CHANNELS, _keep_batch_memory, _run_fold, _train_folds, main
 from ulws.edf import load_record
 from ulws.errors import ChecksumMismatch, NonFiniteGradient
 from ulws.model import (
@@ -25,12 +25,13 @@ from ulws.model import (
     CHECKPOINT_VERSION,
     ModelConfig,
     build_model,
+    load_checkpoint,
     predict,
     save_checkpoint,
 )
 from ulws.preprocess import collect_epochs, read_cache, stream_epochs, write_cache
 from ulws.synthetic import sinusoid_dataset
-from ulws.training import TrainConfig, split_indices, subject_folds
+from ulws.training import FoldSplit, TrainConfig, split_indices, subject_folds
 
 TINY_MODEL = {
     "n_blocks": 2,
@@ -414,7 +415,7 @@ def bad_config_cases():
 def checkpoint_with_config(path, blob):
     """A CRC-valid checkpoint of TINY_MODEL whose config JSON is `blob`."""
     save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=0), path)
-    body = bytes(container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint"))
+    body, _ = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     arrays = body[4 + int.from_bytes(body[:4], "little"):]
     container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                     [len(blob).to_bytes(4, "little") + blob, arrays])
@@ -594,6 +595,34 @@ def test_failed_run_prints_no_fold_lines(toy_cache, configs, tmp_path, capsys, m
     assert not (tmp_path / "run" / "fold2").exists()
 
 
+def test_a_fold_error_of_any_type_exits_3_without_a_traceback(toy_cache, configs, tmp_path,
+                                                              capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("injected")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "train_fold", out_of_memory)
+    code = run_train(toy_cache, configs, tmp_path / "run", fold="all")
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.strip().splitlines()[-1] == "error: fold 0: MemoryError: injected"
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_a_worker_fold_error_of_any_type_is_its_outcome(toy_cache, configs, tmp_path,
+                                                        monkeypatch):
+    """Fold 1 names test subjects that the cache lacks, so its worker's train_fold raises."""
+    ds = read_cache(toy_cache)
+    split = subject_folds(ds.subject_keys, k=2)[0]
+    splits = {0: split, 1: FoldSplit(1, split.train_subjects, ("nobody",))}
+    mcfg, tcfg = ModelConfig.from_dict(TINY_MODEL), TrainConfig.from_dict(TINY_TRAIN)
+    jobs = {i: (toy_cache, ds.crc32, splits[i], mcfg, tcfg, tmp_path / f"fold{i}")
+            for i in splits}
+    outcomes, pools, _ = train_on_cpus(monkeypatch, 2, lambda: _train_folds(jobs, ds))
+    assert pools == [1]
+    assert type(outcomes[1]) is ValueError and "empty side of the split" in str(outcomes[1])
+
+
 
 @pytest.fixture(scope="module")
 def two_channel_cache(tmp_path_factory):
@@ -674,6 +703,29 @@ def test_run_fold_in_a_worker_rejects_a_changed_cache(toy_cache, configs, tmp_pa
     assert not (tmp_path / "swapped").exists()
 
 
+def other_toy_cache(path):
+    """Write a valid cache of the toy cache's size but other content to `path`."""
+    write_cache(sinusoid_dataset(n_epochs=48, n_channels=2, epoch_samples=200, n_subjects=4,
+                                 seed=10), path)
+
+
+def test_train_manifest_names_the_cache_it_trained_on(toy_cache, configs, tmp_path, monkeypatch):
+    """Another valid cache of the same size swapped in right after train has read its cache."""
+    cache = tmp_path / "cache.ulws"
+    shutil.copyfile(toy_cache, cache)
+    trained_on = stored_crc(cache)
+
+    def swapping_read_cache(path):
+        dataset = read_cache(path)
+        other_toy_cache(path)
+        return dataset
+
+    monkeypatch.setattr(cli, "read_cache", swapping_read_cache)
+    assert run_train(cache, configs, tmp_path / "run") == 0
+    assert cache.stat().st_size == toy_cache.stat().st_size and stored_crc(cache) != trained_on
+    assert manifest_of(tmp_path / "run" / "train")["cache_crc32"] == trained_on
+
+
 def test_importing_the_cli_leaves_scipy_signal_out():
     """Each training worker imports ulws.cli; scipy.signal would add ~1 s to its start."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -744,6 +796,39 @@ def test_predict_manifest_names_the_inputs_it_read(toy_cache, configs, tmp_path,
     assert stored_crc(cache) != scored["cache_crc32"]
     manifest = manifest_of(pred_csv)
     assert {key: manifest[key] for key in scored} == scored
+
+
+def test_predict_manifest_names_the_bytes_it_read(toy_cache, configs, tmp_path, monkeypatch):
+    """Each input swapped for another valid file of its size right after predict reads it."""
+    out = tmp_path / "run"
+    assert run_train(toy_cache, configs, out) == 0
+    checkpoint, cache = tmp_path / "model.ulwm", tmp_path / "cache.ulws"
+    shutil.copyfile(out / "fold0" / "checkpoint.ulwm", checkpoint)
+    shutil.copyfile(toy_cache, cache)
+    read = {"checkpoint_crc32": stored_crc(checkpoint), "cache_crc32": stored_crc(cache)}
+    sizes = [checkpoint.stat().st_size, cache.stat().st_size]
+
+    def swapping_load_checkpoint(path):
+        params = load_checkpoint(path)
+        save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=1), path)
+        return params
+
+    def swapping_read_cache(path):
+        dataset = read_cache(path)
+        other_toy_cache(path)
+        return dataset
+
+    monkeypatch.setattr(cli, "load_checkpoint", swapping_load_checkpoint)
+    monkeypatch.setattr(cli, "read_cache", swapping_read_cache)
+    pred_csv = tmp_path / "pred.csv"
+    assert main(["predict", "--checkpoint", str(checkpoint), "--cache", str(cache),
+                 "--out", str(pred_csv)]) == 0
+    assert [checkpoint.stat().st_size, cache.stat().st_size] == sizes
+    assert stored_crc(checkpoint) != read["checkpoint_crc32"]
+    assert stored_crc(cache) != read["cache_crc32"]
+    manifest = manifest_of(pred_csv)
+    assert {key: manifest[key] for key in read} == read
+
 
 def test_predict_shape_mismatch(toy_cache, configs, tmp_path, capsys):
     out = tmp_path / "run"
