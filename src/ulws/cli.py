@@ -34,8 +34,8 @@ from .model import ModelConfig, decode_json, load_checkpoint, predict, save_chec
 from .preprocess import (
     EpochDataset,
     collect_epochs,
+    preprocess_record,
     read_cache,
-    stream_epochs,
     write_cache,
 )
 from .training import FoldSplit, TrainConfig, subject_folds, split_indices, train_fold
@@ -46,8 +46,8 @@ SEED_ENV_VAR = "ULWS_SEED"
 
 # constants the run manifest pins down for reproducibility
 RESOLVED_DEFAULTS = {
-    "bn_epsilon": nn.BatchNormParams.epsilon,
-    "bn_decay": nn.BatchNormParams.momentum,
+    "bn_epsilon": nn.BN_EPSILON,
+    "bn_decay": nn.BN_MOMENTUM,
     "filter_type": "butterworth_bandpass_sos",
     "filter_order": preprocess.FILTER_ORDER,
     "filter_band_hz": list(preprocess.BAND_HZ),
@@ -134,28 +134,32 @@ def cmd_preprocess(args) -> int:
     # this is the (subject, night) order without loading anything
     pairs.sort(key=lambda pair: subject_key_and_night(pair[0]))
 
-    def skip(what: str, error: UlwsError) -> None:
+    def kept_chunks():
         nonlocal skipped
-        _warn(f"{what}: {type(error).__name__}: {error}")
-        skipped += 1
-
-    def records():
         for psg, hyp in pairs:
+            key, night = subject_key_and_night(psg)
+            what = psg.name
             try:
-                yield load_record(psg, hyp, channels)
+                record = load_record(psg, hyp, channels)
+                what = f"{key} night {night}"
+                x, y = preprocess_record(record, channels, args.filter_all_channels)
             except UlwsError as e:
-                skip(psg.name, e)
-
-    def report(chunks):
-        for chunk in chunks:
-            print(f"{chunk[0]} night {chunk[1]}: kept {len(chunk[3])} epochs")
-            yield chunk
-            del chunk  # hold no chunk while the next record loads
+                _warn(f"{what}: {type(e).__name__}: {e}")
+                skipped += 1
+                continue
+            finally:
+                record = None  # drop the raw record before the next pair loads
+            print(f"{what}: kept {len(y)} epochs")
+            yield key, x, y
+            del x, y  # hold no chunk while the next pair loads
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    chunks = stream_epochs(records(), channels, args.filter_all_channels, skip)
-    dataset = collect_epochs(report(chunks), channels, spool_dir=out.parent)
+    # design_bandpass imports scipy.signal (~1 s): pay that as set-up,
+    # before the first record is read, not inside the first record's work
+    import scipy.signal  # noqa: F401
+
+    dataset = collect_epochs(kept_chunks(), channels, spool_dir=out.parent)
     if not dataset.n_epochs:
         return _fail("no records loaded")
 

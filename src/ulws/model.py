@@ -106,6 +106,8 @@ class ModelConfig(JsonConfig):
             )
         if any(nxt <= prev for prev, nxt in zip(self.filters, self.filters[1:])):
             raise BadConfig(f"filters must be strictly increasing, got {self.filters}")
+        if min(self.filters) < 1:
+            raise BadConfig(f"filters must be >= 1, got {self.filters}")
         if self.kernel_size < 1 or self.pool_size < 1:
             raise BadConfig("kernel_size and pool_size must be >= 1")
         if self.pool_stride not in (1, 2, 4):

@@ -190,14 +190,16 @@ def conv1d_backward(
 
 # --- batch normalization -----------------------------------------------------
 
+BN_EPSILON = 1e-3
+BN_MOMENTUM = 0.99  # decay of the running statistics
+
+
 @dataclass
 class BatchNormParams:
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-3
-    momentum: float = 0.99  # decay of the running statistics
 
 
 @dataclass
@@ -218,7 +220,7 @@ def batchnorm_forward(
     applies the running statistics as one per-channel affine map.
     """
     b, _, length = x.shape
-    eps = np.asarray(p.epsilon, dtype=x.dtype)
+    eps = np.asarray(BN_EPSILON, dtype=x.dtype)
     if mode == "infer":
         inv_std = 1.0 / np.sqrt(p.running_var + eps)
         scale = p.gamma * inv_std
@@ -232,7 +234,7 @@ def batchnorm_forward(
     # einsum reduces the products without materialising them
     var = np.einsum("bcl,bcl->c", centered, centered) / (b * length)
     if update_running:
-        mom = p.momentum
+        mom = BN_MOMENTUM
         p.running_mean[...] = mom * p.running_mean + (1 - mom) * mean
         p.running_var[...] = mom * p.running_var + (1 - mom) * var
     inv_std = 1.0 / np.sqrt(var + eps)

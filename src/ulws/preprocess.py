@@ -4,14 +4,16 @@ Band-pass filtering of the EEG channels, stage-text mapping, wake-period
 trimming around the main sleep span, 30-second epoching with per-record
 z-scoring, and a checksummed binary dataset cache.
 
-Records stream through `stream_epochs` one at a time, so memory holds one
-raw record and the epochs kept so far wait in a spool file, not in RAM.
+`preprocess_record` gives a record's finite epochs or raises a UlwsError.
+`collect_epochs` spools the epochs of one record at a time, so a caller
+that loads each record only after the previous one is done holds one raw
+record, and the epochs kept so far wait in a spool file, not in RAM.
 """
 
 from __future__ import annotations
 
 import tempfile
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -282,104 +284,75 @@ def preprocess_record(
     channels: list[str],
     filter_all_channels: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One record -> (x (n, C, T) float32, y (n,) uint8).
+    """One record -> (x (n, C, T) float32, y (n,) uint8), x all finite.
 
     Band-pass is applied to EEG channels only (the recorded signals the
     filter is specified for) unless filter_all_channels is set. Each
-    channel is z-scored per record over the retained epochs.
+    channel is z-scored per record over the retained epochs. A record
+    whose epochs come out NaN or infinite raises NonFiniteSignal, and no
+    numpy warning is emitted on the way.
     """
-    lengths = [len(record.signals[c].samples) for c in channels if c in record.signals]
-    per_epoch = expand_events(record.events, max(lengths, default=0) // EPOCH_SAMPLES)
-    entries = [(i, lab) for i, lab in enumerate(per_epoch) if lab is not None]
-    if not entries:
-        raise AllWake(f"{record.subject_key} night {record.night}: no scored epochs")
-    start, stop = trim_wake([lab for _, lab in entries])
-    retained = entries[start:stop]
+    # NaN or infinity in a trace is reported once, by the check at the end
+    with np.errstate(invalid="ignore", over="ignore"):
+        lengths = [len(record.signals[c].samples) for c in channels if c in record.signals]
+        per_epoch = expand_events(record.events, max(lengths, default=0) // EPOCH_SAMPLES)
+        entries = [(i, lab) for i, lab in enumerate(per_epoch) if lab is not None]
+        if not entries:
+            raise AllWake(f"{record.subject_key} night {record.night}: no scored epochs")
+        start, stop = trim_wake([lab for _, lab in entries])
+        retained = entries[start:stop]
 
-    for label in channels:
-        if label not in record.signals:
-            raise MissingChannel(f"{label!r} absent from record {record.subject_key}")
+        for label in channels:
+            if label not in record.signals:
+                raise MissingChannel(f"{label!r} absent from record {record.subject_key}")
 
-    sos = design_bandpass()
-    t = EPOCH_SAMPLES
-    n = len(retained)
-    x = np.empty((n, len(channels), t), dtype=np.float64)
-    # one channel at a time: filter (into a float64 trace), epoch, z-score;
-    # unfiltered float32 samples widen exactly as they are copied into x
-    for c, label in enumerate(channels):
-        samples = record.signals[label].samples
-        if filter_all_channels or _is_eeg(label):
-            samples = filtfilt(samples, sos)
-        for row, (epoch_idx, _) in enumerate(retained):
-            lo = epoch_idx * t
-            if lo + t > len(samples):
-                raise EpochAlignmentError(
-                    f"epoch {epoch_idx} needs samples up to {lo + t}, signal has {len(samples)}"
-                )
-            x[row, c] = samples[lo : lo + t]
-        del samples
-        mean = x[:, c].mean()
-        std = x[:, c].std()
-        if std == 0:
-            raise DegenerateSignal(f"channel {label!r} constant over retained epochs")
-        x[:, c] -= mean
-        x[:, c] /= std
+        sos = design_bandpass()
+        t = EPOCH_SAMPLES
+        n = len(retained)
+        x = np.empty((n, len(channels), t), dtype=np.float64)
+        # one channel at a time: filter (into a float64 trace), epoch, z-score;
+        # unfiltered float32 samples widen exactly as they are copied into x
+        for c, label in enumerate(channels):
+            samples = record.signals[label].samples
+            if filter_all_channels or _is_eeg(label):
+                samples = filtfilt(samples, sos)
+            for row, (epoch_idx, _) in enumerate(retained):
+                lo = epoch_idx * t
+                if lo + t > len(samples):
+                    raise EpochAlignmentError(
+                        f"epoch {epoch_idx} needs samples up to {lo + t}, signal has {len(samples)}"
+                    )
+                x[row, c] = samples[lo : lo + t]
+            del samples
+            mean = x[:, c].mean()
+            std = x[:, c].std()
+            if std == 0:
+                raise DegenerateSignal(f"channel {label!r} constant over retained epochs")
+            x[:, c] -= mean
+            x[:, c] /= std
 
+        x = x.astype(np.float32)
+    if not _all_finite(x):
+        raise NonFiniteSignal("preprocessed epochs hold NaN or infinity")
     y = np.array([int(lab) for _, lab in retained], dtype=np.uint8)
-    return x.astype(np.float32), y
-
-
-def stream_epochs(
-    records: Iterable[RawRecord],
-    channels: list[str],
-    filter_all_channels: bool = False,
-    on_skip: Callable[[str, UlwsError], None] | None = None,
-) -> Iterator[tuple[str, int, np.ndarray, np.ndarray]]:
-    """Preprocess records one at a time: (subject_key, night, x, y) per kept record.
-
-    `records` may be lazy; each raw record is dropped as soon as its epochs
-    exist, before the next one is asked for. A record whose epochs are not
-    all finite is rejected with NonFiniteSignal. With `on_skip` None a
-    UlwsError propagates; otherwise `on_skip("<subject> night <n>", error)`
-    is called and the record is skipped.
-    """
-    # design_bandpass imports scipy.signal (~1 s): pay that as set-up,
-    # before the first record is read, not inside the first record's work
-    import scipy.signal  # noqa: F401
-
-    for record in records:
-        key, night = record.subject_key, record.night
-        try:
-            # NaN or infinity in a trace is reported once, by the check below
-            with np.errstate(invalid="ignore", over="ignore"):
-                x, y = preprocess_record(record, channels, filter_all_channels)
-            if not _all_finite(x):
-                raise NonFiniteSignal("preprocessed epochs hold NaN or infinity")
-        except UlwsError as e:
-            if on_skip is None:
-                raise
-            on_skip(f"{key} night {night}", e)
-            continue
-        finally:
-            del record
-        yield key, night, x, y
-        del x, y  # hold no chunk while the next record loads
+    return x, y
 
 
 def collect_epochs(
-    chunks: Iterable[tuple[str, int, np.ndarray, np.ndarray]],
+    chunks: Iterable[tuple[str, np.ndarray, np.ndarray]],
     channels: list[str],
     spool_dir: str | Path | None = None,
 ) -> EpochDataset:
-    """Concatenate `stream_epochs` chunks into one validated EpochDataset.
+    """Concatenate (subject_key, x, y) chunks, as `preprocess_record` gives them.
 
     Each chunk's epochs go to an unnamed spool file in `spool_dir` as they
     arrive, so kept epochs take no memory while later records are
-    preprocessed; x is read back into one array at the end.
+    preprocessed; x is read back into one array at the end. The chunks are
+    not checked again here; `write_cache` validates what it writes.
     """
     ys, subjects = [], []
     with tempfile.TemporaryFile(dir=spool_dir) as spool:
-        for key, _, x, y in chunks:
+        for key, x, y in chunks:
             spool.write(np.ascontiguousarray(x, dtype=np.float32))
             ys.append(y)
             subjects.extend([key] * len(y))
@@ -388,9 +361,7 @@ def collect_epochs(
         x_all = np.empty((len(y_all), len(channels), EPOCH_SAMPLES), dtype=np.float32)
         spool.seek(0)
         container.read_exact(spool, x_all)
-    dataset = EpochDataset(x=x_all, y=y_all, subject_keys=subjects, channel_labels=list(channels))
-    dataset.validate()
-    return dataset
+    return EpochDataset(x=x_all, y=y_all, subject_keys=subjects, channel_labels=list(channels))
 
 
 # --- binary cache ---------------------------------------------------------
@@ -430,7 +401,7 @@ def write_cache(dataset: EpochDataset, path: str | Path) -> str:
 
 
 def read_cache(path: str | Path) -> EpochDataset:
-    """Read a cache; x and y are views on the one buffer the file was read into."""
+    """Read and validate a cache; x and y are views on the one buffer the file was read into."""
     body, crc = container.read(path, CACHE_MAGIC, CACHE_VERSION, "dataset cache")
     if len(body) < 28:
         raise ChecksumMismatch(f"{path}: header truncated")
@@ -458,7 +429,12 @@ def read_cache(path: str | Path) -> EpochDataset:
         raise ChecksumMismatch(f"{path}: body is {extra:+d} bytes off the size its header gives")
     x = np.frombuffer(body, dtype="<f4", count=n * c * t, offset=pos).reshape(n, c, t)
     y = np.frombuffer(body, dtype=np.uint8, count=n, offset=pos + payload)
-    return EpochDataset(
+    dataset = EpochDataset(
         x=x, y=y, subject_keys=subject_keys, channel_labels=channel_labels,
         sample_rate_hz=float(rate), crc32=crc,
     )
+    try:
+        dataset.validate()  # a CRC-valid file may still hold NaN or a label past the stages
+    except UlwsError as e:
+        raise type(e)(f"{path}: {e}") from None
+    return dataset

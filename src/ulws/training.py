@@ -50,6 +50,8 @@ class TrainConfig(JsonConfig):
             raise BadConfig("l2_lambda must be >= 0")
         if self.batch_size < 1 or self.epochs < 0:
             raise BadConfig("batch_size must be >= 1 and epochs >= 0")
+        if self.seed < 0:
+            raise BadConfig(f"seed must be >= 0, got {self.seed}")
 
 
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 
@@ -29,7 +30,7 @@ from ulws.model import (
     predict,
     save_checkpoint,
 )
-from ulws.preprocess import collect_epochs, read_cache, stream_epochs, write_cache
+from ulws.preprocess import collect_epochs, preprocess_record, read_cache, write_cache
 from ulws.synthetic import sinusoid_dataset
 from ulws.training import FoldSplit, TrainConfig, split_indices, subject_folds
 
@@ -211,11 +212,55 @@ def test_preprocess_cache_matches_library_path(tmp_path):
     records = [load_record(psg, hyp, DEFAULT_CHANNELS) for psg, hyp in pairs]
     records.sort(key=lambda r: (r.subject_key, r.night))
     library = tmp_path / "library.ulws"
-    write_cache(collect_epochs(stream_epochs(records, DEFAULT_CHANNELS), DEFAULT_CHANNELS), library)
+    chunks = [(r.subject_key, *preprocess_record(r, DEFAULT_CHANNELS)) for r in records]
+    write_cache(collect_epochs(chunks, DEFAULT_CHANNELS), library)
     assert out.read_bytes() == library.read_bytes()
     # the CRC-32 of everything after the magic, as the cache stores it
     raw = out.read_bytes()
     assert manifest_of(out)["cache_crc32"] == f"{zlib.crc32(raw[4:-4]):08x}" == stored_crc(out)
+
+
+def test_preprocess_skips_an_all_wake_pair(tmp_path, capsys):
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    write_record_pair(data_dir, "SC4001", seed=1)
+    _, hyp = write_record_pair(data_dir, "SC4012", seed=2)
+    hyp.write_bytes(hypnogram_bytes(stage_events([("Sleep stage W", 24)])))
+    write_record_pair(data_dir, "SC4021", seed=3)
+    out = tmp_path / "cache.ulws"
+    assert main(["preprocess", "--data-dir", str(data_dir), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "warning: SC401 night 2: AllWake: record contains no sleep epochs" in captured.err
+    assert captured.out.splitlines()[:2] == ["SC400 night 1: kept 24 epochs",
+                                             "SC402 night 1: kept 24 epochs"]
+    assert "skipped: 1" in captured.out.splitlines()
+    assert read_cache(out).subject_keys == ["SC400"] * 24 + ["SC402"] * 24
+
+
+def test_preprocess_holds_no_earlier_record_or_chunk_while_a_pair_loads(tmp_path, monkeypatch):
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    for i, stem in enumerate(["SC4001", "SC4012", "SC4021"]):
+        write_record_pair(data_dir, stem, seed=i)
+    records, chunks, alive_at_load = [], [], []
+
+    def tracked_load_record(*args):
+        alive_at_load.append([ref() is not None for ref in records + chunks])
+        record = load_record(*args)
+        records.append(weakref.ref(record))
+        return record
+
+    def tracked_preprocess_record(*args):
+        x, y = preprocess_record(*args)
+        chunks.append(weakref.ref(x))
+        return x, y
+
+    monkeypatch.setattr(cli, "load_record", tracked_load_record)
+    monkeypatch.setattr(cli, "preprocess_record", tracked_preprocess_record)
+    assert main(["preprocess", "--data-dir", str(data_dir), "--out",
+                 str(tmp_path / "cache.ulws")]) == 0
+    # the raw record and the epochs of each earlier pair are gone when a pair loads
+    assert alive_at_load == [[], [False, False], [False] * 4]
 
 
 PEAK_PROBE = """
@@ -369,7 +414,8 @@ def test_train_too_few_subjects(toy_cache, configs, tmp_path, capsys):
     assert "TooFewSubjects" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [{"bogus": 1}, {"epochs": -1}, {"epochs": "2"}])
+@pytest.mark.parametrize("bad", [{"bogus": 1}, {"epochs": -1}, {"epochs": "2"},
+                                 {"seed": -1}])
 def test_train_bad_train_config_is_typed_error(toy_cache, configs, tmp_path, capsys, bad):
     model_cfg, _ = configs
     train_cfg = tmp_path / "train.json"
@@ -393,6 +439,7 @@ def test_train_needs_two_folds(toy_cache, configs, tmp_path, capsys, folds):
 
 
 BAD_MODEL_CONFIGS = [{"kernel_size": "3"}, {"kernel_size": 3.0}, {"filters": 8},
+                     {"filters": [-2, -1, 0]}, {"filters": [0, 8, 16]},
                      {"dropout_head": None}, [1, 2]]
 BAD_CHECKPOINT_CONFIGS = {
     "broken-json": b'{"n_blocks": 2,,}',
@@ -406,7 +453,7 @@ def bad_config_cases():
         for command in ("count", "train", "evaluate"):
             yield pytest.param(command, {"model": bad}, id=f"{command}-{json.dumps(bad)}")
     yield pytest.param("train", {"train": {"seed": True}}, id="train-config-seed-true")
-    for seed in ("abc", "7.0"):
+    for seed in ("abc", "7.0", "-1"):
         yield pytest.param("train", {"env": seed}, id=f"ULWS_SEED={seed}")
     for name, blob in BAD_CHECKPOINT_CONFIGS.items():
         yield pytest.param("predict", {"checkpoint": blob}, id=f"predict-checkpoint-{name}")
@@ -452,6 +499,41 @@ def test_bad_config_is_typed_error(toy_cache, configs, tmp_path, capsys, monkeyp
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "error: BadConfig" in captured.err and "Traceback" not in captured.err
+    assert not captured.out and not out.exists()
+
+
+def restamped(path, pos, new):
+    """Put the bytes `new` at `pos` of the container at `path` and stamp its CRC-32 anew."""
+    raw = bytearray(path.read_bytes())
+    raw[pos : pos + len(new)] = new
+    raw[-4:] = zlib.crc32(raw[4:-4]).to_bytes(4, "little")
+    path.write_bytes(raw)
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("damage, error", [("label-7", "InvalidDataset"),
+                                           ("nan-sample", "NonFiniteSignal")])
+def test_a_crc_valid_cache_with_bad_contents_is_a_typed_error(toy_cache, configs, tmp_path,
+                                                               capsys, command, damage, error):
+    cache = tmp_path / "cache.ulws"
+    shutil.copyfile(toy_cache, cache)
+    ds = read_cache(cache)
+    if damage == "label-7":
+        restamped(cache, cache.stat().st_size - 5, bytes([7]))  # the last epoch's label
+    else:
+        payload = cache.stat().st_size - 4 - ds.n_epochs - ds.x.nbytes
+        restamped(cache, payload + 4 * 123, np.float32(np.nan).tobytes())
+    out = tmp_path / "out"
+    if command == "train":
+        code = run_train(cache, configs, out)
+    else:
+        checkpoint = tmp_path / "checkpoint.ulwm"
+        save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=0), checkpoint)
+        code = main(["predict", "--checkpoint", str(checkpoint), "--cache", str(cache),
+                     "--out", str(out / "predictions.csv")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"error: {error}: {cache}: " in captured.err and "Traceback" not in captured.err
     assert not captured.out and not out.exists()
 
 

@@ -195,10 +195,10 @@ def test_windowed_kernels_match_padded_reference(length, stride, kernel, seed):
 
 # --- batch norm ---------------------------------------------------------------------
 
-def bn_params(n, dtype=F64, **kw):
+def bn_params(n, dtype=F64):
     return nn.BatchNormParams(
         gamma=np.ones(n, dtype), beta=np.zeros(n, dtype),
-        running_mean=np.zeros(n, dtype), running_var=np.ones(n, dtype), **kw,
+        running_mean=np.zeros(n, dtype), running_var=np.ones(n, dtype),
     )
 
 
@@ -232,12 +232,13 @@ def test_batchnorm_degenerate_batch():
 
 
 def test_batchnorm_running_stats_update():
-    p = bn_params(1, momentum=0.9)
-    x = np.full((2, 1, 5), 4.0)
-    x[0] = 2.0
+    p = bn_params(1)
+    x = np.full((2, 1, 5), 6.0)
+    x[0] = 2.0  # batch mean 4, batch variance 4
     nn.batchnorm_forward(x, p, "train")
-    assert p.running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 3.0)
-    assert p.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
+    decay = nn.BN_MOMENTUM
+    assert p.running_mean[0] == pytest.approx(decay * 0.0 + (1 - decay) * 4.0)
+    assert p.running_var[0] == pytest.approx(decay * 1.0 + (1 - decay) * 4.0)
     p2 = bn_params(1)
     nn.batchnorm_forward(x, p2, "train", update_running=False)
     assert p2.running_mean[0] == 0.0 and p2.running_var[0] == 1.0

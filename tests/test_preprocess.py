@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-import weakref
+import warnings
 import zlib
 
 import numpy as np
@@ -40,8 +40,8 @@ from ulws.preprocess import (
     filtfilt,
     map_stage_label,
     pad_length,
+    preprocess_record,
     read_cache,
-    stream_epochs,
     trim_wake,
     write_cache,
 )
@@ -302,7 +302,7 @@ def toy_record(tmp_path_factory):
 
 def test_build_dataset_shapes_and_labels(toy_record):
     record, channels = toy_record
-    ds = collect_epochs(stream_epochs([record], channels), channels)
+    ds = collect_epochs([(record.subject_key, *preprocess_record(record, channels))], channels)
     # 40 scored minus 1 unscored -> 39 retained (wake margins stay, < 60 epochs)
     assert ds.x.shape == (39, 4, 3000)
     assert ds.x.dtype == np.float32
@@ -314,14 +314,14 @@ def test_build_dataset_shapes_and_labels(toy_record):
 
 def test_unscored_epoch_reduces_count(toy_record):
     record, channels = toy_record
-    ds = collect_epochs(stream_epochs([record], channels), channels)
+    ds = collect_epochs([(record.subject_key, *preprocess_record(record, channels))], channels)
     total_scored_slots = 40
     assert ds.n_epochs == total_scored_slots - 1
 
 
 def test_standardization_per_channel(toy_record):
     record, channels = toy_record
-    ds = collect_epochs(stream_epochs([record], channels), channels)
+    ds = collect_epochs([(record.subject_key, *preprocess_record(record, channels))], channels)
     for c in range(4):
         values = ds.x[:, c, :].astype(np.float64)
         assert abs(values.mean()) <= 1e-4
@@ -340,7 +340,7 @@ def test_epoch_alignment_error(toy_record):
         events=record.events,
     )
     with pytest.raises(EpochAlignmentError):
-        collect_epochs(stream_epochs([short], channels), channels)
+        collect_epochs([(short.subject_key, *preprocess_record(short, channels))], channels)
 
 
 # --- cache round trip ---------------------------------------------------------------------
@@ -489,75 +489,34 @@ def test_non_finite_dataset_is_never_written(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
-# --- streaming ------------------------------------------------------------------------
+# --- non-finite records and collecting ---------------------------------------------------
 
 def renamed(record, key):
     return type(record)(subject_key=key, night=record.night, signals=record.signals,
                         events=record.events)
 
 
-def all_wake_record(record):
-    events = [HypnogramEvent(0.0, 30.0 * 40, "Sleep stage W")]
-    return type(record)(subject_key="SC499", night=1, signals=record.signals, events=events)
-
-
-def test_stream_propagates_errors_without_on_skip(toy_record):
-    record, channels = toy_record
-    with pytest.raises(AllWake):
-        list(stream_epochs([record, all_wake_record(record)], channels))
-
-
-def test_stream_skips_with_on_skip(toy_record):
-    record, channels = toy_record
-    skipped = []
-    chunks = list(stream_epochs(
-        [renamed(record, "SC398"), all_wake_record(record), renamed(record, "SC399")],
-        channels, on_skip=lambda what, e: skipped.append((what, type(e))),
-    ))
-    assert [key for key, *_ in chunks] == ["SC398", "SC399"]
-    assert skipped == [("SC499 night 1", AllWake)]
-
-
-def test_stream_skips_non_finite_records(toy_record):
+@pytest.mark.parametrize("channel", ["EEG Fpz-Cz", "EMG submental"])  # filtered, unfiltered
+def test_non_finite_record_raises_without_a_numpy_warning(toy_record, channel):
     record, channels = toy_record
     signals = dict(record.signals)
-    trace = signals["EMG submental"]
+    trace = signals[channel]
     samples = trace.samples.copy()
     samples[100] = np.inf
-    signals["EMG submental"] = type(trace)(trace.label, trace.sample_rate_hz, samples)
+    signals[channel] = type(trace)(trace.label, trace.sample_rate_hz, samples)
     broken = type(record)(subject_key="SC401", night=1, signals=signals, events=record.events)
-    skipped = []
-    chunks = list(stream_epochs([broken, record], channels,
-                                on_skip=lambda what, e: skipped.append(type(e))))
-    assert [key for key, *_ in chunks] == ["SC400"] and skipped == [NonFiniteSignal]
-    with pytest.raises(NonFiniteSignal):
-        collect_epochs(stream_epochs([broken], channels), channels)
-
-
-def test_stream_holds_one_raw_record_at_a_time(toy_record):
-    record, channels = toy_record
-    loaded = []
-
-    def tracked(fresh):
-        loaded.append(weakref.ref(fresh))
-        return fresh
-
-    def lazy_records():
-        for key in ("SC397", "SC398", "SC399"):
-            yield tracked(renamed(record, key))
-
-    for i, (key, _, x, _) in enumerate(stream_epochs(lazy_records(), channels)):
-        # the record behind this chunk is gone, and the next is not loaded yet
-        assert len(loaded) == i + 1 and loaded[i]() is None
-        assert key == f"SC39{7 + i}" and x.shape == (39, 4, 3000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteSignal):
+            preprocess_record(broken, channels)
 
 
 def test_collect_matches_concatenation(toy_record, tmp_path):
     record, channels = toy_record
     records = [renamed(record, "SC398"), renamed(record, "SC399")]
-    chunks = list(stream_epochs(records, channels))
+    chunks = [(r.subject_key, *preprocess_record(r, channels)) for r in records]
     ds = collect_epochs(iter(chunks), channels, spool_dir=tmp_path)
-    assert np.array_equal(ds.x, np.concatenate([x for _, _, x, _ in chunks]))
+    assert np.array_equal(ds.x, np.concatenate([x for _, x, _ in chunks]))
     assert np.array_equal(ds.y, np.concatenate([y for *_, y in chunks]))
     assert ds.subject_keys == ["SC398"] * 39 + ["SC399"] * 39
     assert list(tmp_path.iterdir()) == []  # the spool file is gone
