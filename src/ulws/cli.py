@@ -408,21 +408,24 @@ def _read_prediction_pairs(path: Path) -> tuple[list[int], list[int]]:
     trues, preds = [], []
     line_of: dict[int, int] = {}  # epoch index -> CSV line that scored it
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    for row in reader:
-        try:
-            index, true, pred = int(row["index"]), int(row["true"]), int(row["predicted"])
-        except (KeyError, TypeError, ValueError):
-            raise UlwsError(
-                f"{path}: line {reader.line_num}: 'index', 'true' and 'predicted' must be integers"
-            ) from None
-        if index in line_of:
-            raise UlwsError(
-                f"{path}: line {reader.line_num}: index {index} already scored on line "
-                f"{line_of[index]}"
-            )
-        line_of[index] = reader.line_num
-        trues.append(true)
-        preds.append(pred)
+    try:
+        for row in reader:
+            try:
+                index, true, pred = int(row["index"]), int(row["true"]), int(row["predicted"])
+            except (KeyError, TypeError, ValueError):
+                raise UlwsError(f"{path}: line {reader.line_num}: 'index', 'true' and "
+                                "'predicted' must be integers") from None
+            if index in line_of:
+                raise UlwsError(
+                    f"{path}: line {reader.line_num}: index {index} already scored on line "
+                    f"{line_of[index]}"
+                )
+            line_of[index] = reader.line_num
+            trues.append(true)
+            preds.append(pred)
+    except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+        # DictReader's own line_num is set only once a row parses
+        raise UlwsError(f"{path}: line {reader.reader.line_num}: {e}") from None
     return trues, preds
 
 

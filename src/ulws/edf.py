@@ -69,7 +69,6 @@ class EdfHeader:
 
 @dataclass
 class SignalTrace:
-    label: str
     sample_rate_hz: float
     samples: np.ndarray  # float32, physical units
 
@@ -226,7 +225,6 @@ def read_signal(data: bytes, header: EdfHeader, signal_index: int) -> SignalTrac
     scale = (pmax - pmin) / (dmax - dmin)
     physical = (digital.astype(np.float64) - dmin) * scale + pmin
     return SignalTrace(
-        label=header.labels[signal_index],
         sample_rate_hz=header.sample_rate_hz(signal_index),
         samples=physical.astype(np.float32),
     )

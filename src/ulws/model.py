@@ -293,11 +293,11 @@ def _conv_backward(cache, grad_out) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 @dataclass
 class DsscCache:
     conv1: object
-    bn1: nn.BatchNormCache
+    bn1: nn.BatchNormCache | None  # None in infer mode
     relu1: np.ndarray
     pool1: nn.MaxPoolCache
     conv2: object
-    bn2: nn.BatchNormCache
+    bn2: nn.BatchNormCache | None  # None in infer mode
     relu2: np.ndarray
     pool2: nn.MaxPoolCache
     shortcut1: object
@@ -513,18 +513,22 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    from .complexity import count_flops  # complexity imports this module
+
     body, crc = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "model checkpoint")
     n_cfg = int.from_bytes(body[:4], "little")
     config = ModelConfig.from_json(body[4 : 4 + n_cfg], f"{path}: config")
-    params = build_model(config, seed=0, dtype=np.float32)
     pos = 4 + n_cfg
-    for name, arr in named_arrays(params, trainable_only=False):
-        nbytes = arr.size * 4
-        if pos + nbytes > len(body):
-            raise ChecksumMismatch(f"{path}: payload shorter than {name} needs")
+    # sized before anything is allocated: the trainable scalars plus each
+    # block's bn1 and bn2 running mean and variance, float32 each
+    expected = 4 * (count_flops(config).total_params + 4 * sum(config.filters))
+    if len(body) - pos != expected:
+        raise ChecksumMismatch(
+            f"{path}: payload is {len(body) - pos} bytes, its config needs {expected}"
+        )
+    params = build_model(config, seed=0, dtype=np.float32)
+    for _, arr in named_arrays(params, trainable_only=False):
         arr[...] = np.frombuffer(body, dtype="<f4", count=arr.size, offset=pos).reshape(arr.shape)
-        pos += nbytes
-    if pos != len(body):
-        raise ChecksumMismatch(f"{path}: {len(body) - pos} trailing payload bytes")
+        pos += arr.size * 4
     params.crc32 = crc
     return params

@@ -14,8 +14,8 @@ Layout contract:
   filled with `out=` / in-place ufuncs; no kernel writes to an array it
   was given.
 - Caches hold no more than the backward pass needs: a convolution keeps
-  its unpadded input, and infer-mode batch norm keeps its input and
-  rebuilds the normalized activation only if a backward pass asks for it.
+  its unpadded input, and infer-mode batch norm keeps nothing, so a
+  backward pass needs a train-mode forward.
 
 Padding is SAME everywhere: output length is ceil(L / stride), zeros split
 evenly with the extra sample on the right. Taps that would read the zero
@@ -205,19 +205,19 @@ class BatchNormParams:
 @dataclass
 class BatchNormCache:
     params: BatchNormParams
-    saved: np.ndarray  # train: the input minus its batch mean; infer: the input
+    centered: np.ndarray  # the input minus its batch mean
     inv_std: np.ndarray
-    mode: Mode
 
 
 def batchnorm_forward(
     x: np.ndarray, p: BatchNormParams, mode: Mode, update_running: bool = True
-) -> tuple[np.ndarray, BatchNormCache]:
+) -> tuple[np.ndarray, BatchNormCache | None]:
     """Normalize per channel over (batch, length).
 
     Train mode uses batch statistics and decays the running ones (unless
     update_running is off, e.g. while finite-differencing); infer mode
-    applies the running statistics as one per-channel affine map.
+    applies the running statistics as one per-channel affine map and keeps
+    no state.
     """
     b, _, length = x.shape
     eps = np.asarray(BN_EPSILON, dtype=x.dtype)
@@ -226,7 +226,7 @@ def batchnorm_forward(
         scale = p.gamma * inv_std
         y = np.multiply(x, scale[:, None])
         y += (p.beta - p.running_mean * scale)[:, None]
-        return y, BatchNormCache(p, x, inv_std, mode)
+        return y, None
     if b * length < 2:
         raise DegenerateBatch(f"need at least 2 values per feature, got {b * length}")
     mean = x.mean(axis=(0, 2))
@@ -240,25 +240,19 @@ def batchnorm_forward(
     inv_std = 1.0 / np.sqrt(var + eps)
     y = np.multiply(centered, (p.gamma * inv_std)[:, None])
     y += p.beta[:, None]
-    return y, BatchNormCache(p, centered, inv_std, mode)
+    return y, BatchNormCache(p, centered, inv_std)
 
 
 def batchnorm_backward(
     cache: BatchNormCache, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grad_x, grad_gamma, grad_beta); train mode routes gradient through
-    the batch mean and variance as well."""
-    p, inv_std = cache.params, cache.inv_std
-    if cache.mode == "infer":
-        centered = np.subtract(cache.saved, p.running_mean[:, None])
-    else:
-        centered = cache.saved
+    """(grad_x, grad_gamma, grad_beta) of a train-mode forward, routing the
+    gradient through the batch mean and variance as well."""
+    p, centered, inv_std = cache.params, cache.centered, cache.inv_std
     scale = p.gamma * inv_std
     grad_beta = grad_out.sum(axis=(0, 2))
     grad_gamma = np.einsum("bcl,bcl->c", grad_out, centered) * inv_std  # sum of g * x_hat
     grad_x = np.multiply(grad_out, scale[:, None])
-    if cache.mode == "infer":
-        return grad_x, grad_gamma, grad_beta
     # grad_x = scale * (g - mean(g) - x_hat * mean(g * x_hat)), x_hat = centered * inv_std
     n = grad_out.shape[0] * grad_out.shape[2]
     correction = np.multiply(centered, (scale * inv_std * grad_gamma / n)[:, None])

@@ -181,19 +181,19 @@ def trim_wake(labels: list[StageClass]) -> tuple[int, int]:
     return max(0, first - WAKE_MARGIN_EPOCHS), min(len(labels), last + WAKE_MARGIN_EPOCHS + 1)
 
 
-def expand_events(events, record_epochs: int | None = None) -> list[StageClass | None]:
+def expand_events(events, record_epochs: int) -> list[StageClass | None]:
     """Per-30s-epoch stage labels from hypnogram events.
 
     Events must sit on the 30 s grid; gaps between events come out as None
     (excluded later, like MOVEMENT/UNKNOWN epochs).
 
-    With `record_epochs`, the whole epochs the record's signals hold, the
-    list stops at the record's end however far an event reaches. A sleep
-    stage scored past the end raises EpochAlignmentError. Wake scored past
-    the end becomes one WAKE at index `record_epochs`: trimming keeps it
-    exactly where it would keep the first of those epochs, and the signal
-    then rejects it, so every record keeps the outcome it has without the
-    bound. Unscored epochs past the end are dropped.
+    The list stops at `record_epochs`, the whole epochs the record's signals
+    hold, however far an event reaches. A sleep stage scored past the end
+    raises EpochAlignmentError. Wake scored past the end becomes one WAKE at
+    index `record_epochs`: trimming keeps it exactly where it would keep the
+    first of those epochs, and the signal then rejects it, so every record
+    keeps the outcome an unbounded list would give it. Unscored epochs past
+    the end are dropped.
     """
     end = 0
     spans = []
@@ -208,7 +208,7 @@ def expand_events(events, record_epochs: int | None = None) -> list[StageClass |
         spans.append((start, n, label))
         end = max(end, start + n)
     past_end: set[StageClass] = set()
-    if record_epochs is not None and end > record_epochs:
+    if end > record_epochs:
         past_end = {label for start, n, label in spans if start + n > record_epochs} - {None}
         if past_end - {StageClass.WAKE}:
             raise EpochAlignmentError(

@@ -955,6 +955,30 @@ def test_predict_rejects_a_checkpoint_that_does_not_score_five_stages(toy_cache,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_a_checkpoint_whose_config_outsizes_its_payload_is_a_typed_error(toy_cache, tmp_path,
+                                                                          capsys, command):
+    # CRC-valid, but the config asks for ~10**16 floats: refused before any allocation
+    checkpoint = tmp_path / "fold0" / "checkpoint.ulwm"
+    checkpoint.parent.mkdir()
+    blob = json.dumps(dict(TINY_MODEL, head_hidden=10**15)).encode()
+    container.write(checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                    [len(blob).to_bytes(4, "little") + blob, bytes(64)])
+    predictions = checkpoint.parent / "predictions.csv"
+    write_predictions_csv(predictions, [0, 1, 2], [0, 1, 2])
+    out = tmp_path / "out"
+    argv = {
+        "predict": ["predict", "--checkpoint", str(checkpoint), "--cache", str(toy_cache),
+                    "--out", str(out / "pred.csv")],
+        "evaluate": ["evaluate", "--predictions", str(predictions)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: ChecksumMismatch: {checkpoint}: payload is 64 bytes" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert not out.exists()
+
+
 def write_predictions_csv(path, y_true, y_pred):
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
@@ -999,6 +1023,17 @@ def test_evaluate_two_folds_match_pooled_oracle(tmp_path, capsys):
     assert payload["macro_f1"] == pytest.approx(pairwise_macro_f1(pooled_true, pooled_pred))
     assert payload["kappa"] == pytest.approx(pairwise_kappa(pooled_true, pooled_pred))
     assert payload["n_epochs"] == 60
+
+
+def test_evaluate_an_oversized_csv_field_is_a_typed_error(tmp_path, capsys):
+    predictions = tmp_path / "fold0" / "predictions.csv"
+    write_predictions_csv(predictions, [0, 1, 2], [0, 1, 2])
+    with predictions.open("a", newline="") as fh:
+        csv.writer(fh).writerow([3, "x" * 200_000, 0, 0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    assert main(["evaluate", "--predictions", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: UlwsError: {predictions}: line 5: field larger than" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
 
 
 def test_evaluate_strict_missing_fold(tmp_path, capsys):

@@ -3,7 +3,13 @@ import pytest
 
 from ulws.complexity import count_flops
 from ulws.errors import BadConfig
-from ulws.model import ModelConfig, build_model, trainable_scalar_count, variant_configs
+from ulws.model import (
+    ModelConfig,
+    build_model,
+    named_arrays,
+    trainable_scalar_count,
+    variant_configs,
+)
 
 # reference figures for the eight study configurations
 EXPECTED_PARAMS = {
@@ -64,6 +70,16 @@ def test_count_matches_built_model_for_random_configs():
         cfg = random_config(rng)
         built = trainable_scalar_count(build_model(cfg, seed=0))
         assert count_flops(cfg).total_params == built, cfg
+
+
+def test_checkpoint_floats_are_the_params_plus_bn_running_stats():
+    # load_checkpoint sizes a payload by this identity before it builds the model
+    rng = np.random.default_rng(2025)
+    configs = [*variant_configs().values(), *(random_config(rng) for _ in range(30))]
+    for cfg in configs:
+        stored = sum(arr.size for _, arr in named_arrays(build_model(cfg, seed=0),
+                                                         trainable_only=False))
+        assert stored == count_flops(cfg).total_params + 4 * sum(cfg.filters), cfg
 
 
 def test_report_totals_equal_row_sums():

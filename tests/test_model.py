@@ -273,7 +273,7 @@ def test_degenerate_forward_head_bias_gradient():
 def test_channel_duplication_doubles_extractor_gradient():
     # adjoint of sharing: a second identical channel receiving the same
     # upstream feature gradient doubles every extractor parameter gradient
-    # (infer-mode BN so batch statistics cannot couple the rows)
+    # (repeating every row leaves the batch mean and variance unchanged)
     from ulws.model import extractor_backward
 
     params = build_model(TINY, seed=3, dtype=np.float64)
@@ -282,11 +282,11 @@ def test_channel_duplication_doubles_extractor_gradient():
     g1 = rng.standard_normal((2, TINY.filters[-1]))
 
     grads1: dict = {}
-    _, cache1 = extractor_forward(x1, params, mode="infer")
+    _, cache1 = extractor_forward(x1, params, mode="train", update_running=False)
     extractor_backward(cache1, g1, grads1)
 
     grads2: dict = {}
-    _, cache2 = extractor_forward(np.concatenate([x1, x1]), params, mode="infer")
+    _, cache2 = extractor_forward(np.concatenate([x1, x1]), params, mode="train", update_running=False)
     extractor_backward(cache2, np.concatenate([g1, g1]), grads2)
 
     for name, g in grads1.items():

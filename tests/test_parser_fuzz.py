@@ -1,0 +1,119 @@
+"""The parsers of outside input return a result or raise a typed UlwsError.
+
+Each test mutates a valid file (flipped bytes, a truncation, or ASCII text
+written over one header field) and feeds it to a parser: the EDF header and
+signal reader, the hypnogram parser, and the predictions-CSV reader of
+`ulws evaluate`. No other exception may escape, and a numpy RuntimeWarning
+counts as an escape.
+"""
+
+import csv
+import io
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edf_fixtures import hypnogram_bytes, psg_bytes
+from ulws.cli import _read_prediction_pairs
+from ulws.edf import parse_edf_header, parse_hypnogram, read_signal
+from ulws.errors import UlwsError
+
+# widths of the per-signal header columns, in file order
+SIGNAL_COLUMNS = [16, 80, 8, 8, 8, 8, 8, 80, 8, 32]
+FIXED_FIELDS = [(0, 8), (8, 80), (88, 80), (168, 8), (176, 8), (184, 8), (192, 44),
+                (236, 8), (244, 8), (252, 4)]
+FIELD_TEXTS = ["", "0", "1", "-1", "2", "256", "99999999", "-9999999", "1e308", "-1e308",
+               "1e-300", "nan", "inf", "-inf", "0.5", "3000", "+", "x", "        "]
+
+
+def header_fields(blob):
+    """(offset, width) of every fixed and per-signal header field of `blob`."""
+    n_signals = int(blob[252:256].decode("ascii").strip())
+    fields = list(FIXED_FIELDS)
+    offset = 256
+    for width in SIGNAL_COLUMNS:
+        fields += [(offset + i * width, width) for i in range(n_signals)]
+        offset += width * n_signals
+    return fields
+
+
+def mutate(blob, data, fields):
+    """`blob` cut short, with 1-3 bytes flipped, or with one field overwritten."""
+    how = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]), label="how")
+    if how == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    out = bytearray(blob)
+    if how == "flip":
+        positions = st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=3, unique=True)
+        for pos in data.draw(positions, label="flipped"):
+            out[pos] ^= data.draw(st.integers(1, 255), label=f"xor at {pos}")
+        return bytes(out)
+    offset, width = data.draw(st.sampled_from(fields), label="field")
+    printable = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=width)
+    text = data.draw(st.one_of(st.sampled_from(FIELD_TEXTS), printable), label="text")
+    out[offset : offset + width] = text[:width].encode("ascii").ljust(width)
+    return bytes(out)
+
+
+def returns_or_fails_typed(parse, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            parse(*args)
+        except UlwsError:
+            pass
+
+
+def read_every_signal(blob):
+    header = parse_edf_header(blob)
+    for i in range(header.n_signals):
+        read_signal(blob, header, i)
+
+
+PSG = psg_bytes(3)
+HYPNOGRAM = hypnogram_bytes([(0.0, 30.0, "Sleep stage W"), (30.0, 30.0, "Sleep stage 1"),
+                             (60.0, 30.0, "Sleep stage 2")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_psg_reads_or_fails_typed(data):
+    returns_or_fails_typed(read_every_signal, mutate(PSG, data, header_fields(PSG)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_hypnogram_parses_or_fails_typed(data):
+    returns_or_fails_typed(parse_hypnogram, mutate(HYPNOGRAM, data, header_fields(HYPNOGRAM)))
+
+
+def predictions_text():
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["index", "subject", "true", "predicted", "p0", "p1", "p2", "p3", "p4"])
+    for i in range(4):
+        writer.writerow([i, f"S{i % 2}", i % 5, (i + 1) % 5, 0.2, 0.2, 0.2, 0.2, 0.2])
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "predictions.csv"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_predictions_csv_reads_or_fails_typed(csv_path, data):
+    text = predictions_text()
+    edits = st.tuples(st.integers(0, len(text)), st.integers(0, 4),
+                      st.text(st.sampled_from(',"\r\n\x00 -+0123456789ab\xe9'), max_size=6))
+    for pos, cut, new in data.draw(st.lists(edits, min_size=1, max_size=4), label="edits"):
+        text = text[:pos] + new + text[pos + cut :]
+    blob = text.encode("utf-8")
+    if blob and data.draw(st.booleans(), label="flip a high bit"):  # may break the UTF-8
+        pos = data.draw(st.integers(0, len(blob) - 1), label="at")
+        blob = blob[:pos] + bytes([blob[pos] ^ 0x80]) + blob[pos + 1 :]
+    csv_path.write_bytes(blob)
+    returns_or_fails_typed(_read_prediction_pairs, csv_path)

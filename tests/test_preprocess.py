@@ -238,7 +238,7 @@ def test_expand_events_conserves_time():
         HypnogramEvent(600, 300, "Sleep stage 1"),
         HypnogramEvent(900, 900, "Sleep stage ?"),
     ]
-    labels = expand_events(events)
+    labels = expand_events(events, 60)
     assert len(labels) == 60  # 1800 s / 30 s
     covered = sum(ev.duration_s for ev in events)
     assert covered == 30.0 * len(labels)  # events tile the whole span here
@@ -252,15 +252,15 @@ def test_expand_events_gap_is_unscored():
         HypnogramEvent(0, 30, "Sleep stage W"),
         HypnogramEvent(90, 30, "Sleep stage 2"),
     ]
-    labels = expand_events(events)
+    labels = expand_events(events, 4)
     assert labels == [StageClass.WAKE, None, None, StageClass.N2]
 
 
 def test_expand_events_off_grid():
     with pytest.raises(EpochAlignmentError):
-        expand_events([HypnogramEvent(0, 45, "Sleep stage W")])
+        expand_events([HypnogramEvent(0, 45, "Sleep stage W")], 2)
     with pytest.raises(EpochAlignmentError):
-        expand_events([HypnogramEvent(15, 30, "Sleep stage W")])
+        expand_events([HypnogramEvent(15, 30, "Sleep stage W")], 2)
 
 
 # --- dataset assembly ------------------------------------------------------------------
@@ -334,7 +334,7 @@ def test_epoch_alignment_error(toy_record):
         subject_key=record.subject_key,
         night=record.night,
         signals={
-            k: type(v)(v.label, v.sample_rate_hz, v.samples[:-6000])
+            k: type(v)(v.sample_rate_hz, v.samples[:-6000])
             for k, v in record.signals.items()
         },
         events=record.events,
@@ -503,7 +503,7 @@ def test_non_finite_record_raises_without_a_numpy_warning(toy_record, channel):
     trace = signals[channel]
     samples = trace.samples.copy()
     samples[100] = np.inf
-    signals[channel] = type(trace)(trace.label, trace.sample_rate_hz, samples)
+    signals[channel] = type(trace)(trace.sample_rate_hz, samples)
     broken = type(record)(subject_key="SC401", night=1, signals=signals, events=record.events)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
