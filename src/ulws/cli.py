@@ -33,9 +33,9 @@ from .evaluation import N_CLASSES
 from .model import ModelConfig, decode_json, load_checkpoint, predict, save_checkpoint
 from .preprocess import (
     EpochDataset,
-    collect_epochs,
     preprocess_record,
     read_cache,
+    spool_epochs,
     write_cache,
 )
 from .training import FoldSplit, TrainConfig, subject_folds, split_indices, train_fold
@@ -143,7 +143,7 @@ def cmd_preprocess(args) -> int:
                 record = load_record(psg, hyp, channels)
                 what = f"{key} night {night}"
                 x, y = preprocess_record(record, channels, args.filter_all_channels)
-            except UlwsError as e:
+            except (UlwsError, OSError) as e:  # a bad, unreadable or vanished file skips its pair
                 _warn(f"{what}: {type(e).__name__}: {e}")
                 skipped += 1
                 continue
@@ -159,11 +159,11 @@ def cmd_preprocess(args) -> int:
     # before the first record is read, not inside the first record's work
     import scipy.signal  # noqa: F401
 
-    dataset = collect_epochs(kept_chunks(), channels, spool_dir=out.parent)
-    if not dataset.n_epochs:
-        return _fail("no records loaded")
-
-    cache_crc = write_cache(dataset, out)
+    dataset = spool_epochs(kept_chunks(), channels, spool_dir=out.parent)
+    with dataset.x:  # the spool file; the kept epochs are never all in memory
+        if not dataset.n_epochs:
+            return _fail("no records loaded")
+        cache_crc = write_cache(dataset, out)
     print(f"wrote {dataset.n_epochs} epochs x {dataset.n_channels} channels to {out}")
     print(f"skipped: {skipped}")
     _write_manifest(

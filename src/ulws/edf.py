@@ -3,13 +3,19 @@
 Covers exactly what the pipeline needs: the fixed 256-byte header plus
 256 bytes per signal, 2-byte little-endian signed sample words, and the
 EDF+ timestamped-annotation-list (TAL) grammar used by hypnogram files.
-All functions are pure over `bytes` input and safe to call concurrently.
+
+The header and hypnogram parsers are pure over `bytes`. `read_signal` and
+`read_digital` read one signal from an open binary file, a bounded block
+of data records at a time, so a PSG file is never held whole: `load_record`
+checks a pair from the header alone, and the samples of each channel are
+read only when they are used.
 """
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +34,11 @@ from .errors import (
 FIXED_HEADER_BYTES = 256
 PER_SIGNAL_HEADER_BYTES = 256
 SAMPLE_BYTES = 2  # 16-bit LE signed
+# the largest header the format allows: 256 x (1 + 9999 signals)
+MAX_HEADER_BYTES = PER_SIGNAL_HEADER_BYTES * 10_000
+# file bytes per read of read_signal/read_digital: whole data records, at
+# least one, as many as fit
+READ_BLOCK_BYTES = 1 << 18
 _INT16_ENDS = (-32768, 32767)
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
@@ -82,12 +93,19 @@ class HypnogramEvent:
 
 @dataclass
 class RawRecord:
-    """One subject-night: selected signal traces plus the hypnogram."""
+    """One subject-night, checked but not decoded: the PSG file and its header,
+    the signal index of each wanted channel, and the hypnogram's events.
+
+    No samples are held; `read_signal(fh, header, channels[label])` on the
+    open `psg_path` reads a channel when it is needed.
+    """
 
     subject_key: str
     night: int
-    signals: dict[str, SignalTrace] = field(default_factory=dict)
-    events: list[HypnogramEvent] = field(default_factory=list)
+    psg_path: Path
+    header: EdfHeader
+    channels: dict[str, int]  # wanted label -> signal index in `header`
+    events: list[HypnogramEvent]
 
 
 def _text(raw: bytes) -> str:
@@ -112,10 +130,15 @@ def _float(raw: bytes, what: str) -> float:
     return value
 
 
-def parse_edf_header(data: bytes) -> EdfHeader:
-    """Parse the fixed + per-signal header region of an EDF/EDF+ file."""
-    if len(data) < FIXED_HEADER_BYTES:
-        raise TruncatedHeader(f"need {FIXED_HEADER_BYTES} bytes, got {len(data)}")
+def parse_edf_header(data: bytes, file_size: int | None = None) -> EdfHeader:
+    """Parse the fixed + per-signal header region of an EDF/EDF+ file.
+
+    `data` is the whole file, or its first bytes up to the end of the header
+    when `file_size` gives the file's length.
+    """
+    size = len(data) if file_size is None else file_size
+    if size < FIXED_HEADER_BYTES:
+        raise TruncatedHeader(f"need {FIXED_HEADER_BYTES} bytes, got {size}")
 
     # bytes 0-183 hold version, patient, recording and start time; 192-235 are reserved
     header_bytes = _int(data[184:192], "header_bytes")
@@ -129,8 +152,8 @@ def parse_edf_header(data: bytes) -> EdfHeader:
         raise InvariantViolation(
             f"header_bytes {header_bytes} != 256 x ({n_signals} + 1)"
         )
-    if len(data) < header_bytes:
-        raise TruncatedHeader(f"declared {header_bytes} header bytes, got {len(data)}")
+    if size < header_bytes:
+        raise TruncatedHeader(f"declared {header_bytes} header bytes, got {size}")
     if n_data_records < 0:
         # -1 marks a still-streaming writer; finalized files only on read
         raise InvariantViolation(f"n_data_records {n_data_records} rejected on read")
@@ -186,48 +209,92 @@ def parse_edf_header(data: bytes) -> EdfHeader:
     )
 
 
-def _signal_words(data: bytes, header: EdfHeader, signal_index: int) -> np.ndarray:
-    """One signal's `<i2` words as an (n_data_records, samples_per_record) view."""
-    spr = header.samples_per_record
-    record_words = sum(spr)
-    needed = header.header_bytes + header.n_data_records * record_words * SAMPLE_BYTES
-    if len(data) < needed:
-        raise TruncatedData(f"need {needed} bytes, got {len(data)}")
-    words = np.frombuffer(
-        data,
-        dtype="<i2",
-        count=header.n_data_records * record_words,
-        offset=header.header_bytes,
-    ).reshape(header.n_data_records, record_words)
-    start = sum(spr[:signal_index])
-    return words[:, start : start + spr[signal_index]]
+def _read_header(fh) -> EdfHeader:
+    """Parse the header of the open binary file `fh`, reading no sample."""
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    data = fh.read(FIXED_HEADER_BYTES)
+    # the fixed part declares the header's length; parse_edf_header checks it
+    declared = data[184:192].strip()
+    length = min(int(declared), MAX_HEADER_BYTES) if declared.isdigit() else 0
+    data += fh.read(max(length - len(data), 0))
+    return parse_edf_header(data, size)
 
 
-def read_digital(data: bytes, header: EdfHeader, signal_index: int) -> np.ndarray:
-    """Raw int16 samples of one signal, concatenated across data records."""
+def _data_end(header: EdfHeader) -> int:
+    """File length that holds every data record `header` declares."""
+    record_bytes = sum(header.samples_per_record) * SAMPLE_BYTES
+    return header.header_bytes + header.n_data_records * record_bytes
+
+
+def _check_signal(fh, header: EdfHeader, signal_index: int) -> None:
+    """Raise unless `fh` holds signal `signal_index` in full, before anything is allocated."""
     if not 0 <= signal_index < header.n_signals:
         raise MissingChannel(f"signal index {signal_index} out of range")
-    return np.ascontiguousarray(_signal_words(data, header, signal_index)).reshape(-1)
+    size = fh.seek(0, io.SEEK_END)
+    if size < _data_end(header):
+        raise TruncatedData(f"need {_data_end(header)} bytes, got {size}")
 
 
-def read_signal(data: bytes, header: EdfHeader, signal_index: int) -> SignalTrace:
-    """Extract one signal and convert digital words to physical units.
+def _read_blocks(fh, header: EdfHeader, signal_index: int):
+    """Yield (first record, words) over one checked signal of the open binary file `fh`.
+
+    `words` is a (records, samples_per_record) `<i2` view of one block of
+    whole data records, valid until the next block is read. A read that
+    comes back short (the file shrank after the check) raises TruncatedData.
+    """
+    spr = header.samples_per_record
+    record_bytes = sum(spr) * SAMPLE_BYTES
+    start = sum(spr[:signal_index])
+    width = spr[signal_index]
+    n_records = header.n_data_records
+    per_block = max(READ_BLOCK_BYTES // record_bytes, 1)
+    buf = bytearray(min(per_block, n_records) * record_bytes)
+    fh.seek(header.header_bytes)
+    for first in range(0, n_records, per_block):
+        k = min(per_block, n_records - first)
+        view = memoryview(buf)[: k * record_bytes]
+        got = fh.readinto(view)
+        if got < len(view):
+            at = header.header_bytes + first * record_bytes + got
+            raise TruncatedData(f"need {_data_end(header)} bytes, got {at}")
+        words = np.frombuffer(view, dtype="<i2").reshape(k, -1)
+        yield first, words[:, start : start + width]
+
+
+def read_digital(fh, header: EdfHeader, signal_index: int) -> np.ndarray:
+    """Raw int16 samples of one signal, concatenated across data records."""
+    _check_signal(fh, header, signal_index)
+    out = np.empty((header.n_data_records, header.samples_per_record[signal_index]), np.int16)
+    for first, words in _read_blocks(fh, header, signal_index):
+        out[first : first + len(words)] = words
+    return out.reshape(-1)
+
+
+def read_signal(fh, header: EdfHeader, signal_index: int) -> SignalTrace:
+    """Read one signal from the open binary file `fh`, in physical units.
 
     p = (d - digital_min) * (physical_max - physical_min)
         / (digital_max - digital_min) + physical_min
-    so the digital endpoints map exactly onto the physical endpoints.
+    so the digital endpoints map exactly onto the physical endpoints. Each
+    block is converted in float64 and rounded once to the float32 trace,
+    so the samples do not depend on the block size.
     """
-    digital = read_digital(data, header, signal_index)
+    _check_signal(fh, header, signal_index)
     dmin = header.digital_min[signal_index]
     dmax = header.digital_max[signal_index]
     pmin = header.physical_min[signal_index]
     pmax = header.physical_max[signal_index]
     scale = (pmax - pmin) / (dmax - dmin)
-    physical = (digital.astype(np.float64) - dmin) * scale + pmin
-    return SignalTrace(
-        sample_rate_hz=header.sample_rate_hz(signal_index),
-        samples=physical.astype(np.float32),
-    )
+    samples = np.empty((header.n_data_records, header.samples_per_record[signal_index]), np.float32)
+    for first, words in _read_blocks(fh, header, signal_index):
+        physical = words.astype(np.float64)
+        physical -= dmin
+        physical *= scale
+        physical += pmin
+        samples[first : first + len(words)] = physical
+    return SignalTrace(sample_rate_hz=header.sample_rate_hz(signal_index),
+                       samples=samples.reshape(-1))
 
 
 def _parse_tal(tal: bytes) -> list[tuple[float, float, str]]:
@@ -267,9 +334,11 @@ def parse_hypnogram(data: bytes) -> list[HypnogramEvent]:
     except MissingChannel:
         raise MalformedTal(f"no {ANNOTATION_LABEL!r} signal present") from None
 
+    words = read_digital(io.BytesIO(data), header, ann_index).reshape(
+        header.n_data_records, header.samples_per_record[ann_index])
     events: list[HypnogramEvent] = []
-    for words in _signal_words(data, header, ann_index):
-        chunk = words.tobytes()
+    for record in words:
+        chunk = record.tobytes()
         # TALs are separated (and the region right-padded) by NUL bytes
         for tal in chunk.split(b"\x00"):
             if not tal:
@@ -312,23 +381,24 @@ def load_record(
     hyp_path: str | Path,
     wanted_channels: list[str],
 ) -> RawRecord:
-    """Load one PSG/hypnogram pair, keeping exactly the wanted channels.
+    """Check one PSG/hypnogram pair for the wanted channels; decode no sample.
 
-    A wanted channel not running at SAMPLE_RATE_HZ raises WrongSampleRate.
+    For each wanted label in turn: MissingChannel if the header lacks it,
+    TruncatedData if the file is shorter than its header declares, and
+    WrongSampleRate if the channel does not run at SAMPLE_RATE_HZ.
     """
-    data = Path(psg_path).read_bytes()
-    header = parse_edf_header(data)
-
-    signals: dict[str, SignalTrace] = {}
-    for label in wanted_channels:
-        idx = header.signal_index(label)
-        trace = read_signal(data, header, idx)
-        if not math.isclose(trace.sample_rate_hz, SAMPLE_RATE_HZ):
-            raise WrongSampleRate(
-                f"{label!r} runs at {trace.sample_rate_hz} Hz, need {SAMPLE_RATE_HZ} Hz"
-            )
-        signals[label] = trace
+    with open(psg_path, "rb") as fh:
+        header = _read_header(fh)
+        channels: dict[str, int] = {}
+        for label in wanted_channels:
+            idx = header.signal_index(label)
+            _check_signal(fh, header, idx)
+            rate = header.sample_rate_hz(idx)
+            if not math.isclose(rate, SAMPLE_RATE_HZ):
+                raise WrongSampleRate(f"{label!r} runs at {rate} Hz, need {SAMPLE_RATE_HZ} Hz")
+            channels[label] = idx
 
     events = parse_hypnogram(Path(hyp_path).read_bytes())
     subject_key, night = subject_key_and_night(psg_path)
-    return RawRecord(subject_key=subject_key, night=night, signals=signals, events=events)
+    return RawRecord(subject_key=subject_key, night=night, psg_path=Path(psg_path),
+                     header=header, channels=channels, events=events)

@@ -5,13 +5,19 @@ trimming around the main sleep span, 30-second epoching with per-record
 z-scoring, and a checksummed binary dataset cache.
 
 `preprocess_record` gives a record's finite epochs or raises a UlwsError.
-`collect_epochs` spools the epochs of one record at a time, so a caller
-that loads each record only after the previous one is done holds one raw
-record, and the epochs kept so far wait in a spool file, not in RAM.
+It reads one channel at a time from the PSG file, so a record costs its
+epochs plus one channel's trace and working buffers, never the whole
+night of every channel. `spool_epochs` spools the epochs of one record
+at a time, so the epochs kept so far wait in a spool file, not in RAM,
+and `write_cache` copies them from there into the cache in blocks.
+`collect_epochs` reads them back into one array instead.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import math
 import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -21,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .edf import SAMPLE_RATE_HZ, RawRecord
+from .edf import SAMPLE_RATE_HZ, RawRecord, read_signal
 from .errors import (
     AllWake,
     ChecksumMismatch,
@@ -44,6 +50,8 @@ BAND_HZ = (0.3, 45.0)
 FILTER_ORDER = 4
 # samples per sosfilt call in filtfilt's forward and backward passes
 FILTER_BLOCK = 1 << 18
+# epochs per block when a dataset's x is checked or written
+ROW_BLOCK = 256
 
 # 30 minutes of surrounding wake kept on each side of the sleep span
 WAKE_MARGIN_EPOCHS = 60
@@ -224,11 +232,54 @@ def expand_events(events, record_epochs: int) -> list[StageClass | None]:
     return labels
 
 
+class SpooledEpochs:
+    """(N, C, T) float32 epochs held in an open spool file, as `EpochDataset.x`.
+
+    `spool_epochs` gives one, so that `write_cache` checks and writes the
+    kept epochs `ROW_BLOCK` rows at a time instead of reading them all back
+    into memory. It has an array's `shape`, `ndim`, `dtype` and `nbytes`;
+    closing it (or leaving its `with` block) deletes the spool.
+    """
+
+    ndim = 3
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, spool, shape: tuple[int, int, int]):
+        self.spool = spool
+        self.shape = shape
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * self.dtype.itemsize
+
+    def blocks(self):
+        """The epochs in row blocks, read into one buffer that the next block reuses."""
+        n, c, t = self.shape
+        buf = np.empty((min(n, ROW_BLOCK), c, t), dtype=np.float32)
+        self.spool.seek(0)
+        for lo in range(0, n, ROW_BLOCK):
+            block = buf[: min(ROW_BLOCK, n - lo)]
+            container.read_exact(self.spool, block)
+            yield block
+
+    def close(self) -> None:
+        self.spool.close()
+
+    def __enter__(self) -> "SpooledEpochs":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 @dataclass
 class EpochDataset:
-    """N preprocessed epochs: x is (N, C, T) float32, y holds StageClass values."""
+    """N preprocessed epochs: x is (N, C, T) float32, y holds StageClass values.
 
-    x: np.ndarray
+    x is an array, or the SpooledEpochs that `spool_epochs` gives for ingest.
+    """
+
+    x: np.ndarray | SpooledEpochs
     y: np.ndarray
     subject_keys: list[str]
     channel_labels: list[str]
@@ -270,9 +321,16 @@ class EpochDataset:
         )
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """np.isfinite(x).all(), 256 rows at a time, without an x-sized mask."""
-    return all(np.isfinite(x[i : i + 256]).all() for i in range(0, len(x), 256))
+def _row_blocks(x: np.ndarray | SpooledEpochs):
+    """x in blocks of ROW_BLOCK rows: views of an array, or reads of a spool."""
+    if isinstance(x, SpooledEpochs):
+        return x.blocks()
+    return (x[i : i + ROW_BLOCK] for i in range(0, len(x), ROW_BLOCK))
+
+
+def _all_finite(x: np.ndarray | SpooledEpochs) -> bool:
+    """np.isfinite(x).all(), ROW_BLOCK rows at a time, without an x-sized mask."""
+    return all(np.isfinite(block).all() for block in _row_blocks(x))
 
 
 def _is_eeg(label: str) -> bool:
@@ -291,10 +349,15 @@ def preprocess_record(
     channel is z-scored per record over the retained epochs. A record
     whose epochs come out NaN or infinite raises NonFiniteSignal, and no
     numpy warning is emitted on the way.
+
+    Channels are read from `record.psg_path` one at a time: read, filter,
+    epoch into one float64 buffer, z-score, round into `x`, then dropped.
     """
     # NaN or infinity in a trace is reported once, by the check at the end
     with np.errstate(invalid="ignore", over="ignore"):
-        lengths = [len(record.signals[c].samples) for c in channels if c in record.signals]
+        header = record.header
+        lengths = [header.n_data_records * header.samples_per_record[record.channels[c]]
+                   for c in channels if c in record.channels]
         per_epoch = expand_events(record.events, max(lengths, default=0) // EPOCH_SAMPLES)
         entries = [(i, lab) for i, lab in enumerate(per_epoch) if lab is not None]
         if not entries:
@@ -303,39 +366,72 @@ def preprocess_record(
         retained = entries[start:stop]
 
         for label in channels:
-            if label not in record.signals:
+            if label not in record.channels:
                 raise MissingChannel(f"{label!r} absent from record {record.subject_key}")
 
         sos = design_bandpass()
         t = EPOCH_SAMPLES
         n = len(retained)
-        x = np.empty((n, len(channels), t), dtype=np.float64)
-        # one channel at a time: filter (into a float64 trace), epoch, z-score;
-        # unfiltered float32 samples widen exactly as they are copied into x
-        for c, label in enumerate(channels):
-            samples = record.signals[label].samples
-            if filter_all_channels or _is_eeg(label):
-                samples = filtfilt(samples, sos)
-            for row, (epoch_idx, _) in enumerate(retained):
-                lo = epoch_idx * t
-                if lo + t > len(samples):
-                    raise EpochAlignmentError(
-                        f"epoch {epoch_idx} needs samples up to {lo + t}, signal has {len(samples)}"
-                    )
-                x[row, c] = samples[lo : lo + t]
-            del samples
-            mean = x[:, c].mean()
-            std = x[:, c].std()
-            if std == 0:
-                raise DegenerateSignal(f"channel {label!r} constant over retained epochs")
-            x[:, c] -= mean
-            x[:, c] /= std
-
-        x = x.astype(np.float32)
+        x = np.empty((n, len(channels), t), dtype=np.float32)
+        # mean() and std() sum in the order numpy takes over x[:, c] of a float64
+        # (n, C, T) array, the order that fixes the cache bytes: rows T + 1 apart
+        # cannot be merged into one run, like those of x[:, c]; with C == 1 that
+        # slice is one run.
+        epochs = np.empty((n, t + (len(channels) > 1)))[:, :t]
+        with open(record.psg_path, "rb") as fh:
+            for c, label in enumerate(channels):
+                samples = read_signal(fh, header, record.channels[label]).samples
+                if filter_all_channels or _is_eeg(label):
+                    samples = filtfilt(samples, sos)
+                for row, (epoch_idx, _) in enumerate(retained):
+                    lo = epoch_idx * t
+                    if lo + t > len(samples):
+                        raise EpochAlignmentError(
+                            f"epoch {epoch_idx} needs samples up to {lo + t}, "
+                            f"signal has {len(samples)}"
+                        )
+                    epochs[row] = samples[lo : lo + t]
+                del samples
+                mean = epochs.mean()
+                std = epochs.std()
+                if std == 0:
+                    raise DegenerateSignal(f"channel {label!r} constant over retained epochs")
+                epochs -= mean
+                epochs /= std
+                x[:, c] = epochs
     if not _all_finite(x):
         raise NonFiniteSignal("preprocessed epochs hold NaN or infinity")
     y = np.array([int(lab) for _, lab in retained], dtype=np.uint8)
     return x, y
+
+
+def spool_epochs(
+    chunks: Iterable[tuple[str, np.ndarray, np.ndarray]],
+    channels: list[str],
+    spool_dir: str | Path | None = None,
+) -> EpochDataset:
+    """Concatenate (subject_key, x, y) chunks, as `preprocess_record` gives them, on disk.
+
+    Each chunk's epochs go to an unnamed spool file in `spool_dir` as they
+    arrive, so kept epochs take no memory while later records are
+    preprocessed. The dataset's x is a SpooledEpochs on that file: close it
+    when done. The chunks are not checked again here; `write_cache`
+    validates what it writes.
+    """
+    ys, subjects = [], []
+    spool = tempfile.TemporaryFile(dir=spool_dir)
+    try:
+        for key, x, y in chunks:
+            spool.write(np.ascontiguousarray(x, dtype=np.float32))
+            ys.append(y)
+            subjects.extend([key] * len(y))
+            del x, y
+    except BaseException:
+        spool.close()
+        raise
+    y_all = np.concatenate(ys) if ys else np.zeros(0, dtype=np.uint8)
+    x = SpooledEpochs(spool, (len(y_all), len(channels), EPOCH_SAMPLES))
+    return EpochDataset(x=x, y=y_all, subject_keys=subjects, channel_labels=list(channels))
 
 
 def collect_epochs(
@@ -343,25 +439,13 @@ def collect_epochs(
     channels: list[str],
     spool_dir: str | Path | None = None,
 ) -> EpochDataset:
-    """Concatenate (subject_key, x, y) chunks, as `preprocess_record` gives them.
-
-    Each chunk's epochs go to an unnamed spool file in `spool_dir` as they
-    arrive, so kept epochs take no memory while later records are
-    preprocessed; x is read back into one array at the end. The chunks are
-    not checked again here; `write_cache` validates what it writes.
-    """
-    ys, subjects = [], []
-    with tempfile.TemporaryFile(dir=spool_dir) as spool:
-        for key, x, y in chunks:
-            spool.write(np.ascontiguousarray(x, dtype=np.float32))
-            ys.append(y)
-            subjects.extend([key] * len(y))
-            del x, y
-        y_all = np.concatenate(ys) if ys else np.zeros(0, dtype=np.uint8)
-        x_all = np.empty((len(y_all), len(channels), EPOCH_SAMPLES), dtype=np.float32)
-        spool.seek(0)
-        container.read_exact(spool, x_all)
-    return EpochDataset(x=x_all, y=y_all, subject_keys=subjects, channel_labels=list(channels))
+    """`spool_epochs`, with x read back into one array and the spool deleted."""
+    dataset = spool_epochs(chunks, channels, spool_dir)
+    with dataset.x as spooled:
+        x = np.empty(spooled.shape, dtype=np.float32)
+        spooled.spool.seek(0)
+        container.read_exact(spooled.spool, x)
+    return dataclasses.replace(dataset, x=x)
 
 
 # --- binary cache ---------------------------------------------------------
@@ -378,7 +462,10 @@ def _pack_str(s: str) -> bytes:
 
 
 def write_cache(dataset: EpochDataset, path: str | Path) -> str:
-    """Atomically write `dataset`, its arrays in place; return the CRC-32 written."""
+    """Atomically write `dataset`, its arrays in place, a spooled x block by block.
+
+    Returns the CRC-32 written.
+    """
     dataset.validate()
     n, c, t = dataset.x.shape
     head = bytearray()
@@ -388,15 +475,10 @@ def write_cache(dataset: EpochDataset, path: str | Path) -> str:
         head += _pack_str(label)
     for key in dataset.subject_keys:
         head += _pack_str(key)
+    x_blocks = (np.ascontiguousarray(block, dtype="<f4") for block in _row_blocks(dataset.x))
+    y = np.ascontiguousarray(dataset.y, dtype=np.uint8)
     return container.write(
-        path,
-        CACHE_MAGIC,
-        CACHE_VERSION,
-        [
-            head,
-            np.ascontiguousarray(dataset.x, dtype="<f4"),
-            np.ascontiguousarray(dataset.y, dtype=np.uint8),
-        ],
+        path, CACHE_MAGIC, CACHE_VERSION, itertools.chain([head], x_blocks, [y])
     )
 
 

@@ -98,3 +98,66 @@ def pairwise_kappa(y_true, y_pred, n_classes: int = 5) -> float:
     if p_e == 1.0:
         return 1.0
     return (p_o - p_e) / (1.0 - p_e)
+
+
+# --- ingest as first written: whole file in memory, scipy's filtfilt ---------
+
+def preprocess_whole_record(psg_path, hyp_path, channels, filter_all_channels=False):
+    """(x, y) of one PSG/hypnogram pair, every wanted channel decoded at once.
+
+    The file's bytes are read whole; each channel is converted with
+    `(d - digital_min) * scale + physical_min` in float64 and rounded to
+    float32; band-passed channels go through scipy's `sosfiltfilt`; all
+    retained epochs sit in one float64 (n, C, T) array that is z-scored per
+    channel on `x[:, c]` and cast to float32 once. Only for valid pairs.
+    The header and hypnogram parsers, the label expansion and trimming and
+    the band-pass design are the library's; reading, decoding, filtering,
+    epoching and z-scoring are not.
+    """
+    from pathlib import Path
+
+    import scipy.signal
+
+    from ulws.edf import parse_edf_header, parse_hypnogram
+    from ulws.preprocess import (
+        EPOCH_SAMPLES,
+        design_bandpass,
+        expand_events,
+        pad_length,
+        trim_wake,
+    )
+
+    data = Path(psg_path).read_bytes()
+    header = parse_edf_header(data)
+    spr = header.samples_per_record
+    words = np.frombuffer(data, "<i2", count=header.n_data_records * sum(spr),
+                          offset=header.header_bytes).reshape(header.n_data_records, sum(spr))
+    signals = {}
+    for label in channels:
+        i = header.labels.index(label)
+        digital = words[:, sum(spr[:i]) : sum(spr[: i + 1])].reshape(-1)
+        scale = (header.physical_max[i] - header.physical_min[i]) / (
+            header.digital_max[i] - header.digital_min[i])
+        physical = (digital.astype(np.float64) - header.digital_min[i]) * scale
+        signals[label] = (physical + header.physical_min[i]).astype(np.float32)
+
+    events = parse_hypnogram(Path(hyp_path).read_bytes())
+    t = EPOCH_SAMPLES
+    per_epoch = expand_events(events, max(len(s) for s in signals.values()) // t)
+    entries = [(i, lab) for i, lab in enumerate(per_epoch) if lab is not None]
+    start, stop = trim_wake([lab for _, lab in entries])
+    retained = entries[start:stop]
+
+    sos = design_bandpass()
+    x = np.empty((len(retained), len(channels), t), dtype=np.float64)
+    for c, label in enumerate(channels):
+        samples = signals[label]
+        if filter_all_channels or label.upper().startswith("EEG"):
+            samples = scipy.signal.sosfiltfilt(sos, samples.astype(np.float64), padtype="odd",
+                                               padlen=pad_length(sos))
+        for row, (epoch_idx, _) in enumerate(retained):
+            x[row, c] = samples[epoch_idx * t : (epoch_idx + 1) * t]
+        mean, std = x[:, c].mean(), x[:, c].std()
+        x[:, c] -= mean
+        x[:, c] /= std
+    return x.astype(np.float32), np.array([int(lab) for _, lab in retained], dtype=np.uint8)

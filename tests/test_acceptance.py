@@ -6,6 +6,7 @@ locally downloaded recording set; it is a multi-hour job and is excluded
 from routine runs.
 """
 
+import io
 import os
 import zlib
 
@@ -314,12 +315,12 @@ def test_criterion_7_data_path_integrity(tmp_path):
         assert header.labels == ["EEG Fpz-Cz", "EOG horizontal"]
         assert header.physical_min == [-204.8, -204.8]
         for i, s in enumerate(sigs):
-            assert np.array_equal(read_digital(blob, header, i), s.digital)
+            assert np.array_equal(read_digital(io.BytesIO(blob), header, i), s.digital)
 
         # hand-derived affine conversion
         probe = FixtureSignal("X", 3, digital=np.array([0, -2048, 2047], np.int16))
         probe_blob = edf_bytes([probe], n_data_records=1)
-        trace = read_signal(probe_blob, parse_edf_header(probe_blob), 0)
+        trace = read_signal(io.BytesIO(probe_blob), parse_edf_header(probe_blob), 0)
         assert trace.samples[0] == np.float32(0.0)
         assert trace.samples[1] == np.float32(-204.8)
         assert trace.samples[2] == np.float32(204.7)

@@ -201,6 +201,48 @@ def test_preprocess_skips_record_with_non_finite_values(tmp_path, capsys, physic
     assert set(ds.subject_keys) == {"SC400"} and np.isfinite(ds.x).all()
 
 
+@pytest.mark.parametrize("kind", ["dangling symlink", "directory"])
+def test_preprocess_skips_an_unreadable_psg(tmp_path, capsys, kind):
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    write_record_pair(data_dir, "SC4001", seed=1)
+    psg, _ = write_record_pair(data_dir, "SC4011", seed=2)
+    psg.unlink()
+    if kind == "directory":
+        psg.mkdir()
+    else:
+        psg.symlink_to(tmp_path / "gone.edf")
+    out = tmp_path / "cache.ulws"
+    assert main(["preprocess", "--data-dir", str(data_dir), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    error = {"dangling symlink": "FileNotFoundError", "directory": "IsADirectoryError"}[kind]
+    assert f"warning: SC4011E0-PSG.edf: {error}: " in captured.err
+    assert "skipped: 1" in captured.out.splitlines()
+    assert read_cache(out).subject_keys == ["SC400"] * 24
+
+
+def test_preprocess_skips_a_psg_removed_after_its_header_was_read(tmp_path, capsys, monkeypatch):
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    write_record_pair(data_dir, "SC4001", seed=1)
+    gone, _ = write_record_pair(data_dir, "SC4011", seed=2)
+
+    def load_then_remove(psg, hyp, channels):
+        record = load_record(psg, hyp, channels)
+        if psg == gone:
+            psg.unlink()  # preprocess_record opens the PSG again to read its channels
+        return record
+
+    monkeypatch.setattr(cli, "load_record", load_then_remove)
+    out = tmp_path / "cache.ulws"
+    assert main(["preprocess", "--data-dir", str(data_dir), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert f"warning: SC401 night 1: FileNotFoundError: " in captured.err
+    assert str(gone) in captured.err
+    assert "skipped: 1" in captured.out.splitlines()
+    assert read_cache(out).subject_keys == ["SC400"] * 24
+
+
 def test_preprocess_cache_matches_library_path(tmp_path):
     """Streamed CLI cache == the library path over all records loaded, in (subject, night) order."""
     data_dir = tmp_path / "edf"

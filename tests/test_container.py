@@ -7,7 +7,7 @@ file stores, or fail with a typed UlwsError; no other exception escapes.
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ulws.errors import UlwsError
@@ -75,7 +75,6 @@ def damage(blob, data):
 
 
 @pytest.mark.parametrize("reader", [read_cache, load_checkpoint], ids=["cache", "checkpoint"])
-@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_a_damaged_container_reads_with_its_stored_crc_or_fails_typed(valid_files, reader, data):
     blobs, directory = valid_files

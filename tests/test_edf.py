@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,7 +117,7 @@ def test_affine_conversion_hand_values():
     # (0 + 2048) * 409.5 / 4095 - 204.8 == 0.0
     sig = FixtureSignal("X", 4, digital=np.array([0, -2048, 2047, 1], np.int16))
     data = edf_bytes([sig], n_data_records=1)
-    trace = read_signal(data, parse_edf_header(data), 0)
+    trace = read_signal(io.BytesIO(data), parse_edf_header(data), 0)
     assert trace.samples[0] == np.float32(0.0)
     assert trace.samples[1] == np.float32(-204.8)  # d = digital_min
     assert trace.samples[2] == np.float32(204.7)  # d = digital_max
@@ -136,7 +138,7 @@ def test_physical_range_overflowing_float32_rejected():
             parse_edf_header(one_signal(physical_min, physical_max, -2048, 2047))
     widest = one_signal(-3e38, 3e38, -32768, 32767)
     with np.errstate(all="raise"):
-        trace = read_signal(widest, parse_edf_header(widest), 0)
+        trace = read_signal(io.BytesIO(widest), parse_edf_header(widest), 0)
     assert trace.samples[0] == np.float32(-3e38) and trace.samples[2] == np.float32(3e38)
 
 
@@ -144,7 +146,26 @@ def test_truncated_data():
     _, data = two_signal_fixture()
     header = parse_edf_header(data)
     with pytest.raises(TruncatedData):
-        read_signal(data[:-10], header, 0)
+        read_signal(io.BytesIO(data[:-10]), header, 0)
+
+
+class CutAfterTheCheck(io.BytesIO):
+    """A file that reports its full length but ends `cut` bytes early."""
+
+    def __init__(self, data, cut):
+        super().__init__(data[:-cut])
+        self.full = len(data)
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        return self.full if whence == io.SEEK_END else super().seek(pos, whence)
+
+
+@pytest.mark.parametrize("read", [read_signal, read_digital])
+def test_short_read_is_truncated_data(read):
+    _, data = two_signal_fixture(n_records=3)
+    header = parse_edf_header(data)
+    with pytest.raises(TruncatedData, match=f"need {len(data)} bytes, got {len(data) - 10}$"):
+        read(CutAfterTheCheck(data, 10), header, 1)
 
 
 @settings(max_examples=50)
@@ -165,7 +186,8 @@ def test_parse_deterministic():
     _, data = two_signal_fixture()
     h1, h2 = parse_edf_header(data), parse_edf_header(data)
     assert h1 == h2
-    assert np.array_equal(read_digital(data, h1, 0), read_digital(data, h2, 0))
+    assert np.array_equal(read_digital(io.BytesIO(data), h1, 0),
+                          read_digital(io.BytesIO(data), h2, 0))
 
 
 def test_round_trip_bit_exact():
@@ -185,8 +207,8 @@ def test_round_trip_bit_exact():
     assert header.digital_min == [s.digital_min for s in sigs]
     assert header.digital_max == [s.digital_max for s in sigs]
     for i, s in enumerate(sigs):
-        assert np.array_equal(read_digital(data, header, i), s.digital)
-        trace = read_signal(data, header, i)
+        assert np.array_equal(read_digital(io.BytesIO(data), header, i), s.digital)
+        trace = read_signal(io.BytesIO(data), header, i)
         step = (s.physical_max - s.physical_min) / (s.digital_max - s.digital_min)
         assert trace.samples.min() >= s.physical_min - step
         assert trace.samples.max() <= s.physical_max + step
@@ -267,9 +289,11 @@ def test_load_record_happy_path(tmp_path):
     hyp.write_bytes(hypnogram_bytes([(0, 120, "Sleep stage W")]))
     wanted = ["EEG Fpz-Cz", "EEG Pz-Oz", "EOG horizontal", "EMG submental"]
     record = load_record(psg, hyp, wanted)
-    assert sorted(record.signals) == sorted(wanted)
+    assert sorted(record.channels) == sorted(wanted)
     assert record.subject_key == "SC400" and record.night == 1
-    assert all(len(t.samples) == 4 * 3000 for t in record.signals.values())
+    with open(psg, "rb") as fh:
+        traces = [read_signal(fh, record.header, i) for i in record.channels.values()]
+    assert all(len(t.samples) == 4 * 3000 for t in traces)
     assert len(record.events) == 1
 
 
@@ -289,5 +313,21 @@ def test_load_record_rejects_low_rate_channel(tmp_path):
         psg_bytes(n_epochs=2, channel_specs=[("EEG Fpz-Cz", 100.0), ("EMG submental", 1.0)])
     )
     hyp.write_bytes(hypnogram_bytes([(0, 60, "Sleep stage W")]))
+    with pytest.raises(WrongSampleRate):
+        load_record(psg, hyp, ["EEG Fpz-Cz", "EMG submental"])
+
+
+def test_load_record_checks_each_wanted_channel_from_the_header(tmp_path):
+    """Label by label: MissingChannel, then TruncatedData, then WrongSampleRate."""
+    psg = tmp_path / "SC4001E0-PSG.edf"
+    hyp = tmp_path / "SC4001EC-Hypnogram.edf"
+    full = psg_bytes(n_epochs=2, channel_specs=[("EEG Fpz-Cz", 100.0), ("EMG submental", 1.0)])
+    hyp.write_bytes(hypnogram_bytes([(0, 60, "Sleep stage W")]))
+    psg.write_bytes(full[:-10])
+    with pytest.raises(MissingChannel):
+        load_record(psg, hyp, ["EOG horizontal", "EEG Fpz-Cz"])
+    with pytest.raises(TruncatedData, match=f"need {len(full)} bytes, got {len(full) - 10}$"):
+        load_record(psg, hyp, ["EMG submental"])
+    psg.write_bytes(full)
     with pytest.raises(WrongSampleRate):
         load_record(psg, hyp, ["EEG Fpz-Cz", "EMG submental"])

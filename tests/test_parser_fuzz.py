@@ -2,23 +2,29 @@
 
 Each test mutates a valid file (flipped bytes, a truncation, or ASCII text
 written over one header field) and feeds it to a parser: the EDF header and
-signal reader, the hypnogram parser, and the predictions-CSV reader of
+signal reader, the hypnogram parser, `load_record` + `preprocess_record`,
+`ulws preprocess` as a whole, and the predictions-CSV reader of
 `ulws evaluate`. No other exception may escape, and a numpy RuntimeWarning
-counts as an escape.
+counts as an escape. The example budget is the Hypothesis profile's
+(tests/conftest.py).
 """
 
+import contextlib
 import csv
+import gc
 import io
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from edf_fixtures import hypnogram_bytes, psg_bytes
-from ulws.cli import _read_prediction_pairs
-from ulws.edf import parse_edf_header, parse_hypnogram, read_signal
+from ulws.cli import DEFAULT_CHANNELS, _read_prediction_pairs, main
+from ulws.edf import load_record, parse_edf_header, parse_hypnogram, read_signal
 from ulws.errors import UlwsError
+from ulws.preprocess import preprocess_record, read_cache
 
 # widths of the per-signal header columns, in file order
 SIGNAL_COLUMNS = [16, 80, 8, 8, 8, 8, 8, 80, 8, 32]
@@ -69,7 +75,7 @@ def returns_or_fails_typed(parse, *args):
 def read_every_signal(blob):
     header = parse_edf_header(blob)
     for i in range(header.n_signals):
-        read_signal(blob, header, i)
+        read_signal(io.BytesIO(blob), header, i)
 
 
 PSG = psg_bytes(3)
@@ -77,16 +83,66 @@ HYPNOGRAM = hypnogram_bytes([(0.0, 30.0, "Sleep stage W"), (30.0, 30.0, "Sleep s
                              (60.0, 30.0, "Sleep stage 2")])
 
 
-@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_a_mutated_psg_reads_or_fails_typed(data):
     returns_or_fails_typed(read_every_signal, mutate(PSG, data, header_fields(PSG)))
 
 
-@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_a_mutated_hypnogram_parses_or_fails_typed(data):
     returns_or_fails_typed(parse_hypnogram, mutate(HYPNOGRAM, data, header_fields(HYPNOGRAM)))
+
+
+@contextlib.contextmanager
+def no_numpy_warning_or_open_file():
+    """Fail on a RuntimeWarning, or a ResourceWarning for a file left open, in the block."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect(1)  # a file kept alive by a young reference cycle warns when collected
+    stray = [w for w in caught if issubclass(w.category, (RuntimeWarning, ResourceWarning))]
+    assert not stray, [str(w.message) for w in stray]
+
+
+@pytest.fixture(scope="module")
+def pair_dir(tmp_path_factory):
+    """A good pair SC4001 and the pair SC4011 that each example overwrites."""
+    directory = tmp_path_factory.mktemp("pairs")
+    for stem in ("SC4001", "SC4011"):
+        (directory / f"{stem}E0-PSG.edf").write_bytes(PSG)
+        (directory / f"{stem}EC-Hypnogram.edf").write_bytes(HYPNOGRAM)
+    return directory
+
+
+@given(data=st.data())
+def test_a_mutated_psg_preprocesses_to_finite_epochs_or_fails_typed(pair_dir, data):
+    psg, hyp = pair_dir / "SC4011E0-PSG.edf", pair_dir / "SC4011EC-Hypnogram.edf"
+    psg.write_bytes(mutate(PSG, data, header_fields(PSG)))
+    hyp.write_bytes(HYPNOGRAM)
+    with no_numpy_warning_or_open_file():
+        try:
+            x, _ = preprocess_record(load_record(psg, hyp, DEFAULT_CHANNELS), DEFAULT_CHANNELS)
+        except UlwsError:
+            return
+    assert np.isfinite(x).all()
+
+
+@given(data=st.data())
+def test_preprocess_of_a_mutated_pair_beside_a_good_one_exits_cleanly(pair_dir, data):
+    files = {"PSG": (pair_dir / "SC4011E0-PSG.edf", PSG),
+             "hypnogram": (pair_dir / "SC4011EC-Hypnogram.edf", HYPNOGRAM)}
+    for path, blob in files.values():
+        path.write_bytes(blob)
+    path, blob = files[data.draw(st.sampled_from(sorted(files)), label="mutated file")]
+    path.write_bytes(mutate(blob, data, header_fields(blob)))
+    out = pair_dir.parent / f"{pair_dir.name}-out" / "cache.ulws"
+    out.unlink(missing_ok=True)
+    with no_numpy_warning_or_open_file(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["preprocess", "--data-dir", str(pair_dir), "--out", str(out)])
+    assert code in (0, 2)
+    if out.exists():
+        assert np.isfinite(read_cache(out).x).all()
 
 
 def predictions_text():
@@ -103,7 +159,6 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "predictions.csv"
 
 
-@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_a_mutated_predictions_csv_reads_or_fails_typed(csv_path, data):
     text = predictions_text()

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import os
 import subprocess
 import sys
@@ -10,10 +12,10 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edf_fixtures import hypnogram_bytes, psg_bytes
-from oracles import best_lag, sos_gain
-from ulws import container
-from ulws.edf import HypnogramEvent, load_record, parse_hypnogram
+from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
+from oracles import best_lag, preprocess_whole_record, sos_gain
+from ulws import container, preprocess
+from ulws.edf import HypnogramEvent, load_record, parse_hypnogram, read_signal
 from ulws.errors import (
     AllWake,
     BadMagic,
@@ -32,6 +34,7 @@ from ulws.preprocess import (
     CACHE_MAGIC,
     FILTER_BLOCK,
     FILTER_ORDER,
+    EPOCH_SAMPLES,
     EpochDataset,
     StageClass,
     collect_epochs,
@@ -42,6 +45,7 @@ from ulws.preprocess import (
     pad_length,
     preprocess_record,
     read_cache,
+    spool_epochs,
     trim_wake,
     write_cache,
 )
@@ -274,30 +278,26 @@ def stage_events(pattern: list[tuple[str, int]]):
     return events
 
 
+TOY_STAGES = [
+    ("Sleep stage W", 5),
+    ("Sleep stage 1", 5),
+    ("Sleep stage 2", 10),
+    ("Sleep stage ?", 1),
+    ("Sleep stage 3", 5),
+    ("Sleep stage R", 9),
+    ("Sleep stage W", 5),
+]
+CHANNELS = ["EEG Fpz-Cz", "EEG Pz-Oz", "EOG horizontal", "EMG submental"]
+
+
 @pytest.fixture(scope="module")
 def toy_record(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("edf")
-    n_epochs = 40
     psg = tmp / "SC4001E0-PSG.edf"
     hyp = tmp / "SC4001EC-Hypnogram.edf"
-    psg.write_bytes(psg_bytes(n_epochs=n_epochs, seed=11))
-    hyp.write_bytes(
-        hypnogram_bytes(
-            stage_events(
-                [
-                    ("Sleep stage W", 5),
-                    ("Sleep stage 1", 5),
-                    ("Sleep stage 2", 10),
-                    ("Sleep stage ?", 1),
-                    ("Sleep stage 3", 5),
-                    ("Sleep stage R", 9),
-                    ("Sleep stage W", 5),
-                ]
-            )
-        )
-    )
-    channels = ["EEG Fpz-Cz", "EEG Pz-Oz", "EOG horizontal", "EMG submental"]
-    return load_record(psg, hyp, channels), channels
+    psg.write_bytes(psg_bytes(n_epochs=40, seed=11))
+    hyp.write_bytes(hypnogram_bytes(stage_events(TOY_STAGES)))
+    return load_record(psg, hyp, CHANNELS), list(CHANNELS)
 
 
 def test_build_dataset_shapes_and_labels(toy_record):
@@ -328,19 +328,16 @@ def test_standardization_per_channel(toy_record):
         assert values.var() == pytest.approx(1.0, abs=1e-3)
 
 
-def test_epoch_alignment_error(toy_record):
+def test_epoch_alignment_error(toy_record, monkeypatch):
     record, channels = toy_record
-    short = type(record)(
-        subject_key=record.subject_key,
-        night=record.night,
-        signals={
-            k: type(v)(v.sample_rate_hz, v.samples[:-6000])
-            for k, v in record.signals.items()
-        },
-        events=record.events,
-    )
+
+    def short_read(fh, header, i):  # every channel 6000 samples short of its header
+        trace = read_signal(fh, header, i)
+        return type(trace)(trace.sample_rate_hz, trace.samples[:-6000])
+
+    monkeypatch.setattr(preprocess, "read_signal", short_read)
     with pytest.raises(EpochAlignmentError):
-        collect_epochs([(short.subject_key, *preprocess_record(short, channels))], channels)
+        collect_epochs([(record.subject_key, *preprocess_record(record, channels))], channels)
 
 
 # --- cache round trip ---------------------------------------------------------------------
@@ -489,22 +486,74 @@ def test_non_finite_dataset_is_never_written(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+# --- ingest against the whole-record oracle ---------------------------------------------
+
+def one_second_records_psg():
+    """1 s data records (many per read block) behind an unwanted 1 Hz channel.
+
+    EMG has a physical range of its own, on a large DC offset.
+    """
+    signals = [FixtureSignal("Resp oro-nasal", 1, digital=sine_digital(1200, 0.1, 1.0, seed=7))]
+    for i, label in enumerate(CHANNELS):
+        signals.append(FixtureSignal(label, 100, digital=sine_digital(120_000, 1.0 + 3 * i, RATE,
+                                                                      seed=20 + i)))
+    signals[-1].physical_min, signals[-1].physical_max = 10000.0, 10000.4
+    return edf_bytes(signals, n_data_records=1200, record_duration_s=1.0)
+
+
+INGEST_PAIRS = {  # PSG bytes and stage pattern of each ingest fixture
+    "toy": (lambda: psg_bytes(n_epochs=40, seed=11), TOY_STAGES),
+    "cli": (lambda: psg_bytes(n_epochs=24, seed=1),
+            [("Sleep stage W", 4), ("Sleep stage 1", 4), ("Sleep stage 2", 8),
+             ("Sleep stage R", 4), ("Sleep stage W", 4)]),
+    "one-second records": (one_second_records_psg, TOY_STAGES),
+}
+
+
+@pytest.fixture(scope="module")
+def ingest_pairs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("pairs")
+    pairs = {}
+    for i, (name, (psg_blob, pattern)) in enumerate(INGEST_PAIRS.items()):
+        psg, hyp = tmp / f"SC40{i}1E0-PSG.edf", tmp / f"SC40{i}1EC-Hypnogram.edf"
+        psg.write_bytes(psg_blob())
+        hyp.write_bytes(hypnogram_bytes(stage_events(pattern)))
+        pairs[name] = psg, hyp
+    return pairs
+
+
+@pytest.mark.parametrize("filter_all", [False, True], ids=["eeg-filtered", "all-filtered"])
+@pytest.mark.parametrize("channels", [CHANNELS, ["EMG submental"], ["EMG submental", "EEG Fpz-Cz"]],
+                         ids=["4ch", "1ch", "2ch"])
+@pytest.mark.parametrize("pair", list(INGEST_PAIRS))
+def test_channel_at_a_time_ingest_matches_the_whole_record_oracle(ingest_pairs, pair, channels,
+                                                                  filter_all):
+    psg, hyp = ingest_pairs[pair]
+    x, y = preprocess_record(load_record(psg, hyp, channels), channels, filter_all)
+    want_x, want_y = preprocess_whole_record(psg, hyp, channels, filter_all)
+    assert x.dtype == np.float32 and x.shape == want_x.shape
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(y, want_y)
+
+
 # --- non-finite records and collecting ---------------------------------------------------
 
 def renamed(record, key):
-    return type(record)(subject_key=key, night=record.night, signals=record.signals,
-                        events=record.events)
+    return dataclasses.replace(record, subject_key=key)
 
 
 @pytest.mark.parametrize("channel", ["EEG Fpz-Cz", "EMG submental"])  # filtered, unfiltered
-def test_non_finite_record_raises_without_a_numpy_warning(toy_record, channel):
+def test_non_finite_record_raises_without_a_numpy_warning(toy_record, monkeypatch, channel):
     record, channels = toy_record
-    signals = dict(record.signals)
-    trace = signals[channel]
-    samples = trace.samples.copy()
-    samples[100] = np.inf
-    signals[channel] = type(trace)(trace.sample_rate_hz, samples)
-    broken = type(record)(subject_key="SC401", night=1, signals=signals, events=record.events)
+
+    def read_with_inf(fh, header, i):  # an EDF word cannot decode to inf
+        trace = read_signal(fh, header, i)
+        if header.labels[i] == channel:
+            trace.samples[100] = np.inf
+        return trace
+
+    monkeypatch.setattr(preprocess, "read_signal", read_with_inf)
+    broken = renamed(record, "SC401")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteSignal):
@@ -522,6 +571,48 @@ def test_collect_matches_concatenation(toy_record, tmp_path):
     assert list(tmp_path.iterdir()) == []  # the spool file is gone
     empty = collect_epochs(iter([]), channels)
     assert empty.x.shape == (0, 4, 3000) and empty.y.shape == (0,)
+
+
+def random_chunks(sizes, n_channels=2, seed=0):
+    """(subject_key, x, y) chunks of `sizes` epochs each, as preprocess_record gives them."""
+    rng = np.random.default_rng(seed)
+    return [(f"SC4{i:02d}", rng.standard_normal((n, n_channels, EPOCH_SAMPLES)).astype(np.float32),
+             rng.integers(0, 5, n).astype(np.uint8)) for i, n in enumerate(sizes)]
+
+
+def test_a_spooled_dataset_writes_the_bytes_of_the_collected_one(tmp_path):
+    chunks = random_chunks([120, 180, 7])  # 307 epochs: a second, partial ROW_BLOCK
+    collected = tmp_path / "collected.ulws"
+    want = write_cache(collect_epochs(chunks, ["A", "B"]), collected)
+    spooled = spool_epochs(iter(chunks), ["A", "B"], spool_dir=tmp_path)
+    with spooled.x:
+        assert spooled.x.shape == (307, 2, EPOCH_SAMPLES) and spooled.n_epochs == 307
+        assert spooled.x.nbytes == 307 * 2 * EPOCH_SAMPLES * 4
+        assert write_cache(spooled, tmp_path / "spooled.ulws") == want
+    assert spooled.x.spool.closed
+    assert (tmp_path / "spooled.ulws").read_bytes() == collected.read_bytes()
+
+
+def test_a_spooled_dataset_holding_nan_is_never_written(tmp_path):
+    chunks = random_chunks([200, 100])
+    chunks[1][1][80, 1, 7] = np.nan  # epoch 280, in the second ROW_BLOCK
+    dataset = spool_epochs(chunks, ["A", "B"])
+    with dataset.x, pytest.raises(NonFiniteSignal):
+        write_cache(dataset, tmp_path / "bad.ulws")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spool_epochs_closes_its_spool_when_the_chunks_fail():
+    def failing_chunks():
+        yield from random_chunks([3])
+        raise NonFiniteSignal("the next record failed")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteSignal):
+            spool_epochs(failing_chunks(), ["A", "B"])
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # --- container: atomic writes and memory ------------------------------------------------
@@ -631,3 +722,46 @@ def test_filtfilt_memory_growth():
     run = subprocess.run([sys.executable, "-c", FILTER_PROBE], env=env,
                          capture_output=True, text=True, check=True)
     assert float(run.stdout) <= 1.2
+
+
+NIGHT_PROBE = """
+import json, sys
+import numpy as np
+from ulws.edf import load_record
+from ulws.preprocess import EPOCH_SAMPLES, design_bandpass, filtfilt, pad_length, preprocess_record
+
+def status_kib(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
+psg, hyp, n, channels = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:]
+sos = design_bandpass()
+filtfilt(np.ones(5000, np.float32), sos)  # scipy imported, first-call costs paid
+before = status_kib("VmRSS")
+x, y = preprocess_record(load_record(psg, hyp, channels), channels)
+growth = (status_kib("VmHWM") - before) * 1024
+design = x.nbytes + 4 * n + 8 * (n + 2 * pad_length(sos)) + 8 * len(y) * (EPOCH_SAMPLES + 1)
+print(json.dumps(growth / design))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_one_night_ingest_memory_growth(tmp_path):
+    """Peak RSS growth of load_record + preprocess_record over one 6 h night, in a fresh process.
+
+    Ingest holds its output x, one channel's float32 trace, the filter's
+    padded float64 buffer and one (n, T + 1) float64 epoch buffer, and no
+    whole-record copy: neither the file's bytes, nor every channel's trace,
+    nor a float64 (n, C, T) array. Holding those reaches ~2x the design.
+    """
+    psg, hyp = tmp_path / "SC4001E0-PSG.edf", tmp_path / "SC4001EC-Hypnogram.edf"
+    n_epochs = 720
+    psg.write_bytes(psg_bytes(n_epochs=n_epochs, seed=2))
+    hyp.write_bytes(hypnogram_bytes(stage_events(
+        [("Sleep stage W", 20), ("Sleep stage 2", 680), ("Sleep stage W", 20)])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", NIGHT_PROBE, str(psg), str(hyp),
+                          str(n_epochs * EPOCH_SAMPLES), *CHANNELS],
+                         env=env, capture_output=True, text=True, check=True)
+    assert float(run.stdout) <= 1.15
+
