@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""End-to-end demo on synthetic data: cache -> 2-fold CV -> pooled metrics.
+"""End-to-end demo on synthetic data: cache -> 2-fold CV -> pooled metrics -> predict.
 
-Exercises the same CLI entry points a real run uses, just on a generated
-dataset, so it finishes in under a minute on a laptop.
+Runs `ulws count`, `train`, `evaluate` and `predict` as a real run does,
+just on a generated dataset, so it finishes in under a minute on a laptop.
+`preprocess` needs EDF input and is left to the tests and the benchmark.
 
     python scripts/synthetic_demo.py --workdir /tmp/ulws-demo
 """
@@ -56,6 +57,11 @@ def main() -> None:
          "--train-config", str(work / "train.json"), "--folds", "2", "--fold", "all",
          "--out", str(work / "cv")])
     run(["evaluate", "--predictions", str(work / "cv"),
+         "--model-config", str(work / "model.json")])
+    predictions = work / "predict" / "predictions.csv"
+    run(["predict", "--checkpoint", str(work / "cv" / "fold0" / "checkpoint.ulwm"),
+         "--cache", str(cache), "--out", str(predictions)])
+    run(["evaluate", "--predictions", str(predictions),
          "--model-config", str(work / "model.json")])
 
 

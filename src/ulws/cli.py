@@ -28,7 +28,14 @@ import numpy as np
 
 from . import __version__, complexity, evaluation, nn, preprocess
 from .edf import load_record, subject_key_and_night
-from .errors import BadConfig, ChecksumMismatch, ShapeMismatch, UlwsError, WorkerDied
+from .errors import (
+    BadConfig,
+    ChecksumMismatch,
+    NonFiniteOutput,
+    ShapeMismatch,
+    UlwsError,
+    WorkerDied,
+)
 from .evaluation import N_CLASSES
 from .model import ModelConfig, decode_json, load_checkpoint, predict, save_checkpoint
 from .preprocess import (
@@ -476,9 +483,13 @@ def cmd_predict(args) -> int:
     params = load_checkpoint(Path(args.checkpoint))
     dataset = read_cache(Path(args.cache))
     _check_fits(params.config, dataset)
+    # NaN, infinite or overflowing weights, or a negative BN variance, are reported once, below
+    with np.errstate(all="ignore"):
+        _, probs = predict(params, dataset.x)
+    if not np.isfinite(probs).all():
+        raise NonFiniteOutput(f"{args.checkpoint}: the model's probabilities hold NaN or infinity")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _, probs = predict(params, dataset.x)
     _write_predictions(out, dataset, range(dataset.n_epochs), probs)
     print(f"wrote {dataset.n_epochs} predictions to {out}")
     _write_manifest(

@@ -113,6 +113,10 @@ class BadConfig(UlwsError):
     pass
 
 
+class NonFiniteOutput(UlwsError):
+    """A model gave NaN or infinite class probabilities."""
+
+
 # --- training ------------------------------------------------------------
 
 class NonFiniteGradient(UlwsError):

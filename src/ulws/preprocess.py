@@ -9,13 +9,12 @@ It reads one channel at a time from the PSG file, so a record costs its
 epochs plus one channel's trace and working buffers, never the whole
 night of every channel. `spool_epochs` spools the epochs of one record
 at a time, so the epochs kept so far wait in a spool file, not in RAM,
-and `write_cache` copies them from there into the cache in blocks.
-`collect_epochs` reads them back into one array instead.
+and `write_cache` checks and copies them from there into the cache in
+one pass of blocks.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import tempfile
@@ -299,6 +298,7 @@ class EpochDataset:
         return self.x.shape[2]
 
     def validate(self) -> None:
+        """Check shapes, dtype and labels; x's values are checked where they are read."""
         if self.x.ndim != 3 or self.x.dtype != np.float32:
             raise InvalidDataset(f"x must be (N, C, T) float32, got {self.x.dtype} {self.x.shape}")
         n = self.n_epochs
@@ -306,8 +306,6 @@ class EpochDataset:
             raise InvalidDataset(
                 f"{n} epochs but {len(self.y)} labels and {len(self.subject_keys)} subject keys"
             )
-        if not _all_finite(self.x):
-            raise NonFiniteSignal("epochs hold NaN or infinity")
         if self.y.size and (self.y.min() < 0 or self.y.max() >= N_STAGES):
             raise InvalidDataset(f"labels outside [0, {N_STAGES})")
 
@@ -328,7 +326,7 @@ def _row_blocks(x: np.ndarray | SpooledEpochs):
     return (x[i : i + ROW_BLOCK] for i in range(0, len(x), ROW_BLOCK))
 
 
-def _all_finite(x: np.ndarray | SpooledEpochs) -> bool:
+def _all_finite(x: np.ndarray) -> bool:
     """np.isfinite(x).all(), ROW_BLOCK rows at a time, without an x-sized mask."""
     return all(np.isfinite(block).all() for block in _row_blocks(x))
 
@@ -434,20 +432,6 @@ def spool_epochs(
     return EpochDataset(x=x, y=y_all, subject_keys=subjects, channel_labels=list(channels))
 
 
-def collect_epochs(
-    chunks: Iterable[tuple[str, np.ndarray, np.ndarray]],
-    channels: list[str],
-    spool_dir: str | Path | None = None,
-) -> EpochDataset:
-    """`spool_epochs`, with x read back into one array and the spool deleted."""
-    dataset = spool_epochs(chunks, channels, spool_dir)
-    with dataset.x as spooled:
-        x = np.empty(spooled.shape, dtype=np.float32)
-        spooled.spool.seek(0)
-        container.read_exact(spooled.spool, x)
-    return dataclasses.replace(dataset, x=x)
-
-
 # --- binary cache ---------------------------------------------------------
 #
 # magic "ULWS" | u8 version | u64 N, C, T | u32 sample_rate
@@ -464,7 +448,9 @@ def _pack_str(s: str) -> bytes:
 def write_cache(dataset: EpochDataset, path: str | Path) -> str:
     """Atomically write `dataset`, its arrays in place, a spooled x block by block.
 
-    Returns the CRC-32 written.
+    Each x block is checked for NaN and infinity as it is written, so a
+    spool is read once; a non-finite block raises NonFiniteSignal and
+    leaves no file. Returns the CRC-32 written.
     """
     dataset.validate()
     n, c, t = dataset.x.shape
@@ -475,7 +461,13 @@ def write_cache(dataset: EpochDataset, path: str | Path) -> str:
         head += _pack_str(label)
     for key in dataset.subject_keys:
         head += _pack_str(key)
-    x_blocks = (np.ascontiguousarray(block, dtype="<f4") for block in _row_blocks(dataset.x))
+
+    def finite(block: np.ndarray) -> np.ndarray:
+        if not np.isfinite(block).all():
+            raise NonFiniteSignal("epochs hold NaN or infinity")
+        return np.ascontiguousarray(block, dtype="<f4")
+
+    x_blocks = map(finite, _row_blocks(dataset.x))
     y = np.ascontiguousarray(dataset.y, dtype=np.uint8)
     return container.write(
         path, CACHE_MAGIC, CACHE_VERSION, itertools.chain([head], x_blocks, [y])
@@ -515,8 +507,10 @@ def read_cache(path: str | Path) -> EpochDataset:
         x=x, y=y, subject_keys=subject_keys, channel_labels=channel_labels,
         sample_rate_hz=float(rate), crc32=crc,
     )
-    try:
-        dataset.validate()  # a CRC-valid file may still hold NaN or a label past the stages
+    try:  # a CRC-valid file may still hold NaN or a label past the stages
+        if not _all_finite(x):
+            raise NonFiniteSignal("epochs hold NaN or infinity")
+        dataset.validate()
     except UlwsError as e:
         raise type(e)(f"{path}: {e}") from None
     return dataset

@@ -161,3 +161,17 @@ def preprocess_whole_record(psg_path, hyp_path, channels, filter_all_channels=Fa
         x[:, c] -= mean
         x[:, c] /= std
     return x.astype(np.float32), np.array([int(lab) for _, lab in retained], dtype=np.uint8)
+
+
+# --- many records' epochs in one array -----------------------------------------
+
+def concatenated_dataset(chunks, channels):
+    """The EpochDataset of (subject_key, x, y) chunks, joined in memory by np.concatenate."""
+    from ulws.preprocess import EpochDataset
+
+    return EpochDataset(
+        x=np.concatenate([x for _, x, _ in chunks]),
+        y=np.concatenate([y for *_, y in chunks]),
+        subject_keys=[key for key, _, y in chunks for _ in y],
+        channel_labels=list(channels),
+    )

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
-from oracles import pairwise_accuracy, pairwise_kappa, pairwise_macro_f1
-from ulws import cli, container, training
+from oracles import concatenated_dataset, pairwise_accuracy, pairwise_kappa, pairwise_macro_f1
+from ulws import cli, container, nn, training
 from ulws.cli import DEFAULT_CHANNELS, _keep_batch_memory, _run_fold, _train_folds, main
 from ulws.edf import load_record
 from ulws.errors import ChecksumMismatch, NonFiniteGradient
@@ -27,10 +27,11 @@ from ulws.model import (
     ModelConfig,
     build_model,
     load_checkpoint,
+    named_arrays,
     predict,
     save_checkpoint,
 )
-from ulws.preprocess import collect_epochs, preprocess_record, read_cache, write_cache
+from ulws.preprocess import preprocess_record, read_cache, write_cache
 from ulws.synthetic import sinusoid_dataset
 from ulws.training import FoldSplit, TrainConfig, split_indices, subject_folds
 
@@ -255,7 +256,7 @@ def test_preprocess_cache_matches_library_path(tmp_path):
     records.sort(key=lambda r: (r.subject_key, r.night))
     library = tmp_path / "library.ulws"
     chunks = [(r.subject_key, *preprocess_record(r, DEFAULT_CHANNELS)) for r in records]
-    write_cache(collect_epochs(chunks, DEFAULT_CHANNELS), library)
+    write_cache(concatenated_dataset(chunks, DEFAULT_CHANNELS), library)
     assert out.read_bytes() == library.read_bytes()
     # the CRC-32 of everything after the magic, as the cache stores it
     raw = out.read_bytes()
@@ -277,6 +278,26 @@ def test_preprocess_skips_an_all_wake_pair(tmp_path, capsys):
                                              "SC402 night 1: kept 24 epochs"]
     assert "skipped: 1" in captured.out.splitlines()
     assert read_cache(out).subject_keys == ["SC400"] * 24 + ["SC402"] * 24
+
+
+def test_preprocess_skips_a_pair_with_a_constant_channel(tmp_path, capsys):
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    write_record_pair(data_dir, "SC4001", seed=1)
+    psg, _ = write_record_pair(data_dir, "SC4012", seed=2)
+    signals = [
+        FixtureSignal(label, 3000, digital=sine_digital(3000 * 24, 1.0 + 2.0 * i, 100.0, seed=i))
+        for i, label in enumerate(DEFAULT_CHANNELS)
+    ]
+    signals[-1].digital = np.full(3000 * 24, 7, dtype=np.int16)  # EMG: one digital word
+    psg.write_bytes(edf_bytes(signals, n_data_records=24))
+    out = tmp_path / "cache.ulws"
+    assert main(["preprocess", "--data-dir", str(data_dir), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert ("warning: SC401 night 2: DegenerateSignal: channel 'EMG submental' constant over "
+            "retained epochs") in captured.err
+    assert "skipped: 1" in captured.out.splitlines()
+    assert read_cache(out).subject_keys == ["SC400"] * 24
 
 
 def test_preprocess_holds_no_earlier_record_or_chunk_while_a_pair_loads(tmp_path, monkeypatch):
@@ -576,6 +597,30 @@ def test_a_crc_valid_cache_with_bad_contents_is_a_typed_error(toy_cache, configs
     assert code == 2
     captured = capsys.readouterr()
     assert f"error: {error}: {cache}: " in captured.err and "Traceback" not in captured.err
+    assert not captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("name, value", [("blocks.0.main_conv1.pointwise", np.nan),
+                                         ("blocks.0.main_conv1.pointwise", np.inf),
+                                         ("head_out.weight", 3e38),
+                                         ("blocks.0.bn1.running_var", -nn.BN_EPSILON)])
+def test_predict_with_non_finite_probabilities_is_a_typed_error(toy_cache, tmp_path, capsys,
+                                                                name, value):
+    """A CRC-valid checkpoint whose weights hold NaN or infinity, overflow float32, or
+    give a BN running variance of -epsilon (a division by zero)."""
+    params = build_model(ModelConfig.from_dict(TINY_MODEL), seed=0)
+    dict(named_arrays(params, trainable_only=False))[name][...] = value
+    checkpoint = tmp_path / "checkpoint.ulwm"
+    save_checkpoint(params, checkpoint)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["predict", "--checkpoint", str(checkpoint), "--cache", str(toy_cache),
+                     "--out", str(out / "predictions.csv")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"error: NonFiniteOutput: {checkpoint}: " in captured.err
+    assert "Traceback" not in captured.err
     assert not captured.out and not out.exists()
 
 

@@ -4,9 +4,10 @@ Each test mutates a valid file (flipped bytes, a truncation, or ASCII text
 written over one header field) and feeds it to a parser: the EDF header and
 signal reader, the hypnogram parser, `load_record` + `preprocess_record`,
 `ulws preprocess` as a whole, and the predictions-CSV reader of
-`ulws evaluate`. No other exception may escape, and a numpy RuntimeWarning
-counts as an escape. The example budget is the Hypothesis profile's
-(tests/conftest.py).
+`ulws evaluate`; `ulws predict` as a whole gets a checkpoint whose weights
+are overwritten with any float32, then sealed with a valid CRC. No other
+exception may escape, and a numpy RuntimeWarning counts as an escape. The
+example budget is the Hypothesis profile's (tests/conftest.py).
 """
 
 import contextlib
@@ -21,10 +22,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edf_fixtures import hypnogram_bytes, psg_bytes
+from ulws import container
 from ulws.cli import DEFAULT_CHANNELS, _read_prediction_pairs, main
 from ulws.edf import load_record, parse_edf_header, parse_hypnogram, read_signal
 from ulws.errors import UlwsError
-from ulws.preprocess import preprocess_record, read_cache
+from ulws.model import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    ModelConfig,
+    build_model,
+    save_checkpoint,
+)
+from ulws.preprocess import preprocess_record, read_cache, write_cache
+from ulws.synthetic import sinusoid_dataset
 
 # widths of the per-signal header columns, in file order
 SIGNAL_COLUMNS = [16, 80, 8, 8, 8, 8, 8, 80, 8, 32]
@@ -172,3 +182,46 @@ def test_a_mutated_predictions_csv_reads_or_fails_typed(csv_path, data):
         blob = blob[:pos] + bytes([blob[pos] ^ 0x80]) + blob[pos + 1 :]
     csv_path.write_bytes(blob)
     returns_or_fails_typed(_read_prediction_pairs, csv_path)
+
+
+TINY_MODEL = {"n_blocks": 2, "filters": [2, 3], "kernel_size": 3, "n_input_channels": 2,
+              "input_length": 200, "head_hidden": 4}
+
+
+@pytest.fixture(scope="module")
+def predict_dir(tmp_path_factory):
+    """A tiny model's checkpoint and a cache of 6 epochs that it fits."""
+    directory = tmp_path_factory.mktemp("predict")
+    save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=0),
+                    directory / "checkpoint.ulwm")
+    write_cache(sinusoid_dataset(n_epochs=6, n_channels=2, epoch_samples=200, n_subjects=2,
+                                 seed=3), directory / "cache.ulws")
+    return directory
+
+
+@given(data=st.data())
+def test_predict_with_any_float32_weights_exits_cleanly(predict_dir, data):
+    body = bytearray((predict_dir / "checkpoint.ulwm").read_bytes()[5:-4])  # after the version
+    weights = np.frombuffer(body, "<f4", offset=4 + int.from_bytes(body[:4], "little"))
+    values = st.one_of(st.floats(width=32), st.sampled_from([3e38, -3e38]))
+    edits = st.lists(st.tuples(st.integers(0, len(weights) - 1), values), min_size=1, max_size=8)
+    for i, value in data.draw(edits, label="weights"):
+        weights[i] = value
+    checkpoint = predict_dir / "mutated.ulwm"
+    container.write(checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, [body])
+    out = predict_dir / "out" / "predictions.csv"
+    out.unlink(missing_ok=True)
+    with no_numpy_warning_or_open_file(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["predict", "--checkpoint", str(checkpoint),
+                     "--cache", str(predict_dir / "cache.ulws"), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 0:
+            assert main(["evaluate", "--predictions", str(out), "--json"]) == 0
+    if code == 2:
+        assert not out.exists()
+        return
+    with out.open(newline="") as fh:
+        probs = np.array([[float(row[f"p{k}"]) for k in range(5)] for row in csv.DictReader(fh)])
+    assert probs.shape == (6, 5) and np.isfinite(probs).all()
+    assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-5)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
-from oracles import best_lag, preprocess_whole_record, sos_gain
+from oracles import best_lag, concatenated_dataset, preprocess_whole_record, sos_gain
 from ulws import container, preprocess
 from ulws.edf import HypnogramEvent, load_record, parse_hypnogram, read_signal
 from ulws.errors import (
@@ -37,7 +37,6 @@ from ulws.preprocess import (
     EPOCH_SAMPLES,
     EpochDataset,
     StageClass,
-    collect_epochs,
     design_bandpass,
     expand_events,
     filtfilt,
@@ -302,28 +301,27 @@ def toy_record(tmp_path_factory):
 
 def test_build_dataset_shapes_and_labels(toy_record):
     record, channels = toy_record
-    ds = collect_epochs([(record.subject_key, *preprocess_record(record, channels))], channels)
+    x, y = preprocess_record(record, channels)
     # 40 scored minus 1 unscored -> 39 retained (wake margins stay, < 60 epochs)
-    assert ds.x.shape == (39, 4, 3000)
-    assert ds.x.dtype == np.float32
-    assert len(ds.subject_keys) == 39 and set(ds.subject_keys) == {"SC400"}
-    assert ds.channel_labels == channels
-    counts = np.bincount(ds.y, minlength=5)
+    assert x.shape == (39, 4, 3000)
+    assert x.dtype == np.float32
+    assert y.shape == (39,) and y.dtype == np.uint8
+    counts = np.bincount(y, minlength=5)
     assert counts.tolist() == [10, 5, 10, 5, 9]
 
 
 def test_unscored_epoch_reduces_count(toy_record):
     record, channels = toy_record
-    ds = collect_epochs([(record.subject_key, *preprocess_record(record, channels))], channels)
+    x, y = preprocess_record(record, channels)
     total_scored_slots = 40
-    assert ds.n_epochs == total_scored_slots - 1
+    assert len(x) == len(y) == total_scored_slots - 1
 
 
 def test_standardization_per_channel(toy_record):
     record, channels = toy_record
-    ds = collect_epochs([(record.subject_key, *preprocess_record(record, channels))], channels)
+    x, _ = preprocess_record(record, channels)
     for c in range(4):
-        values = ds.x[:, c, :].astype(np.float64)
+        values = x[:, c, :].astype(np.float64)
         assert abs(values.mean()) <= 1e-4
         assert values.var() == pytest.approx(1.0, abs=1e-3)
 
@@ -337,7 +335,7 @@ def test_epoch_alignment_error(toy_record, monkeypatch):
 
     monkeypatch.setattr(preprocess, "read_signal", short_read)
     with pytest.raises(EpochAlignmentError):
-        collect_epochs([(record.subject_key, *preprocess_record(record, channels))], channels)
+        preprocess_record(record, channels)
 
 
 # --- cache round trip ---------------------------------------------------------------------
@@ -560,17 +558,22 @@ def test_non_finite_record_raises_without_a_numpy_warning(toy_record, monkeypatc
             preprocess_record(broken, channels)
 
 
-def test_collect_matches_concatenation(toy_record, tmp_path):
+def test_spool_matches_concatenation(toy_record, tmp_path):
     record, channels = toy_record
     records = [renamed(record, "SC398"), renamed(record, "SC399")]
     chunks = [(r.subject_key, *preprocess_record(r, channels)) for r in records]
-    ds = collect_epochs(iter(chunks), channels, spool_dir=tmp_path)
-    assert np.array_equal(ds.x, np.concatenate([x for _, x, _ in chunks]))
+    ds = spool_epochs(iter(chunks), channels, spool_dir=tmp_path)
+    with ds.x:
+        assert ds.x.shape == (78, 4, 3000)
+        spooled = np.concatenate([block.copy() for block in ds.x.blocks()])
+    assert ds.x.spool.closed
+    assert list(tmp_path.iterdir()) == []  # the spool file is gone
+    assert np.array_equal(spooled, np.concatenate([x for _, x, _ in chunks]))
     assert np.array_equal(ds.y, np.concatenate([y for *_, y in chunks]))
     assert ds.subject_keys == ["SC398"] * 39 + ["SC399"] * 39
-    assert list(tmp_path.iterdir()) == []  # the spool file is gone
-    empty = collect_epochs(iter([]), channels)
-    assert empty.x.shape == (0, 4, 3000) and empty.y.shape == (0,)
+    assert ds.channel_labels == channels
+    with spool_epochs(iter([]), channels).x as empty:
+        assert empty.shape == (0, 4, 3000) and list(empty.blocks()) == []
 
 
 def random_chunks(sizes, n_channels=2, seed=0):
@@ -580,15 +583,24 @@ def random_chunks(sizes, n_channels=2, seed=0):
              rng.integers(0, 5, n).astype(np.uint8)) for i, n in enumerate(sizes)]
 
 
-def test_a_spooled_dataset_writes_the_bytes_of_the_collected_one(tmp_path):
+def test_a_spooled_dataset_writes_the_bytes_of_the_collected_one(tmp_path, monkeypatch):
     chunks = random_chunks([120, 180, 7])  # 307 epochs: a second, partial ROW_BLOCK
     collected = tmp_path / "collected.ulws"
-    want = write_cache(collect_epochs(chunks, ["A", "B"]), collected)
+    want = write_cache(concatenated_dataset(chunks, ["A", "B"]), collected)
+    read_exact, reads = container.read_exact, []
+
+    def counted_read_exact(fh, view):
+        reads.append(memoryview(view).nbytes)
+        read_exact(fh, view)
+
+    monkeypatch.setattr(container, "read_exact", counted_read_exact)
     spooled = spool_epochs(iter(chunks), ["A", "B"], spool_dir=tmp_path)
     with spooled.x:
         assert spooled.x.shape == (307, 2, EPOCH_SAMPLES) and spooled.n_epochs == 307
         assert spooled.x.nbytes == 307 * 2 * EPOCH_SAMPLES * 4
         assert write_cache(spooled, tmp_path / "spooled.ulws") == want
+    # the spool is read once, in its two ROW_BLOCKs, to be checked and copied
+    assert len(reads) == 2 and sum(reads) == spooled.x.nbytes
     assert spooled.x.spool.closed
     assert (tmp_path / "spooled.ulws").read_bytes() == collected.read_bytes()
 
