@@ -110,6 +110,8 @@ class ModelConfig(JsonConfig):
             raise BadConfig(f"filters must be >= 1, got {self.filters}")
         if self.kernel_size < 1 or self.pool_size < 1:
             raise BadConfig("kernel_size and pool_size must be >= 1")
+        if self.pool_size > 128:  # max pooling keeps window offsets as int8
+            raise BadConfig(f"pool_size must be <= 128, got {self.pool_size}")
         if self.pool_stride not in (1, 2, 4):
             raise BadConfig(f"pool_stride must be 1, 2 or 4, got {self.pool_stride}")
         if self.conv_type not in (CONV_SEPARABLE, CONV_STANDARD):
@@ -147,7 +149,9 @@ ConvLike = nn.SepConvParams | nn.ConvParams
 class DsscParams:
     """One dual-stream block.
 
-    Main stream: two (conv -> BN -> ReLU -> maxpool) stages at stride 1.
+    Main stream: two (conv -> BN -> maxpool -> ReLU) stages at stride 1.
+    ReLU is monotone, so it commutes with max pooling; after the pool it
+    runs at the pooled length.
     Shortcut: two width-1 strided convolutions with biases, no BN or
     activation. The block output is their element-wise sum.
     """
@@ -294,12 +298,12 @@ def _conv_backward(cache, grad_out) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 class DsscCache:
     conv1: object
     bn1: nn.BatchNormCache | None  # None in infer mode
+    pool1: nn.MaxPoolCache  # no argmax table in infer mode
     relu1: np.ndarray
-    pool1: nn.MaxPoolCache
     conv2: object
     bn2: nn.BatchNormCache | None  # None in infer mode
+    pool2: nn.MaxPoolCache  # no argmax table in infer mode
     relu2: np.ndarray
-    pool2: nn.MaxPoolCache
     shortcut1: object
     shortcut2: object
 
@@ -310,17 +314,17 @@ def dssc_forward(
     """Main stream plus strided shortcut; both land on length ceil(L/ps^2)."""
     h, c1 = _conv_forward(x, p.main_conv1)
     h, b1 = nn.batchnorm_forward(h, p.bn1, mode, update_running)
+    h, p1 = nn.maxpool1d_forward(h, p.pool_size, p.pool_stride, mode)
     h, r1 = nn.relu_forward(h)
-    h, p1 = nn.maxpool1d_forward(h, p.pool_size, p.pool_stride)
     h, c2 = _conv_forward(h, p.main_conv2)
     h, b2 = nn.batchnorm_forward(h, p.bn2, mode, update_running)
+    h, p2 = nn.maxpool1d_forward(h, p.pool_size, p.pool_stride, mode)
     h, r2 = nn.relu_forward(h)
-    h, p2 = nn.maxpool1d_forward(h, p.pool_size, p.pool_stride)
     s, s1 = _conv_forward(x, p.shortcut_conv1)
     s, s2 = _conv_forward(s, p.shortcut_conv2)
     if h.shape != s.shape:
         raise ShapeMismatch(f"main {h.shape} vs shortcut {s.shape}")
-    return h + s, DsscCache(c1, b1, r1, p1, c2, b2, r2, p2, s1, s2)
+    return h + s, DsscCache(c1, b1, p1, r1, c2, b2, p2, r2, s1, s2)
 
 
 def dssc_backward(
@@ -332,14 +336,14 @@ def dssc_backward(
         for leaf, g in pieces.items():
             grads[f"{prefix}.{name}.{leaf}"] = g
 
-    g = nn.maxpool1d_backward(cache.pool2, grad_out)
-    g = nn.relu_backward(cache.relu2, g)
+    g = nn.relu_backward(cache.relu2, grad_out)
+    g = nn.maxpool1d_backward(cache.pool2, g)
     g, g_gamma, g_beta = nn.batchnorm_backward(cache.bn2, g)
     put("bn2", {"gamma": g_gamma, "beta": g_beta})
     g, pieces = _conv_backward(cache.conv2, g)
     put("main_conv2", pieces)
-    g = nn.maxpool1d_backward(cache.pool1, g)
     g = nn.relu_backward(cache.relu1, g)
+    g = nn.maxpool1d_backward(cache.pool1, g)
     g, g_gamma, g_beta = nn.batchnorm_backward(cache.bn1, g)
     put("bn1", {"gamma": g_gamma, "beta": g_beta})
     g, pieces = _conv_backward(cache.conv1, g)
@@ -474,15 +478,18 @@ def model_loss(cache: ModelCache, labels: np.ndarray) -> float:
     return nn.softmax_xent_forward(cache.logits, np.asarray(labels))
 
 
-def predict(params: ModelParams, x: np.ndarray, batch_size: int = 32):
+def predict(params: ModelParams, x: np.ndarray, batch_size: int = 8):
     """Infer-mode forward over all epochs: (predicted labels, probabilities).
 
     Rows are scored independently, so the batch size changes memory and
-    speed, and the result by float rounding at most (32 and 256 agree bit
-    for bit). At 32 epochs the default model's largest activation is 12 MB;
-    at 256 it is 98 MB, above the size that malloc serves from its heap, so
-    every such array is mapped and page-faulted afresh and predict got
-    slower, not faster.
+    speed, and the result by float rounding at most: 8, 32 and 256 agree
+    bit for bit, while a one-epoch batch reaches BLAS's matrix-vector
+    kernel in the dense head. At 8 epochs the default model's largest
+    activation, block 0's convolution output, is ~3 MB, so a batch's
+    working set stays near the CPU's caches; at 32 it is 12 MB, and at 256
+    it is 98 MB, above the size that malloc serves from its heap, so every
+    such array is mapped and page-faulted afresh and predict got slower,
+    not faster.
     """
     probs = np.concatenate(
         [

@@ -14,8 +14,9 @@ Layout contract:
   filled with `out=` / in-place ufuncs; no kernel writes to an array it
   was given.
 - Caches hold no more than the backward pass needs: a convolution keeps
-  its unpadded input, and infer-mode batch norm keeps nothing, so a
-  backward pass needs a train-mode forward.
+  its unpadded input. In infer mode, batch norm keeps nothing and max
+  pooling builds no argmax table, so a backward pass needs a train-mode
+  forward.
 
 Padding is SAME everywhere: output length is ceil(L / stride), zeros split
 evenly with the extra sample on the right. Taps that would read the zero
@@ -276,29 +277,37 @@ def relu_backward(mask: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MaxPoolCache:
-    argmax: np.ndarray  # within-window offset of the (first) maximum
+    argmax: np.ndarray | None  # within-window offset of the (first) maximum; None in infer mode
     pool_size: int
     stride: int
     in_length: int
 
 
 def maxpool1d_forward(
-    x: np.ndarray, pool_size: int = 2, stride: int = 2
+    x: np.ndarray, pool_size: int = 2, stride: int = 2, mode: Mode = "train"
 ) -> tuple[np.ndarray, MaxPoolCache]:
+    """Max over windows of `pool_size` samples every `stride` samples.
+
+    Train mode also records each window's argmax for the backward pass;
+    infer mode computes only the maxima, one np.maximum per window offset.
+    """
     length = x.shape[2]
     out_length = ceil_div(length, stride)
     y = x[:, :, 0 : (out_length - 1) * stride + 1 : stride].copy()
-    argmax = np.zeros(y.shape, dtype=np.int8)
-    won = np.empty_like(argmax)
+    argmax = None if mode == "infer" else np.zeros(y.shape, dtype=np.int8)
     for k in range(1, pool_size):
         o, i = _tap_slices(k, stride, 0, length, out_length)
-        cand, best, won_k = x[:, :, i], y[:, :, o], won[:, :, o]
-        # strict: ties resolve to the first maximum, so the argmax is the
-        # largest offset that beat every earlier one
-        np.greater(cand, best, out=won_k)
-        if k > 1:
-            won_k *= k
-        np.maximum(argmax[:, :, o], won_k, out=argmax[:, :, o])
+        cand, best = x[:, :, i], y[:, :, o]
+        if argmax is not None:
+            # strict: ties resolve to the first maximum, so the argmax is the
+            # largest offset that beat every earlier one. Offset 1 meets only
+            # zeros, so its comparison is written straight in.
+            if k == 1:
+                np.greater(cand, best, out=argmax[:, :, o])
+            else:
+                won = np.greater(cand, best).view(np.int8)
+                won *= k
+                np.maximum(argmax[:, :, o], won, out=argmax[:, :, o])
         np.maximum(best, cand, out=best)
     return y, MaxPoolCache(argmax, pool_size, stride, length)
 

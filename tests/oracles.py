@@ -68,6 +68,29 @@ def best_lag(reference: np.ndarray, shifted: np.ndarray, max_lag: int) -> int:
     return best
 
 
+# --- a stage's ReLU and max pooling in their first order -----------------------
+
+def relu_then_maxpool(x: np.ndarray, grad_out: np.ndarray, pool_size: int, stride: int):
+    """(y, grad_x) of ReLU followed by max pooling, window by window.
+
+    Windows start every `stride` samples and are cut at the right edge. Ties
+    go to the first maximum of the rectified window, and ReLU's subgradient
+    at 0 is 0, so a window whose maximum is not positive passes no gradient.
+    """
+    b, c, length = x.shape
+    out_length = -(-length // stride)
+    y = np.empty((b, c, out_length), dtype=x.dtype)
+    grad_x = np.zeros_like(x)
+    for n, ch, j in np.ndindex(b, c, out_length):
+        window = range(j * stride, min(j * stride + pool_size, length))
+        rectified = [max(float(x[n, ch, t]), 0.0) for t in window]
+        winner = window[rectified.index(max(rectified))]
+        y[n, ch, j] = rectified[winner - window.start]
+        if x[n, ch, winner] > 0:
+            grad_x[n, ch, winner] += grad_out[n, ch, j]
+    return y, grad_x
+
+
 # --- metrics by direct pairwise counting (no confusion matrix) --------------
 
 def pairwise_accuracy(y_true, y_pred) -> float:

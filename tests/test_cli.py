@@ -501,13 +501,16 @@ def test_train_needs_two_folds(toy_cache, configs, tmp_path, capsys, folds):
     assert not out.exists()
 
 
+# the last model config pools windows of 150 samples, whose offsets do not
+# fit max pooling's int8 argmax table
 BAD_MODEL_CONFIGS = [{"kernel_size": "3"}, {"kernel_size": 3.0}, {"filters": 8},
                      {"filters": [-2, -1, 0]}, {"filters": [0, 8, 16]},
-                     {"dropout_head": None}, [1, 2]]
+                     {"dropout_head": None}, [1, 2], dict(TINY_MODEL, pool_size=150)]
 BAD_CHECKPOINT_CONFIGS = {
     "broken-json": b'{"n_blocks": 2,,}',
     "byte-0xff": b'{"conv_type": "\xff"}',
     "wrong-type": json.dumps(dict(TINY_MODEL, kernel_size="3")).encode(),
+    "pool-size-150": json.dumps(dict(TINY_MODEL, pool_size=150)).encode(),
 }
 
 
@@ -1207,6 +1210,6 @@ def test_predict_batches_reuse_freed_memory():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     predict(params, x)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    # a batch of 32 default-model epochs touches ~100 MB; mapped afresh for
-    # each batch, that is tens of thousands of 4 KiB page faults per call
+    # a batch of 8 default-model epochs holds up to ~15 MB at once; mapped
+    # afresh for each batch, that is thousands of 4 KiB page faults per call
     assert faults < 1000

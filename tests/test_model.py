@@ -65,6 +65,18 @@ def test_config_from_dict_checks_json_types(bad):
         ModelConfig.from_dict(bad)
 
 
+def test_config_pool_size_fits_the_int8_argmax():
+    with pytest.raises(BadConfig, match="pool_size must be <= 128, got 129"):
+        ModelConfig(pool_size=129)
+    assert ModelConfig(pool_size=128).pool_size == 128
+    # the widest window's last offset, 127, still routes its gradient
+    x = np.zeros((1, 1, 128))
+    x[0, 0, 127] = 1.0
+    _, cache = nn.maxpool1d_forward(x, pool_size=128, stride=128)
+    assert cache.argmax[0, 0, 0] == 127
+    assert np.array_equal(nn.maxpool1d_backward(cache, np.ones((1, 1, 1))), x)
+
+
 def test_config_keeps_an_integer_in_a_float_field():
     d = ModelConfig.from_dict({"dropout_head": 0}).to_dict()
     assert d["dropout_head"] == 0 and type(d["dropout_head"]) is int
@@ -320,6 +332,32 @@ def test_checkpoint_corruption_detected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ChecksumMismatch):
         load_checkpoint(path)
+
+
+def test_predict_does_not_depend_on_the_batch_size():
+    params = build_model(ModelConfig(), seed=6)
+    x = np.random.default_rng(9).standard_normal((44, 4, 3000)).astype(np.float32)
+    labels, probs = predict(params, x)  # 44 epochs leave a short last batch at 8 and 32
+    for batch_size in (32, 256):
+        assert np.array_equal(predict(params, x, batch_size)[1], probs)
+    # one-row batches reach BLAS's matrix-vector kernels, which round the
+    # head's sums in another order
+    labels_1, probs_1 = predict(params, x, batch_size=1)
+    assert np.allclose(probs_1, probs, rtol=0, atol=1e-6)
+    assert np.array_equal(labels_1, labels)
+
+
+def test_model_infer_keeps_no_backward_state():
+    params = build_model(ModelConfig(), seed=0)
+    x = np.random.default_rng(1).standard_normal((2, 4, 3000)).astype(np.float32)
+    _, cache = model_forward(x, params, "infer")
+    blocks = cache.extractor.blocks
+    assert len(blocks) == 3
+    for blk in blocks:
+        assert blk.bn1 is None and blk.bn2 is None
+        assert blk.pool1.argmax is None and blk.pool2.argmax is None
+    _, cache = model_forward(x, params, "train", rng=np.random.default_rng(2))
+    assert all(blk.pool1.argmax is not None for blk in cache.extractor.blocks)
 
 
 def test_predict_batches_match_single_pass():

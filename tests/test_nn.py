@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, fd_relative_error
+from oracles import fd_gradient, fd_relative_error, relu_then_maxpool
 from ulws import nn
 from ulws.errors import DegenerateBatch, ShapeMismatch
 
@@ -333,6 +333,45 @@ def test_maxpool_overlapping_windows_accumulate():
     assert np.array_equal(y, [[[9.0, 9.0, 0.0]]])
     gx = nn.maxpool1d_backward(cache, np.array([[[1.0, 1.0, 1.0]]]))
     assert np.array_equal(gx, [[[0.0, 0.0, 2.0, 0.0, 1.0, 0.0]]])
+
+
+# every window shape a config allows: tiled (2/2), overlapping (4/2),
+# gapped (1/2) and stride 1, over even and odd lengths
+POOL_WINDOWS = dict(pool_size=st.integers(min_value=1, max_value=5),
+                    stride=st.sampled_from([1, 2, 4]),
+                    length=st.integers(min_value=1, max_value=25),
+                    dtype=st.sampled_from([np.float32, F64]),
+                    seed=st.integers(min_value=0, max_value=2**16))
+
+
+def tie_heavy(rng, shape, dtype):
+    return rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], dtype=dtype), size=shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**POOL_WINDOWS)
+def test_relu_after_maxpool_matches_relu_before_it(pool_size, stride, length, dtype, seed):
+    """The stage order conv -> BN -> maxpool -> ReLU gives the values and input
+    gradients of conv -> BN -> ReLU -> maxpool: ReLU is monotone."""
+    rng = np.random.default_rng(seed)
+    x = tie_heavy(rng, (2, 3, length), dtype)
+    pooled, pool_cache = nn.maxpool1d_forward(x, pool_size, stride)
+    y, mask = nn.relu_forward(pooled)
+    g = rng.integers(-3, 4, size=y.shape).astype(dtype)  # integers: every sum order is exact
+    gx = nn.maxpool1d_backward(pool_cache, nn.relu_backward(mask, g))
+    y_ref, gx_ref = relu_then_maxpool(x, g, pool_size, stride)
+    assert np.array_equal(y, y_ref) and np.array_equal(gx, gx_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**POOL_WINDOWS)
+def test_maxpool_infer_mode_keeps_no_argmax(pool_size, stride, length, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = tie_heavy(rng, (2, 3, length), dtype)
+    y_train, train_cache = nn.maxpool1d_forward(x, pool_size, stride, "train")
+    y_infer, infer_cache = nn.maxpool1d_forward(x, pool_size, stride, "infer")
+    assert y_infer.dtype == y_train.dtype and y_infer.tobytes() == y_train.tobytes()
+    assert infer_cache.argmax is None and train_cache.argmax is not None
 
 
 def test_global_avg_pool():
