@@ -37,7 +37,7 @@ from .errors import (
     WorkerDied,
 )
 from .evaluation import N_CLASSES
-from .model import ModelConfig, decode_json, load_checkpoint, predict, save_checkpoint
+from .model import ModelConfig, load_checkpoint, predict, save_checkpoint
 from .preprocess import (
     EpochDataset,
     preprocess_record,
@@ -48,8 +48,6 @@ from .preprocess import (
 from .training import FoldSplit, TrainConfig, subject_folds, split_indices, train_fold
 
 DEFAULT_CHANNELS = ["EEG Fpz-Cz", "EEG Pz-Oz", "EOG horizontal", "EMG submental"]
-
-SEED_ENV_VAR = "ULWS_SEED"
 
 # constants the run manifest pins down for reproducibility
 RESOLVED_DEFAULTS = {
@@ -107,11 +105,7 @@ def _check_fits(cfg: ModelConfig, cache: EpochDataset) -> None:
 
 def _train_config(args) -> TrainConfig:
     path = args.train_config
-    cfg = TrainConfig.from_json(Path(path).read_bytes(), path) if path else TrainConfig()
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        cfg = TrainConfig.from_dict(dict(cfg.to_dict(), seed=decode_json(env_seed, SEED_ENV_VAR)))
-    return cfg
+    return TrainConfig.from_json(Path(path).read_bytes(), path) if path else TrainConfig()
 
 
 # --- preprocess -------------------------------------------------------------
@@ -190,10 +184,7 @@ def cmd_preprocess(args) -> int:
 # --- count --------------------------------------------------------------------
 
 def cmd_count(args) -> int:
-    cfg = _model_config(args)
-    if args.conv_type:
-        cfg = dataclasses.replace(cfg, conv_type=args.conv_type)
-    report = complexity.count_flops(cfg)
+    report = complexity.count_flops(_model_config(args))
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -523,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="parameter and FLOPs accounting")
     p.add_argument("--config", dest="model_config", default=None, help="model config JSON")
-    p.add_argument("--conv-type", choices=["separable", "standard"], default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_count)
 

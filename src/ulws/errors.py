@@ -53,10 +53,6 @@ class PreprocessError(UlwsError):
     pass
 
 
-class InvalidBand(PreprocessError):
-    pass
-
-
 class SignalTooShort(PreprocessError):
     pass
 

@@ -19,15 +19,15 @@ N_CLASSES = N_STAGES
 AGGREGATION = "pooled"
 
 
-def confusion(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
-    """Counts[t][p]: rows are true classes, columns predictions."""
+def confusion(y_true, y_pred) -> np.ndarray:
+    """Counts[t][p] over the N_CLASSES stages: rows are true classes, columns predictions."""
     t = np.asarray(y_true, dtype=np.int64)
     p = np.asarray(y_pred, dtype=np.int64)
     if t.shape != p.shape:
         raise LengthMismatch(f"{t.shape} true labels vs {p.shape} predictions")
-    if t.size and (t.min() < 0 or t.max() >= n_classes or p.min() < 0 or p.max() >= n_classes):
-        raise LabelOutOfRange(f"labels must lie in [0, {n_classes})")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    if t.size and (t.min() < 0 or t.max() >= N_CLASSES or p.min() < 0 or p.max() >= N_CLASSES):
+        raise LabelOutOfRange(f"labels must lie in [0, {N_CLASSES})")
+    cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(cm, (t, p), 1)
     return cm
 

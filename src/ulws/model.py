@@ -26,6 +26,9 @@ CHECKPOINT_VERSION = 1
 CONV_SEPARABLE = "separable"
 CONV_STANDARD = "standard"
 
+# an infer-mode head scores a multiple of this many rows (see model_forward)
+HEAD_ROWS = 8
+
 
 def decode_json(blob: bytes | str, source) -> object:
     """Parse a UTF-8 JSON document; a malformed one raises BadConfig naming `source`."""
@@ -125,18 +128,17 @@ class ModelConfig(JsonConfig):
                 raise BadConfig(f"dropout rates must lie in [0, 1), got {rate}")
 
 
-def variant_configs(n_input_channels: int = 4) -> dict[str, ModelConfig]:
+def variant_configs() -> dict[str, ModelConfig]:
     """The study grid: the default plus each single-axis variation."""
-    base = dict(n_input_channels=n_input_channels)
     return {
-        "default": ModelConfig(**base),
-        "blocks2": ModelConfig(n_blocks=2, filters=(16, 32), **base),
-        "blocks4": ModelConfig(n_blocks=4, filters=(8, 16, 32, 64), **base),
-        "ks7_ps4": ModelConfig(kernel_size=7, pool_size=4, pool_stride=2, **base),
-        "filters_4_8_16": ModelConfig(filters=(4, 8, 16), **base),
-        "filters_16_32_64": ModelConfig(filters=(16, 32, 64), **base),
-        "filters_16_32_64_128": ModelConfig(n_blocks=4, filters=(16, 32, 64, 128), **base),
-        "standard_conv": ModelConfig(conv_type=CONV_STANDARD, **base),
+        "default": ModelConfig(),
+        "blocks2": ModelConfig(n_blocks=2, filters=(16, 32)),
+        "blocks4": ModelConfig(n_blocks=4, filters=(8, 16, 32, 64)),
+        "ks7_ps4": ModelConfig(kernel_size=7, pool_size=4, pool_stride=2),
+        "filters_4_8_16": ModelConfig(filters=(4, 8, 16)),
+        "filters_16_32_64": ModelConfig(filters=(16, 32, 64)),
+        "filters_16_32_64_128": ModelConfig(n_blocks=4, filters=(16, 32, 64, 128)),
+        "standard_conv": ModelConfig(conv_type=CONV_STANDARD),
     }
 
 
@@ -308,16 +310,14 @@ class DsscCache:
     shortcut2: object
 
 
-def dssc_forward(
-    x: np.ndarray, p: DsscParams, mode: nn.Mode, update_running: bool = True
-) -> tuple[np.ndarray, DsscCache]:
+def dssc_forward(x: np.ndarray, p: DsscParams, mode: nn.Mode) -> tuple[np.ndarray, DsscCache]:
     """Main stream plus strided shortcut; both land on length ceil(L/ps^2)."""
     h, c1 = _conv_forward(x, p.main_conv1)
-    h, b1 = nn.batchnorm_forward(h, p.bn1, mode, update_running)
+    h, b1 = nn.batchnorm_forward(h, p.bn1, mode)
     h, p1 = nn.maxpool1d_forward(h, p.pool_size, p.pool_stride, mode)
     h, r1 = nn.relu_forward(h)
     h, c2 = _conv_forward(h, p.main_conv2)
-    h, b2 = nn.batchnorm_forward(h, p.bn2, mode, update_running)
+    h, b2 = nn.batchnorm_forward(h, p.bn2, mode)
     h, p2 = nn.maxpool1d_forward(h, p.pool_size, p.pool_stride, mode)
     h, r2 = nn.relu_forward(h)
     s, s1 = _conv_forward(x, p.shortcut_conv1)
@@ -368,7 +368,6 @@ def extractor_forward(
     params: ModelParams,
     mode: nn.Mode,
     rng: np.random.Generator | None = None,
-    update_running: bool = True,
 ) -> tuple[np.ndarray, ExtractorCache]:
     """Single-channel rows (N, 1, T) -> pooled features (N, F_n).
 
@@ -383,7 +382,7 @@ def extractor_forward(
     block_caches, masks = [], []
     h = x_c
     for i, blk in enumerate(params.blocks):
-        h, cache = dssc_forward(h, blk, mode, update_running)
+        h, cache = dssc_forward(h, blk, mode)
         block_caches.append(cache)
         if i < len(params.blocks) - 1:
             h, mask = nn.dropout_forward(h, cfg.dropout_block, mode, rng)
@@ -407,7 +406,7 @@ def extractor_backward(
 class ModelCache:
     config: ModelConfig
     extractor: ExtractorCache
-    dense1_x: np.ndarray
+    dense1_x: np.ndarray  # in infer mode, this, relu_mask and dense2_x hold the head's padding
     relu_mask: np.ndarray
     dropout_mask: np.ndarray | None
     dense2_x: np.ndarray
@@ -422,13 +421,15 @@ def model_forward(
     params: ModelParams,
     mode: nn.Mode = "infer",
     rng: np.random.Generator | None = None,
-    update_running: bool = True,
 ) -> tuple[np.ndarray, ModelCache]:
     """(B, C, T) -> class probabilities (B, n_classes).
 
     The C channels are folded into the batch axis, pushed through the
     shared extractor once, and the per-channel feature vectors come back
-    concatenated in channel order for the dense head.
+    concatenated in channel order for the dense head. In infer mode the
+    head runs on zero rows past the B real ones, up to a multiple of
+    HEAD_ROWS, so an epoch scores the same bit for bit in a batch of any
+    size; logits and probs keep the real rows only.
     """
     cfg = params.config
     if x.ndim != 3 or x.shape[1] != cfg.n_input_channels:
@@ -437,13 +438,19 @@ def model_forward(
         )
     b, c, t = x.shape
     stacked = np.ascontiguousarray(x).reshape(b * c, 1, t)
-    feats, extractor_cache = extractor_forward(stacked, params, mode, rng, update_running)
+    feats, extractor_cache = extractor_forward(stacked, params, mode, rng)
     concat = feats.reshape(b, c * cfg.filters[-1])
+    if mode == "infer" and b % HEAD_ROWS:
+        # BLAS rounds the head's products by their row count: zero rows up to a
+        # multiple of HEAD_ROWS keep each epoch's scores apart from its batch's size
+        pad = np.zeros((HEAD_ROWS - b % HEAD_ROWS, concat.shape[1]), dtype=concat.dtype)
+        concat = np.concatenate([concat, pad])
 
     h, dense1_x = nn.dense_forward(concat, params.head_hidden)
     h, relu_mask = nn.relu_forward(h)
     h, dropout_mask = nn.dropout_forward(h, cfg.dropout_head, mode, rng)
     logits, dense2_x = nn.dense_forward(h, params.head_out)
+    logits = logits[:b]
     probs = nn.softmax(logits)
     return probs, ModelCache(
         cfg, extractor_cache, dense1_x, relu_mask, dropout_mask, dense2_x,
@@ -481,10 +488,10 @@ def model_loss(cache: ModelCache, labels: np.ndarray) -> float:
 def predict(params: ModelParams, x: np.ndarray, batch_size: int = 8):
     """Infer-mode forward over all epochs: (predicted labels, probabilities).
 
-    Rows are scored independently, so the batch size changes memory and
-    speed, and the result by float rounding at most: 8, 32 and 256 agree
-    bit for bit, while a one-epoch batch reaches BLAS's matrix-vector
-    kernel in the dense head. At 8 epochs the default model's largest
+    Rows are scored independently and the head pads every batch to a
+    multiple of HEAD_ROWS rows, so the batch size changes memory and speed
+    but not the result: each epoch's probabilities are the same bit for bit
+    wherever its batch ends. At 8 epochs the default model's largest
     activation, block 0's convolution output, is ~3 MB, so a batch's
     working set stays near the CPU's caches; at 32 it is 12 MB, and at 256
     it is 98 MB, above the size that malloc serves from its heap, so every

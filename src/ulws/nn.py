@@ -12,7 +12,8 @@ Layout contract:
   memory with unit stride.
 - Scratch and output buffers are allocated in the input's dtype and
   filled with `out=` / in-place ufuncs; no kernel writes to an array it
-  was given.
+  was given, except train-mode batch norm, which decays its running
+  statistics.
 - Caches hold no more than the backward pass needs: a convolution keeps
   its unpadded input. In infer mode, batch norm keeps nothing and max
   pooling builds no argmax table, so a backward pass needs a train-mode
@@ -211,14 +212,15 @@ class BatchNormCache:
 
 
 def batchnorm_forward(
-    x: np.ndarray, p: BatchNormParams, mode: Mode, update_running: bool = True
+    x: np.ndarray, p: BatchNormParams, mode: Mode
 ) -> tuple[np.ndarray, BatchNormCache | None]:
     """Normalize per channel over (batch, length).
 
-    Train mode uses batch statistics and decays the running ones (unless
-    update_running is off, e.g. while finite-differencing); infer mode
-    applies the running statistics as one per-channel affine map and keeps
-    no state.
+    Train mode normalizes by the batch statistics and decays the running
+    ones towards them in place; its output and backward pass never read the
+    running statistics, so a finite-difference check may call it repeatedly.
+    Infer mode applies the running statistics as one per-channel affine map
+    and keeps no state.
     """
     b, _, length = x.shape
     eps = np.asarray(BN_EPSILON, dtype=x.dtype)
@@ -234,10 +236,9 @@ def batchnorm_forward(
     centered = np.subtract(x, mean[:, None])
     # einsum reduces the products without materialising them
     var = np.einsum("bcl,bcl->c", centered, centered) / (b * length)
-    if update_running:
-        mom = BN_MOMENTUM
-        p.running_mean[...] = mom * p.running_mean + (1 - mom) * mean
-        p.running_var[...] = mom * p.running_var + (1 - mom) * var
+    mom = BN_MOMENTUM
+    p.running_mean[...] = mom * p.running_mean + (1 - mom) * mean
+    p.running_var[...] = mom * p.running_var + (1 - mom) * var
     inv_std = 1.0 / np.sqrt(var + eps)
     y = np.multiply(centered, (p.gamma * inv_std)[:, None])
     y += p.beta[:, None]

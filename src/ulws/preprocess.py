@@ -32,7 +32,6 @@ from .errors import (
     ChecksumMismatch,
     DegenerateSignal,
     EpochAlignmentError,
-    InvalidBand,
     InvalidDataset,
     MissingChannel,
     NonFiniteSignal,
@@ -91,30 +90,19 @@ def map_stage_label(stage_text: str) -> StageClass | None:
         raise UnknownLabel(f"unrecognized stage text {stage_text!r}") from None
 
 
-def design_bandpass(
-    low_hz: float = BAND_HZ[0],
-    high_hz: float = BAND_HZ[1],
-    sample_rate_hz: float = SAMPLE_RATE_HZ,
-    order: int = FILTER_ORDER,
-) -> np.ndarray:
-    """Butterworth band-pass as scipy's (order, 6) second-order sections.
+def design_bandpass() -> np.ndarray:
+    """The ingest band-pass: a Butterworth filter of order FILTER_ORDER over
+    BAND_HZ at SAMPLE_RATE_HZ, as scipy's (FILTER_ORDER, 6) second-order sections.
 
-    Each row is one biquad (b0, b1, b2, a0, a1, a2) with a0 == 1. `order`
-    follows the usual prototype convention: butter(order, band) yields
-    `order` sections. The -3 dB points sit at the cutoffs.
+    Each row is one biquad (b0, b1, b2, a0, a1, a2) with a0 == 1, following
+    the usual prototype convention: butter(order, band) yields `order`
+    sections. The -3 dB points sit at the cutoffs.
     """
     import scipy.signal  # ~1 s to import; only EDF ingest designs or applies filters
 
-    if not 0 < low_hz < high_hz < sample_rate_hz / 2:
-        raise InvalidBand(
-            f"need 0 < low < high < Nyquist, got ({low_hz}, {high_hz}) at {sample_rate_hz} Hz"
-        )
-    sos = scipy.signal.butter(
-        order, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="sos"
+    return scipy.signal.butter(
+        FILTER_ORDER, list(BAND_HZ), btype="bandpass", fs=SAMPLE_RATE_HZ, output="sos"
     )
-    if _pole_radius(sos) >= 1.0:
-        raise InvalidBand(f"unstable design for band ({low_hz}, {high_hz})")
-    return sos
 
 
 def _pole_radius(sos: np.ndarray) -> float:
@@ -282,7 +270,6 @@ class EpochDataset:
     y: np.ndarray
     subject_keys: list[str]
     channel_labels: list[str]
-    sample_rate_hz: float = SAMPLE_RATE_HZ
     crc32: str | None = None  # the CRC-32 read_cache verified; None if not read from a cache
 
     @property
@@ -315,7 +302,6 @@ class EpochDataset:
             and np.array_equal(self.y, other.y)
             and self.subject_keys == other.subject_keys
             and self.channel_labels == other.channel_labels
-            and self.sample_rate_hz == other.sample_rate_hz
         )
 
 
@@ -434,7 +420,7 @@ def spool_epochs(
 
 # --- binary cache ---------------------------------------------------------
 #
-# magic "ULWS" | u8 version | u64 N, C, T | u32 sample_rate
+# magic "ULWS" | u8 version | u64 N, C, T | u32 sample rate, always SAMPLE_RATE_HZ
 # | C x (u32 len + utf-8) channel labels | N x (u32 len + utf-8) subject keys
 # | N*C*T float32 LE payload in (epoch, channel, sample) order | N x u8 labels
 # | u32 CRC-32 of everything after the magic
@@ -456,7 +442,7 @@ def write_cache(dataset: EpochDataset, path: str | Path) -> str:
     n, c, t = dataset.x.shape
     head = bytearray()
     head += n.to_bytes(8, "little") + c.to_bytes(8, "little") + t.to_bytes(8, "little")
-    head += int(round(dataset.sample_rate_hz)).to_bytes(4, "little")
+    head += int(SAMPLE_RATE_HZ).to_bytes(4, "little")
     for label in dataset.channel_labels:
         head += _pack_str(label)
     for key in dataset.subject_keys:
@@ -481,6 +467,8 @@ def read_cache(path: str | Path) -> EpochDataset:
         raise ChecksumMismatch(f"{path}: header truncated")
     n, c, t = (int.from_bytes(body[i : i + 8], "little") for i in (0, 8, 16))
     rate = int.from_bytes(body[24:28], "little")
+    if rate != SAMPLE_RATE_HZ:  # the model's time grid is SAMPLE_RATE_HZ samples a second
+        raise InvalidDataset(f"{path}: epochs sampled at {rate} Hz, need {SAMPLE_RATE_HZ:g} Hz")
     pos = 28
 
     def unpack_str() -> str:
@@ -504,8 +492,7 @@ def read_cache(path: str | Path) -> EpochDataset:
     x = np.frombuffer(body, dtype="<f4", count=n * c * t, offset=pos).reshape(n, c, t)
     y = np.frombuffer(body, dtype=np.uint8, count=n, offset=pos + payload)
     dataset = EpochDataset(
-        x=x, y=y, subject_keys=subject_keys, channel_labels=channel_labels,
-        sample_rate_hz=float(rate), crc32=crc,
+        x=x, y=y, subject_keys=subject_keys, channel_labels=channel_labels, crc32=crc
     )
     try:  # a CRC-valid file may still hold NaN or a label past the stages
         if not _all_finite(x):

@@ -12,6 +12,7 @@ import numpy as np
 from .preprocess import EPOCH_SAMPLES, SAMPLE_RATE_HZ, EpochDataset
 
 CLASS_FREQS_HZ = (2.0, 5.0, 9.0, 15.0, 25.0)
+NOISE_STD = 0.3  # of the Gaussian noise added to each unit-amplitude sinusoid
 
 
 def sinusoid_dataset(
@@ -20,12 +21,10 @@ def sinusoid_dataset(
     epoch_samples: int = EPOCH_SAMPLES,
     n_subjects: int = 8,
     seed: int = 0,
-    noise: float = 0.3,
-    sample_rate_hz: float = SAMPLE_RATE_HZ,
 ) -> EpochDataset:
     """Class-dependent sinusoids: epoch i carries class i % 5, subject i % n_subjects."""
     rng = np.random.default_rng(seed)
-    t = np.arange(epoch_samples) / sample_rate_hz
+    t = np.arange(epoch_samples) / SAMPLE_RATE_HZ
     x = np.empty((n_epochs, n_channels, epoch_samples), dtype=np.float32)
     y = np.empty(n_epochs, dtype=np.uint8)
     subjects = []
@@ -34,7 +33,7 @@ def sinusoid_dataset(
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n_channels)
         for c in range(n_channels):
             clean = np.sin(2.0 * np.pi * CLASS_FREQS_HZ[k] * t + phases[c])
-            x[i, c] = clean + noise * rng.standard_normal(epoch_samples)
+            x[i, c] = clean + NOISE_STD * rng.standard_normal(epoch_samples)
         y[i] = k
         subjects.append(f"S{i % n_subjects:02d}")
     return EpochDataset(
@@ -42,5 +41,4 @@ def sinusoid_dataset(
         y=y,
         subject_keys=subjects,
         channel_labels=[f"CH{c}" for c in range(n_channels)],
-        sample_rate_hz=sample_rate_hz,
     )

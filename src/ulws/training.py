@@ -174,7 +174,6 @@ def train_fold(
     split: FoldSplit,
     mcfg: ModelConfig,
     tcfg: TrainConfig,
-    log=None,
 ) -> tuple[ModelParams, list[dict], np.ndarray]:
     """Train on the split's train subjects, track test accuracy per epoch.
 
@@ -190,7 +189,8 @@ def train_fold(
             f"fold {split.fold_index}: empty side of the split "
             f"(train {len(train_idx)}, test {len(test_idx)})"
         )
-    assert not set(split.train_subjects) & set(split.test_subjects)
+    if leaked := sorted(set(split.train_subjects) & set(split.test_subjects)):
+        raise ValueError(f"fold {split.fold_index}: subjects {leaked} on both sides of the split")
 
     x = dataset.x.astype(np.float32, copy=False)
     y = dataset.y.astype(np.int64)
@@ -224,8 +224,6 @@ def train_fold(
             "test_acc": float((pred == y_test).mean()),
         }
         history.append(row)
-        if log is not None:
-            log(row)
     if probs is None:
         _, probs = predict(params, x_test)
     return params, history, probs

@@ -144,10 +144,10 @@ def test_criterion_3_gradient_correctness():
         y = np.array([0, 3])
 
         def loss():
-            _, cache = model_forward(x, params, mode="train", update_running=False)
+            _, cache = model_forward(x, params, mode="train")
             return model_loss(cache, y)
 
-        _, cache = model_forward(x, params, mode="train", update_running=False)
+        _, cache = model_forward(x, params, mode="train")
         grads = model_backward(cache, y)
         worst = 0.0
         for name, arr in named_arrays(params):
@@ -189,10 +189,10 @@ def test_criterion_3_gradient_correctness():
         g_bn = rng.standard_normal(xs.shape)
 
         def bn_loss():
-            out, _ = nn.batchnorm_forward(xs, bn, "train", update_running=False)
+            out, _ = nn.batchnorm_forward(xs, bn, "train")
             return float((out * g_bn).sum())
 
-        _, bn_cache = nn.batchnorm_forward(xs, bn, "train", update_running=False)
+        _, bn_cache = nn.batchnorm_forward(xs, bn, "train")
         gx, ggamma, gbeta = nn.batchnorm_backward(bn_cache, g_bn)
         for analytic, arr in [(gx, xs), (ggamma, bn.gamma), (gbeta, bn.beta)]:
             assert fd_relative_error(analytic, fd_gradient(bn_loss, arr)) < 1e-5
@@ -326,7 +326,7 @@ def test_criterion_7_data_path_integrity(tmp_path):
         assert trace.samples[2] == np.float32(204.7)
 
         # filter battery
-        sos = design_bandpass(0.3, 45.0, 100.0, order=4)
+        sos = design_bandpass()
         assert sos_gain(sos, 0.0, 100.0) < 1e-12
         assert 0.99 <= sos_gain(sos, 10.0, 100.0) <= 1.01
         xa, xb = rng.standard_normal(4000), rng.standard_normal(4000)

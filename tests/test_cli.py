@@ -374,8 +374,10 @@ def test_count_default_config(capsys):
     assert out.strip().splitlines()[-1] == "total_params 13337"
 
 
-def test_count_standard_conv(capsys):
-    assert main(["count", "--conv-type", "standard"]) == 0
+def test_count_standard_conv(tmp_path, capsys):
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"conv_type": "standard"}))
+    assert main(["count", "--config", str(config)]) == 0
     out = capsys.readouterr().out
     assert out.strip().splitlines()[-1] == "total_params 16997"
 
@@ -519,8 +521,6 @@ def bad_config_cases():
         for command in ("count", "train", "evaluate"):
             yield pytest.param(command, {"model": bad}, id=f"{command}-{json.dumps(bad)}")
     yield pytest.param("train", {"train": {"seed": True}}, id="train-config-seed-true")
-    for seed in ("abc", "7.0", "-1"):
-        yield pytest.param("train", {"env": seed}, id=f"ULWS_SEED={seed}")
     for name, blob in BAD_CHECKPOINT_CONFIGS.items():
         yield pytest.param("predict", {"checkpoint": blob}, id=f"predict-checkpoint-{name}")
 
@@ -535,9 +535,8 @@ def checkpoint_with_config(path, blob):
 
 
 @pytest.mark.parametrize("command, bad", bad_config_cases())
-def test_bad_config_is_typed_error(toy_cache, configs, tmp_path, capsys, monkeypatch,
-                                   command, bad):
-    """Config files, ULWS_SEED and a checkpoint's config share one typed decoder."""
+def test_bad_config_is_typed_error(toy_cache, configs, tmp_path, capsys, command, bad):
+    """Config files and a checkpoint's config share one typed decoder."""
     model_cfg, train_cfg = configs
     if "model" in bad:
         model_cfg = tmp_path / "model.json"
@@ -545,8 +544,6 @@ def test_bad_config_is_typed_error(toy_cache, configs, tmp_path, capsys, monkeyp
     if "train" in bad:
         train_cfg = tmp_path / "train.json"
         train_cfg.write_text(json.dumps(bad["train"]))
-    if "env" in bad:
-        monkeypatch.setenv("ULWS_SEED", bad["env"])
     checkpoint = tmp_path / "checkpoint.ulwm"
     if "checkpoint" in bad:
         checkpoint_with_config(checkpoint, bad["checkpoint"])
@@ -578,7 +575,8 @@ def restamped(path, pos, new):
 
 @pytest.mark.parametrize("command", ["train", "predict"])
 @pytest.mark.parametrize("damage, error", [("label-7", "InvalidDataset"),
-                                           ("nan-sample", "NonFiniteSignal")])
+                                           ("nan-sample", "NonFiniteSignal"),
+                                           ("rate-200", "InvalidDataset")])
 def test_a_crc_valid_cache_with_bad_contents_is_a_typed_error(toy_cache, configs, tmp_path,
                                                                capsys, command, damage, error):
     cache = tmp_path / "cache.ulws"
@@ -586,6 +584,8 @@ def test_a_crc_valid_cache_with_bad_contents_is_a_typed_error(toy_cache, configs
     ds = read_cache(cache)
     if damage == "label-7":
         restamped(cache, cache.stat().st_size - 5, bytes([7]))  # the last epoch's label
+    elif damage == "rate-200":
+        restamped(cache, 4 + 1 + 24, (200).to_bytes(4, "little"))  # after magic, version, N, C, T
     else:
         payload = cache.stat().st_size - 4 - ds.n_epochs - ds.x.nbytes
         restamped(cache, payload + 4 * 123, np.float32(np.nan).tobytes())
@@ -627,16 +627,18 @@ def test_predict_with_non_finite_probabilities_is_a_typed_error(toy_cache, tmp_p
     assert not captured.out and not out.exists()
 
 
-def test_train_seed_env_override(toy_cache, configs, tmp_path, monkeypatch):
+def test_train_config_seed_sets_the_checkpoints(toy_cache, configs, tmp_path):
+    model_cfg, _ = configs
+    other_seed = tmp_path / "train.json"
+    other_seed.write_text(json.dumps(dict(TINY_TRAIN, seed=99)))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("ULWS_SEED", "5")  # same as config -> identical
     assert run_train(toy_cache, configs, out_a) == 0
-    monkeypatch.setenv("ULWS_SEED", "99")
-    assert run_train(toy_cache, configs, out_b) == 0
+    assert run_train(toy_cache, (model_cfg, other_seed), out_b) == 0
     assert (
         (out_a / "fold0" / "checkpoint.ulwm").read_bytes()
         != (out_b / "fold0" / "checkpoint.ulwm").read_bytes()
     )
+    assert json.loads((out_b / "train.manifest.json").read_text())["train_config"]["seed"] == 99
 
 
 def call_with_timeout(fn, timeout_s):

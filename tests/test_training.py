@@ -295,3 +295,11 @@ def test_train_fold_requires_both_sides(tiny_dataset):
     bad = FoldSplit(0, tuple(subjects), ())
     with pytest.raises(ValueError):
         train_fold(tiny_dataset, bad, TINY, TrainConfig(epochs=1, seed=0))
+
+
+def test_train_fold_refuses_a_subject_on_both_sides(tiny_dataset):
+    # a raise, not an assert, so that python -O keeps the check
+    subjects = sorted(set(tiny_dataset.subject_keys))
+    leaky = FoldSplit(0, tuple(subjects[1:]), tuple(subjects[:2]))
+    with pytest.raises(ValueError, match=rf"\['{subjects[1]}'\] on both sides"):
+        train_fold(tiny_dataset, leaky, TINY, TrainConfig(epochs=1, seed=0))
