@@ -74,7 +74,8 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
+    # a file name that is not UTF-8 holds surrogate escapes, which a strict stream refuses
+    print(f"warning: {message}".encode("utf-8", "backslashreplace").decode(), file=sys.stderr)
 
 
 def _write_manifest(directory: Path, name: str, payload: dict) -> None:
@@ -144,6 +145,9 @@ def cmd_preprocess(args) -> int:
                 record = load_record(psg, hyp, channels)
                 what = f"{key} night {night}"
                 x, y = preprocess_record(record, channels, args.filter_all_channels)
+                # a key the cache cannot store, from a file name that is not UTF-8,
+                # skips its pair here rather than failing write_cache for every pair
+                EpochDataset(x, y, [key] * len(y), channels).validate()
             except (UlwsError, OSError) as e:  # a bad, unreadable or vanished file skips its pair
                 _warn(f"{what}: {type(e).__name__}: {e}")
                 skipped += 1
@@ -156,9 +160,9 @@ def cmd_preprocess(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    # design_bandpass imports scipy.signal (~1 s): pay that as set-up,
+    # the band-pass design imports scipy.signal (~1 s): pay that as set-up,
     # before the first record is read, not inside the first record's work
-    import scipy.signal  # noqa: F401
+    preprocess.bandpass()
 
     dataset = spool_epochs(kept_chunks(), channels, spool_dir=out.parent)
     with dataset.x:  # the spool file; the kept epochs are never all in memory

@@ -78,7 +78,8 @@ class NonFiniteSignal(PreprocessError):
 
 
 class InvalidDataset(PreprocessError):
-    """An epoch dataset's arrays disagree in dtype, length or label range."""
+    """An epoch dataset's arrays disagree in dtype, length or label range,
+    or one of its names is not UTF-8 text."""
 
 
 # --- binary container files (dataset cache, model checkpoint) ------------

@@ -15,6 +15,7 @@ one pass of blocks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import tempfile
@@ -22,6 +23,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,64 +92,61 @@ def map_stage_label(stage_text: str) -> StageClass | None:
         raise UnknownLabel(f"unrecognized stage text {stage_text!r}") from None
 
 
-def design_bandpass() -> np.ndarray:
-    """The ingest band-pass: a Butterworth filter of order FILTER_ORDER over
-    BAND_HZ at SAMPLE_RATE_HZ, as scipy's (FILTER_ORDER, 6) second-order sections.
+class Bandpass(NamedTuple):
+    """The ingest band-pass's (FILTER_ORDER, 6) sections, their sosfilt_zi, and
+    filtfilt's edge padding in samples."""
 
-    Each row is one biquad (b0, b1, b2, a0, a1, a2) with a0 == 1, following
-    the usual prototype convention: butter(order, band) yields `order`
-    sections. The -3 dB points sit at the cutoffs.
+    sos: np.ndarray
+    zi: np.ndarray
+    padlen: int
+
+
+@functools.cache
+def bandpass() -> Bandpass:
+    """The ingest band-pass, designed once per process: a Butterworth filter
+    of order FILTER_ORDER over BAND_HZ at SAMPLE_RATE_HZ, as scipy's
+    second-order sections. The -3 dB points sit at the cutoffs.
+
+    `padlen` is 3x the samples the slowest pole takes to decay by 99%, so
+    boundary transients fall below ~1e-6 before they reach real samples,
+    which keeps the forward-backward pass zero-phase and time-reversal
+    symmetric to well under 1e-5. Both arrays are read-only, because every
+    caller in the process shares them; scipy's `sosfilt` needs a writable
+    copy of `sos`.
     """
     import scipy.signal  # ~1 s to import; only EDF ingest designs or applies filters
 
-    return scipy.signal.butter(
+    sos = scipy.signal.butter(
         FILTER_ORDER, list(BAND_HZ), btype="bandpass", fs=SAMPLE_RATE_HZ, output="sos"
     )
+    zi = scipy.signal.sosfilt_zi(sos)
+    radius = max(np.abs(np.roots(section[3:])).max() for section in sos)
+    padlen = 3 * int(np.ceil(np.log(0.01) / np.log(radius)))
+    sos.flags.writeable = zi.flags.writeable = False
+    return Bandpass(sos, zi, padlen)
 
 
-def _pole_radius(sos: np.ndarray) -> float:
-    """Largest pole magnitude over all sections of the cascade."""
-    return max((np.abs(np.roots(section[3:])).max(initial=0.0) for section in sos), default=0.0)
-
-
-def _impulse_length(sos: np.ndarray) -> int:
-    """Samples until the slowest pole has decayed by 99%."""
-    settle = 2 * len(sos) + 1
-    r = _pole_radius(sos)
-    if 0.0 < r < 1.0:
-        settle = max(settle, int(np.ceil(np.log(0.01) / np.log(r))))
-    return settle
-
-
-def pad_length(sos: np.ndarray) -> int:
-    """Reflective edge padding: 3x the impulse-length heuristic.
-
-    Sized so boundary transients decay below ~1e-6 before reaching real
-    samples, which keeps the forward-backward pass zero-phase and
-    time-reversal symmetric to well under 1e-5.
-    """
-    return 3 * _impulse_length(sos)
-
-
-def filtfilt(signal: np.ndarray, sos: np.ndarray) -> np.ndarray:
-    """Zero-phase forward-backward application of the section cascade.
+def filtfilt(signal: np.ndarray) -> np.ndarray:
+    """Zero-phase forward-backward application of the ingest band-pass.
 
     Bit-identical to scipy's `sosfiltfilt(sos, x, padtype="odd",
-    padlen=pad_length(sos))` on the float64 widening `x` of the 1-D
-    `signal`, but held in one float64 buffer of n + 2 * padlen samples:
-    the odd-extended signal, filtered forward and then backward in place,
-    `FILTER_BLOCK` samples at a time with the section state carried from
-    block to block. `sosfilt` runs sample by sample, so the blocks do the
-    float operations of one call. Beyond that buffer the pass holds one
-    block's copies (a few MiB), not the three whole-signal copies of
-    `sosfiltfilt`. Returns the n real samples, a view on the buffer.
+    padlen=padlen)`, with `bandpass()`'s sos and padlen, on the float64
+    widening `x` of the 1-D `signal`, but held in one float64 buffer of
+    n + 2 * padlen samples: the odd-extended signal, filtered forward and
+    then backward in place, `FILTER_BLOCK` samples at a time with the
+    section state carried from block to block. `sosfilt` runs sample by
+    sample, so the blocks do the float operations of one call. Beyond that
+    buffer the pass holds one block's copies (a few MiB), not the three
+    whole-signal copies of `sosfiltfilt`. Returns the n real samples, a
+    view on the buffer.
     """
+    sos, zi, padlen = bandpass()
     n = len(signal)
-    padlen = pad_length(sos)
     if n <= padlen:
         raise SignalTooShort(f"need more than {padlen} samples, got {n}")
     import scipy.signal
 
+    sos = sos.copy()  # sosfilt refuses a read-only sos
     buf = np.empty(n + 2 * padlen, dtype=np.float64)
     x = buf[padlen : padlen + n]
     x[:] = signal
@@ -155,7 +154,6 @@ def filtfilt(signal: np.ndarray, sos: np.ndarray) -> np.ndarray:
     np.subtract(2 * x[0], x[padlen:0:-1], out=buf[:padlen])
     np.subtract(2 * x[-1], x[-2 : -(padlen + 2) : -1], out=buf[padlen + n :])
 
-    zi = scipy.signal.sosfilt_zi(sos)
     state = zi * buf[0]
     for lo in range(0, len(buf), FILTER_BLOCK):
         block = buf[lo : lo + FILTER_BLOCK]
@@ -285,7 +283,7 @@ class EpochDataset:
         return self.x.shape[2]
 
     def validate(self) -> None:
-        """Check shapes, dtype and labels; x's values are checked where they are read."""
+        """Check shapes, dtype, labels and names; x's values are checked where they are read."""
         if self.x.ndim != 3 or self.x.dtype != np.float32:
             raise InvalidDataset(f"x must be (N, C, T) float32, got {self.x.dtype} {self.x.shape}")
         n = self.n_epochs
@@ -293,8 +291,17 @@ class EpochDataset:
             raise InvalidDataset(
                 f"{n} epochs but {len(self.y)} labels and {len(self.subject_keys)} subject keys"
             )
+        if len(self.channel_labels) != self.n_channels:
+            raise InvalidDataset(
+                f"{self.n_channels} channels but {len(self.channel_labels)} channel labels"
+            )
         if self.y.size and (self.y.min() < 0 or self.y.max() >= N_STAGES):
             raise InvalidDataset(f"labels outside [0, {N_STAGES})")
+        for name in {*self.channel_labels, *self.subject_keys}:  # the cache stores them as UTF-8
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InvalidDataset(f"{name!r} is not UTF-8 text") from None
 
     def equals(self, other: "EpochDataset") -> bool:
         return (
@@ -353,7 +360,6 @@ def preprocess_record(
             if label not in record.channels:
                 raise MissingChannel(f"{label!r} absent from record {record.subject_key}")
 
-        sos = design_bandpass()
         t = EPOCH_SAMPLES
         n = len(retained)
         x = np.empty((n, len(channels), t), dtype=np.float32)
@@ -366,7 +372,7 @@ def preprocess_record(
             for c, label in enumerate(channels):
                 samples = read_signal(fh, header, record.channels[label]).samples
                 if filter_all_channels or _is_eeg(label):
-                    samples = filtfilt(samples, sos)
+                    samples = filtfilt(samples)
                 for row, (epoch_idx, _) in enumerate(retained):
                     lo = epoch_idx * t
                     if lo + t > len(samples):

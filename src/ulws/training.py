@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadConfig, NonFiniteGradient, TooFewSubjects
+from .errors import BadConfig, NonFiniteGradient, NonFiniteOutput, TooFewSubjects
 from .model import (
     JsonConfig,
     ModelConfig,
@@ -169,6 +169,16 @@ def split_indices(dataset: EpochDataset, split: FoldSplit) -> tuple[np.ndarray, 
 
 # --- training loop -------------------------------------------------------------
 
+def _score(params: ModelParams, x_test: np.ndarray, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """predict(params, x_test), or NonFiniteOutput naming `where` if a probability is not finite."""
+    # a diverged model's NaN and overflow are reported once, by the check below
+    with np.errstate(all="ignore"):
+        pred, probs = predict(params, x_test)
+    if not np.isfinite(probs).all():
+        raise NonFiniteOutput(f"{where}: the model's probabilities hold NaN or infinity")
+    return pred, probs
+
+
 def train_fold(
     dataset: EpochDataset,
     split: FoldSplit,
@@ -182,6 +192,8 @@ def train_fold(
     {"epoch", "lr", "train_loss", "test_acc"}, and the test epochs' class
     probabilities (in `split_indices` order) from the evaluation that gave
     the last row's test_acc; with 0 epochs, from the initial parameters.
+    A test pass that gives NaN or infinite probabilities raises
+    NonFiniteOutput, and no numpy warning is emitted on the way.
     """
     train_idx, test_idx = split_indices(dataset, split)
     if len(train_idx) == 0 or len(test_idx) == 0:
@@ -216,7 +228,7 @@ def train_fold(
                 adam_step(params, grads, state, lr, tcfg)
             loss_sum += loss * len(batch)
             n_seen += len(batch)
-        pred, probs = predict(params, x_test)
+        pred, probs = _score(params, x_test, f"fold {split.fold_index}, epoch {epoch}")
         row = {
             "epoch": epoch,
             "lr": lr,
@@ -225,5 +237,5 @@ def train_fold(
         }
         history.append(row)
     if probs is None:
-        _, probs = predict(params, x_test)
+        _, probs = _score(params, x_test, f"fold {split.fold_index}, initial parameters")
     return params, history, probs

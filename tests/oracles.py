@@ -144,9 +144,8 @@ def preprocess_whole_record(psg_path, hyp_path, channels, filter_all_channels=Fa
     from ulws.edf import parse_edf_header, parse_hypnogram
     from ulws.preprocess import (
         EPOCH_SAMPLES,
-        design_bandpass,
+        bandpass,
         expand_events,
-        pad_length,
         trim_wake,
     )
 
@@ -171,13 +170,13 @@ def preprocess_whole_record(psg_path, hyp_path, channels, filter_all_channels=Fa
     start, stop = trim_wake([lab for _, lab in entries])
     retained = entries[start:stop]
 
-    sos = design_bandpass()
+    sos = bandpass().sos.copy()
     x = np.empty((len(retained), len(channels), t), dtype=np.float64)
     for c, label in enumerate(channels):
         samples = signals[label]
         if filter_all_channels or label.upper().startswith("EEG"):
             samples = scipy.signal.sosfiltfilt(sos, samples.astype(np.float64), padtype="odd",
-                                               padlen=pad_length(sos))
+                                               padlen=bandpass().padlen)
         for row, (epoch_idx, _) in enumerate(retained):
             x[row, c] = samples[epoch_idx * t : (epoch_idx + 1) * t]
         mean, std = x[:, c].mean(), x[:, c].std()

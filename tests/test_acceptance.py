@@ -47,7 +47,7 @@ from ulws.model import (
 )
 from ulws.preprocess import (
     EpochDataset,
-    design_bandpass,
+    bandpass,
     filtfilt,
     read_cache,
     write_cache,
@@ -326,21 +326,21 @@ def test_criterion_7_data_path_integrity(tmp_path):
         assert trace.samples[2] == np.float32(204.7)
 
         # filter battery
-        sos = design_bandpass()
+        sos = bandpass().sos
         assert sos_gain(sos, 0.0, 100.0) < 1e-12
         assert 0.99 <= sos_gain(sos, 10.0, 100.0) <= 1.01
         xa, xb = rng.standard_normal(4000), rng.standard_normal(4000)
-        lhs = filtfilt(2.0 * xa - 0.5 * xb, sos)
-        rhs = 2.0 * filtfilt(xa, sos) - 0.5 * filtfilt(xb, sos)
+        lhs = filtfilt(2.0 * xa - 0.5 * xb)
+        rhs = 2.0 * filtfilt(xa) - 0.5 * filtfilt(xb)
         assert np.abs(lhs - rhs).max() <= 1e-5 * np.abs(lhs).max()
         t = np.arange(6000) / 100.0
         tone = np.sin(2 * np.pi * 10.0 * t)
-        filtered = filtfilt(tone, sos)
+        filtered = filtfilt(tone)
         core = slice(500, 5500)
         amp_ratio = np.abs(filtered[core]).max() / np.abs(tone[core]).max()
         assert amp_ratio == pytest.approx(1.0, abs=0.02)
         assert best_lag(tone[core], filtered[core], max_lag=20) == 0
-        dc = filtfilt(np.full(4000, 3.0), sos)
+        dc = filtfilt(np.full(4000, 3.0))
         assert np.abs(dc[500:-500]).max() < 1e-3 * 3.0
 
         # cache round trip with CRC verification

@@ -14,10 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
 from oracles import concatenated_dataset, pairwise_accuracy, pairwise_kappa, pairwise_macro_f1
-from ulws import cli, container, nn, training
+from ulws import cli, container, nn, preprocess, training
 from ulws.cli import DEFAULT_CHANNELS, _keep_batch_memory, _run_fold, _train_folds, main
 from ulws.edf import load_record
 from ulws.errors import ChecksumMismatch, NonFiniteGradient
@@ -87,6 +88,49 @@ def test_preprocess_two_records(tmp_path, capsys):
     assert ds.n_epochs == 48 and ds.n_channels == 4
     assert set(ds.subject_keys) == {"SC400", "SC401"}
     assert (tmp_path / "cache.ulws.manifest.json").exists()
+
+
+def test_preprocess_designs_the_band_pass_once(tmp_path, monkeypatch):
+    """Two records, two EEG channels each: one butter and one sosfilt_zi for the run."""
+    calls = {"butter": 0, "sosfilt_zi": 0}
+
+    def counting(name):
+        original = getattr(scipy.signal, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(scipy.signal, name, counting(name))
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    write_record_pair(data_dir, "SC4001", seed=1)
+    write_record_pair(data_dir, "SC4012", seed=2)
+    preprocess.bandpass.cache_clear()
+    try:
+        assert main(["preprocess", "--data-dir", str(data_dir), "--out",
+                     str(tmp_path / "cache.ulws")]) == 0
+    finally:
+        preprocess.bandpass.cache_clear()  # designed again, unwrapped, on its next use
+    assert calls == {"butter": 1, "sosfilt_zi": 1}
+
+
+def test_preprocess_skips_a_pair_whose_file_name_is_not_utf8(tmp_path, capsys):
+    """The subject key of b"SC40\\xff1E0-PSG.edf" cannot be stored as UTF-8."""
+    data_dir, alone = tmp_path / "edf", tmp_path / "alone"
+    for directory in (data_dir, alone):
+        directory.mkdir()
+        write_record_pair(directory, "SC4001", seed=1)
+    write_record_pair(data_dir, os.fsdecode(b"SC40\xff1"), seed=2)
+    for directory in (data_dir, alone):
+        assert main(["preprocess", "--data-dir", str(directory), "--out",
+                     str(directory / "cache.ulws")]) == 0
+    captured = capsys.readouterr()
+    assert "InvalidDataset" in captured.err and "Traceback" not in captured.err
+    assert "skipped: 1" in captured.out
+    assert (data_dir / "cache.ulws").read_bytes() == (alone / "cache.ulws").read_bytes()
 
 
 def test_preprocess_unpairable_psg_skipped(tmp_path, capsys):
@@ -747,6 +791,26 @@ def test_train_fold_error_exits_3_on_any_cpu_count(toy_cache, configs, tmp_path,
     assert code == 3
     assert "error: fold 0: NonFiniteGradient: " in captured.err and "Traceback" not in captured.err
     assert not captured.out
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_train_whose_test_pass_diverges_exits_3(toy_cache, configs, tmp_path, capsys, monkeypatch,
+                                                epochs):
+    """With one step per epoch, the step of lr 1e30 is checked first by the test pass."""
+    model_cfg, _ = configs
+    diverging = tmp_path / "train.json"
+    diverging.write_text(json.dumps({"epochs": epochs, "batch_size": 64, "base_lr": 1e30}))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the typed error is the only report
+        code = main(["train", "--cache", str(toy_cache), "--model-config", str(model_cfg),
+                     "--train-config", str(diverging), "--folds", "2",
+                     "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: fold 0: NonFiniteOutput: fold 0, epoch 0: ")
+    assert "Traceback" not in captured.err and not captured.out
+    assert not (tmp_path / "run" / "fold0").exists()
 
 
 def test_failed_run_prints_no_fold_lines(toy_cache, configs, tmp_path, capsys, monkeypatch):

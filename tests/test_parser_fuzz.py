@@ -5,16 +5,24 @@ written over one header field) and feeds it to a parser: the EDF header and
 signal reader, the hypnogram parser, `load_record` + `preprocess_record`,
 `ulws preprocess` as a whole, and the predictions-CSV reader of
 `ulws evaluate`; `ulws predict` as a whole gets a checkpoint whose weights
-are overwritten with any float32, then sealed with a valid CRC. No other
+are overwritten with any float32, then sealed with a valid CRC, and
+`ulws train` as a whole gets model and train configs with 1-3 keys set to
+a wrong JSON type, zero, a negative, an overflow or a small size. No other
 exception may escape, and a numpy RuntimeWarning counts as an escape. The
 example budget is the Hypothesis profile's (tests/conftest.py).
 """
 
 import contextlib
 import csv
+import dataclasses
 import gc
 import io
+import json
+import os
+import re
+import shutil
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +30,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edf_fixtures import hypnogram_bytes, psg_bytes
-from ulws import container
+from ulws import container, errors
 from ulws.cli import DEFAULT_CHANNELS, _read_prediction_pairs, main
 from ulws.edf import load_record, parse_edf_header, parse_hypnogram, read_signal
 from ulws.errors import UlwsError
@@ -35,6 +43,7 @@ from ulws.model import (
 )
 from ulws.preprocess import preprocess_record, read_cache, write_cache
 from ulws.synthetic import sinusoid_dataset
+from ulws.training import TrainConfig
 
 # widths of the per-signal header columns, in file order
 SIGNAL_COLUMNS = [16, 80, 8, 8, 8, 8, 8, 80, 8, 32]
@@ -225,3 +234,56 @@ def test_predict_with_any_float32_weights_exits_cleanly(predict_dir, data):
         probs = np.array([[float(row[f"p{k}"]) for k in range(5)] for row in csv.DictReader(fh)])
     assert probs.shape == (6, 5) and np.isfinite(probs).all()
     assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-5)
+
+
+TINY_TRAIN = {"epochs": 2, "batch_size": 16, "seed": 5}
+CONFIG_KEYS = [(name, field.name) for name, cls in (("model", ModelConfig), ("train", TrainConfig))
+               for field in dataclasses.fields(cls)]
+# wrong JSON types, zero, negatives, overflow, and sizes that keep a run near 0.1 s:
+# 64 makes a batch of the whole train side, but as an epoch count it would not
+CONFIG_VALUES = [None, True, "3", "standard", [], {}, [2, 3], [1, 2, 3], [3, 2],
+                 0, -1, 1, 2, 3, 64, 0.5, 1e-30, 1e30, -1e30]
+EPOCH_COUNTS = [v for v in CONFIG_VALUES if v != 64]
+
+
+@pytest.fixture(scope="module")
+def train_dir(tmp_path_factory):
+    """A 48-epoch cache of 4 subjects that TINY_MODEL fits."""
+    directory = tmp_path_factory.mktemp("train")
+    write_cache(sinusoid_dataset(n_epochs=48, n_channels=2, epoch_samples=200, n_subjects=4,
+                                 seed=9), directory / "cache.ulws")
+    return directory
+
+
+@given(data=st.data())
+def test_train_with_mutated_configs_exits_cleanly(train_dir, data):
+    configs = {"model": dict(TINY_MODEL), "train": dict(TINY_TRAIN)}
+    keys = st.lists(st.sampled_from(CONFIG_KEYS), min_size=1, max_size=3, unique=True)
+    for name, key in data.draw(keys, label="keys"):
+        values = EPOCH_COUNTS if key == "epochs" else CONFIG_VALUES
+        configs[name][key] = data.draw(st.sampled_from(values), label=f"{name}.{key}")
+    for name, config in configs.items():
+        (train_dir / f"{name}.json").write_text(json.dumps(config))
+    out = train_dir / "run"
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with no_numpy_warning_or_open_file(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):  # 1 CPU: no workers
+        code = main(["train", "--cache", str(train_dir / "cache.ulws"),
+                     "--model-config", str(train_dir / "model.json"),
+                     "--train-config", str(train_dir / "train.json"),
+                     "--folds", "2", "--out", str(out)])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            assert main(["evaluate", "--predictions", str(out), "--strict", "--json"]) == 0
+    if code:
+        error = re.fullmatch(r"error: (?:fold \d: )?(\w+): .*\n", err.getvalue(), re.S)
+        assert error and issubclass(getattr(errors, error[1], Exception), UlwsError), err.getvalue()
+        return
+    for fold in range(2):
+        with (out / f"fold{fold}" / "predictions.csv").open(newline="") as fh:
+            probs = np.array([[float(row[f"p{k}"]) for k in range(5)]
+                              for row in csv.DictReader(fh)])
+        assert len(probs) and np.isfinite(probs).all()
+        assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-5)

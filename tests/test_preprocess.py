@@ -36,11 +36,9 @@ from ulws.preprocess import (
     EPOCH_SAMPLES,
     EpochDataset,
     StageClass,
-    design_bandpass,
     expand_events,
     filtfilt,
     map_stage_label,
-    pad_length,
     preprocess_record,
     read_cache,
     spool_epochs,
@@ -54,7 +52,7 @@ RATE = 100.0
 
 @pytest.fixture(scope="module")
 def bandpass():
-    return design_bandpass()
+    return preprocess.bandpass().sos
 
 
 # --- filter design -----------------------------------------------------------
@@ -79,62 +77,77 @@ def test_sections_are_stable(bandpass):
         assert np.all(np.abs(np.roots(denominator)) < 1.0)
 
 
+def test_band_pass_pads_three_decay_lengths_of_its_slowest_pole():
+    assert preprocess.bandpass().padlen == 1920  # 3 x 640 samples
+
+
+def test_the_shared_band_pass_is_read_only():
+    sos, zi, _ = preprocess.bandpass()
+    before = sos.copy(), zi.copy()
+    for array in (sos, zi):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    filtfilt(np.random.default_rng(3).standard_normal(5000))
+    assert preprocess.bandpass().sos is sos  # one design per process
+    assert np.array_equal(sos, before[0]) and np.array_equal(zi, before[1])
+
+
 def test_default_design_is_scipys_butterworth_sos():
     expected = scipy.signal.butter(
         FILTER_ORDER, list(BAND_HZ), btype="bandpass", fs=RATE, output="sos"
     )
-    assert np.array_equal(design_bandpass(), expected)
+    assert np.array_equal(preprocess.bandpass().sos, expected)
 
 
 # --- zero-phase filtering ------------------------------------------------------
 
-def test_filtfilt_zero_in_zero_out(bandpass):
-    out = filtfilt(np.zeros(5000), bandpass)
+def test_filtfilt_zero_in_zero_out():
+    out = filtfilt(np.zeros(5000))
     assert out.shape == (5000,)
     assert np.all(out == 0.0)
 
 
-def test_filtfilt_preserves_passband_tone_with_zero_lag(bandpass):
+def test_filtfilt_preserves_passband_tone_with_zero_lag():
     t = np.arange(6000) / RATE
     x = np.sin(2 * np.pi * 10.0 * t)
-    y = filtfilt(x, bandpass)
+    y = filtfilt(x)
     core = slice(500, 5500)  # ignore edges
     amp_ratio = np.abs(y[core]).max() / np.abs(x[core]).max()
     assert amp_ratio == pytest.approx(1.0, abs=0.02)
     assert best_lag(x[core], y[core], max_lag=20) == 0
 
 
-def test_filtfilt_rejects_dc(bandpass):
+def test_filtfilt_rejects_dc():
     x = np.full(4000, 7.5)
-    y = filtfilt(x, bandpass)
+    y = filtfilt(x)
     interior = y[500:-500]  # discard 5 s on each edge
     assert np.abs(interior).max() < 1e-3 * 7.5
 
 
-def test_filtfilt_too_short(bandpass):
+def test_filtfilt_too_short():
     with pytest.raises(SignalTooShort):
-        filtfilt(np.zeros(10), bandpass)
+        filtfilt(np.zeros(10))
 
 
-def test_filtfilt_linear(bandpass):
+def test_filtfilt_linear():
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal(4000), rng.standard_normal(4000)
     a, b = 2.5, -0.7
-    lhs = filtfilt(a * x + b * y, bandpass)
-    rhs = a * filtfilt(x, bandpass) + b * filtfilt(y, bandpass)
+    lhs = filtfilt(a * x + b * y)
+    rhs = a * filtfilt(x) + b * filtfilt(y)
     assert np.abs(lhs - rhs).max() <= 1e-5 * max(1.0, np.abs(lhs).max())
 
 
-def test_filtfilt_commutes_with_time_reversal(bandpass):
+def test_filtfilt_commutes_with_time_reversal():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(4000)
-    direct = filtfilt(x, bandpass)
-    reversed_path = filtfilt(x[::-1], bandpass)[::-1]
+    direct = filtfilt(x)
+    reversed_path = filtfilt(x[::-1])[::-1]
     scale = max(1.0, np.abs(direct).max())
     assert np.abs(direct - reversed_path).max() <= 1e-5 * scale
 
 
-_PADLEN = pad_length(design_bandpass())
+_PADLEN = preprocess.bandpass().padlen
 
 
 @pytest.mark.parametrize("n", [
@@ -146,16 +159,16 @@ _PADLEN = pad_length(design_bandpass())
 ])
 @pytest.mark.parametrize("layout", ["float32", "float64", "strided"])
 def test_filtfilt_is_bit_identical_to_scipy(n, layout):
-    sos = design_bandpass()
+    sos = preprocess.bandpass().sos.copy()
     rng = np.random.default_rng(n)
     if layout == "strided":
         x = 40.0 * rng.standard_normal(2 * n)[::2]
     else:
         x = (40.0 * rng.standard_normal(n)).astype(layout)
     expected = scipy.signal.sosfiltfilt(
-        sos, np.asarray(x, dtype=np.float64), padtype="odd", padlen=pad_length(sos)
+        sos, np.asarray(x, dtype=np.float64), padtype="odd", padlen=preprocess.bandpass().padlen
     )
-    out = filtfilt(x, sos)
+    out = filtfilt(x)
     assert out.dtype == np.float64 and out.shape == (n,)
     assert np.array_equal(out, expected)
 
@@ -464,6 +477,18 @@ def test_validate_raises_typed_errors(changes, error):
             ds.validate()
 
 
+@pytest.mark.parametrize("changes", [
+    {"channel_labels": ["EEG"]},
+    {"channel_labels": ["EEG", "EOG", "EMG"]},
+    {"channel_labels": ["EEG", "EOG\udcff"]},
+    {"subject_keys": ["S0", "S0", "S1", "SC40\udcff"]},
+], ids=["too-few-labels", "too-many-labels", "label-not-utf8", "key-not-utf8"])
+def test_a_dataset_read_cache_would_refuse_is_never_written(tmp_path, changes):
+    with pytest.raises(InvalidDataset):
+        write_cache(toy_dataset(**changes), tmp_path / "toy.ulws")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_dataset_is_never_written(tmp_path, bad):
     ds = toy_dataset()
@@ -696,19 +721,18 @@ def test_cache_io_memory_growth(tmp_path):
 FILTER_PROBE = """
 import json
 import numpy as np
-from ulws.preprocess import design_bandpass, filtfilt
+from ulws.preprocess import filtfilt
 
 def status_kib(field):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
 
-sos = design_bandpass()
-filtfilt(np.ones(5000, np.float32), sos)  # scipy imported, first-call costs paid
+filtfilt(np.ones(5000, np.float32))  # scipy imported, first-call costs paid
 trace = np.arange(7_920_000, dtype=np.float32)  # one 22 h channel at 100 Hz
 trace *= 0.05
 np.sin(trace, out=trace)  # in place: no temporary raises VmHWM before the call
 before = status_kib("VmRSS")
-out = filtfilt(trace, sos)
+out = filtfilt(trace)
 print(json.dumps((status_kib("VmHWM") - before) * 1024 / out.nbytes))
 """
 
@@ -730,19 +754,18 @@ NIGHT_PROBE = """
 import json, sys
 import numpy as np
 from ulws.edf import load_record
-from ulws.preprocess import EPOCH_SAMPLES, design_bandpass, filtfilt, pad_length, preprocess_record
+from ulws.preprocess import EPOCH_SAMPLES, bandpass, filtfilt, preprocess_record
 
 def status_kib(field):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
 
 psg, hyp, n, channels = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:]
-sos = design_bandpass()
-filtfilt(np.ones(5000, np.float32), sos)  # scipy imported, first-call costs paid
+filtfilt(np.ones(5000, np.float32))  # scipy imported, first-call costs paid
 before = status_kib("VmRSS")
 x, y = preprocess_record(load_record(psg, hyp, channels), channels)
 growth = (status_kib("VmHWM") - before) * 1024
-design = x.nbytes + 4 * n + 8 * (n + 2 * pad_length(sos)) + 8 * len(y) * (EPOCH_SAMPLES + 1)
+design = x.nbytes + 4 * n + 8 * (n + 2 * bandpass().padlen) + 8 * len(y) * (EPOCH_SAMPLES + 1)
 print(json.dumps(growth / design))
 """
 
