@@ -115,6 +115,8 @@ class ModelConfig(JsonConfig):
             raise BadConfig("kernel_size and pool_size must be >= 1")
         if self.pool_size > 128:  # max pooling keeps window offsets as int8
             raise BadConfig(f"pool_size must be <= 128, got {self.pool_size}")
+        if self.kernel_size > 31:  # a conv's GEMM columns hold kernel_size copies of its input
+            raise BadConfig(f"kernel_size must be <= 31, got {self.kernel_size}")
         if self.pool_stride not in (1, 2, 4):
             raise BadConfig(f"pool_stride must be 1, 2 or 4, got {self.pool_stride}")
         if self.conv_type not in (CONV_SEPARABLE, CONV_STANDARD):
@@ -154,8 +156,11 @@ class DsscParams:
     Main stream: two (conv -> BN -> maxpool -> ReLU) stages at stride 1.
     ReLU is monotone, so it commutes with max pooling; after the pool it
     runs at the pooled length.
-    Shortcut: two width-1 strided convolutions with biases, no BN or
-    activation. The block output is their element-wise sum.
+    Shortcut: two width-1 convolutions with biases, no BN or activation,
+    each strided by pool_stride in the paper. Width 1 lets the first take
+    both strides (pool_stride**2) and the second none, which computes only
+    the outputs the second would read. The block output is their
+    element-wise sum.
     """
 
     main_conv1: ConvLike
@@ -220,8 +225,8 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
                 bn1=_make_bn(f, dtype),
                 main_conv2=_make_conv(rng, config.conv_type, config.kernel_size, f, f, 1, dtype),
                 bn2=_make_bn(f, dtype),
-                shortcut_conv1=_make_conv(rng, config.conv_type, 1, m, f, config.pool_stride, dtype),
-                shortcut_conv2=_make_conv(rng, config.conv_type, 1, f, f, config.pool_stride, dtype),
+                shortcut_conv1=_make_conv(rng, config.conv_type, 1, m, f, config.pool_stride**2, dtype),
+                shortcut_conv2=_make_conv(rng, config.conv_type, 1, f, f, 1, dtype),
                 pool_size=config.pool_size,
                 pool_stride=config.pool_stride,
             )

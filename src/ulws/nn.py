@@ -3,7 +3,8 @@
 All kernels are pure functions over numpy arrays in (batch, channels,
 length) order, follow the dtype of their inputs (float32 for training,
 float64 for gradient checking), and use fixed reduction orders so equal
-inputs give bit-identical outputs.
+inputs give bit-identical outputs, with any number of BLAS threads (see
+GEMM_DEPTH).
 
 Layout contract:
 
@@ -15,14 +16,15 @@ Layout contract:
   was given, except train-mode batch norm, which decays its running
   statistics.
 - Caches hold no more than the backward pass needs: a convolution keeps
-  its unpadded input. In infer mode, batch norm keeps nothing and max
-  pooling builds no argmax table, so a backward pass needs a train-mode
-  forward.
+  its unpadded input and rebuilds its GEMM columns from it. In infer mode,
+  batch norm keeps nothing and max pooling builds no argmax table, so a
+  backward pass needs a train-mode forward.
 
 Padding is SAME everywhere: output length is ceil(L / stride), zeros split
-evenly with the extra sample on the right. Taps that would read the zero
-padding are skipped rather than padded for. Max pooling skips the samples
-past the right edge, which is the same as padding with -inf.
+evenly with the extra sample on the right. A convolution's columns hold 0
+where a tap reads the padding; no padded copy of the input is made. Max
+pooling skips the samples past the right edge, which is the same as
+padding with -inf.
 """
 
 from __future__ import annotations
@@ -61,15 +63,73 @@ def _tap_slices(
     return slice(first, stop), slice(start, start + (stop - first) * stride, stride)
 
 
-def _taps_centre_first(kernel: int, stride: int, pad_left: int, length: int, out_length: int):
-    """(tap, output slice, input slice) for every tap, centre tap first.
+# --- convolution as one GEMM per sample -------------------------------------
+#
+# Both conv types are the standard convolution y_b = W^T @ columns(x_b) with a
+# (K*M + 1, N) weight W: rows k*M + m hold the taps, the last row the bias.
+# A separable conv's taps are depthwise[k, m] * pointwise[m, n].
 
-    The centre tap is tap `pad_left`: output j reads input j * stride, which
-    is inside the input for every output, so it can initialise an output
-    buffer that the other taps then accumulate into.
-    """
-    for tap in sorted(range(kernel), key=lambda t: t != pad_left):
-        yield (tap, *_tap_slices(tap, stride, pad_left, length, out_length))
+# The deepest BLAS product. OpenBLAS splits a deeper one differently on one
+# thread and on several, so its rounding would follow the thread count (with
+# OpenBLAS 0.3.31 on an AVX-512 Xeon: equal up to 442 deep, not from 451).
+GEMM_DEPTH = 256
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, summing the inner dimension in slices of GEMM_DEPTH, in order."""
+    out = np.matmul(a[..., :GEMM_DEPTH], b[..., :GEMM_DEPTH, :])
+    for start in range(GEMM_DEPTH, a.shape[-1], GEMM_DEPTH):
+        out += np.matmul(a[..., start : start + GEMM_DEPTH], b[..., start : start + GEMM_DEPTH, :])
+    return out
+
+
+def _columns(x: np.ndarray, kernel: int, stride: int, pad_left: int, out_length: int) -> np.ndarray:
+    """(B, K*M + 1, L_out): row k*M + m of output j is x[:, m, j*stride + k - pad_left],
+    0 where that sample is SAME padding; the last row is ones, for the bias."""
+    b, m, length = x.shape
+    cols = np.empty((b, kernel * m + 1, out_length), dtype=x.dtype)
+    taps = cols[:, :-1].reshape(b, kernel, m, out_length)
+    for tap in range(kernel):
+        o, i = _tap_slices(tap, stride, pad_left, length, out_length)
+        taps[:, tap, :, : o.start] = 0
+        taps[:, tap, :, o] = x[:, :, i]
+        taps[:, tap, :, o.stop :] = 0
+    cols[:, -1] = 1
+    return cols
+
+
+def _uncolumns(grad_cols: np.ndarray, kernel: int, stride: int, pad_left: int,
+               length: int) -> np.ndarray:
+    """Adjoint of _columns without its ones row: (B, K*M, L_out) -> (B, M, L)."""
+    b, km, out_length = grad_cols.shape
+    taps = grad_cols.reshape(b, kernel, km // kernel, out_length)
+    grad_x = np.zeros((b, km // kernel, length), dtype=grad_cols.dtype)
+    for tap in range(kernel):
+        o, i = _tap_slices(tap, stride, pad_left, length, out_length)
+        grad_x[:, :, i] += taps[:, tap, :, o]
+    return grad_x
+
+
+def _gemm_forward(x: np.ndarray, taps: np.ndarray, bias: np.ndarray,
+                  stride: int) -> tuple[np.ndarray, int]:
+    """(y, pad_left) of the SAME convolution of x with (K, M, N) taps plus bias."""
+    k, m, n = taps.shape
+    if x.shape[1] != m:
+        raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {m}")
+    left, out_length = _same_pad(x.shape[2], k, stride)
+    weight = np.concatenate([taps.reshape(k * m, n), bias[None]])
+    return _matmul(weight.T, _columns(x, k, stride, left, out_length)), left
+
+
+def _gemm_backward(x: np.ndarray, taps: np.ndarray, stride: int, pad_left: int,
+                   grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(grad_x, grad_weight): the weight's gradient is (K*M + 1, N), its last row the bias's."""
+    k, m, n = taps.shape
+    cols = _columns(x, k, stride, pad_left, grad_out.shape[2])
+    grad_weight = _matmul(cols, grad_out.swapaxes(1, 2)).sum(axis=0)
+    del cols  # the columns' gradient takes their place
+    grad_cols = _matmul(taps.reshape(k * m, n), grad_out)
+    return _uncolumns(grad_cols, k, stride, pad_left, x.shape[2]), grad_weight
 
 
 # --- separable convolution -------------------------------------------------
@@ -86,60 +146,28 @@ class SepConvParams:
 class SepConvCache:
     params: SepConvParams
     x: np.ndarray  # the unpadded input
-    dw_out: np.ndarray
     pad_left: int
 
 
 def sepconv1d_forward(x: np.ndarray, p: SepConvParams) -> tuple[np.ndarray, SepConvCache]:
     """Depthwise K-tap per-channel filter, then 1x1 channel mix plus bias."""
-    b, m, length = x.shape
-    k, mk = p.depthwise.shape
-    if mk != m or p.pointwise.shape[0] != m:
-        raise ShapeMismatch(f"input has {m} channels, kernel expects {mk}")
-    left, out_length = _same_pad(length, k, p.stride)
-    taps = _taps_centre_first(k, p.stride, left, length, out_length)
-    _, _, centre = next(taps)  # the centre tap reaches every output
-    dw = np.empty((b, m, out_length), dtype=x.dtype)
-    np.multiply(x[:, :, centre], p.depthwise[left][:, None], out=dw)
-    term = np.empty_like(dw)
-    for tap, o, i in taps:
-        np.multiply(x[:, :, i], p.depthwise[tap][:, None], out=term[:, :, o])
-        dw[:, :, o] += term[:, :, o]
-    if m == 1:  # one input channel: the channel mix is an outer product
-        y = np.multiply(dw, p.pointwise.T)
-    else:
-        y = np.matmul(p.pointwise.T, dw)
-    y += p.bias[:, None]
-    return y, SepConvCache(p, x, dw, left)
+    if p.pointwise.shape[0] != p.depthwise.shape[1]:
+        raise ShapeMismatch(f"pointwise {p.pointwise.shape} vs depthwise {p.depthwise.shape}")
+    y, left = _gemm_forward(x, p.depthwise[:, :, None] * p.pointwise, p.bias, p.stride)
+    return y, SepConvCache(p, x, left)
 
 
 def sepconv1d_backward(
     cache: SepConvCache, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Adjoints of both stages: (grad_x, grad_depthwise, grad_pointwise, grad_bias)."""
-    p, x = cache.params, cache.x
-    length, out_length = x.shape[2], grad_out.shape[2]
-
-    grad_bias = grad_out.sum(axis=(0, 2))
-    grad_pointwise = np.matmul(cache.dw_out, grad_out.swapaxes(1, 2)).sum(axis=0)
-    grad_dw = np.matmul(p.pointwise, grad_out)  # (B, M, L_out)
-
-    grad_depthwise = np.empty_like(p.depthwise)
-    # at stride 1 the centre tap alone reaches every input sample, so it goes
-    # first and initialises grad_x; otherwise every tap accumulates into zeros
-    unit_stride = p.stride == 1
-    grad_x = (np.empty_like if unit_stride else np.zeros_like)(x)
-    term = np.empty_like(grad_dw)
-    for tap, o, i in _taps_centre_first(p.depthwise.shape[0], p.stride, cache.pad_left,
-                                        length, out_length):
-        g = grad_dw[:, :, o]
-        grad_depthwise[tap] = np.einsum("bml,bml->m", x[:, :, i], g)
-        if unit_stride and tap == cache.pad_left:
-            np.multiply(g, p.depthwise[tap][:, None], out=grad_x)
-        else:
-            np.multiply(g, p.depthwise[tap][:, None], out=term[:, :, o])
-            grad_x[:, :, i] += term[:, :, o]
-    return grad_x, grad_depthwise, grad_pointwise, grad_bias
+    p = cache.params
+    taps = p.depthwise[:, :, None] * p.pointwise
+    grad_x, grad_weight = _gemm_backward(cache.x, taps, p.stride, cache.pad_left, grad_out)
+    grad_taps = grad_weight[:-1].reshape(taps.shape)  # chain rule through the tap products
+    grad_depthwise = (grad_taps * p.pointwise).sum(axis=2)
+    grad_pointwise = (grad_taps * p.depthwise[:, :, None]).sum(axis=0)
+    return grad_x, grad_depthwise, grad_pointwise, grad_weight[-1]
 
 
 # --- standard convolution ----------------------------------------------------
@@ -159,35 +187,16 @@ class ConvCache:
 
 
 def conv1d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]:
-    b, m, length = x.shape
-    k, mk, n = p.kernel.shape
-    if mk != m:
-        raise ShapeMismatch(f"input has {m} channels, kernel expects {mk}")
-    left, out_length = _same_pad(length, k, p.stride)
-    taps = _taps_centre_first(k, p.stride, left, length, out_length)
-    _, _, centre = next(taps)  # the centre tap reaches every output
-    y = np.matmul(p.kernel[left].T, x[:, :, centre])
-    for tap, o, i in taps:
-        y[:, :, o] += np.matmul(p.kernel[tap].T, x[:, :, i])
-    y += p.bias[:, None]
+    y, left = _gemm_forward(x, p.kernel, p.bias, p.stride)
     return y, ConvCache(p, x, left)
 
 
 def conv1d_backward(
     cache: ConvCache, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p, x = cache.params, cache.x
-    length, out_length = x.shape[2], grad_out.shape[2]
-
-    grad_bias = grad_out.sum(axis=(0, 2))
-    g_t = grad_out.swapaxes(1, 2)  # (B, L_out, N)
-    grad_kernel = np.empty_like(p.kernel)
-    grad_x = np.zeros_like(x)
-    for tap in range(p.kernel.shape[0]):
-        o, i = _tap_slices(tap, p.stride, cache.pad_left, length, out_length)
-        grad_kernel[tap] = np.matmul(x[:, :, i], g_t[:, o]).sum(axis=0)
-        grad_x[:, :, i] += np.matmul(p.kernel[tap], grad_out[:, :, o])
-    return grad_x, grad_kernel, grad_bias
+    p = cache.params
+    grad_x, grad_weight = _gemm_backward(cache.x, p.kernel, p.stride, cache.pad_left, grad_out)
+    return grad_x, grad_weight[:-1].reshape(p.kernel.shape), grad_weight[-1]
 
 
 # --- batch normalization -----------------------------------------------------

@@ -547,16 +547,19 @@ def test_train_needs_two_folds(toy_cache, configs, tmp_path, capsys, folds):
     assert not out.exists()
 
 
-# the last model config pools windows of 150 samples, whose offsets do not
-# fit max pooling's int8 argmax table
+# the last two model configs pool windows of 150 samples, whose offsets do not
+# fit max pooling's int8 argmax table, and convolve with 32 taps, one past the
+# bound on the GEMM columns' size
 BAD_MODEL_CONFIGS = [{"kernel_size": "3"}, {"kernel_size": 3.0}, {"filters": 8},
                      {"filters": [-2, -1, 0]}, {"filters": [0, 8, 16]},
-                     {"dropout_head": None}, [1, 2], dict(TINY_MODEL, pool_size=150)]
+                     {"dropout_head": None}, [1, 2], dict(TINY_MODEL, pool_size=150),
+                     dict(TINY_MODEL, kernel_size=32)]
 BAD_CHECKPOINT_CONFIGS = {
     "broken-json": b'{"n_blocks": 2,,}',
     "byte-0xff": b'{"conv_type": "\xff"}',
     "wrong-type": json.dumps(dict(TINY_MODEL, kernel_size="3")).encode(),
     "pool-size-150": json.dumps(dict(TINY_MODEL, pool_size=150)).encode(),
+    "kernel-size-32": json.dumps(dict(TINY_MODEL, kernel_size=32)).encode(),
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,12 @@ def test_config_pool_size_fits_the_int8_argmax():
     assert np.array_equal(nn.maxpool1d_backward(cache, np.ones((1, 1, 1))), x)
 
 
+def test_config_kernel_size_bounds_the_conv_columns():
+    with pytest.raises(BadConfig, match="kernel_size must be <= 31, got 32"):
+        ModelConfig(kernel_size=32)
+    assert ModelConfig(kernel_size=31).kernel_size == 31
+
+
 def test_config_keeps_an_integer_in_a_float_field():
     d = ModelConfig.from_dict({"dropout_head": 0}).to_dict()
     assert d["dropout_head"] == 0 and type(d["dropout_head"]) is int
@@ -144,6 +152,28 @@ def test_dssc_zeroed_main_stream_equals_shortcut():
     s, _ = nn.sepconv1d_forward(x, block.shortcut_conv1)
     s, _ = nn.sepconv1d_forward(s, block.shortcut_conv2)
     assert np.array_equal(y, s)
+
+
+@pytest.mark.parametrize("conv_type", ["separable", "standard"])
+@pytest.mark.parametrize("pool_stride", [1, 2, 4])
+def test_shortcut_skips_the_outputs_its_second_conv_would_not_read(pool_stride, conv_type):
+    """shortcut_conv1 takes both strides, so shortcut_conv2 (width 1) reads all
+    it computes; an infer-mode block is bit-identical to two pool_stride strides."""
+    cfg = ModelConfig(n_blocks=2, filters=(3, 5), pool_stride=pool_stride, conv_type=conv_type,
+                      n_input_channels=1, input_length=61)
+    rng = np.random.default_rng(pool_stride)
+    for i, block in enumerate(build_model(cfg, seed=1).blocks):
+        assert (block.shortcut_conv1.stride, block.shortcut_conv2.stride) == (pool_stride**2, 1)
+        for conv in (block.shortcut_conv1, block.shortcut_conv2):
+            conv.bias[...] = rng.standard_normal(conv.bias.shape)
+        two_strides = dataclasses.replace(
+            block,
+            shortcut_conv1=dataclasses.replace(block.shortcut_conv1, stride=pool_stride),
+            shortcut_conv2=dataclasses.replace(block.shortcut_conv2, stride=pool_stride),
+        )
+        x = rng.standard_normal((3, (1, 3)[i], 61)).astype(np.float32)
+        y, _ = dssc_forward(x, block, "infer")
+        assert y.tobytes() == dssc_forward(x, two_strides, "infer")[0].tobytes()
 
 
 def test_dssc_odd_lengths_agree():

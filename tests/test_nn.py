@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
@@ -159,38 +162,92 @@ def padded_windows(x, kernel, stride, pad_left, pad_right, fill=0.0):
 @given(
     length=st.integers(min_value=1, max_value=24),
     stride=st.sampled_from([1, 2, 4]),
-    kernel=st.integers(min_value=1, max_value=7),
+    kernel=st.integers(min_value=1, max_value=31),  # up to the config bound, past the input
+    m=st.sampled_from([1, 3]),
+    dtype=st.sampled_from([np.float32, F64]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_windowed_kernels_match_padded_reference(length, stride, kernel, seed):
-    """Skipping the padded taps equals padding; backward is the exact adjoint."""
+def test_windowed_kernels_match_padded_reference(length, stride, kernel, m, dtype, seed):
+    """Both convolutions equal depthwise-then-pointwise (or tap-by-tap) sums over
+    an explicitly padded float64 copy, to 1e-5 relative from float32 inputs;
+    backward is the adjoint of the map's linear part."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 3, length))
+
+    def draw(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    x = draw(2, m, length)
     out_length = nn.ceil_div(length, stride)
     total = max((out_length - 1) * stride + kernel - length, 0)
-    windows = padded_windows(x, kernel, stride, total // 2, total - total // 2)
+    windows = padded_windows(x.astype(F64), kernel, stride, total // 2, total - total // 2)
 
-    sep = sep_params(rng.standard_normal((kernel, 3)), rng.standard_normal((3, 2)), stride=stride)
-    dw = sum(sep.depthwise[t][None, :, None] * w for t, w in enumerate(windows))
-    std = nn.ConvParams(rng.standard_normal((kernel, 3, 2)), np.zeros(2), stride)
+    sep = nn.SepConvParams(draw(kernel, m), draw(m, 2), draw(2), stride)
+    dw = sum(sep.depthwise[t].astype(F64)[None, :, None] * w for t, w in enumerate(windows))
+    std = nn.ConvParams(draw(kernel, m, 2), draw(2), stride)
     cases = [
-        (nn.sepconv1d_forward(x, sep), nn.sepconv1d_backward,
-         np.einsum("mn,bml->bnl", sep.pointwise, dw)),
-        (nn.conv1d_forward(x, std), nn.conv1d_backward,
-         sum(np.einsum("mn,bml->bnl", std.kernel[t], w) for t, w in enumerate(windows))),
+        (nn.sepconv1d_forward(x, sep), nn.sepconv1d_backward, sep.bias,
+         np.einsum("mn,bml->bnl", sep.pointwise.astype(F64), dw)),
+        (nn.conv1d_forward(x, std), nn.conv1d_backward, std.bias,
+         sum(np.einsum("mn,bml->bnl", std.kernel[t].astype(F64), w)
+             for t, w in enumerate(windows))),
     ]
     pool = min(kernel, 4)
     pool_windows = padded_windows(x, pool, stride, 0, max(0, (out_length - 1) * stride + pool - length),
                                   fill=-np.inf)
-    cases.append((nn.maxpool1d_forward(x, pool, stride), nn.maxpool1d_backward,
+    cases.append((nn.maxpool1d_forward(x, pool, stride), nn.maxpool1d_backward, np.zeros(m, dtype),
                   np.max(pool_windows, axis=0)))
-    for (y, cache), backward, reference in cases:
-        assert np.allclose(y, reference, atol=1e-12)
-        g = rng.standard_normal(y.shape)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for (y, cache), backward, bias, reference in cases:
+        reference = reference + bias[:, None]
+        assert y.dtype == dtype
+        np.testing.assert_allclose(y, reference, rtol=tol, atol=tol * np.abs(reference).max())
+        g = draw(*y.shape)
         gx = backward(cache, g)
         gx = gx[0] if isinstance(gx, tuple) else gx
-        # all three maps are linear in x here (zero biases; pooling selects)
-        assert (y * g).sum() == pytest.approx((x * gx).sum(), abs=1e-10)
+        # the maps less their biases are linear in x here (pooling selects); taking
+        # the bias back off y rounds in proportion to both
+        inner = (y - bias[:, None]).astype(F64) * g
+        scale = ((np.abs(y) + np.abs(bias[:, None])) * np.abs(g)).sum(dtype=F64)
+        assert inner.sum() == pytest.approx((x.astype(F64) * gx).sum(), abs=tol * scale)
+
+
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from ulws import nn
+
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+
+def draw(*shape):
+    return rng.standard_normal(shape).astype(np.float32)
+
+# deep products: the weight gradient sums 1500 samples, the forward 15 * 32 + 1
+# taps, the columns' gradient 480 output channels
+for m, n, length, kernel in [(8, 8, 1500, 3), (32, 32, 94, 15), (4, 480, 200, 3)]:
+    x = draw(16, m, length)
+    for forward, backward, p in [
+        (nn.sepconv1d_forward, nn.sepconv1d_backward,
+         nn.SepConvParams(draw(kernel, m), draw(m, n), draw(n))),
+        (nn.conv1d_forward, nn.conv1d_backward, nn.ConvParams(draw(kernel, m, n), draw(n))),
+    ]:
+        y, cache = forward(x, p)
+        for a in (y, *backward(cache, draw(*y.shape))):
+            digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_conv_rounding_does_not_depend_on_the_blas_thread_count():
+    """Every conv product is at most GEMM_DEPTH deep, so OpenBLAS sums it the
+    same way on 1 and on 2 threads (with 1 CPU both runs are single-threaded)."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]
 
 
 # --- batch norm ---------------------------------------------------------------------
@@ -474,17 +531,23 @@ def test_softmax_backward_matches_finite_differences():
 # --- determinism ------------------------------------------------------------------------------
 
 def test_kernels_bit_deterministic():
+    """Equal inputs give equal bits, and a row scores the same alone as in a
+    batch of 32: each sample is its own GEMM, whatever the batch around it."""
     rng = np.random.default_rng(16)
-    x = rng.standard_normal((2, 3, 17)).astype(np.float32)
-    p = nn.SepConvParams(
-        rng.standard_normal((3, 3)).astype(np.float32),
-        rng.standard_normal((3, 4)).astype(np.float32),
-        rng.standard_normal(4).astype(np.float32),
-        stride=2,
-    )
-    y1, _ = nn.sepconv1d_forward(x, p)
-    y2, _ = nn.sepconv1d_forward(x, p)
-    assert np.array_equal(y1, y2)
+
+    def draw(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    x = draw(32, 8, 301)
+    for stride in (1, 2):
+        for forward in (
+            partial(nn.sepconv1d_forward, p=nn.SepConvParams(draw(3, 8), draw(8, 16), draw(16), stride)),
+            partial(nn.conv1d_forward, p=nn.ConvParams(draw(3, 8, 16), draw(16), stride)),
+        ):
+            y, _ = forward(x)
+            assert np.array_equal(forward(x)[0], y)
+            for b in (0, 13, 31):
+                assert np.array_equal(forward(x[b : b + 1])[0], y[b : b + 1])
 
 
 # --- layout contract ------------------------------------------------------------------------
@@ -550,6 +613,8 @@ def test_kernel_layout_contract(name, dtype):
         # a mask, or a cache whose array fields the backward pass reads
         state_arrays = ([state] if isinstance(state, np.ndarray)
                         else [v for v in vars(state).values() if isinstance(v, np.ndarray)])
+        if name.startswith(("sepconv", "conv")):  # backward rebuilds the columns from x
+            assert len(state_arrays) == 1 and state_arrays[0] is x
         given += [g, y] + state_arrays
         before += [arr.copy() for arr in [g, y] + state_arrays]
         grads = backward(state, g)
