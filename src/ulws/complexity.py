@@ -71,14 +71,6 @@ def _conv_params(conv_type: str, k: int, m: int, n: int) -> int:
     return k * m * n + n
 
 
-def _conv_flops(conv_type: str, k: int, m: int, n: int, out_length: int) -> int:
-    if conv_type == CONV_SEPARABLE:
-        macs = (k * m + m * n) * out_length
-    else:
-        macs = k * m * n * out_length
-    return 2 * macs + n * out_length
-
-
 def count_flops(config: ModelConfig) -> ComplexityReport:
     """Per-layer params and FLOPs for one forward pass at `config.input_length`."""
     if not isinstance(config, ModelConfig):
@@ -90,26 +82,27 @@ def count_flops(config: ModelConfig) -> ComplexityReport:
         # extractor work repeats for each of the C channels; its parameters do not
         rows.append(LayerRow(name, params, flops * c if shared else flops))
 
+    def conv_row(name: str, k: int, m: int, n: int, out_length: int) -> None:
+        # either conv type multiplies each weight scalar once per output sample, then adds the bias
+        params = _conv_params(config.conv_type, k, m, n)
+        row(name, params, (2 * params - n) * out_length)
+
     m, length = 1, config.input_length
     for i, f in enumerate(config.filters):
         ks, ps, stride = config.kernel_size, config.pool_size, config.pool_stride
         pooled1 = ceil_div(length, stride)
         pooled2 = ceil_div(pooled1, stride)
         pre = f"block{i}"
-        row(f"{pre}.main_conv1", _conv_params(config.conv_type, ks, m, f),
-            _conv_flops(config.conv_type, ks, m, f, length))
+        conv_row(f"{pre}.main_conv1", ks, m, f, length)
         row(f"{pre}.bn1", 2 * f, 2 * f * length)
         row(f"{pre}.relu1", 0, f * length)
         row(f"{pre}.maxpool1", 0, (ps - 1) * f * pooled1)
-        row(f"{pre}.main_conv2", _conv_params(config.conv_type, ks, f, f),
-            _conv_flops(config.conv_type, ks, f, f, pooled1))
+        conv_row(f"{pre}.main_conv2", ks, f, f, pooled1)
         row(f"{pre}.bn2", 2 * f, 2 * f * pooled1)
         row(f"{pre}.relu2", 0, f * pooled1)
         row(f"{pre}.maxpool2", 0, (ps - 1) * f * pooled2)
-        row(f"{pre}.shortcut_conv1", _conv_params(config.conv_type, 1, m, f),
-            _conv_flops(config.conv_type, 1, m, f, pooled1))
-        row(f"{pre}.shortcut_conv2", _conv_params(config.conv_type, 1, f, f),
-            _conv_flops(config.conv_type, 1, f, f, pooled2))
+        conv_row(f"{pre}.shortcut_conv1", 1, m, f, pooled1)
+        conv_row(f"{pre}.shortcut_conv2", 1, f, f, pooled2)
         row(f"{pre}.residual_add", 0, f * pooled2)
         m, length = f, pooled2
 

@@ -113,8 +113,8 @@ class ModelConfig(JsonConfig):
             raise BadConfig(f"filters must be >= 1, got {self.filters}")
         if self.kernel_size < 1 or self.pool_size < 1:
             raise BadConfig("kernel_size and pool_size must be >= 1")
-        if self.pool_size > 128:  # max pooling keeps window offsets as int8
-            raise BadConfig(f"pool_size must be <= 128, got {self.pool_size}")
+        if self.pool_size > nn.MAX_POOL_SIZE:
+            raise BadConfig(f"pool_size must be <= {nn.MAX_POOL_SIZE}, got {self.pool_size}")
         if self.kernel_size > 31:  # a conv's GEMM columns hold kernel_size copies of its input
             raise BadConfig(f"kernel_size must be <= 31, got {self.kernel_size}")
         if self.pool_stride not in (1, 2, 4):
@@ -293,26 +293,25 @@ def _conv_forward(x, p: ConvLike):
     return nn.conv1d_forward(x, p)
 
 
-def _conv_backward(cache, grad_out) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    if isinstance(cache, nn.SepConvCache):
-        grad_x, g_dw, g_pw, g_b = nn.sepconv1d_backward(cache, grad_out)
-        return grad_x, {"depthwise": g_dw, "pointwise": g_pw, "bias": g_b}
-    grad_x, g_k, g_b = nn.conv1d_backward(cache, grad_out)
-    return grad_x, {"kernel": g_k, "bias": g_b}
+def _conv_backward(cache: nn.ConvCache, grad_out) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(grad_x, {leaf: gradient}); the gradients come in _conv_arrays order."""
+    separable = isinstance(cache.params, nn.SepConvParams)
+    grad_x, *grads = (nn.sepconv1d_backward if separable else nn.conv1d_backward)(cache, grad_out)
+    return grad_x, {leaf: g for (leaf, _), g in zip(_conv_arrays(cache.params), grads, strict=True)}
 
 
 @dataclass
 class DsscCache:
-    conv1: object
+    conv1: nn.ConvCache
     bn1: nn.BatchNormCache | None  # None in infer mode
     pool1: nn.MaxPoolCache  # no argmax table in infer mode
     relu1: np.ndarray
-    conv2: object
+    conv2: nn.ConvCache
     bn2: nn.BatchNormCache | None  # None in infer mode
     pool2: nn.MaxPoolCache  # no argmax table in infer mode
     relu2: np.ndarray
-    shortcut1: object
-    shortcut2: object
+    shortcut1: nn.ConvCache
+    shortcut2: nn.ConvCache
 
 
 def dssc_forward(x: np.ndarray, p: DsscParams, mode: nn.Mode) -> tuple[np.ndarray, DsscCache]:
@@ -504,12 +503,9 @@ def predict(params: ModelParams, x: np.ndarray, batch_size: int = 8):
     not faster.
     """
     probs = np.concatenate(
-        [
-            model_forward(x[i : i + batch_size], params, mode="infer")[0]
-            for i in range(0, len(x), batch_size)
-        ]
-        if len(x)
-        else [np.zeros((0, params.config.n_classes), dtype=x.dtype)]
+        [np.zeros((0, params.config.n_classes), dtype=x.dtype)]
+        + [model_forward(x[i : i + batch_size], params, mode="infer")[0]
+           for i in range(0, len(x), batch_size)]
     )
     return probs.argmax(axis=1), probs
 

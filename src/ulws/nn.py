@@ -132,6 +132,13 @@ def _gemm_backward(x: np.ndarray, taps: np.ndarray, stride: int, pad_left: int,
     return _uncolumns(grad_cols, k, stride, pad_left, x.shape[2]), grad_weight
 
 
+@dataclass
+class ConvCache:  # both conv types: the backward pass rebuilds the columns from x
+    params: SepConvParams | ConvParams
+    x: np.ndarray  # the unpadded input
+    pad_left: int
+
+
 # --- separable convolution -------------------------------------------------
 
 @dataclass
@@ -142,23 +149,16 @@ class SepConvParams:
     stride: int = 1
 
 
-@dataclass
-class SepConvCache:
-    params: SepConvParams
-    x: np.ndarray  # the unpadded input
-    pad_left: int
-
-
-def sepconv1d_forward(x: np.ndarray, p: SepConvParams) -> tuple[np.ndarray, SepConvCache]:
+def sepconv1d_forward(x: np.ndarray, p: SepConvParams) -> tuple[np.ndarray, ConvCache]:
     """Depthwise K-tap per-channel filter, then 1x1 channel mix plus bias."""
     if p.pointwise.shape[0] != p.depthwise.shape[1]:
         raise ShapeMismatch(f"pointwise {p.pointwise.shape} vs depthwise {p.depthwise.shape}")
     y, left = _gemm_forward(x, p.depthwise[:, :, None] * p.pointwise, p.bias, p.stride)
-    return y, SepConvCache(p, x, left)
+    return y, ConvCache(p, x, left)
 
 
 def sepconv1d_backward(
-    cache: SepConvCache, grad_out: np.ndarray
+    cache: ConvCache, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Adjoints of both stages: (grad_x, grad_depthwise, grad_pointwise, grad_bias)."""
     p = cache.params
@@ -177,13 +177,6 @@ class ConvParams:
     kernel: np.ndarray  # (K, M, N)
     bias: np.ndarray  # (N,)
     stride: int = 1
-
-
-@dataclass
-class ConvCache:
-    params: ConvParams
-    x: np.ndarray  # the unpadded input
-    pad_left: int
 
 
 def conv1d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]:
@@ -283,6 +276,10 @@ def relu_backward(mask: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     grad_x = mask.astype(grad_out.dtype)  # a plain cast beats a mixed-type multiply
     grad_x *= grad_out
     return grad_x
+
+
+# the widest max-pool window whose offsets fit the int8 argmax table
+MAX_POOL_SIZE = np.iinfo(np.int8).max + 1
 
 
 @dataclass

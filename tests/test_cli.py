@@ -32,7 +32,7 @@ from ulws.model import (
     predict,
     save_checkpoint,
 )
-from ulws.preprocess import preprocess_record, read_cache, write_cache
+from ulws.preprocess import EpochDataset, preprocess_record, read_cache, write_cache
 from ulws.synthetic import sinusoid_dataset
 from ulws.training import FoldSplit, TrainConfig, split_indices, subject_folds
 
@@ -995,6 +995,25 @@ def test_predict_roundtrip(toy_cache, configs, tmp_path, capsys):
     main(["predict", "--checkpoint", str(out / "fold0" / "checkpoint.ulwm"),
           "--cache", str(toy_cache), "--out", str(rerun)])
     assert pred_csv.read_bytes() == rerun.read_bytes()
+
+
+def test_predict_on_a_cache_of_no_epochs_writes_only_the_header(toy_cache, tmp_path, capsys):
+    toy = read_cache(toy_cache)
+    empty = EpochDataset(
+        x=np.zeros((0, *toy.x.shape[1:]), dtype=np.float32),
+        y=np.zeros(0, dtype=np.uint8),
+        subject_keys=[],
+        channel_labels=toy.channel_labels,
+    )
+    cache = tmp_path / "empty.ulws"
+    write_cache(empty, cache)
+    checkpoint = tmp_path / "checkpoint.ulwm"
+    save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=0), checkpoint)
+    out = tmp_path / "predictions.csv"
+    assert main(["predict", "--checkpoint", str(checkpoint), "--cache", str(cache),
+                 "--out", str(out)]) == 0
+    assert "wrote 0 predictions" in capsys.readouterr().out
+    assert out.read_text().splitlines() == ["index,subject,true,predicted,p0,p1,p2,p3,p4"]
 
 
 def test_predict_manifest_names_the_checkpoint_it_scored_with(toy_cache, configs, tmp_path):

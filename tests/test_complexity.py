@@ -33,6 +33,18 @@ EXPECTED_FLOPS = {
     "standard_conv": 15.03e6,
 }
 
+# the exact totals of the convention above, which the rounded figures cannot pin
+EXACT_FLOPS = {
+    "default": 8_305_573,
+    "blocks2": 18_105_765,
+    "blocks4": 10_841_509,
+    "ks7_ps4": 9_614_245,
+    "filters_4_8_16": 2_753_381,
+    "filters_16_32_64": 28_060_709,
+    "filters_16_32_64_128": 37_818_405,
+    "standard_conv": 15_453_253,
+}
+
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_PARAMS))
 def test_exact_parameter_counts(name):
@@ -45,6 +57,11 @@ def test_flops_within_ten_percent(name):
     cfg = variant_configs()[name]
     total = count_flops(cfg).total_flops
     assert abs(total - EXPECTED_FLOPS[name]) <= 0.10 * EXPECTED_FLOPS[name]
+
+
+def test_exact_flops_of_every_variant():
+    assert {name: count_flops(cfg).total_flops
+            for name, cfg in variant_configs().items()} == EXACT_FLOPS
 
 
 def random_config(rng: np.random.Generator) -> ModelConfig:

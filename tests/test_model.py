@@ -273,8 +273,9 @@ def test_model_infer_is_pure():
 
 # --- gradients ------------------------------------------------------------------------------
 
-def test_full_model_gradient_check():
-    params = build_model(TINY, seed=1, dtype=np.float64)
+@pytest.mark.parametrize("conv_type", ["separable", "standard"])
+def test_full_model_gradient_check(conv_type):
+    params = build_model(dataclasses.replace(TINY, conv_type=conv_type), seed=1, dtype=np.float64)
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, 2, 32))
     y = np.array([0, 3])
@@ -285,6 +286,7 @@ def test_full_model_gradient_check():
 
     _, cache = model_forward(x, params, mode="train")
     grads = model_backward(cache, y)
+    assert set(grads) == {name for name, _ in named_arrays(params)}
     worst = 0.0
     for name, arr in named_arrays(params):
         err = fd_relative_error(grads[name], fd_gradient(loss, arr))
