@@ -31,13 +31,12 @@ from .edf import load_record, subject_key_and_night
 from .errors import (
     BadConfig,
     ChecksumMismatch,
-    NonFiniteOutput,
     ShapeMismatch,
     UlwsError,
     WorkerDied,
 )
 from .evaluation import N_CLASSES
-from .model import ModelConfig, load_checkpoint, predict, save_checkpoint
+from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import (
     EpochDataset,
     preprocess_record,
@@ -45,7 +44,7 @@ from .preprocess import (
     spool_epochs,
     write_cache,
 )
-from .training import FoldSplit, TrainConfig, subject_folds, split_indices, train_fold
+from .training import FoldSplit, TrainConfig, _score, subject_folds, split_indices, train_fold
 
 DEFAULT_CHANNELS = ["EEG Fpz-Cz", "EEG Pz-Oz", "EOG horizontal", "EMG submental"]
 
@@ -478,11 +477,8 @@ def cmd_predict(args) -> int:
     params = load_checkpoint(Path(args.checkpoint))
     dataset = read_cache(Path(args.cache))
     _check_fits(params.config, dataset)
-    # NaN, infinite or overflowing weights, or a negative BN variance, are reported once, below
-    with np.errstate(all="ignore"):
-        _, probs = predict(params, dataset.x)
-    if not np.isfinite(probs).all():
-        raise NonFiniteOutput(f"{args.checkpoint}: the model's probabilities hold NaN or infinity")
+    # NaN, infinite or overflowing weights, or a negative BN variance, raise NonFiniteOutput
+    _, probs = _score(params, dataset.x, str(args.checkpoint))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_predictions(out, dataset, range(dataset.n_epochs), probs)

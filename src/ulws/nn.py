@@ -19,6 +19,10 @@ Layout contract:
   its unpadded input and rebuilds its GEMM columns from it. In infer mode,
   batch norm keeps nothing and max pooling builds no argmax table, so a
   backward pass needs a train-mode forward.
+- A convolution builds its GEMM columns, which are (K*M + 1)/M times its
+  input, a few samples at a time: at most COLUMNS_BYTES of them (or one
+  sample's, if that is more) exist at once, in the forward and in the
+  backward pass.
 
 Padding is SAME everywhere: output length is ceil(L / stride), zeros split
 evenly with the extra sample on the right. A convolution's columns hold 0
@@ -74,10 +78,15 @@ def _tap_slices(
 # OpenBLAS 0.3.31 on an AVX-512 Xeon: equal up to 442 deep, not from 451).
 GEMM_DEPTH = 256
 
+# The most bytes of columns a convolution builds at once: it builds and
+# multiplies them for a few samples at a time, at least one. Each sample's
+# product is the same BLAS call at any chunk size, so the results are too.
+COLUMNS_BYTES = 1 << 20
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b, summing the inner dimension in slices of GEMM_DEPTH, in order."""
-    out = np.matmul(a[..., :GEMM_DEPTH], b[..., :GEMM_DEPTH, :])
+    out = np.matmul(a[..., :GEMM_DEPTH], b[..., :GEMM_DEPTH, :], out=out)
     for start in range(GEMM_DEPTH, a.shape[-1], GEMM_DEPTH):
         out += np.matmul(a[..., start : start + GEMM_DEPTH], b[..., start : start + GEMM_DEPTH, :])
     return out
@@ -99,15 +108,21 @@ def _columns(x: np.ndarray, kernel: int, stride: int, pad_left: int, out_length:
 
 
 def _uncolumns(grad_cols: np.ndarray, kernel: int, stride: int, pad_left: int,
-               length: int) -> np.ndarray:
-    """Adjoint of _columns without its ones row: (B, K*M, L_out) -> (B, M, L)."""
+               grad_x: np.ndarray) -> None:
+    """Add the adjoint of _columns without its ones row, (B, K*M, L_out), into (B, M, L) grad_x."""
     b, km, out_length = grad_cols.shape
     taps = grad_cols.reshape(b, kernel, km // kernel, out_length)
-    grad_x = np.zeros((b, km // kernel, length), dtype=grad_cols.dtype)
     for tap in range(kernel):
-        o, i = _tap_slices(tap, stride, pad_left, length, out_length)
+        o, i = _tap_slices(tap, stride, pad_left, grad_x.shape[2], out_length)
         grad_x[:, :, i] += taps[:, tap, :, o]
-    return grad_x
+
+
+def _chunks(x: np.ndarray, kernel: int, out_length: int) -> list[slice]:
+    """Slices of x's samples whose columns take at most COLUMNS_BYTES, at least one sample each."""
+    b, m, _ = x.shape
+    sample_bytes = (kernel * m + 1) * out_length * x.itemsize
+    rows = max(1, COLUMNS_BYTES // max(sample_bytes, 1))
+    return [slice(start, start + rows) for start in range(0, b, rows)]
 
 
 def _gemm_forward(x: np.ndarray, taps: np.ndarray, bias: np.ndarray,
@@ -117,19 +132,30 @@ def _gemm_forward(x: np.ndarray, taps: np.ndarray, bias: np.ndarray,
     if x.shape[1] != m:
         raise ShapeMismatch(f"input has {x.shape[1]} channels, kernel expects {m}")
     left, out_length = _same_pad(x.shape[2], k, stride)
-    weight = np.concatenate([taps.reshape(k * m, n), bias[None]])
-    return _matmul(weight.T, _columns(x, k, stride, left, out_length)), left
+    weight_t = np.concatenate([taps.reshape(k * m, n), bias[None]]).T
+    y = np.empty((x.shape[0], n, out_length), dtype=np.result_type(weight_t, x))
+    for rows in _chunks(x, k, out_length):
+        _matmul(weight_t, _columns(x[rows], k, stride, left, out_length), out=y[rows])
+    return y, left
 
 
 def _gemm_backward(x: np.ndarray, taps: np.ndarray, stride: int, pad_left: int,
                    grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(grad_x, grad_weight): the weight's gradient is (K*M + 1, N), its last row the bias's."""
     k, m, n = taps.shape
-    cols = _columns(x, k, stride, pad_left, grad_out.shape[2])
-    grad_weight = _matmul(cols, grad_out.swapaxes(1, 2)).sum(axis=0)
-    del cols  # the columns' gradient takes their place
-    grad_cols = _matmul(taps.reshape(k * m, n), grad_out)
-    return _uncolumns(grad_cols, k, stride, pad_left, x.shape[2]), grad_weight
+    b, _, out_length = grad_out.shape
+    taps_2d = taps.reshape(k * m, n)
+    # each sample's weight gradient, summed over the batch in one pass, so the sum's
+    # order does not follow the chunks
+    grad_weights = np.empty((b, k * m + 1, n), dtype=np.result_type(x, grad_out))
+    grad_x = np.zeros((b, m, x.shape[2]), dtype=np.result_type(taps, grad_out))
+    for rows in _chunks(x, k, out_length):
+        g = grad_out[rows]
+        cols = _columns(x[rows], k, stride, pad_left, out_length)
+        _matmul(cols, g.swapaxes(1, 2), out=grad_weights[rows])
+        del cols  # the columns' gradient takes their place
+        _uncolumns(_matmul(taps_2d, g), k, stride, pad_left, grad_x[rows])
+    return grad_x, grad_weights.sum(axis=0)
 
 
 @dataclass
@@ -235,15 +261,22 @@ def batchnorm_forward(
     if b * length < 2:
         raise DegenerateBatch(f"need at least 2 values per feature, got {b * length}")
     mean = x.mean(axis=(0, 2))
-    centered = np.subtract(x, mean[:, None])
+    # the elementwise passes take one channel and a scalar at a time: numpy
+    # broadcasts a (C, 1) operand over (B, C, L) 2-3x slower than that
+    centered = np.empty(x.shape, dtype=np.result_type(x, mean))
+    for ch in range(x.shape[1]):
+        np.subtract(x[:, ch], mean[ch], out=centered[:, ch])
     # einsum reduces the products without materialising them
     var = np.einsum("bcl,bcl->c", centered, centered) / (b * length)
     mom = BN_MOMENTUM
     p.running_mean[...] = mom * p.running_mean + (1 - mom) * mean
     p.running_var[...] = mom * p.running_var + (1 - mom) * var
     inv_std = 1.0 / np.sqrt(var + eps)
-    y = np.multiply(centered, (p.gamma * inv_std)[:, None])
-    y += p.beta[:, None]
+    scale = p.gamma * inv_std
+    y = np.empty(x.shape, dtype=np.result_type(centered, scale))
+    for ch in range(x.shape[1]):
+        np.multiply(centered[:, ch], scale[ch], out=y[:, ch])
+        y[:, ch] += p.beta[ch]
     return y, BatchNormCache(p, centered, inv_std)
 
 
@@ -256,12 +289,17 @@ def batchnorm_backward(
     scale = p.gamma * inv_std
     grad_beta = grad_out.sum(axis=(0, 2))
     grad_gamma = np.einsum("bcl,bcl->c", grad_out, centered) * inv_std  # sum of g * x_hat
-    grad_x = np.multiply(grad_out, scale[:, None])
-    # grad_x = scale * (g - mean(g) - x_hat * mean(g * x_hat)), x_hat = centered * inv_std
+    # grad_x = scale * (g - mean(g) - x_hat * mean(g * x_hat)), x_hat = centered * inv_std,
+    # a channel at a time, as in the forward pass
     n = grad_out.shape[0] * grad_out.shape[2]
-    correction = np.multiply(centered, (scale * inv_std * grad_gamma / n)[:, None])
-    correction += (scale * grad_beta / n)[:, None]
-    grad_x -= correction
+    slope = scale * inv_std * grad_gamma / n
+    offset = scale * grad_beta / n
+    grad_x = np.empty(grad_out.shape, dtype=np.result_type(grad_out, scale))
+    for ch in range(grad_out.shape[1]):
+        np.multiply(grad_out[:, ch], scale[ch], out=grad_x[:, ch])
+        correction = np.multiply(centered[:, ch], slope[ch])
+        correction += offset[ch]
+        grad_x[:, ch] -= correction
     return grad_x, grad_gamma, grad_beta
 
 

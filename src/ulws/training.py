@@ -226,6 +226,8 @@ def train_fold(
                 grads = model_backward(cache, yb)
                 add_l2_gradients(grads, params, tcfg.l2_lambda)
                 adam_step(params, grads, state, lr, tcfg)
+            # so that the next forward pass, or the test pass, holds one batch's caches, not two
+            del cache, grads
             loss_sum += loss * len(batch)
             n_seen += len(batch)
         pred, probs = _score(params, x_test, f"fold {split.fold_index}, epoch {epoch}")

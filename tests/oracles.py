@@ -91,6 +91,66 @@ def relu_then_maxpool(x: np.ndarray, grad_out: np.ndarray, pool_size: int, strid
     return y, grad_x
 
 
+# --- a convolution and train-mode batch norm over the whole batch at once ------
+
+def _sliced_matmul(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
+    out = np.matmul(a[..., :depth], b[..., :depth, :])
+    for start in range(depth, a.shape[-1], depth):
+        out += np.matmul(a[..., start : start + depth], b[..., start : start + depth, :])
+    return out
+
+
+def one_gemm_conv(x, taps, bias, stride, grad_out, depth):
+    """(y, grad_x, grad_weight) of the SAME convolution of x with (K, M, N) taps
+    plus bias, through one (B, K*M + 1, L_out) block of columns for the batch.
+
+    The columns are cut tap by tap from a zero-padded copy of x, with a last
+    row of ones for the bias. Every product sums its inner dimension in slices
+    of `depth`, in order, so its rounding is fixed. grad_x is scattered tap by
+    tap onto a padded buffer and cropped; grad_weight is (K*M + 1, N), the
+    per-sample products summed over the batch, its last row the bias's.
+    """
+    b, m, length = x.shape
+    k, _, n = taps.shape
+    out_length = -(-length // stride)
+    total = max((out_length - 1) * stride + k - length, 0)
+    left = total // 2
+    padded = np.pad(x, ((0, 0), (0, 0), (left, total - left)))
+    span = (out_length - 1) * stride + 1
+    cols = np.concatenate([padded[:, :, t : t + span : stride] for t in range(k)]
+                          + [np.ones((b, 1, out_length), dtype=x.dtype)], axis=1)
+    weight = np.concatenate([taps.reshape(k * m, n), bias[None]])
+    y = _sliced_matmul(weight.T, cols, depth)
+    grad_weight = _sliced_matmul(cols, grad_out.swapaxes(1, 2), depth).sum(axis=0)
+    grad_cols = _sliced_matmul(taps.reshape(k * m, n), grad_out, depth)
+    grad_padded = np.zeros(padded.shape, dtype=grad_cols.dtype)
+    for t in range(k):
+        grad_padded[:, :, t : t + span : stride] += grad_cols[:, t * m : (t + 1) * m]
+    return y, grad_padded[:, :, left : left + length], grad_weight
+
+
+def broadcast_batchnorm(x, gamma, beta, running_mean, running_var, grad_out, eps, momentum):
+    """(y, grad_x, grad_gamma, grad_beta, running_mean, running_var) of train-mode
+    batch norm, each per-channel operand a (C, 1) column broadcast over (B, C, L)."""
+    b, _, length = x.shape
+    eps = np.asarray(eps, dtype=x.dtype)
+    mean = x.mean(axis=(0, 2))
+    centered = x - mean[:, None]
+    var = np.einsum("bcl,bcl->c", centered, centered) / (b * length)
+    running_mean = momentum * running_mean + (1 - momentum) * mean
+    running_var = momentum * running_var + (1 - momentum) * var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    scale = gamma * inv_std
+    y = centered * scale[:, None] + beta[:, None]
+    grad_beta = grad_out.sum(axis=(0, 2))
+    grad_gamma = np.einsum("bcl,bcl->c", grad_out, centered) * inv_std
+    n = b * length
+    correction = centered * (scale * inv_std * grad_gamma / n)[:, None]
+    correction += (scale * grad_beta / n)[:, None]
+    grad_x = grad_out * scale[:, None] - correction
+    return y, grad_x, grad_gamma, grad_beta, running_mean, running_var
+
+
 # --- metrics by direct pairwise counting (no confusion matrix) --------------
 
 def pairwise_accuracy(y_true, y_pred) -> float:

@@ -768,7 +768,6 @@ def test_train_scores_each_test_set_once_per_epoch(toy_cache, configs, tmp_path,
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(training, "predict", recording_predict)
-    monkeypatch.setattr(cli, "predict", recording_predict)
     assert main(["train", "--cache", str(toy_cache), "--model-config", str(model_cfg),
                  "--train-config", str(train_cfg), "--folds", "2",
                  "--out", str(tmp_path / "run")]) == 0
@@ -1048,7 +1047,7 @@ def test_predict_manifest_names_the_inputs_it_read(toy_cache, configs, tmp_path,
                                      n_subjects=4, seed=10), cache)
         return predict(params, x, *args)
 
-    monkeypatch.setattr(cli, "predict", swapping_predict)
+    monkeypatch.setattr(training, "predict", swapping_predict)
     pred_csv = tmp_path / "pred.csv"
     assert main(["predict", "--checkpoint", str(checkpoint), "--cache", str(cache),
                  "--out", str(pred_csv)]) == 0

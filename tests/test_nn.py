@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, fd_relative_error, relu_then_maxpool
+from oracles import (
+    broadcast_batchnorm,
+    fd_gradient,
+    fd_relative_error,
+    one_gemm_conv,
+    relu_then_maxpool,
+)
 from ulws import nn
 from ulws.errors import DegenerateBatch, ShapeMismatch
 
@@ -250,6 +256,49 @@ def test_conv_rounding_does_not_depend_on_the_blas_thread_count():
     assert digests[0] == digests[1]
 
 
+# (B, M, N, K, length, stride): 3 samples to a chunk with a short last one; one
+# sample to a chunk; products deeper than GEMM_DEPTH in the weight gradient and,
+# in the last, in the forward too
+CHUNKED_SHAPES = [(7, 8, 6, 3, 3000, 1), (4, 8, 5, 31, 1200, 2), (3, 16, 4, 31, 600, 2)]
+
+
+@pytest.mark.parametrize("conv_type", ["separable", "standard"])
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("shape", CHUNKED_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_chunked_conv_equals_one_gemm_over_the_batch(shape, dtype, conv_type):
+    """Columns built a few samples at a time give the one-GEMM results bit for bit."""
+    b, m, n, k, length, stride = shape
+    sample_bytes = (k * m + 1) * nn.ceil_div(length, stride) * np.dtype(dtype).itemsize
+    assert nn.ceil_div(b, max(1, nn.COLUMNS_BYTES // sample_bytes)) >= 3  # chunks
+    rng = np.random.default_rng(b * k)
+
+    def draw(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    x = draw(b, m, length)
+    if conv_type == "separable":
+        p = nn.SepConvParams(draw(k, m), draw(m, n), draw(n), stride)
+        taps = p.depthwise[:, :, None] * p.pointwise
+        forward, backward = nn.sepconv1d_forward, nn.sepconv1d_backward
+    else:
+        p = nn.ConvParams(draw(k, m, n), draw(n), stride)
+        taps = p.kernel
+        forward, backward = nn.conv1d_forward, nn.conv1d_backward
+    y, cache = forward(x, p)
+    g = draw(*y.shape)
+    ref_y, ref_grad_x, ref_grad_weight = one_gemm_conv(x, taps, p.bias, stride, g, nn.GEMM_DEPTH)
+    grads = backward(cache, g)
+    assert np.array_equal(y, ref_y) and y.dtype == dtype
+    assert np.array_equal(grads[0], ref_grad_x)
+    assert np.array_equal(grads[-1], ref_grad_weight[-1])
+    ref_grad_taps = ref_grad_weight[:-1].reshape(taps.shape)
+    if conv_type == "separable":
+        assert np.array_equal(grads[1], (ref_grad_taps * p.pointwise).sum(axis=2))
+        assert np.array_equal(grads[2], (ref_grad_taps * p.depthwise[:, :, None]).sum(axis=0))
+    else:
+        assert np.array_equal(grads[1], ref_grad_taps)
+
+
 # --- batch norm ---------------------------------------------------------------------
 
 def bn_params(n, dtype=F64):
@@ -323,6 +372,25 @@ def test_batchnorm_gradients_match_finite_differences():
     gx, ggamma, gbeta = nn.batchnorm_backward(cache, g_out)
     for analytic, arr in [(gx, x), (ggamma, p.gamma), (gbeta, p.beta)]:
         assert fd_relative_error(analytic, fd_gradient(loss, arr)) < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("channels", [1, 8, 32])
+def test_batchnorm_train_equals_broadcast_oracle(channels, dtype):
+    """Train mode, a channel at a time, is bit-equal to (C, 1) broadcasts: the
+    output, all three gradients and the decayed running statistics."""
+    rng = np.random.default_rng(channels)
+    x = (1.5 + 2.0 * rng.standard_normal((6, channels, 301))).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    p = nn.BatchNormParams(*(rng.standard_normal(channels).astype(dtype) for _ in range(3)),
+                           running_var=rng.uniform(0.5, 2.0, channels).astype(dtype))
+    reference = broadcast_batchnorm(x, p.gamma, p.beta, p.running_mean, p.running_var, g,
+                                    nn.BN_EPSILON, nn.BN_MOMENTUM)
+    y, cache = nn.batchnorm_forward(x, p, "train")
+    got = (y, *nn.batchnorm_backward(cache, g), p.running_mean, p.running_var)
+    for name, a, b in zip(["y", "grad_x", "grad_gamma", "grad_beta", "running_mean",
+                           "running_var"], got, reference, strict=True):
+        assert a.dtype == b.dtype == dtype and np.array_equal(a, b), name
 
 
 def test_batchnorm_infer_keeps_no_state():

@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
+from ulws import training
 from ulws.errors import BadConfig, NonFiniteGradient, TooFewSubjects
 from ulws.model import (
     ModelConfig,
@@ -303,3 +308,70 @@ def test_train_fold_refuses_a_subject_on_both_sides(tiny_dataset):
     leaky = FoldSplit(0, tuple(subjects[1:]), tuple(subjects[:2]))
     with pytest.raises(ValueError, match=rf"\['{subjects[1]}'\] on both sides"):
         train_fold(tiny_dataset, leaky, TINY, TrainConfig(epochs=1, seed=0))
+
+
+# --- the memory of a training step ------------------------------------------------------
+
+def test_train_fold_holds_one_step_of_caches(tiny_dataset, monkeypatch):
+    """Each forward pass and each test pass starts with no earlier step's ModelCache alive."""
+    caches = []
+
+    def check_earlier_caches_freed():
+        alive = [i for i, ref in enumerate(caches) if ref() is not None]
+        assert alive == [], f"train-mode caches {alive} of {len(caches)} still alive"
+
+    def tracking_forward(x, params, mode="infer", rng=None):
+        check_earlier_caches_freed()
+        probs, cache = model_forward(x, params, mode, rng)
+        if mode == "train":
+            caches.append(weakref.ref(cache))
+        return probs, cache
+
+    def tracking_predict(params, x, *args):
+        check_earlier_caches_freed()
+        return predict(params, x, *args)
+
+    monkeypatch.setattr(training, "model_forward", tracking_forward)
+    monkeypatch.setattr(training, "predict", tracking_predict)
+    split = tiny_split(tiny_dataset)
+    tcfg = TrainConfig(epochs=2, batch_size=16, seed=0)
+    train_fold(tiny_dataset, split, TINY, tcfg)
+    n_train = len(split_indices(tiny_dataset, split)[0])
+    assert len(caches) == tcfg.epochs * math.ceil(n_train / tcfg.batch_size)
+
+
+STEP_PEAK_PROBE = """
+import sys
+import numpy as np
+from ulws.model import ModelConfig, build_model, model_backward, model_forward
+from ulws.training import TrainConfig, adam_step, init_adam
+
+cfg = ModelConfig(kernel_size=int(sys.argv[1]))
+params = build_model(cfg, seed=0)
+rng = np.random.default_rng(0)
+x = rng.standard_normal((32, cfg.n_input_channels, cfg.input_length)).astype(np.float32)
+labels = rng.integers(0, cfg.n_classes, 32)
+_, cache = model_forward(x, params, mode="train", rng=rng)
+adam_step(params, model_backward(cache, labels), init_adam(params), 1e-3, TrainConfig())
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_train_step_peak_memory_does_not_grow_with_the_kernel():
+    """One default-model step of 32 epochs peaks less than 16 MiB higher at kernel_size 31 than at 3.
+
+    A conv's GEMM columns are (K*M + 1)/M times its input. Built for the whole
+    batch at once, block 0's second conv alone would take 190 MB at 31; built
+    COLUMNS_BYTES at a time, the columns add about 1 MiB at any kernel size.
+    VmHWM belongs to the child's own address space.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def peak_bytes(kernel_size):
+        run = subprocess.run([sys.executable, "-c", STEP_PEAK_PROBE, str(kernel_size)],
+                             env=env, capture_output=True, text=True, check=True, timeout=300)
+        return int(run.stdout.splitlines()[-1]) * 1024
+
+    assert peak_bytes(31) - peak_bytes(3) < 16 * 2**20
