@@ -30,6 +30,7 @@ from . import __version__, complexity, evaluation, nn, preprocess
 from .edf import load_record, subject_key_and_night
 from .errors import (
     BadConfig,
+    BadOutputPath,
     ChecksumMismatch,
     ShapeMismatch,
     UlwsError,
@@ -87,6 +88,17 @@ def _write_manifest(directory: Path, name: str, payload: dict) -> None:
         fh.write(json.dumps({"manifest": name, "written_unix": time.time()}) + "\n")
 
 
+def _check_out(out: Path, directory: bool) -> None:
+    """Refuse an --out that the command's outputs could not be written to, before
+    any work: a directory where a file goes, a non-directory where a directory
+    goes, or a non-directory above either. Creates nothing."""
+    if out.exists() and out.is_dir() != directory:
+        raise BadOutputPath(f"--out {out} is {'not ' if directory else ''}a directory")
+    for parent in out.parents:
+        if parent.exists() and not parent.is_dir():
+            raise BadOutputPath(f"--out {out}: {parent} is not a directory")
+
+
 def _model_config(args, cache: EpochDataset | None = None) -> ModelConfig:
     if args.model_config:
         return ModelConfig.from_json(Path(args.model_config).read_bytes(), args.model_config)
@@ -126,6 +138,7 @@ def _discover_pairs(data_dir: Path) -> tuple[list[tuple[Path, Path]], int]:
 
 
 def cmd_preprocess(args) -> int:
+    _check_out(Path(args.out), directory=False)
     data_dir = Path(args.data_dir)
     channels = [c.strip() for c in args.channels.split(",")] if args.channels else DEFAULT_CHANNELS
     pairs, skipped = _discover_pairs(data_dir)
@@ -303,6 +316,7 @@ def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, flo
 
 
 def cmd_train(args) -> int:
+    _check_out(Path(args.out), directory=True)
     _keep_batch_memory()
     cache_path = Path(args.cache)
     dataset = read_cache(cache_path)
@@ -473,6 +487,7 @@ def cmd_evaluate(args) -> int:
 # --- predict -----------------------------------------------------------------------
 
 def cmd_predict(args) -> int:
+    _check_out(Path(args.out), directory=False)
     _keep_batch_memory()
     params = load_checkpoint(Path(args.checkpoint))
     dataset = read_cache(Path(args.cache))

@@ -128,6 +128,12 @@ class WorkerDied(UlwsError):
     """A fold's worker process ended without returning the fold's outcome."""
 
 
+# --- command line --------------------------------------------------------
+
+class BadOutputPath(UlwsError):
+    """An --out path that the command could not write its outputs to."""
+
+
 # --- evaluation ----------------------------------------------------------
 
 class LengthMismatch(UlwsError):

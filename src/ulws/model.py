@@ -115,7 +115,7 @@ class ModelConfig(JsonConfig):
             raise BadConfig("kernel_size and pool_size must be >= 1")
         if self.pool_size > nn.MAX_POOL_SIZE:
             raise BadConfig(f"pool_size must be <= {nn.MAX_POOL_SIZE}, got {self.pool_size}")
-        if self.kernel_size > 31:  # a conv's GEMM columns hold kernel_size copies of its input
+        if self.kernel_size > 31:  # covers the paper's 3 and the study grid's 7
             raise BadConfig(f"kernel_size must be <= 31, got {self.kernel_size}")
         if self.pool_stride not in (1, 2, 4):
             raise BadConfig(f"pool_stride must be 1, 2 or 4, got {self.pool_stride}")
@@ -146,9 +146,6 @@ def variant_configs() -> dict[str, ModelConfig]:
 
 # --- parameters -------------------------------------------------------------
 
-ConvLike = nn.SepConvParams | nn.ConvParams
-
-
 @dataclass
 class DsscParams:
     """One dual-stream block.
@@ -163,12 +160,12 @@ class DsscParams:
     element-wise sum.
     """
 
-    main_conv1: ConvLike
+    main_conv1: nn.ConvLike
     bn1: nn.BatchNormParams
-    main_conv2: ConvLike
+    main_conv2: nn.ConvLike
     bn2: nn.BatchNormParams
-    shortcut_conv1: ConvLike
-    shortcut_conv2: ConvLike
+    shortcut_conv1: nn.ConvLike
+    shortcut_conv2: nn.ConvLike
     pool_size: int
     pool_stride: int
 
@@ -189,7 +186,7 @@ def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -
 
 def _make_conv(
     rng: np.random.Generator, conv_type: str, k: int, m: int, n: int, stride: int, dtype
-) -> ConvLike:
+) -> nn.ConvLike:
     if conv_type == CONV_SEPARABLE:
         return nn.SepConvParams(
             depthwise=_glorot(rng, (k, m), k, k, dtype),
@@ -244,12 +241,6 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
     return ModelParams(config=config, blocks=blocks, head_hidden=head_hidden, head_out=head_out)
 
 
-def _conv_arrays(p: ConvLike) -> list[tuple[str, np.ndarray]]:
-    if isinstance(p, nn.SepConvParams):
-        return [("depthwise", p.depthwise), ("pointwise", p.pointwise), ("bias", p.bias)]
-    return [("kernel", p.kernel), ("bias", p.bias)]
-
-
 def named_arrays(params: ModelParams, trainable_only: bool = True):
     """(name, array) pairs in a fixed traversal order.
 
@@ -258,8 +249,7 @@ def named_arrays(params: ModelParams, trainable_only: bool = True):
     """
     for i, blk in enumerate(params.blocks):
         for conv_name in ("main_conv1", "main_conv2", "shortcut_conv1", "shortcut_conv2"):
-            conv = getattr(blk, conv_name)
-            for leaf, arr in _conv_arrays(conv):
+            for leaf, arr in getattr(blk, conv_name).leaves():
                 yield f"blocks.{i}.{conv_name}.{leaf}", arr
         for bn_name in ("bn1", "bn2"):
             bn = getattr(blk, bn_name)
@@ -287,17 +277,10 @@ def conv_kernels(params: ModelParams):
 
 # --- forward / backward ------------------------------------------------------
 
-def _conv_forward(x, p: ConvLike):
-    if isinstance(p, nn.SepConvParams):
-        return nn.sepconv1d_forward(x, p)
-    return nn.conv1d_forward(x, p)
-
-
 def _conv_backward(cache: nn.ConvCache, grad_out) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """(grad_x, {leaf: gradient}); the gradients come in _conv_arrays order."""
-    separable = isinstance(cache.params, nn.SepConvParams)
-    grad_x, *grads = (nn.sepconv1d_backward if separable else nn.conv1d_backward)(cache, grad_out)
-    return grad_x, {leaf: g for (leaf, _), g in zip(_conv_arrays(cache.params), grads, strict=True)}
+    """(grad_x, {leaf: gradient}); the gradients come in the params' leaves order."""
+    grad_x, *grads = nn.conv1d_backward(cache, grad_out)
+    return grad_x, {leaf: g for (leaf, _), g in zip(cache.params.leaves(), grads, strict=True)}
 
 
 @dataclass
@@ -316,16 +299,16 @@ class DsscCache:
 
 def dssc_forward(x: np.ndarray, p: DsscParams, mode: nn.Mode) -> tuple[np.ndarray, DsscCache]:
     """Main stream plus strided shortcut; both land on length ceil(L/ps^2)."""
-    h, c1 = _conv_forward(x, p.main_conv1)
+    h, c1 = nn.conv1d_forward(x, p.main_conv1)
     h, b1 = nn.batchnorm_forward(h, p.bn1, mode)
     h, p1 = nn.maxpool1d_forward(h, p.pool_size, p.pool_stride, mode)
     h, r1 = nn.relu_forward(h)
-    h, c2 = _conv_forward(h, p.main_conv2)
+    h, c2 = nn.conv1d_forward(h, p.main_conv2)
     h, b2 = nn.batchnorm_forward(h, p.bn2, mode)
     h, p2 = nn.maxpool1d_forward(h, p.pool_size, p.pool_stride, mode)
     h, r2 = nn.relu_forward(h)
-    s, s1 = _conv_forward(x, p.shortcut_conv1)
-    s, s2 = _conv_forward(s, p.shortcut_conv2)
+    s, s1 = nn.conv1d_forward(x, p.shortcut_conv1)
+    s, s2 = nn.conv1d_forward(s, p.shortcut_conv2)
     if h.shape != s.shape:
         raise ShapeMismatch(f"main {h.shape} vs shortcut {s.shape}")
     return h + s, DsscCache(c1, b1, p1, r1, c2, b2, p2, r2, s1, s2)

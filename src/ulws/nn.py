@@ -23,6 +23,8 @@ Layout contract:
   input, a few samples at a time: at most COLUMNS_BYTES of them (or one
   sample's, if that is more) exist at once, in the forward and in the
   backward pass.
+- Batch norm's elementwise passes take one channel and a scalar at a
+  time, in both modes: no (C, 1) operand is broadcast over (B, C, L).
 
 Padding is SAME everywhere: output length is ceil(L / stride), zeros split
 evenly with the extra sample on the right. A convolution's columns hold 0
@@ -71,7 +73,10 @@ def _tap_slices(
 #
 # Both conv types are the standard convolution y_b = W^T @ columns(x_b) with a
 # (K*M + 1, N) weight W: rows k*M + m hold the taps, the last row the bias.
-# A separable conv's taps are depthwise[k, m] * pointwise[m, n].
+# A separable conv's taps are depthwise[k, m] * pointwise[m, n]. So one kernel
+# pair, conv1d_forward/conv1d_backward, runs both; each params class gives its
+# (K, M, N) taps, its leaves in checkpoint order, and the chain rule from the
+# taps' gradient back to its leaves.
 
 # The deepest BLAS product. OpenBLAS splits a deeper one differently on one
 # thread and on several, so its rounding would follow the thread count (with
@@ -159,44 +164,28 @@ def _gemm_backward(x: np.ndarray, taps: np.ndarray, stride: int, pad_left: int,
 
 
 @dataclass
-class ConvCache:  # both conv types: the backward pass rebuilds the columns from x
-    params: SepConvParams | ConvParams
-    x: np.ndarray  # the unpadded input
-    pad_left: int
-
-
-# --- separable convolution -------------------------------------------------
-
-@dataclass
 class SepConvParams:
     depthwise: np.ndarray  # (K, M)
     pointwise: np.ndarray  # (M, N)
     bias: np.ndarray  # (N,)
     stride: int = 1
 
+    def leaves(self) -> list[tuple[str, np.ndarray]]:
+        """(name, array) of each parameter, in checkpoint order."""
+        return [("depthwise", self.depthwise), ("pointwise", self.pointwise), ("bias", self.bias)]
 
-def sepconv1d_forward(x: np.ndarray, p: SepConvParams) -> tuple[np.ndarray, ConvCache]:
-    """Depthwise K-tap per-channel filter, then 1x1 channel mix plus bias."""
-    if p.pointwise.shape[0] != p.depthwise.shape[1]:
-        raise ShapeMismatch(f"pointwise {p.pointwise.shape} vs depthwise {p.depthwise.shape}")
-    y, left = _gemm_forward(x, p.depthwise[:, :, None] * p.pointwise, p.bias, p.stride)
-    return y, ConvCache(p, x, left)
+    def taps(self) -> np.ndarray:
+        """(K, M, N): a depthwise K-tap per-channel filter, then a 1x1 channel mix."""
+        if self.pointwise.shape[0] != self.depthwise.shape[1]:
+            raise ShapeMismatch(
+                f"pointwise {self.pointwise.shape} vs depthwise {self.depthwise.shape}")
+        return self.depthwise[:, :, None] * self.pointwise
 
+    def tap_grads(self, grad_taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(grad_depthwise, grad_pointwise): the chain rule through the tap products."""
+        return ((grad_taps * self.pointwise).sum(axis=2),
+                (grad_taps * self.depthwise[:, :, None]).sum(axis=0))
 
-def sepconv1d_backward(
-    cache: ConvCache, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Adjoints of both stages: (grad_x, grad_depthwise, grad_pointwise, grad_bias)."""
-    p = cache.params
-    taps = p.depthwise[:, :, None] * p.pointwise
-    grad_x, grad_weight = _gemm_backward(cache.x, taps, p.stride, cache.pad_left, grad_out)
-    grad_taps = grad_weight[:-1].reshape(taps.shape)  # chain rule through the tap products
-    grad_depthwise = (grad_taps * p.pointwise).sum(axis=2)
-    grad_pointwise = (grad_taps * p.depthwise[:, :, None]).sum(axis=0)
-    return grad_x, grad_depthwise, grad_pointwise, grad_weight[-1]
-
-
-# --- standard convolution ----------------------------------------------------
 
 @dataclass
 class ConvParams:
@@ -204,18 +193,38 @@ class ConvParams:
     bias: np.ndarray  # (N,)
     stride: int = 1
 
+    def leaves(self) -> list[tuple[str, np.ndarray]]:
+        return [("kernel", self.kernel), ("bias", self.bias)]
 
-def conv1d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]:
-    y, left = _gemm_forward(x, p.kernel, p.bias, p.stride)
+    def taps(self) -> np.ndarray:
+        return self.kernel
+
+    def tap_grads(self, grad_taps: np.ndarray) -> tuple[np.ndarray]:
+        return (grad_taps,)
+
+
+ConvLike = SepConvParams | ConvParams
+
+
+@dataclass
+class ConvCache:  # the backward pass rebuilds the columns from x
+    params: ConvLike
+    x: np.ndarray  # the unpadded input
+    pad_left: int
+
+
+def conv1d_forward(x: np.ndarray, p: ConvLike) -> tuple[np.ndarray, ConvCache]:
+    """SAME convolution of x with p's taps, plus its bias, for either conv type."""
+    y, left = _gemm_forward(x, p.taps(), p.bias, p.stride)
     return y, ConvCache(p, x, left)
 
 
-def conv1d_backward(
-    cache: ConvCache, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conv1d_backward(cache: ConvCache, grad_out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(grad_x, then the gradient of each of the params' leaves, in their order)."""
     p = cache.params
-    grad_x, grad_weight = _gemm_backward(cache.x, p.kernel, p.stride, cache.pad_left, grad_out)
-    return grad_x, grad_weight[:-1].reshape(p.kernel.shape), grad_weight[-1]
+    taps = p.taps()
+    grad_x, grad_weight = _gemm_backward(cache.x, taps, p.stride, cache.pad_left, grad_out)
+    return grad_x, *p.tap_grads(grad_weight[:-1].reshape(taps.shape)), grad_weight[-1]
 
 
 # --- batch normalization -----------------------------------------------------
@@ -248,36 +257,38 @@ def batchnorm_forward(
     ones towards them in place; its output and backward pass never read the
     running statistics, so a finite-difference check may call it repeatedly.
     Infer mode applies the running statistics as one per-channel affine map
-    and keeps no state.
+    and keeps no state. Both modes then run one output loop, y = source *
+    scale + shift: infer mode scales the input and adds the running
+    statistics' shift, train mode scales the centred input and adds beta.
     """
     b, _, length = x.shape
     eps = np.asarray(BN_EPSILON, dtype=x.dtype)
     if mode == "infer":
         inv_std = 1.0 / np.sqrt(p.running_var + eps)
         scale = p.gamma * inv_std
-        y = np.multiply(x, scale[:, None])
-        y += (p.beta - p.running_mean * scale)[:, None]
-        return y, None
-    if b * length < 2:
-        raise DegenerateBatch(f"need at least 2 values per feature, got {b * length}")
-    mean = x.mean(axis=(0, 2))
-    # the elementwise passes take one channel and a scalar at a time: numpy
-    # broadcasts a (C, 1) operand over (B, C, L) 2-3x slower than that
-    centered = np.empty(x.shape, dtype=np.result_type(x, mean))
+        source, shift, cache = x, p.beta - p.running_mean * scale, None
+    else:
+        if b * length < 2:
+            raise DegenerateBatch(f"need at least 2 values per feature, got {b * length}")
+        mean = x.mean(axis=(0, 2))
+        centered = np.empty(x.shape, dtype=np.result_type(x, mean))
+        for ch in range(x.shape[1]):
+            np.subtract(x[:, ch], mean[ch], out=centered[:, ch])
+        # einsum reduces the products without materialising them
+        var = np.einsum("bcl,bcl->c", centered, centered) / (b * length)
+        mom = BN_MOMENTUM
+        p.running_mean[...] = mom * p.running_mean + (1 - mom) * mean
+        p.running_var[...] = mom * p.running_var + (1 - mom) * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        scale = p.gamma * inv_std
+        source, shift, cache = centered, p.beta, BatchNormCache(p, centered, inv_std)
+    # this pass, like the centring, takes one channel and a scalar at a time:
+    # numpy broadcasts a (C, 1) operand over (B, C, L) 2-3x slower than that
+    y = np.empty(x.shape, dtype=np.result_type(source, scale))
     for ch in range(x.shape[1]):
-        np.subtract(x[:, ch], mean[ch], out=centered[:, ch])
-    # einsum reduces the products without materialising them
-    var = np.einsum("bcl,bcl->c", centered, centered) / (b * length)
-    mom = BN_MOMENTUM
-    p.running_mean[...] = mom * p.running_mean + (1 - mom) * mean
-    p.running_var[...] = mom * p.running_var + (1 - mom) * var
-    inv_std = 1.0 / np.sqrt(var + eps)
-    scale = p.gamma * inv_std
-    y = np.empty(x.shape, dtype=np.result_type(centered, scale))
-    for ch in range(x.shape[1]):
-        np.multiply(centered[:, ch], scale[ch], out=y[:, ch])
-        y[:, ch] += p.beta[ch]
-    return y, BatchNormCache(p, centered, inv_std)
+        np.multiply(source[:, ch], scale[ch], out=y[:, ch])
+        y[:, ch] += shift[ch]
+    return y, cache
 
 
 def batchnorm_backward(

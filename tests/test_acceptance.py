@@ -161,13 +161,13 @@ def test_criterion_3_gradient_correctness():
             rng.standard_normal((3, 4)), rng.standard_normal((4, 3)),
             rng.standard_normal(3), stride=2,
         )
-        g_out = rng.standard_normal(nn.sepconv1d_forward(xs, sep)[0].shape)
+        g_out = rng.standard_normal(nn.conv1d_forward(xs, sep)[0].shape)
 
         def sep_loss():
-            return float((nn.sepconv1d_forward(xs, sep)[0] * g_out).sum())
+            return float((nn.conv1d_forward(xs, sep)[0] * g_out).sum())
 
-        _, sep_cache = nn.sepconv1d_forward(xs, sep)
-        gx, gdw, gpw, gb = nn.sepconv1d_backward(sep_cache, g_out)
+        _, sep_cache = nn.conv1d_forward(xs, sep)
+        gx, gdw, gpw, gb = nn.conv1d_backward(sep_cache, g_out)
         for analytic, arr in [(gx, xs), (gdw, sep.depthwise), (gpw, sep.pointwise), (gb, sep.bias)]:
             assert fd_relative_error(analytic, fd_gradient(sep_loss, arr)) < 1e-5
 

@@ -966,6 +966,47 @@ def test_train_manifest_names_the_cache_it_trained_on(toy_cache, configs, tmp_pa
     assert manifest_of(tmp_path / "run" / "train")["cache_crc32"] == trained_on
 
 
+@pytest.mark.parametrize("command, taken, out_rel, expensive", [
+    ("preprocess", "dir", "taken", "load_record"),
+    ("train", "file", "taken", "train_fold"),
+    ("train", "file", "taken/cv", "train_fold"),
+    ("predict", "dir", "taken", "_score"),
+])
+def test_a_bad_out_is_refused_before_any_work(toy_cache, configs, tmp_path, capsys, monkeypatch,
+                                              command, taken, out_rel, expensive):
+    """An --out the outputs cannot go to exits 2 with a typed error naming it,
+    before the command reads a record, trains a fold or scores an epoch."""
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    write_record_pair(data_dir, "SC4001", seed=1)
+    checkpoint = tmp_path / "model.ulwm"
+    save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=0), checkpoint)
+    if taken == "dir":
+        (tmp_path / "taken").mkdir()
+    else:
+        (tmp_path / "taken").write_text("")
+    out = tmp_path / out_rel
+
+    def unreachable(*args, **kwargs):
+        pytest.fail(f"{command} called {expensive} with a bad --out")
+
+    monkeypatch.setattr(cli, expensive, unreachable)
+    before = sorted(tmp_path.rglob("*"))
+    model_cfg, train_cfg = configs
+    argv = {
+        "preprocess": ["--data-dir", str(data_dir)],
+        "train": ["--cache", str(toy_cache), "--model-config", str(model_cfg),
+                  "--train-config", str(train_cfg), "--folds", "2", "--fold", "0"],
+        "predict": ["--checkpoint", str(checkpoint), "--cache", str(toy_cache)],
+    }[command]
+    code = main([command, *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: BadOutputPath: --out {out}")
+    assert "directory" in captured.err and "Traceback" not in captured.err
+    assert sorted(tmp_path.rglob("*")) == before  # the check creates nothing
+
+
 def test_importing_the_cli_leaves_scipy_signal_out():
     """Each training worker imports ulws.cli; scipy.signal would add ~1 s to its start."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

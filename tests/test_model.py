@@ -1,4 +1,5 @@
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
@@ -149,8 +150,8 @@ def test_dssc_zeroed_main_stream_equals_shortcut():
         bn.beta[...] = 0.0
     x = np.random.default_rng(0).standard_normal((2, 1, 40))
     y, _ = dssc_forward(x, block, "infer")
-    s, _ = nn.sepconv1d_forward(x, block.shortcut_conv1)
-    s, _ = nn.sepconv1d_forward(s, block.shortcut_conv2)
+    s, _ = nn.conv1d_forward(x, block.shortcut_conv1)
+    s, _ = nn.conv1d_forward(s, block.shortcut_conv2)
     assert np.array_equal(y, s)
 
 
@@ -364,6 +365,27 @@ def test_checkpoint_corruption_detected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ChecksumMismatch):
         load_checkpoint(path)
+
+
+# CRC-32 of each study variant's checkpoint file, built with seed 0
+CHECKPOINT_CRC32 = {
+    "default": 0xbf807dfe,
+    "blocks2": 0x55b2a7fe,
+    "blocks4": 0x9364d583,
+    "ks7_ps4": 0x2cab08b3,
+    "filters_4_8_16": 0x83b1b7e6,
+    "filters_16_32_64": 0x17d4d188,
+    "filters_16_32_64_128": 0xfa218d92,
+    "standard_conv": 0xbb967725,
+}
+
+
+@pytest.mark.parametrize("variant", list(CHECKPOINT_CRC32))
+def test_checkpoint_bytes_are_pinned(tmp_path, variant):
+    """A change of leaf order, initialisation or layout changes these bytes."""
+    path = tmp_path / "model.ulwm"
+    save_checkpoint(build_model(variant_configs()[variant], seed=0), path)
+    assert zlib.crc32(path.read_bytes()) == CHECKPOINT_CRC32[variant]
 
 
 def test_predict_does_not_depend_on_the_batch_size():

@@ -33,14 +33,14 @@ def sep_params(depthwise, pointwise, bias=None, stride=1):
 def test_sepconv_identity_configuration():
     x = np.arange(24, dtype=F64).reshape(1, 2, 12)
     p = sep_params([[0, 0], [1, 1], [0, 0]], np.eye(2))
-    y, _ = nn.sepconv1d_forward(x, p)
+    y, _ = nn.conv1d_forward(x, p)
     assert np.array_equal(y, x)
 
 
 def test_sepconv_hand_convolution():
     x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
     p = sep_params([[1.0], [1.0], [1.0]], [[2.0]])
-    y, _ = nn.sepconv1d_forward(x, p)
+    y, _ = nn.conv1d_forward(x, p)
     # depthwise SAME conv gives [3, 6, 9, 7]; pointwise doubles it
     assert np.allclose(y, [[[6.0, 12.0, 18.0, 14.0]]])
 
@@ -48,14 +48,14 @@ def test_sepconv_hand_convolution():
 def test_sepconv_strided_output_length():
     x = np.zeros((1, 1, 5))
     p = sep_params([[1.0], [1.0], [1.0]], [[1.0]], stride=2)
-    y, _ = nn.sepconv1d_forward(x, p)
+    y, _ = nn.conv1d_forward(x, p)
     assert y.shape == (1, 1, 3)  # ceil(5 / 2)
 
 
 def test_sepconv_channel_mismatch():
     x = np.zeros((1, 3, 5))
     with pytest.raises(ShapeMismatch):
-        nn.sepconv1d_forward(x, sep_params([[1.0], [1.0], [1.0]], [[1.0]]))
+        nn.conv1d_forward(x, sep_params([[1.0], [1.0], [1.0]], [[1.0]]))
 
 
 def test_sepconv_backward_zero_grad():
@@ -63,17 +63,17 @@ def test_sepconv_backward_zero_grad():
     x = rng.standard_normal((2, 3, 8))
     p = sep_params(rng.standard_normal((3, 3)), rng.standard_normal((3, 4)),
                    rng.standard_normal(4))
-    y, cache = nn.sepconv1d_forward(x, p)
-    gx, gdw, gpw, gb = nn.sepconv1d_backward(cache, np.zeros_like(y))
+    y, cache = nn.conv1d_forward(x, p)
+    gx, gdw, gpw, gb = nn.conv1d_backward(cache, np.zeros_like(y))
     assert not gx.any() and not gdw.any() and not gpw.any() and not gb.any()
 
 
 def test_sepconv_identity_adjoint():
     x = np.arange(10, dtype=F64).reshape(1, 1, 10)
     p = sep_params([[0.0], [1.0], [0.0]], [[1.0]])
-    y, cache = nn.sepconv1d_forward(x, p)
+    y, cache = nn.conv1d_forward(x, p)
     g = np.arange(10, dtype=F64).reshape(1, 1, 10) + 5
-    gx, _, _, _ = nn.sepconv1d_backward(cache, g)
+    gx, _, _, _ = nn.conv1d_backward(cache, g)
     assert np.array_equal(gx, g)
 
 
@@ -84,14 +84,14 @@ def test_sepconv_gradients_match_finite_differences(stride, k, m, n, length):
     x = rng.standard_normal((2, m, length))
     p = sep_params(rng.standard_normal((k, m)), rng.standard_normal((m, n)),
                    rng.standard_normal(n), stride)
-    g_out = rng.standard_normal(nn.sepconv1d_forward(x, p)[0].shape)
+    g_out = rng.standard_normal(nn.conv1d_forward(x, p)[0].shape)
 
     def loss():
-        y, _ = nn.sepconv1d_forward(x, p)
+        y, _ = nn.conv1d_forward(x, p)
         return float((y * g_out).sum())
 
-    _, cache = nn.sepconv1d_forward(x, p)
-    gx, gdw, gpw, gb = nn.sepconv1d_backward(cache, g_out)
+    _, cache = nn.conv1d_forward(x, p)
+    gx, gdw, gpw, gb = nn.conv1d_backward(cache, g_out)
     for analytic, arr in [(gx, x), (gdw, p.depthwise), (gpw, p.pointwise), (gb, p.bias)]:
         assert fd_relative_error(analytic, fd_gradient(loss, arr)) < 1e-5
 
@@ -104,7 +104,7 @@ def test_conv_k1_equals_pointwise_sepconv():
     pw = rng.standard_normal((3, 4))
     bias = rng.standard_normal(4)
     y_std, _ = nn.conv1d_forward(x, nn.ConvParams(pw[None, :, :].copy(), bias.copy(), 1))
-    y_sep, _ = nn.sepconv1d_forward(x, sep_params(np.ones((1, 3)), pw, bias))
+    y_sep, _ = nn.conv1d_forward(x, sep_params(np.ones((1, 3)), pw, bias))
     assert np.allclose(y_std, y_sep, atol=1e-12)
 
 
@@ -114,10 +114,37 @@ def test_sepconv_k1_is_diagonally_prescaled_standard_conv():
     diag = rng.standard_normal(3)
     pw = rng.standard_normal((3, 4))
     bias = rng.standard_normal(4)
-    y_sep, _ = nn.sepconv1d_forward(x, sep_params(diag[None, :], pw, bias))
+    y_sep, _ = nn.conv1d_forward(x, sep_params(diag[None, :], pw, bias))
     folded = (diag[:, None] * pw)[None, :, :]  # K=1 standard kernel
     y_std, _ = nn.conv1d_forward(x, nn.ConvParams(folded, bias.copy(), 1))
     assert np.allclose(y_sep, y_std, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("stride", [1, 2, 4])
+@pytest.mark.parametrize("kernel", [1, 3, 7])
+def test_sepconv_is_the_standard_conv_of_its_taps(kernel, stride, dtype):
+    """conv1d_forward and conv1d_backward give a separable conv the output and
+    input gradient of the standard conv whose kernel is its taps, bit for bit."""
+    rng = np.random.default_rng(10 * kernel + stride)
+
+    def draw(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    for m, n, length in [(1, 1, 5), (3, 16, 31), (16, 5, 64), (16, 16, 47)]:
+        x = draw(3, m, length)
+        sep = nn.SepConvParams(draw(kernel, m), draw(m, n), draw(n), stride)
+        std = nn.ConvParams(sep.taps(), sep.bias, sep.stride)
+        y_sep, sep_cache = nn.conv1d_forward(x, sep)
+        y_std, std_cache = nn.conv1d_forward(x, std)
+        assert y_sep.dtype == dtype and np.array_equal(y_sep, y_std)
+        g = draw(*y_sep.shape)
+        gx_sep, *sep_grads = nn.conv1d_backward(sep_cache, g)
+        gx_std, *std_grads = nn.conv1d_backward(std_cache, g)
+        assert np.array_equal(gx_sep, gx_std)
+        assert np.array_equal(sep_grads[-1], std_grads[-1])  # the bias
+        for params, grads in [(sep, sep_grads), (std, std_grads)]:
+            assert [g.shape for g in grads] == [a.shape for _, a in params.leaves()]
 
 
 def test_conv_hand_values():
@@ -191,7 +218,7 @@ def test_windowed_kernels_match_padded_reference(length, stride, kernel, m, dtyp
     dw = sum(sep.depthwise[t].astype(F64)[None, :, None] * w for t, w in enumerate(windows))
     std = nn.ConvParams(draw(kernel, m, 2), draw(2), stride)
     cases = [
-        (nn.sepconv1d_forward(x, sep), nn.sepconv1d_backward, sep.bias,
+        (nn.conv1d_forward(x, sep), nn.conv1d_backward, sep.bias,
          np.einsum("mn,bml->bnl", sep.pointwise.astype(F64), dw)),
         (nn.conv1d_forward(x, std), nn.conv1d_backward, std.bias,
          sum(np.einsum("mn,bml->bnl", std.kernel[t].astype(F64), w)
@@ -233,7 +260,7 @@ def draw(*shape):
 for m, n, length, kernel in [(8, 8, 1500, 3), (32, 32, 94, 15), (4, 480, 200, 3)]:
     x = draw(16, m, length)
     for forward, backward, p in [
-        (nn.sepconv1d_forward, nn.sepconv1d_backward,
+        (nn.conv1d_forward, nn.conv1d_backward,
          nn.SepConvParams(draw(kernel, m), draw(m, n), draw(n))),
         (nn.conv1d_forward, nn.conv1d_backward, nn.ConvParams(draw(kernel, m, n), draw(n))),
     ]:
@@ -279,7 +306,7 @@ def test_chunked_conv_equals_one_gemm_over_the_batch(shape, dtype, conv_type):
     if conv_type == "separable":
         p = nn.SepConvParams(draw(k, m), draw(m, n), draw(n), stride)
         taps = p.depthwise[:, :, None] * p.pointwise
-        forward, backward = nn.sepconv1d_forward, nn.sepconv1d_backward
+        forward, backward = nn.conv1d_forward, nn.conv1d_backward
     else:
         p = nn.ConvParams(draw(k, m, n), draw(n), stride)
         taps = p.kernel
@@ -609,7 +636,7 @@ def test_kernels_bit_deterministic():
     x = draw(32, 8, 301)
     for stride in (1, 2):
         for forward in (
-            partial(nn.sepconv1d_forward, p=nn.SepConvParams(draw(3, 8), draw(8, 16), draw(16), stride)),
+            partial(nn.conv1d_forward, p=nn.SepConvParams(draw(3, 8), draw(8, 16), draw(16), stride)),
             partial(nn.conv1d_forward, p=nn.ConvParams(draw(3, 8, 16), draw(16), stride)),
         ):
             y, _ = forward(x)
@@ -638,8 +665,8 @@ def contract_case(name, dtype):
     if kind == "sepconv":
         m = 1 if variant == "m1" else 4
         p = nn.SepConvParams(a(3, m), a(m, 5), a(5), stride)
-        forward = partial(nn.sepconv1d_forward, p=p)
-        return x[:, :m].copy(), [p.depthwise, p.pointwise, p.bias], forward, nn.sepconv1d_backward
+        forward = partial(nn.conv1d_forward, p=p)
+        return x[:, :m].copy(), [p.depthwise, p.pointwise, p.bias], forward, nn.conv1d_backward
     if kind == "conv":
         p = nn.ConvParams(a(3, 4, 5), a(5), stride)
         return x, [p.kernel, p.bias], partial(nn.conv1d_forward, p=p), nn.conv1d_backward
