@@ -63,6 +63,11 @@ RESOLVED_DEFAULTS = {
 
 STAGE_NAMES = ["W", "N1", "N2", "N3", "REM"]
 
+# `train` writes each fold into --out/fold<i>: its checkpoint, its history and
+# its test predictions; `evaluate` reads the predictions and checkpoints back
+FOLD_PREFIX = "fold"
+CHECKPOINT, HISTORY, PREDICTIONS = "checkpoint.ulwm", "history.jsonl", "predictions.csv"
+
 # mallopt parameters from glibc's malloc.h
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -78,25 +83,39 @@ def _warn(message: str) -> None:
     print(f"warning: {message}".encode("utf-8", "backslashreplace").decode(), file=sys.stderr)
 
 
+def _manifest_files(directory: Path, name: str) -> list[Path]:
+    """The manifest and the run log that _write_manifest writes."""
+    return [directory / f"{name}.manifest.json", directory / "runlog.jsonl"]
+
+
 def _write_manifest(directory: Path, name: str, payload: dict) -> None:
+    manifest, runlog = _manifest_files(directory, name)
     directory.mkdir(parents=True, exist_ok=True)
     payload = dict(payload, version=__version__, resolved=RESOLVED_DEFAULTS)
-    (directory / f"{name}.manifest.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    with (directory / "runlog.jsonl").open("a") as fh:
+    manifest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with runlog.open("a") as fh:
         fh.write(json.dumps({"manifest": name, "written_unix": time.time()}) + "\n")
 
 
-def _check_out(out: Path, directory: bool) -> None:
+def _fold_files(fold_dir: Path) -> list[Path]:
+    """The checkpoint, history and predictions that _run_fold writes."""
+    return [fold_dir / CHECKPOINT, fold_dir / HISTORY, fold_dir / PREDICTIONS]
+
+
+def _check_out(out: Path, dirs: list[Path], files: list[Path]) -> None:
     """Refuse an --out that the command's outputs could not be written to, before
-    any work: a directory where a file goes, a non-directory where a directory
-    goes, or a non-directory above either. Creates nothing."""
-    if out.exists() and out.is_dir() != directory:
-        raise BadOutputPath(f"--out {out} is {'not ' if directory else ''}a directory")
+    it trains or scores anything: a directory where one of `files` goes, a
+    non-directory where one of `dirs` goes, or a non-directory above --out.
+    `dirs` and `files` are every path the command writes, --out among them.
+    Creates nothing."""
     for parent in out.parents:
         if parent.exists() and not parent.is_dir():
             raise BadOutputPath(f"--out {out}: {parent} is not a directory")
+    for path in dirs + files:
+        directory = path in dirs
+        if path.exists() and path.is_dir() != directory:
+            which = "" if path == out else f": {path}"
+            raise BadOutputPath(f"--out {out}{which} is {'not ' if directory else ''}a directory")
 
 
 def _model_config(args, cache: EpochDataset | None = None) -> ModelConfig:
@@ -138,7 +157,8 @@ def _discover_pairs(data_dir: Path) -> tuple[list[tuple[Path, Path]], int]:
 
 
 def cmd_preprocess(args) -> int:
-    _check_out(Path(args.out), directory=False)
+    out = Path(args.out)
+    _check_out(out, [], [out, *_manifest_files(out.parent, out.name)])
     data_dir = Path(args.data_dir)
     channels = [c.strip() for c in args.channels.split(",")] if args.channels else DEFAULT_CHANNELS
     pairs, skipped = _discover_pairs(data_dir)
@@ -170,7 +190,6 @@ def cmd_preprocess(args) -> int:
             yield key, x, y
             del x, y  # hold no chunk while the next pair loads
 
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # the band-pass design imports scipy.signal (~1 s): pay that as set-up,
     # before the first record is read, not inside the first record's work
@@ -258,13 +277,14 @@ def _run_fold(
                 f"{cache_path}: CRC-32 is {dataset.crc32}, but training started on {cache_crc}"
             )
     params, history, probs = train_fold(dataset, split, mcfg, tcfg)
+    checkpoint, history_file, predictions = _fold_files(fold_dir)
     fold_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(params, fold_dir / "checkpoint.ulwm")
-    with (fold_dir / "history.jsonl").open("w") as fh:
+    save_checkpoint(params, checkpoint)
+    with history_file.open("w") as fh:
         for row in history:
             fh.write(json.dumps(row) + "\n")
     _, test_idx = split_indices(dataset, split)
-    _write_predictions(fold_dir / "predictions.csv", dataset, test_idx, probs)
+    _write_predictions(predictions, dataset, test_idx, probs)
     return float((probs.argmax(axis=1) == dataset.y[test_idx]).mean())
 
 
@@ -316,7 +336,6 @@ def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, flo
 
 
 def cmd_train(args) -> int:
-    _check_out(Path(args.out), directory=True)
     _keep_batch_memory()
     cache_path = Path(args.cache)
     dataset = read_cache(cache_path)
@@ -334,9 +353,15 @@ def cmd_train(args) -> int:
         if not 0 <= wanted[0] < len(folds):
             return _fail(f"fold {wanted[0]} outside [0, {len(folds)})")
     out_dir = Path(args.out)
+    fold_dirs = {i: out_dir / f"{FOLD_PREFIX}{i}" for i in wanted}
+    # checked once the folds are dealt, so a --folds past the cache's subject count
+    # is refused before any path is checked for each of its folds
+    _check_out(out_dir, [out_dir, *fold_dirs.values()],
+               [f for d in fold_dirs.values() for f in _fold_files(d)]
+               + _manifest_files(out_dir, "train"))
     jobs = {
         i: (cache_path, dataset.crc32, folds[i], mcfg,
-            dataclasses.replace(tcfg, seed=tcfg.seed + i), out_dir / f"fold{i}")
+            dataclasses.replace(tcfg, seed=tcfg.seed + i), fold_dirs[i])
         for i in wanted
     }
     outcomes = _train_folds(jobs, dataset)
@@ -387,13 +412,10 @@ def _prediction_files(paths: list[str], strict: bool) -> list[Path]:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            fold_files = sorted(p.glob("fold*/predictions.csv"))
+            fold_files = sorted(p.glob(f"{FOLD_PREFIX}*/{PREDICTIONS}"))
             if strict:
-                found = {
-                    int(f.parent.name[4:])
-                    for f in fold_files
-                    if f.parent.name[4:].isdigit()
-                }
+                indices = [f.parent.name[len(FOLD_PREFIX):] for f in fold_files]
+                found = {int(i) for i in indices if i.isdigit()}
                 if found != set(range(len(found))) or not found:
                     missing = sorted(set(range(max(found, default=0) + 1)) - found)
                     raise UlwsError(f"{p}: missing fold predictions {missing or '(none found)'}")
@@ -449,7 +471,7 @@ def _scored_model_config(args, files: list[Path]) -> ModelConfig:
     files, else (no file has one, as for `predict` CSVs) the default model."""
     if args.model_config:
         return _model_config(args)
-    checkpoints = [f.parent / "checkpoint.ulwm" for f in files]
+    checkpoints = [f.parent / CHECKPOINT for f in files]
     configs = {load_checkpoint(c).config: c for c in checkpoints if c.is_file()}
     if len(configs) > 1:
         raise BadConfig(f"{' and '.join(map(str, configs.values()))} hold different model "
@@ -487,14 +509,14 @@ def cmd_evaluate(args) -> int:
 # --- predict -----------------------------------------------------------------------
 
 def cmd_predict(args) -> int:
-    _check_out(Path(args.out), directory=False)
+    out = Path(args.out)
+    _check_out(out, [], [out, *_manifest_files(out.parent, out.name)])
     _keep_batch_memory()
     params = load_checkpoint(Path(args.checkpoint))
     dataset = read_cache(Path(args.cache))
     _check_fits(params.config, dataset)
     # NaN, infinite or overflowing weights, or a negative BN variance, raise NonFiniteOutput
     _, probs = _score(params, dataset.x, str(args.checkpoint))
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_predictions(out, dataset, range(dataset.n_epochs), probs)
     print(f"wrote {dataset.n_epochs} predictions to {out}")

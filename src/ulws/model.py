@@ -241,27 +241,26 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
     return ModelParams(config=config, blocks=blocks, head_hidden=head_hidden, head_out=head_out)
 
 
-def named_arrays(params: ModelParams, trainable_only: bool = True):
-    """(name, array) pairs in a fixed traversal order.
+_BLOCK_LAYERS = ("main_conv1", "main_conv2", "shortcut_conv1", "shortcut_conv2", "bn1", "bn2")
 
-    With trainable_only off, BN running statistics are included (they are
-    part of a checkpoint but never see the optimizer).
+
+def _layers(params: ModelParams) -> list[tuple[str, object]]:
+    """(name, params object) of each parameterised layer, in checkpoint order."""
+    blocks = [(f"blocks.{i}.{name}", getattr(blk, name))
+              for i, blk in enumerate(params.blocks) for name in _BLOCK_LAYERS]
+    return blocks + [("head_hidden", params.head_hidden), ("head_out", params.head_out)]
+
+
+def named_arrays(params: ModelParams, trainable_only: bool = True):
+    """(name, array) pairs in a fixed traversal order: each layer's leaves().
+
+    With trainable_only off, BN running statistics follow each BN layer's
+    leaves (they are part of a checkpoint but never see the optimizer).
     """
-    for i, blk in enumerate(params.blocks):
-        for conv_name in ("main_conv1", "main_conv2", "shortcut_conv1", "shortcut_conv2"):
-            for leaf, arr in getattr(blk, conv_name).leaves():
-                yield f"blocks.{i}.{conv_name}.{leaf}", arr
-        for bn_name in ("bn1", "bn2"):
-            bn = getattr(blk, bn_name)
-            yield f"blocks.{i}.{bn_name}.gamma", bn.gamma
-            yield f"blocks.{i}.{bn_name}.beta", bn.beta
-            if not trainable_only:
-                yield f"blocks.{i}.{bn_name}.running_mean", bn.running_mean
-                yield f"blocks.{i}.{bn_name}.running_var", bn.running_var
-    yield "head_hidden.weight", params.head_hidden.weight
-    yield "head_hidden.bias", params.head_hidden.bias
-    yield "head_out.weight", params.head_out.weight
-    yield "head_out.bias", params.head_out.bias
+    for name, layer in _layers(params):
+        stats = not trainable_only and isinstance(layer, nn.BatchNormParams)
+        for leaf, arr in layer.leaves() + (layer.statistics() if stats else []):
+            yield f"{name}.{leaf}", arr
 
 
 def trainable_scalar_count(params: ModelParams) -> int:
@@ -269,18 +268,19 @@ def trainable_scalar_count(params: ModelParams) -> int:
 
 
 def conv_kernels(params: ModelParams):
-    """(name, array) of each convolution kernel, in named_arrays order (L2 applies here only)."""
-    for name, arr in named_arrays(params):
-        if name.endswith((".depthwise", ".pointwise", ".kernel")):
-            yield name, arr
+    """(name, array) of each conv leaf but its bias, in named_arrays order: the L2 set."""
+    for name, layer in _layers(params):
+        if isinstance(layer, nn.ConvLike):
+            yield from ((f"{name}.{leaf}", a) for leaf, a in layer.leaves() if a is not layer.bias)
 
 
 # --- forward / backward ------------------------------------------------------
 
-def _conv_backward(cache: nn.ConvCache, grad_out) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """(grad_x, {leaf: gradient}); the gradients come in the params' leaves order."""
-    grad_x, *grads = nn.conv1d_backward(cache, grad_out)
-    return grad_x, {leaf: g for (leaf, _), g in zip(cache.params.leaves(), grads, strict=True)}
+def _store_grads(grads: dict[str, np.ndarray], name: str, layer, returned: tuple) -> np.ndarray:
+    """Store a backward kernel's leaf gradients, returned[1:], as `name`.<leaf>; return grad_x."""
+    for (leaf, _), g in zip(layer.leaves(), returned[1:], strict=True):
+        grads[f"{name}.{leaf}"] = g
+    return returned[0]
 
 
 @dataclass
@@ -319,27 +319,20 @@ def dssc_backward(
 ) -> np.ndarray:
     """Store this block's parameter gradients in `grads`; return grad_x."""
 
-    def put(name: str, pieces: dict[str, np.ndarray]) -> None:
-        for leaf, g in pieces.items():
-            grads[f"{prefix}.{name}.{leaf}"] = g
+    def backward(name: str, kernel, layer_cache, g: np.ndarray) -> np.ndarray:
+        return _store_grads(grads, f"{prefix}.{name}", layer_cache.params, kernel(layer_cache, g))
 
     g = nn.relu_backward(cache.relu2, grad_out)
     g = nn.maxpool1d_backward(cache.pool2, g)
-    g, g_gamma, g_beta = nn.batchnorm_backward(cache.bn2, g)
-    put("bn2", {"gamma": g_gamma, "beta": g_beta})
-    g, pieces = _conv_backward(cache.conv2, g)
-    put("main_conv2", pieces)
+    g = backward("bn2", nn.batchnorm_backward, cache.bn2, g)
+    g = backward("main_conv2", nn.conv1d_backward, cache.conv2, g)
     g = nn.relu_backward(cache.relu1, g)
     g = nn.maxpool1d_backward(cache.pool1, g)
-    g, g_gamma, g_beta = nn.batchnorm_backward(cache.bn1, g)
-    put("bn1", {"gamma": g_gamma, "beta": g_beta})
-    g, pieces = _conv_backward(cache.conv1, g)
-    put("main_conv1", pieces)
+    g = backward("bn1", nn.batchnorm_backward, cache.bn1, g)
+    g = backward("main_conv1", nn.conv1d_backward, cache.conv1, g)
 
-    gs, pieces = _conv_backward(cache.shortcut2, grad_out)
-    put("shortcut_conv2", pieces)
-    gs, pieces = _conv_backward(cache.shortcut1, gs)
-    put("shortcut_conv1", pieces)
+    gs = backward("shortcut_conv2", nn.conv1d_backward, cache.shortcut2, grad_out)
+    gs = backward("shortcut_conv1", nn.conv1d_backward, cache.shortcut1, gs)
     return g + gs
 
 
@@ -453,17 +446,14 @@ def model_backward(cache: ModelCache, labels: np.ndarray) -> dict[str, np.ndarra
     """
     grads: dict[str, np.ndarray] = {}
     g = nn.softmax_xent_backward(cache.probs, np.asarray(labels))
-    g, g_w, g_b = nn.dense_backward(cache.head_out, cache.dense2_x, g)
-    grads["head_out.weight"] = g_w
-    grads["head_out.bias"] = g_b
+    g = _store_grads(grads, "head_out", cache.head_out,
+                     nn.dense_backward(cache.head_out, cache.dense2_x, g))
     g = nn.dropout_backward(cache.dropout_mask, g)
     g = nn.relu_backward(cache.relu_mask, g)
-    g, g_w, g_b = nn.dense_backward(cache.head_hidden, cache.dense1_x, g)
-    grads["head_hidden.weight"] = g_w
-    grads["head_hidden.bias"] = g_b
+    g = _store_grads(grads, "head_hidden", cache.head_hidden,
+                     nn.dense_backward(cache.head_hidden, cache.dense1_x, g))
 
-    f_n = cache.config.filters[-1]
-    extractor_backward(cache.extractor, g.reshape(-1, f_n), grads)
+    extractor_backward(cache.extractor, g.reshape(-1, cache.config.filters[-1]), grads)
     return grads
 
 

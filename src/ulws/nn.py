@@ -171,7 +171,7 @@ class SepConvParams:
     stride: int = 1
 
     def leaves(self) -> list[tuple[str, np.ndarray]]:
-        """(name, array) of each parameter, in checkpoint order."""
+        """(name, array) of each trainable parameter, in checkpoint order."""
         return [("depthwise", self.depthwise), ("pointwise", self.pointwise), ("bias", self.bias)]
 
     def taps(self) -> np.ndarray:
@@ -239,6 +239,12 @@ class BatchNormParams:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
+
+    def leaves(self) -> list[tuple[str, np.ndarray]]:
+        return [("gamma", self.gamma), ("beta", self.beta)]
+
+    def statistics(self) -> list[tuple[str, np.ndarray]]:
+        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
 
 @dataclass
@@ -397,6 +403,9 @@ def global_avg_pool_backward(in_length: int, grad_out: np.ndarray) -> np.ndarray
 class DenseParams:
     weight: np.ndarray  # (In, Out)
     bias: np.ndarray  # (Out,)
+
+    def leaves(self) -> list[tuple[str, np.ndarray]]:
+        return [("weight", self.weight), ("bias", self.bias)]
 
 
 def dense_forward(x: np.ndarray, p: DenseParams) -> tuple[np.ndarray, np.ndarray]:

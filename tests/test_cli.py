@@ -966,25 +966,37 @@ def test_train_manifest_names_the_cache_it_trained_on(toy_cache, configs, tmp_pa
     assert manifest_of(tmp_path / "run" / "train")["cache_crc32"] == trained_on
 
 
-@pytest.mark.parametrize("command, taken, out_rel, expensive", [
-    ("preprocess", "dir", "taken", "load_record"),
-    ("train", "file", "taken", "train_fold"),
-    ("train", "file", "taken/cv", "train_fold"),
-    ("predict", "dir", "taken", "_score"),
+@pytest.mark.parametrize("command, taken, kind, out_rel, expensive", [
+    ("preprocess", "taken", "dir", "taken", "load_record"),
+    ("preprocess", "d/c.ulws.manifest.json", "dir", "d/c.ulws", "load_record"),
+    ("train", "taken", "file", "taken", "train_fold"),
+    ("train", "taken", "file", "taken/cv", "train_fold"),
+    ("train", "run/fold0", "file", "run", "train_fold"),
+    ("train", "run/fold0/checkpoint.ulwm", "dir", "run", "train_fold"),
+    ("train", "run/fold0/history.jsonl", "dir", "run", "train_fold"),
+    ("train", "run/fold0/predictions.csv", "dir", "run", "train_fold"),
+    ("train", "run/train.manifest.json", "dir", "run", "train_fold"),
+    ("train", "run/runlog.jsonl", "dir", "run", "train_fold"),
+    ("predict", "taken", "dir", "taken", "_score"),
+    ("predict", "d/p.csv.manifest.json", "dir", "d/p.csv", "_score"),
+    ("predict", "d/runlog.jsonl", "dir", "d/p.csv", "_score"),
 ])
 def test_a_bad_out_is_refused_before_any_work(toy_cache, configs, tmp_path, capsys, monkeypatch,
-                                              command, taken, out_rel, expensive):
-    """An --out the outputs cannot go to exits 2 with a typed error naming it,
-    before the command reads a record, trains a fold or scores an epoch."""
+                                              command, taken, kind, out_rel, expensive):
+    """An --out the outputs cannot go to, itself or any path the command writes
+    under it, exits 2 with a typed error naming it, before the command reads a
+    record, trains a fold or scores an epoch."""
     data_dir = tmp_path / "edf"
     data_dir.mkdir()
     write_record_pair(data_dir, "SC4001", seed=1)
     checkpoint = tmp_path / "model.ulwm"
     save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=0), checkpoint)
-    if taken == "dir":
-        (tmp_path / "taken").mkdir()
+    taken = tmp_path / taken
+    taken.parent.mkdir(parents=True, exist_ok=True)
+    if kind == "dir":
+        taken.mkdir()
     else:
-        (tmp_path / "taken").write_text("")
+        taken.write_text("")
     out = tmp_path / out_rel
 
     def unreachable(*args, **kwargs):
@@ -1003,6 +1015,7 @@ def test_a_bad_out_is_refused_before_any_work(toy_cache, configs, tmp_path, caps
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"error: BadOutputPath: --out {out}")
+    assert str(taken) in captured.err
     assert "directory" in captured.err and "Traceback" not in captured.err
     assert sorted(tmp_path.rglob("*")) == before  # the check creates nothing
 

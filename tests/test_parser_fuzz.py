@@ -7,7 +7,9 @@ signal reader, the hypnogram parser, `load_record` + `preprocess_record`,
 `ulws evaluate`; `ulws predict` as a whole gets a checkpoint whose weights
 are overwritten with any float32, then sealed with a valid CRC, and
 `ulws train` as a whole gets model and train configs with 1-3 keys set to
-a wrong JSON type, zero, a negative, an overflow or a small size. No other
+a wrong JSON type, zero, a negative, an overflow or a small size, and a
+cache with 1-3 bytes flipped in its subject keys, its epochs or its labels,
+then sealed with a valid CRC. No other
 exception may escape, and a numpy RuntimeWarning counts as an escape. The
 example budget is the Hypothesis profile's (tests/conftest.py).
 """
@@ -41,7 +43,13 @@ from ulws.model import (
     build_model,
     save_checkpoint,
 )
-from ulws.preprocess import preprocess_record, read_cache, write_cache
+from ulws.preprocess import (
+    CACHE_MAGIC,
+    CACHE_VERSION,
+    preprocess_record,
+    read_cache,
+    write_cache,
+)
 from ulws.synthetic import sinusoid_dataset
 from ulws.training import TrainConfig
 
@@ -255,25 +263,16 @@ def train_dir(tmp_path_factory):
     return directory
 
 
-@given(data=st.data())
-def test_train_with_mutated_configs_exits_cleanly(train_dir, data):
-    configs = {"model": dict(TINY_MODEL), "train": dict(TINY_TRAIN)}
-    keys = st.lists(st.sampled_from(CONFIG_KEYS), min_size=1, max_size=3, unique=True)
-    for name, key in data.draw(keys, label="keys"):
-        values = EPOCH_COUNTS if key == "epochs" else CONFIG_VALUES
-        configs[name][key] = data.draw(st.sampled_from(values), label=f"{name}.{key}")
-    for name, config in configs.items():
-        (train_dir / f"{name}.json").write_text(json.dumps(config))
-    out = train_dir / "run"
+def train_exits_cleanly(cache, model_config, train_config, out):
+    """`ulws train` on 1 CPU, so with no workers, exits 0, or 2 or 3 with one typed
+    error; with 0, its fold predictions are finite probabilities that evaluate."""
     shutil.rmtree(out, ignore_errors=True)
     err = io.StringIO()
     with no_numpy_warning_or_open_file(), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err), \
-            mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):  # 1 CPU: no workers
-        code = main(["train", "--cache", str(train_dir / "cache.ulws"),
-                     "--model-config", str(train_dir / "model.json"),
-                     "--train-config", str(train_dir / "train.json"),
-                     "--folds", "2", "--out", str(out)])
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
+        code = main(["train", "--cache", str(cache), "--model-config", str(model_config),
+                     "--train-config", str(train_config), "--folds", "2", "--out", str(out)])
         assert code in (0, 2, 3), err.getvalue()
         if code == 0:
             assert main(["evaluate", "--predictions", str(out), "--strict", "--json"]) == 0
@@ -287,3 +286,52 @@ def test_train_with_mutated_configs_exits_cleanly(train_dir, data):
                               for row in csv.DictReader(fh)])
         assert len(probs) and np.isfinite(probs).all()
         assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-5)
+
+
+@given(data=st.data())
+def test_train_with_mutated_configs_exits_cleanly(train_dir, data):
+    configs = {"model": dict(TINY_MODEL), "train": dict(TINY_TRAIN)}
+    keys = st.lists(st.sampled_from(CONFIG_KEYS), min_size=1, max_size=3, unique=True)
+    for name, key in data.draw(keys, label="keys"):
+        values = EPOCH_COUNTS if key == "epochs" else CONFIG_VALUES
+        configs[name][key] = data.draw(st.sampled_from(values), label=f"{name}.{key}")
+    for name, config in configs.items():
+        (train_dir / f"{name}.json").write_text(json.dumps(config))
+    train_exits_cleanly(train_dir / "cache.ulws", train_dir / "model.json",
+                        train_dir / "train.json", train_dir / "run")
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    """A 12-epoch cache of 4 subjects that TINY_MODEL fits, and configs to train it 1 epoch."""
+    directory = tmp_path_factory.mktemp("mutated-cache")
+    write_cache(sinusoid_dataset(n_epochs=12, n_channels=2, epoch_samples=200, n_subjects=4,
+                                 seed=9), directory / "cache.ulws")
+    (directory / "model.json").write_text(json.dumps(TINY_MODEL))
+    (directory / "train.json").write_text(json.dumps(dict(TINY_TRAIN, epochs=1)))
+    return directory
+
+
+def cache_regions(path) -> dict[str, tuple[int, int]]:
+    """[start, stop) of the subject keys, the epochs and the labels in the body of the
+    cache at `path`, the bytes between its version and its CRC."""
+    dataset = read_cache(path)
+    keys = 28 + sum(4 + len(label.encode()) for label in dataset.channel_labels)
+    epochs = keys + sum(4 + len(key.encode()) for key in dataset.subject_keys)
+    labels = epochs + dataset.x.nbytes
+    return {"subject keys": (keys, epochs), "epochs": (epochs, labels),
+            "labels": (labels, labels + dataset.n_epochs)}
+
+
+@given(data=st.data())
+def test_train_on_a_mutated_cache_exits_cleanly(cache_dir, data):
+    body = bytearray((cache_dir / "cache.ulws").read_bytes()[5:-4])  # after the version
+    regions = cache_regions(cache_dir / "cache.ulws")
+    start, stop = regions[data.draw(st.sampled_from(sorted(regions)), label="region")]
+    positions = st.lists(st.integers(start, stop - 1), min_size=1, max_size=3, unique=True)
+    for pos in data.draw(positions, label="flipped"):
+        body[pos] ^= data.draw(st.integers(1, 255), label=f"xor at {pos}")
+    cache = cache_dir / "mutated.ulws"
+    container.write(cache, CACHE_MAGIC, CACHE_VERSION, [body])
+    train_exits_cleanly(cache, cache_dir / "model.json", cache_dir / "train.json",
+                        cache_dir / "run")

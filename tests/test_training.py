@@ -8,11 +8,12 @@ import weakref
 import numpy as np
 import pytest
 
-from ulws import training
+from ulws import nn, training
 from ulws.errors import BadConfig, NonFiniteGradient, TooFewSubjects
 from ulws.model import (
     ModelConfig,
     build_model,
+    conv_kernels,
     model_backward,
     model_forward,
     named_arrays,
@@ -102,6 +103,36 @@ def test_l2_penalty_single_kernel_value():
     assert not grads["blocks.0.main_conv1.bias"].any()
     assert not grads["blocks.0.bn1.gamma"].any()
     assert not grads["head_hidden.weight"].any()
+
+
+@pytest.mark.parametrize("conv_type", ["separable", "standard"])
+def test_l2_set_is_every_conv_leaf_but_its_bias(conv_type):
+    params = build_model(dataclasses.replace(TINY, conv_type=conv_type), seed=0)
+    conv_leaves = {
+        id(arr)
+        for blk in params.blocks
+        for conv in (blk.main_conv1, blk.main_conv2, blk.shortcut_conv1, blk.shortcut_conv2)
+        for _, arr in conv.leaves()
+        if arr is not conv.bias
+    }
+    assert len(conv_leaves) == len(params.blocks) * 4 * (2 if conv_type == "separable" else 1)
+    expected = [(name, arr) for name, arr in named_arrays(params) if id(arr) in conv_leaves]
+    got = list(conv_kernels(params))
+    assert [name for name, _ in got] == [name for name, _ in expected]
+    assert all(a is b for (_, a), (_, b) in zip(got, expected, strict=True))
+
+
+def test_a_renamed_conv_leaf_stays_in_the_l2_set(monkeypatch):
+    params = build_model(TINY, seed=0, dtype=np.float64)
+    before = l2_penalty(params, 0.001)
+    monkeypatch.setattr(
+        nn.SepConvParams, "leaves",
+        lambda self: [("depthwise", self.depthwise), ("mix", self.pointwise), ("bias", self.bias)],
+    )
+    names = [name for name, _ in conv_kernels(params)]
+    assert "blocks.0.main_conv1.mix" in names
+    assert not any(name.endswith(".pointwise") for name in names)
+    assert l2_penalty(params, 0.001) == before
 
 
 def test_l2_never_decreases_loss():
