@@ -337,21 +337,16 @@ def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, flo
 
 def cmd_train(args) -> int:
     _keep_batch_memory()
+    if args.fold != "all" and not (args.fold.isdecimal() and int(args.fold) < args.folds):
+        raise BadConfig(f"--fold must be 'all' or an index below --folds {args.folds}, "
+                        f"got {args.fold!r}")
     cache_path = Path(args.cache)
     dataset = read_cache(cache_path)
     mcfg = _model_config(args, dataset)
     _check_fits(mcfg, dataset)
     tcfg = _train_config(args)
     folds = subject_folds(dataset.subject_keys, k=args.folds, seed=tcfg.seed)
-    if args.fold == "all":
-        wanted = list(range(len(folds)))
-    else:
-        try:
-            wanted = [int(args.fold)]
-        except ValueError:
-            return _fail(f"--fold must be an index or 'all', got {args.fold!r}")
-        if not 0 <= wanted[0] < len(folds):
-            return _fail(f"fold {wanted[0]} outside [0, {len(folds)})")
+    wanted = list(range(args.folds)) if args.fold == "all" else [int(args.fold)]
     out_dir = Path(args.out)
     fold_dirs = {i: out_dir / f"{FOLD_PREFIX}{i}" for i in wanted}
     # checked once the folds are dealt, so a --folds past the cache's subject count

@@ -315,12 +315,15 @@ def dssc_forward(x: np.ndarray, p: DsscParams, mode: nn.Mode) -> tuple[np.ndarra
 
 
 def dssc_backward(
-    cache: DsscCache, grad_out: np.ndarray, prefix: str, grads: dict[str, np.ndarray]
-) -> np.ndarray:
-    """Store this block's parameter gradients in `grads`; return grad_x."""
+    cache: DsscCache, grad_out: np.ndarray, prefix: str, grads: dict[str, np.ndarray],
+    input_grad: bool = True,
+) -> np.ndarray | None:
+    """Store this block's parameter gradients in `grads`; return grad_x, or None
+    without input_grad, where the block's input convs compute no input gradient."""
 
-    def backward(name: str, kernel, layer_cache, g: np.ndarray) -> np.ndarray:
-        return _store_grads(grads, f"{prefix}.{name}", layer_cache.params, kernel(layer_cache, g))
+    def backward(name: str, kernel, layer_cache, g: np.ndarray, **kw) -> np.ndarray | None:
+        return _store_grads(grads, f"{prefix}.{name}", layer_cache.params,
+                            kernel(layer_cache, g, **kw))
 
     g = nn.relu_backward(cache.relu2, grad_out)
     g = nn.maxpool1d_backward(cache.pool2, g)
@@ -329,11 +332,11 @@ def dssc_backward(
     g = nn.relu_backward(cache.relu1, g)
     g = nn.maxpool1d_backward(cache.pool1, g)
     g = backward("bn1", nn.batchnorm_backward, cache.bn1, g)
-    g = backward("main_conv1", nn.conv1d_backward, cache.conv1, g)
+    g = backward("main_conv1", nn.conv1d_backward, cache.conv1, g, input_grad=input_grad)
 
     gs = backward("shortcut_conv2", nn.conv1d_backward, cache.shortcut2, grad_out)
-    gs = backward("shortcut_conv1", nn.conv1d_backward, cache.shortcut1, gs)
-    return g + gs
+    gs = backward("shortcut_conv1", nn.conv1d_backward, cache.shortcut1, gs, input_grad=input_grad)
+    return g + gs if input_grad else None
 
 
 @dataclass
@@ -373,13 +376,13 @@ def extractor_forward(
 
 def extractor_backward(
     cache: ExtractorCache, grad_feats: np.ndarray, grads: dict[str, np.ndarray]
-) -> np.ndarray:
+) -> None:
+    """Store the extractor's parameter gradients in `grads`; nothing reads the input's."""
     g = nn.global_avg_pool_backward(cache.gap_length, grad_feats)
     for i in reversed(range(len(cache.blocks))):
         if i < len(cache.blocks) - 1:
             g = nn.dropout_backward(cache.dropout_masks[i], g)
-        g = dssc_backward(cache.blocks[i], g, f"blocks.{i}", grads)
-    return g
+        g = dssc_backward(cache.blocks[i], g, f"blocks.{i}", grads, input_grad=i > 0)
 
 
 @dataclass

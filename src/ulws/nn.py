@@ -145,21 +145,24 @@ def _gemm_forward(x: np.ndarray, taps: np.ndarray, bias: np.ndarray,
 
 
 def _gemm_backward(x: np.ndarray, taps: np.ndarray, stride: int, pad_left: int,
-                   grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(grad_x, grad_weight): the weight's gradient is (K*M + 1, N), its last row the bias's."""
+                   grad_out: np.ndarray, input_grad: bool = True
+                   ) -> tuple[np.ndarray | None, np.ndarray]:
+    """(grad_x, grad_weight): the weight's gradient is (K*M + 1, N), its last row the bias's.
+    grad_x is None, and no columns' gradient is computed, without input_grad."""
     k, m, n = taps.shape
     b, _, out_length = grad_out.shape
     taps_2d = taps.reshape(k * m, n)
     # each sample's weight gradient, summed over the batch in one pass, so the sum's
     # order does not follow the chunks
     grad_weights = np.empty((b, k * m + 1, n), dtype=np.result_type(x, grad_out))
-    grad_x = np.zeros((b, m, x.shape[2]), dtype=np.result_type(taps, grad_out))
+    grad_x = np.zeros((b, m, x.shape[2]), np.result_type(taps, grad_out)) if input_grad else None
     for rows in _chunks(x, k, out_length):
         g = grad_out[rows]
         cols = _columns(x[rows], k, stride, pad_left, out_length)
         _matmul(cols, g.swapaxes(1, 2), out=grad_weights[rows])
         del cols  # the columns' gradient takes their place
-        _uncolumns(_matmul(taps_2d, g), k, stride, pad_left, grad_x[rows])
+        if input_grad:
+            _uncolumns(_matmul(taps_2d, g), k, stride, pad_left, grad_x[rows])
     return grad_x, grad_weights.sum(axis=0)
 
 
@@ -219,12 +222,14 @@ def conv1d_forward(x: np.ndarray, p: ConvLike) -> tuple[np.ndarray, ConvCache]:
     return y, ConvCache(p, x, left)
 
 
-def conv1d_backward(cache: ConvCache, grad_out: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(grad_x, then the gradient of each of the params' leaves, in their order)."""
+def conv1d_backward(cache: ConvCache, grad_out: np.ndarray,
+                    input_grad: bool = True) -> tuple[np.ndarray | None, ...]:
+    """(grad_x, then the gradient of each of the params' leaves, in their order);
+    grad_x is None without input_grad, which leaves the leaves' gradients as they are."""
     p = cache.params
     taps = p.taps()
-    grad_x, grad_weight = _gemm_backward(cache.x, taps, p.stride, cache.pad_left, grad_out)
-    return grad_x, *p.tap_grads(grad_weight[:-1].reshape(taps.shape)), grad_weight[-1]
+    grad_x, grad_w = _gemm_backward(cache.x, taps, p.stride, cache.pad_left, grad_out, input_grad)
+    return grad_x, *p.tap_grads(grad_w[:-1].reshape(taps.shape)), grad_w[-1]
 
 
 # --- batch normalization -----------------------------------------------------

@@ -547,6 +547,20 @@ def test_train_needs_two_folds(toy_cache, configs, tmp_path, capsys, folds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fold", ["x", "7", "-1", "\u00b2"])
+def test_train_refuses_a_bad_fold_before_reading_the_cache(toy_cache, configs, tmp_path,
+                                                           capsys, monkeypatch, fold):
+    def unreachable(*args, **kwargs):
+        pytest.fail(f"--fold {fold!r} read the cache")
+
+    monkeypatch.setattr(cli, "read_cache", unreachable)
+    out = tmp_path / "run"
+    assert run_train(toy_cache, configs, out, fold=fold, folds="2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadConfig:") and repr(fold) in err
+    assert not out.exists()
+
+
 # the last two model configs pool windows of 150 samples, whose offsets do not
 # fit max pooling's int8 argmax table, and convolve with 32 taps, one past the
 # bound on the GEMM columns' size

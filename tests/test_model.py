@@ -295,6 +295,49 @@ def test_full_model_gradient_check(conv_type):
     assert worst < 1e-4, f"worst relative error {worst:.3e}"
 
 
+@pytest.mark.parametrize("conv_type", ["separable", "standard"])
+def test_backward_computes_no_gradient_for_the_model_input(conv_type, monkeypatch):
+    """Block 0's input convs skip their input gradient, which nothing reads, and
+    every parameter gradient stays bit for bit what it is when they compute it."""
+    from ulws import model
+    from ulws.model import extractor_backward
+
+    params = build_model(dataclasses.replace(TINY, conv_type=conv_type), seed=4)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 2, 32)).astype(np.float32)
+    y = np.array([0, 2, 4])
+    names = {id(getattr(blk, f)): f"blocks.{i}.{f}" for i, blk in enumerate(params.blocks)
+             for f in ("main_conv1", "main_conv2", "shortcut_conv1", "shortcut_conv2")}
+    calls = {}
+    conv1d_backward = nn.conv1d_backward
+
+    def recording(cache, grad_out, input_grad=True):
+        calls[names[id(cache.params)]] = input_grad
+        return conv1d_backward(cache, grad_out, input_grad=input_grad)
+
+    monkeypatch.setattr(nn, "conv1d_backward", recording)
+    _, cache = model_forward(x, params, mode="train")
+    grads = model_backward(cache, y)
+    assert set(calls) == set(names.values())
+    assert {name for name, wanted in calls.items() if not wanted} == {
+        "blocks.0.main_conv1", "blocks.0.shortcut_conv1"}
+    feats_grad = rng.standard_normal((6, TINY.filters[-1])).astype(np.float32)
+    assert extractor_backward(cache.extractor, feats_grad, {}) is None
+
+    dssc_backward = model.dssc_backward
+
+    def with_input_grad(*args, **kwargs):
+        return dssc_backward(*args, **dict(kwargs, input_grad=True))
+
+    monkeypatch.setattr(model, "dssc_backward", with_input_grad)
+    calls.clear()
+    reference = model_backward(cache, y)
+    assert all(calls.values())
+    assert set(reference) == set(grads)
+    for name, g in grads.items():
+        assert np.array_equal(g, reference[name]), name
+
+
 def test_degenerate_forward_head_bias_gradient():
     # zero input and gamma=0 kill everything before the head: logits reduce
     # to head biases, so the head_out bias gradient is (softmax - onehot)/B

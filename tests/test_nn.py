@@ -289,11 +289,13 @@ def test_conv_rounding_does_not_depend_on_the_blas_thread_count():
 CHUNKED_SHAPES = [(7, 8, 6, 3, 3000, 1), (4, 8, 5, 31, 1200, 2), (3, 16, 4, 31, 600, 2)]
 
 
+@pytest.mark.parametrize("input_grad", [True, False])
 @pytest.mark.parametrize("conv_type", ["separable", "standard"])
 @pytest.mark.parametrize("dtype", [np.float32, F64])
 @pytest.mark.parametrize("shape", CHUNKED_SHAPES, ids=lambda s: "x".join(map(str, s)))
-def test_chunked_conv_equals_one_gemm_over_the_batch(shape, dtype, conv_type):
-    """Columns built a few samples at a time give the one-GEMM results bit for bit."""
+def test_chunked_conv_equals_one_gemm_over_the_batch(shape, dtype, conv_type, input_grad):
+    """Columns built a few samples at a time give the one-GEMM results bit for bit;
+    without input_grad there is no grad_x, and the leaves' gradients are the same."""
     b, m, n, k, length, stride = shape
     sample_bytes = (k * m + 1) * nn.ceil_div(length, stride) * np.dtype(dtype).itemsize
     assert nn.ceil_div(b, max(1, nn.COLUMNS_BYTES // sample_bytes)) >= 3  # chunks
@@ -314,9 +316,14 @@ def test_chunked_conv_equals_one_gemm_over_the_batch(shape, dtype, conv_type):
     y, cache = forward(x, p)
     g = draw(*y.shape)
     ref_y, ref_grad_x, ref_grad_weight = one_gemm_conv(x, taps, p.bias, stride, g, nn.GEMM_DEPTH)
-    grads = backward(cache, g)
+    grads = backward(cache, g) if input_grad else backward(cache, g, input_grad=False)
     assert np.array_equal(y, ref_y) and y.dtype == dtype
-    assert np.array_equal(grads[0], ref_grad_x)
+    if input_grad:
+        assert np.array_equal(grads[0], ref_grad_x)
+    else:
+        assert grads[0] is None
+        assert all(np.array_equal(a, b) for a, b in zip(grads[1:], backward(cache, g)[1:],
+                                                         strict=True))
     assert np.array_equal(grads[-1], ref_grad_weight[-1])
     ref_grad_taps = ref_grad_weight[:-1].reshape(taps.shape)
     if conv_type == "separable":
