@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Byte identity of one seeded run suite: this tree against a commit, or 1 BLAS thread against N.
+"""Byte identity of one seeded run suite: this tree against a commit, or 1 BLAS thread against 2.
 
     python scripts/identity_check.py --ref HEAD     # both sides at OPENBLAS_NUM_THREADS=1
-    python scripts/identity_check.py --threads 2    # this tree at 1 and at 2 BLAS threads
+    python scripts/identity_check.py --two-threads  # this tree at 1 and at 2 BLAS threads
 
 `--ref` extracts the commit with `git archive`. Everything is built in a
 temporary directory, removed at the end. Each side builds the same suite
@@ -135,7 +135,7 @@ def check(args, work: Path) -> dict:
         commit = extract(args.ref, ref_tree)
         sides = {f"ref {commit}": (ref_tree, 1), "this tree": (ROOT, 1)}
     else:
-        sides = {"1 thread": (ROOT, 1), f"{args.threads} threads": (ROOT, args.threads)}
+        sides = {"1 thread": (ROOT, 1), "2 threads": (ROOT, 2)}
     dirs = {}
     for i, (label, (tree, threads)) in enumerate(sides.items()):
         dirs[label] = work / f"side{i}"
@@ -158,8 +158,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--ref", help="commit to compare this tree against, both at 1 BLAS thread")
-    mode.add_argument("--threads", type=int, choices=range(2, 9), metavar="N",
-                      help="compare this tree at 1 BLAS thread against N (2-8)")
+    mode.add_argument("--two-threads", action="store_true",
+                      help="compare this tree at 1 BLAS thread against 2")
     args = parser.parse_args()
     try:
         with tempfile.TemporaryDirectory(prefix="ulws-identity-") as work:

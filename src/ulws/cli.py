@@ -337,9 +337,11 @@ def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, flo
 
 def cmd_train(args) -> int:
     _keep_batch_memory()
-    if args.fold != "all" and not (args.fold.isdecimal() and int(args.fold) < args.folds):
-        raise BadConfig(f"--fold must be 'all' or an index below --folds {args.folds}, "
-                        f"got {args.fold!r}")
+    if args.folds < 2:
+        raise BadConfig(f"--folds must be at least 2, got {args.folds}")
+    if args.fold != "all" and not (args.fold.isdecimal() and len(args.fold) <= len(str(args.folds))
+                                   and int(args.fold) < args.folds):
+        raise BadConfig(f"--fold must be 'all' or an index below {args.folds}, got {args.fold!r}")
     cache_path = Path(args.cache)
     dataset = read_cache(cache_path)
     mcfg = _model_config(args, dataset)

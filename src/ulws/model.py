@@ -276,7 +276,7 @@ def conv_kernels(params: ModelParams):
 
 # --- forward / backward ------------------------------------------------------
 
-def _store_grads(grads: dict[str, np.ndarray], name: str, layer, returned: tuple) -> np.ndarray:
+def _store_grads(grads: dict[str, np.ndarray], name: str, layer, returned: tuple) -> np.ndarray | None:
     """Store a backward kernel's leaf gradients, returned[1:], as `name`.<leaf>; return grad_x."""
     for (leaf, _), g in zip(layer.leaves(), returned[1:], strict=True):
         grads[f"{name}.{leaf}"] = g
@@ -316,7 +316,7 @@ def dssc_forward(x: np.ndarray, p: DsscParams, mode: nn.Mode) -> tuple[np.ndarra
 
 def dssc_backward(
     cache: DsscCache, grad_out: np.ndarray, prefix: str, grads: dict[str, np.ndarray],
-    input_grad: bool = True,
+    input_grad: bool,
 ) -> np.ndarray | None:
     """Store this block's parameter gradients in `grads`; return grad_x, or None
     without input_grad, where the block's input convs compute no input gradient."""
@@ -379,10 +379,10 @@ def extractor_backward(
 ) -> None:
     """Store the extractor's parameter gradients in `grads`; nothing reads the input's."""
     g = nn.global_avg_pool_backward(cache.gap_length, grad_feats)
-    for i in reversed(range(len(cache.blocks))):
-        if i < len(cache.blocks) - 1:
-            g = nn.dropout_backward(cache.dropout_masks[i], g)
-        g = dssc_backward(cache.blocks[i], g, f"blocks.{i}", grads, input_grad=i > 0)
+    for i in reversed(range(1, len(cache.blocks))):
+        g = dssc_backward(cache.blocks[i], g, f"blocks.{i}", grads, input_grad=True)
+        g = nn.dropout_backward(cache.dropout_masks[i - 1], g)
+    dssc_backward(cache.blocks[0], g, "blocks.0", grads, input_grad=False)
 
 
 @dataclass

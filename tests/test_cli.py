@@ -547,17 +547,23 @@ def test_train_needs_two_folds(toy_cache, configs, tmp_path, capsys, folds):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fold", ["x", "7", "-1", "\u00b2"])
-def test_train_refuses_a_bad_fold_before_reading_the_cache(toy_cache, configs, tmp_path,
-                                                           capsys, monkeypatch, fold):
+# a fold of 5000 digits is past int()'s default limit on digits to convert
+@pytest.mark.parametrize("fold,folds,named", [
+    ("x", "2", "--fold"), ("7", "2", "--fold"), ("-1", "2", "--fold"),
+    ("\u00b2", "2", "--fold"), ("9" * 5000, "2", "--fold"), ("10", "10", "--fold"),
+    ("0", "1", "--folds"), ("0", "0", "--folds"), ("all", "-2", "--folds"),
+], ids=["x", "7", "-1", "\u00b2", "5000-digits", "10-of-10", "folds-1", "folds-0", "folds-neg"])
+def test_train_refuses_a_bad_fold_before_reading_the_cache(toy_cache, configs, tmp_path, capsys,
+                                                           monkeypatch, fold, folds, named):
     def unreachable(*args, **kwargs):
-        pytest.fail(f"--fold {fold!r} read the cache")
+        pytest.fail(f"--fold {fold[:8]!r} --folds {folds} read the cache")
 
     monkeypatch.setattr(cli, "read_cache", unreachable)
     out = tmp_path / "run"
-    assert run_train(toy_cache, configs, out, fold=fold, folds="2") == 2
+    assert run_train(toy_cache, configs, out, fold=fold, folds=folds) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: BadConfig:") and repr(fold) in err
+    assert err.startswith(f"error: BadConfig: {named} must be") and "Traceback" not in err
+    assert (repr(fold) if named == "--fold" else folds) in err
     assert not out.exists()
 
 
