@@ -13,8 +13,9 @@ command under -W error::RuntimeWarning -W error::ResourceWarning:
 - the demo's 2 folds again with standard convolutions and with the study
   grid's ks7_ps4 sizes
 - `ulws count --json` for the 8 study variants
-- the seed-1 benchmark `train` and `predict` plans of bench/gen.py: their
-  inputs, and every output and stdout of their commands
+- the seed-1 benchmark `ingest`, `train` and `predict` plans of
+  bench/gen.py: their inputs, and every output and stdout of their
+  commands; the `ingest` plan runs again with --filter-all-channels
 
 Every command runs in its side's directory with relative paths, so no
 output names its side. Then every file is compared byte for byte, apart
@@ -46,7 +47,10 @@ MIN_CHECKPOINTS = 6
 VARIANTS = {"standard": {"conv_type": "standard"},
             "ks7_ps4": {"kernel_size": 7, "pool_size": 4, "pool_stride": 2}}
 BENCH_SEED = 1
-BENCH_WORKLOADS = ("train", "predict")
+BENCH_WORKLOADS = ("ingest", "train", "predict")
+# each plan's commands run into bench-<workload>/out as written; these run them again
+# into another directory with more arguments
+BENCH_RERUNS = {"ingest": {"out-filter-all": ["--filter-all-channels"]}}
 
 COUNT_VARIANTS = """
 import contextlib, json, sys
@@ -101,12 +105,13 @@ def build(tree: Path, threads: int, side: Path) -> None:
     for workload in BENCH_WORKLOADS:
         plan = json.loads(run(tree, threads, side, ["-c", BENCH_INPUTS, str(tree / "bench"),
                                                     workload, str(BENCH_SEED)]))
-        out = f"bench-{workload}/out"
-        (side / out).mkdir()
-        for command in plan["commands"]:
-            argv = [arg.replace("{out}", out) for arg in command["argv"]]
-            run(tree, threads, side, ["-m", "ulws.cli", *argv],
-                stdout=command["stdout"].replace("{out}", out))
+        for name, extra in {"out": [], **BENCH_RERUNS.get(workload, {})}.items():
+            out = f"bench-{workload}/{name}"
+            (side / out).mkdir()
+            for command in plan["commands"]:
+                argv = [arg.replace("{out}", out) for arg in command["argv"]] + extra
+                run(tree, threads, side, ["-m", "ulws.cli", *argv],
+                    stdout=command["stdout"].replace("{out}", out))
 
 
 def compared_files(side: Path) -> set[str]:

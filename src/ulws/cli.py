@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, complexity, evaluation, nn, preprocess
+from . import __version__, complexity, container, evaluation, nn, preprocess
 from .edf import load_record, subject_key_and_night
 from .errors import (
     BadConfig,
@@ -92,7 +92,8 @@ def _write_manifest(directory: Path, name: str, payload: dict) -> None:
     manifest, runlog = _manifest_files(directory, name)
     directory.mkdir(parents=True, exist_ok=True)
     payload = dict(payload, version=__version__, resolved=RESOLVED_DEFAULTS)
-    manifest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with container.open_atomic(manifest, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     with runlog.open("a") as fh:
         fh.write(json.dumps({"manifest": name, "written_unix": time.time()}) + "\n")
 
@@ -280,7 +281,7 @@ def _run_fold(
     checkpoint, history_file, predictions = _fold_files(fold_dir)
     fold_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, checkpoint)
-    with history_file.open("w") as fh:
+    with container.open_atomic(history_file, "w") as fh:
         for row in history:
             fh.write(json.dumps(row) + "\n")
     _, test_idx = split_indices(dataset, split)
@@ -390,7 +391,7 @@ def cmd_train(args) -> int:
 def _write_predictions(path: Path, dataset: EpochDataset, indices, probs: np.ndarray) -> None:
     """One CSV row per epoch at `indices`, whose class probabilities are the same row of `probs`."""
     pred = probs.argmax(axis=1)
-    with path.open("w", newline="") as fh:
+    with container.open_atomic(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["index", "subject", "true", "predicted"] + [f"p{k}" for k in range(N_CLASSES)]

@@ -359,7 +359,7 @@ def test_preprocess_holds_no_earlier_record_or_chunk_while_a_pair_loads(tmp_path
 
     def tracked_preprocess_record(*args):
         x, y = preprocess_record(*args)
-        chunks.append(weakref.ref(x))
+        chunks.append(weakref.ref(x.base))  # the memory of x, which is a channel-major view
         return x, y
 
     monkeypatch.setattr(cli, "load_record", tracked_load_record)
@@ -1068,6 +1068,34 @@ def test_predict_roundtrip(toy_cache, configs, tmp_path, capsys):
     main(["predict", "--checkpoint", str(out / "fold0" / "checkpoint.ulwm"),
           "--cache", str(toy_cache), "--out", str(rerun)])
     assert pred_csv.read_bytes() == rerun.read_bytes()
+
+
+def test_predict_failing_midway_leaves_the_earlier_csv(toy_cache, tmp_path, monkeypatch, capsys):
+    checkpoint = tmp_path / "checkpoint.ulwm"
+    save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=0), checkpoint)
+    out = tmp_path / "out" / "pred.csv"
+    argv = ["predict", "--checkpoint", str(checkpoint), "--cache", str(toy_cache),
+            "--out", str(out)]
+    assert main(argv) == 0
+    finished = out.read_bytes()
+    real_writer = csv.writer
+
+    class FailingWriter:  # the disk fills after 10 rows
+        def __init__(self, fh):
+            self.writer, self.rows = real_writer(fh), 0
+
+        def writerow(self, row):
+            if self.rows == 10:
+                raise OSError("No space left on device")
+            self.rows += 1
+            self.writer.writerow(row)
+
+    monkeypatch.setattr(cli.csv, "writer", FailingWriter)
+    assert main(argv) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == finished  # not a truncated file, and no temp file beside it
+    assert sorted(p.name for p in out.parent.iterdir()) == [
+        "pred.csv", "pred.csv.manifest.json", "runlog.jsonl"]
 
 
 def test_predict_on_a_cache_of_no_epochs_writes_only_the_header(toy_cache, tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ulws import container
 from ulws.errors import UlwsError
 from ulws.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from ulws.preprocess import read_cache, write_cache
@@ -86,3 +87,30 @@ def test_a_damaged_container_reads_with_its_stored_crc_or_fails_typed(valid_file
     except UlwsError:
         return
     assert result.crc32 == stored_crc(case)
+
+
+@pytest.mark.parametrize("earlier", [b"the finished file of an earlier run\n", None],
+                         ids=["over-a-file", "new-file"])
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_a_write_that_fails_midway_leaves_the_earlier_file_or_none(tmp_path, earlier, mode):
+    path = tmp_path / "history.jsonl"
+    if earlier is not None:
+        path.write_bytes(earlier)
+    line = '{"epoch": 0}\n' if mode == "w" else b'{"epoch": 0}\n'
+    with pytest.raises(OSError, match="disk full"):
+        with container.open_atomic(path, mode) as fh:
+            fh.write(line * 1000)
+            fh.flush()  # the partial file is on disk, under its temporary name
+            raise OSError("disk full")
+    assert (path.read_bytes() if path.exists() else None) == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ([path.name] if earlier else [])
+
+
+def test_an_atomic_text_write_writes_the_bytes_of_an_in_place_one(tmp_path):
+    text = "index,subject\r\n0,SC401\n\u00e9\n"
+    for newline in (None, ""):  # the manifests and history, and the CSVs
+        with open(tmp_path / "in-place", "w", newline=newline) as fh:
+            fh.write(text)
+        with container.open_atomic(tmp_path / "atomic", "w", newline=newline) as fh:
+            fh.write(text)
+        assert (tmp_path / "atomic").read_bytes() == (tmp_path / "in-place").read_bytes()

@@ -3,6 +3,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zlib
 
@@ -34,6 +35,7 @@ from ulws.preprocess import (
     FILTER_BLOCK,
     FILTER_ORDER,
     EPOCH_SAMPLES,
+    ROW_BLOCK,
     EpochDataset,
     StageClass,
     expand_events,
@@ -127,6 +129,16 @@ def test_filtfilt_rejects_dc():
 def test_filtfilt_too_short():
     with pytest.raises(SignalTooShort):
         filtfilt(np.zeros(10))
+    padlen = preprocess.bandpass().padlen
+    with pytest.raises(SignalTooShort):
+        filtfilt(np.zeros(2 * padlen + 10), padlen)
+
+
+@pytest.mark.parametrize("dtype,short", [(np.float32, 0), (np.float64, 1)])
+def test_filtfilt_in_place_needs_float64_with_padlen_samples_of_room(dtype, short):
+    pad = preprocess.bandpass().padlen - short
+    with pytest.raises(ValueError):
+        filtfilt(np.zeros(5000 + 2 * pad, dtype), pad)
 
 
 def test_filtfilt_linear():
@@ -332,8 +344,8 @@ def test_standardization_per_channel(toy_record):
 def test_epoch_alignment_error(toy_record, monkeypatch):
     record, channels = toy_record
 
-    def short_read(fh, header, i):  # every channel 6000 samples short of its header
-        trace = read_signal(fh, header, i)
+    def short_read(fh, header, i, pad):  # every channel 6000 samples short of its header
+        trace = read_signal(fh, header, i, pad)
         return type(trace)(trace.sample_rate_hz, trace.samples[:-6000])
 
     monkeypatch.setattr(preprocess, "read_signal", short_read)
@@ -559,8 +571,8 @@ def renamed(record, key):
 def test_non_finite_record_raises_without_a_numpy_warning(toy_record, monkeypatch, channel):
     record, channels = toy_record
 
-    def read_with_inf(fh, header, i):  # an EDF word cannot decode to inf
-        trace = read_signal(fh, header, i)
+    def read_with_inf(fh, header, i, pad):  # an EDF word cannot decode to inf
+        trace = read_signal(fh, header, i, pad)
         if header.labels[i] == channel:
             trace.samples[100] = np.inf
         return trace
@@ -765,7 +777,7 @@ filtfilt(np.ones(5000, np.float32))  # scipy imported, first-call costs paid
 before = status_kib("VmRSS")
 x, y = preprocess_record(load_record(psg, hyp, channels), channels)
 growth = (status_kib("VmHWM") - before) * 1024
-design = x.nbytes + 4 * n + 8 * (n + 2 * bandpass().padlen) + 8 * len(y) * (EPOCH_SAMPLES + 1)
+design = x.nbytes + 8 * (n + 2 * bandpass().padlen) + 8 * len(y) * (EPOCH_SAMPLES + 1)
 print(json.dumps(growth / design))
 """
 
@@ -774,10 +786,12 @@ print(json.dumps(growth / design))
 def test_one_night_ingest_memory_growth(tmp_path):
     """Peak RSS growth of load_record + preprocess_record over one 6 h night, in a fresh process.
 
-    Ingest holds its output x, one channel's float32 trace, the filter's
-    padded float64 buffer and one (n, T + 1) float64 epoch buffer, and no
-    whole-record copy: neither the file's bytes, nor every channel's trace,
-    nor a float64 (n, C, T) array. Holding those reaches ~2x the design.
+    Ingest holds its output x, one channel's trace (a band-passed one
+    decoded straight into the filter's padded float64 buffer) and one
+    (n, T + 1) float64 epoch buffer, and no whole-record copy: neither the
+    file's bytes, nor every channel's trace, nor a float64 (n, C, T) array.
+    Holding those reaches ~2x the design; a float32 trace beside the
+    filter's buffer reaches 1.15x.
     """
     psg, hyp = tmp_path / "SC4001E0-PSG.edf", tmp_path / "SC4001EC-Hypnogram.edf"
     n_epochs = 720
@@ -788,5 +802,56 @@ def test_one_night_ingest_memory_growth(tmp_path):
     run = subprocess.run([sys.executable, "-c", NIGHT_PROBE, str(psg), str(hyp),
                           str(n_epochs * EPOCH_SAMPLES), *CHANNELS],
                          env=env, capture_output=True, text=True, check=True)
-    assert float(run.stdout) <= 1.15
+    assert float(run.stdout) <= 1.1
 
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory tracemalloc saw allocated during the call.
+
+    numpy reports its buffers to tracemalloc, so the peak is the live set,
+    whatever the C allocator keeps mapped.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("filter_all", [False, True], ids=["eeg-filtered", "all-filtered"])
+def test_a_record_peaks_at_one_padded_trace_the_epoch_buffer_and_its_output(tmp_path,
+                                                                            filter_all):
+    """The traced peak of preprocess_record over a 6 h, 4-channel record.
+
+    It holds one band-passed channel's padded float64 trace, the float64
+    epoch buffer and the record's float32 epochs, plus two filter blocks'
+    copies. A float32 trace beside the padded one, 4 bytes a sample
+    (8.4 MiB here), or a second copy of the epochs breaks it.
+    """
+    n_epochs = 720
+    psg, hyp = tmp_path / "SC4001E0-PSG.edf", tmp_path / "SC4001EC-Hypnogram.edf"
+    psg.write_bytes(psg_bytes(n_epochs=n_epochs, seed=2))
+    hyp.write_bytes(hypnogram_bytes(stage_events(
+        [("Sleep stage W", 20), ("Sleep stage 2", n_epochs - 40), ("Sleep stage W", 20)])))
+    record = load_record(psg, hyp, CHANNELS)
+    padlen = preprocess.bandpass().padlen  # designed before the trace starts
+    (x, y), peak = traced_peak(preprocess_record, record, CHANNELS, filter_all)
+    padded_trace = 8 * (n_epochs * EPOCH_SAMPLES + 2 * padlen)
+    epoch_buffer = 8 * len(y) * (EPOCH_SAMPLES + 1)
+    assert peak <= padded_trace + epoch_buffer + x.nbytes + 2 * 8 * FILTER_BLOCK
+    # each channel's epochs are one contiguous slab, written whole and alone
+    assert all(x[:, c].flags.c_contiguous for c in range(len(CHANNELS)))
+
+
+def test_spooling_a_channel_major_record_interleaves_it_a_block_at_a_time(tmp_path):
+    n, c = 3 * ROW_BLOCK + 5, 4
+    slabs = np.random.default_rng(0).standard_normal((c, n, EPOCH_SAMPLES)).astype(np.float32)
+    x = slabs.transpose(1, 0, 2)  # (n, C, T), as preprocess_record gives it
+    y = np.zeros(n, np.uint8)
+    dataset, peak = traced_peak(spool_epochs, [("SC401", x, y)], [f"C{i}" for i in range(c)],
+                                tmp_path)
+    with dataset.x:
+        assert peak < x.nbytes / 2  # one interleaved block at a time, never the whole record
+        spooled = np.concatenate([block.copy() for block in dataset.x.blocks()])
+    assert np.array_equal(spooled, x)
