@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Byte identity of one seeded run suite: this tree against a commit, or 1 BLAS thread against 2.
+"""Byte identity of one seeded run suite: this tree against a commit, or serial against parallel.
 
     python scripts/identity_check.py --ref HEAD     # both sides at OPENBLAS_NUM_THREADS=1
-    python scripts/identity_check.py --two-threads  # this tree at 1 and at 2 BLAS threads
+    python scripts/identity_check.py --two-threads  # this tree on 1 CPU with 1 BLAS thread,
+                                                    # and on every CPU with 2 BLAS threads
 
-`--ref` extracts the commit with `git archive`. Everything is built in a
-temporary directory, removed at the end. Each side builds the same suite
+`--ref` extracts the commit with `git archive`. `--two-threads` runs its
+1-thread side under a 1-CPU affinity mask, so there `ulws train` trains
+every fold and `ulws preprocess` every record in one process, and the
+other side deals the folds and the large records over worker processes:
+the check then compares serial against parallel runs too. Everything is
+built in a temporary directory, removed at the end. Each side builds the same suite
 in a directory of its own, with its own tree's code and scripts, every
 command under -W error::RuntimeWarning -W error::ResourceWarning:
 
@@ -78,39 +83,43 @@ print(json.dumps(gen.write_inputs(workload, int(sys.argv[3]), Path(f"bench-{work
 """
 
 
-def run(tree: Path, threads: int, side: Path, args: list[str], stdout=None) -> bytes:
-    """Run `python STRICT args` with tree's code in the side's directory; return its
-    stdout, or write it to the file `stdout` names there."""
+def run(tree: Path, threads: int, cpus: set[int] | None, side: Path, args: list[str],
+        stdout=None) -> bytes:
+    """Run `python STRICT args` with tree's code in the side's directory, on `cpus`
+    (None: this process's); return its stdout, or write it to the file `stdout`
+    names there."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=str(threads))
     command = [sys.executable, *STRICT, *args]
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     if stdout is None:
-        return subprocess.run(command, cwd=side, env=env, check=True, stdout=subprocess.PIPE).stdout
+        return subprocess.run(command, cwd=side, env=env, check=True, stdout=subprocess.PIPE,
+                              preexec_fn=pin).stdout
     with open(side / stdout, "wb") as fh:
-        subprocess.run(command, cwd=side, env=env, check=True, stdout=fh)
+        subprocess.run(command, cwd=side, env=env, check=True, stdout=fh, preexec_fn=pin)
     return b""
 
 
-def build(tree: Path, threads: int, side: Path) -> None:
+def build(tree: Path, threads: int, cpus: set[int] | None, side: Path) -> None:
     side.mkdir(parents=True)
-    run(tree, threads, side, [str(tree / "scripts" / "synthetic_demo.py"), "--workdir", "demo"],
-        stdout="demo.txt")
+    run(tree, threads, cpus, side,
+        [str(tree / "scripts" / "synthetic_demo.py"), "--workdir", "demo"], stdout="demo.txt")
     model = json.loads((side / "demo" / "model.json").read_text())
     for name, change in VARIANTS.items():
         (side / f"{name}.json").write_text(json.dumps(dict(model, **change)))
-        run(tree, threads, side,
+        run(tree, threads, cpus, side,
             ["-m", "ulws.cli", "train", "--cache", "demo/demo.ulws", "--model-config",
              f"{name}.json", "--train-config", "demo/train.json", "--folds", "2", "--fold",
              "all", "--out", f"demo/cv-{name}"], stdout=f"cv-{name}.txt")
-    run(tree, threads, side, ["-c", COUNT_VARIANTS])
+    run(tree, threads, cpus, side, ["-c", COUNT_VARIANTS])
     for workload in BENCH_WORKLOADS:
-        plan = json.loads(run(tree, threads, side, ["-c", BENCH_INPUTS, str(tree / "bench"),
+        plan = json.loads(run(tree, threads, cpus, side, ["-c", BENCH_INPUTS, str(tree / "bench"),
                                                     workload, str(BENCH_SEED)]))
         for name, extra in {"out": [], **BENCH_RERUNS.get(workload, {})}.items():
             out = f"bench-{workload}/{name}"
             (side / out).mkdir()
             for command in plan["commands"]:
                 argv = [arg.replace("{out}", out) for arg in command["argv"]] + extra
-                run(tree, threads, side, ["-m", "ulws.cli", *argv],
+                run(tree, threads, cpus, side, ["-m", "ulws.cli", *argv],
                     stdout=command["stdout"].replace("{out}", out))
 
 
@@ -138,13 +147,14 @@ def check(args, work: Path) -> dict:
     if args.ref is not None:
         ref_tree = work / "ref-tree"
         commit = extract(args.ref, ref_tree)
-        sides = {f"ref {commit}": (ref_tree, 1), "this tree": (ROOT, 1)}
+        sides = {f"ref {commit}": (ref_tree, 1, None), "this tree": (ROOT, 1, None)}
     else:
-        sides = {"1 thread": (ROOT, 1), "2 threads": (ROOT, 2)}
+        one_cpu = {min(os.sched_getaffinity(0))}
+        sides = {"1 thread, 1 CPU": (ROOT, 1, one_cpu), "2 threads, every CPU": (ROOT, 2, None)}
     dirs = {}
-    for i, (label, (tree, threads)) in enumerate(sides.items()):
+    for i, (label, (tree, threads, cpus)) in enumerate(sides.items()):
         dirs[label] = work / f"side{i}"
-        build(tree, threads, dirs[label])
+        build(tree, threads, cpus, dirs[label])
     (a, da), (b, db) = dirs.items()
     fa, fb = compared_files(da), compared_files(db)
     differ = sorted(f for f in fa & fb if not filecmp.cmp(da / f, db / f, shallow=False))
@@ -164,7 +174,7 @@ def main() -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--ref", help="commit to compare this tree against, both at 1 BLAS thread")
     mode.add_argument("--two-threads", action="store_true",
-                      help="compare this tree at 1 BLAS thread against 2")
+                      help="compare this tree on 1 CPU at 1 BLAS thread against every CPU at 2")
     args = parser.parse_args()
     try:
         with tempfile.TemporaryDirectory(prefix="ulws-identity-") as work:

@@ -14,11 +14,13 @@ import contextlib
 import ctypes
 import csv
 import dataclasses
+import functools
 import io
 import json
 import multiprocessing
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -44,6 +46,7 @@ from .preprocess import (
     read_cache,
     spool_epochs,
     write_cache,
+    write_epochs,
 )
 from .training import FoldSplit, TrainConfig, _score, subject_folds, split_indices, train_fold
 
@@ -67,6 +70,16 @@ STAGE_NAMES = ["W", "N1", "N2", "N3", "REM"]
 # its test predictions; `evaluate` reads the predictions and checkpoints back
 FOLD_PREFIX = "fold"
 CHECKPOINT, HISTORY, PREDICTIONS = "checkpoint.ulwm", "history.jsonl", "predictions.csv"
+
+# `preprocess` deals its pairs over as many processes as it has PSG files of
+# at least this size, up to one per usable CPU. A worker takes about 1.3 s to
+# start (python, numpy, scipy.signal), about what a record this size takes to
+# ingest (6 h of four 100 Hz channels), so smaller inputs, and the many tiny
+# ones of the tests, stay in one process.
+LARGE_PSG_BYTES = 16 << 20
+# every record waits on the ulws process to spool it, so its workers run at
+# this niceness and yield it the CPU, from before their imports on
+WORKER_NICE = 19
 
 # mallopt parameters from glibc's malloc.h
 _M_TRIM_THRESHOLD = -1
@@ -119,6 +132,29 @@ def _check_out(out: Path, dirs: list[Path], files: list[Path]) -> None:
             raise BadOutputPath(f"--out {out}{which} is {'not ' if directory else ''}a directory")
 
 
+def _probe_dirs(out: Path, dirs: list[Path]) -> None:
+    """Make each of `dirs` and a file in it, then remove what this made.
+
+    A directory that cannot be made or written to (permissions, a read-only
+    file system) then ends the command in BadOutputPath before any work,
+    not after it. The file tree is left as it was.
+    """
+    made: list[Path] = []
+    try:
+        for directory in dirs:
+            for path in [*reversed(directory.parents), directory]:
+                if not path.is_dir():
+                    path.mkdir()
+                    made.append(path)
+            tempfile.TemporaryFile(dir=directory).close()
+    except OSError as e:
+        raise BadOutputPath(
+            f"--out {out}: cannot write to {directory}: {e.strerror or e}") from None
+    finally:
+        for path in reversed(made):
+            path.rmdir()
+
+
 def _model_config(args, cache: EpochDataset | None = None) -> ModelConfig:
     if args.model_config:
         return ModelConfig.from_json(Path(args.model_config).read_bytes(), args.model_config)
@@ -140,6 +176,67 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig.from_json(Path(path).read_bytes(), path) if path else TrainConfig()
 
 
+# --- worker processes ---------------------------------------------------------
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which `taskset` narrows."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+_GUARD = ("a script that calls ulws.cli.main must do so under `if __name__ == \"__main__\":`, "
+          "because each spawned worker imports that script again")
+
+
+@contextlib.contextmanager
+def _dealt(keys, job, fn, initializer, most: int | None = None):
+    """Deal `keys` over n = min(most, usable CPUs) processes, `most` defaulting to len(keys).
+
+    Yields (own, futures). This process runs its share, `list(keys)[0::n]`,
+    itself. Every other key's Future runs `fn(*job(key))` on one of n - 1
+    workers, each started by `initializer`. The workers are spawned, not
+    forked, because this process may already run BLAS threads, and all
+    their jobs are submitted at once, so they start while this process
+    sets up. The caller reads or cancels every future. Leaving on an
+    exception cancels the jobs not yet started and waits for the running
+    ones; leaving normally lets the idle workers exit while this process
+    goes on.
+    """
+    keys = list(keys)
+    n = max(1, min(len(keys) if most is None else most, _usable_cpus()))
+    futures = {}
+    if n == 1:
+        yield keys, futures
+        return
+    pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=initializer)
+    try:
+        try:
+            for k, key in enumerate(keys):
+                if k % n:
+                    futures[key] = pool.submit(fn, *job(key))
+        except RuntimeError:
+            # multiprocessing refuses to spawn from a worker still importing its script,
+            # and a worker that died on start gives BrokenProcessPool, a RuntimeError too
+            raise WorkerDied(f"could not start a worker process; {_GUARD}") from None
+        yield keys[0::n], futures
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown(wait=False)
+
+
+def _worker_result(future, worker: str, task: str):
+    """The future's result; WorkerDied if its worker exited before giving it."""
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        raise WorkerDied(
+            f"a {worker} worker exited before its {task} finished; {_GUARD}") from None
+
+
 # --- preprocess -------------------------------------------------------------
 
 def _discover_pairs(data_dir: Path) -> tuple[list[tuple[Path, Path]], int]:
@@ -157,6 +254,45 @@ def _discover_pairs(data_dir: Path) -> tuple[list[tuple[Path, Path]], int]:
     return pairs, unpaired
 
 
+def _psg_bytes(psg: Path) -> int:
+    """The PSG file's size; 0 if it cannot be stat'ed, which loading its pair reports."""
+    try:
+        return psg.stat().st_size
+    except OSError:
+        return 0
+
+
+def _ingest_pair(psg: Path, hyp: Path, channels: list[str], filter_all_channels: bool):
+    """Load and preprocess one pair: (what, (key, x, y)) for a kept pair, or (what,
+    the UlwsError or OSError that skips it). `what` names the PSG file, or the
+    record once it has loaded."""
+    key, night = subject_key_and_night(psg)
+    what = psg.name
+    try:
+        record = load_record(psg, hyp, channels)
+        what = f"{key} night {night}"
+        x, y = preprocess_record(record, channels, filter_all_channels)
+        # a key the cache cannot store, from a file name that is not UTF-8,
+        # skips its pair here rather than failing write_cache for every pair
+        EpochDataset(x, y, [key] * len(y), channels).validate()
+    except (UlwsError, OSError) as e:  # a bad, unreadable or vanished file skips its pair
+        return what, e.with_traceback(None)  # the traceback would hold the record
+    return what, (key, x, y)
+
+
+def _ingest_part(psg: Path, hyp: Path, channels: list[str], filter_all_channels: bool,
+                 part: Path):
+    """`_ingest_pair` in a worker: a kept pair's epochs go to the file `part`, as
+    `write_epochs` writes them, and `part` comes back in their place."""
+    what, outcome = _ingest_pair(psg, hyp, channels, filter_all_channels)
+    if isinstance(outcome, Exception):
+        return what, outcome
+    key, x, y = outcome
+    with open(part, "wb") as fh:
+        write_epochs(fh, x)
+    return what, (key, part, y)
+
+
 def cmd_preprocess(args) -> int:
     out = Path(args.out)
     _check_out(out, [], [out, *_manifest_files(out.parent, out.name)])
@@ -168,35 +304,60 @@ def cmd_preprocess(args) -> int:
     # subject_key_and_night is the key load_record gives each record, so
     # this is the (subject, night) order without loading anything
     pairs.sort(key=lambda pair: subject_key_and_night(pair[0]))
-
-    def kept_chunks():
-        nonlocal skipped
-        for psg, hyp in pairs:
-            key, night = subject_key_and_night(psg)
-            what = psg.name
-            try:
-                record = load_record(psg, hyp, channels)
-                what = f"{key} night {night}"
-                x, y = preprocess_record(record, channels, args.filter_all_channels)
-                # a key the cache cannot store, from a file name that is not UTF-8,
-                # skips its pair here rather than failing write_cache for every pair
-                EpochDataset(x, y, [key] * len(y), channels).validate()
-            except (UlwsError, OSError) as e:  # a bad, unreadable or vanished file skips its pair
-                _warn(f"{what}: {type(e).__name__}: {e}")
-                skipped += 1
-                continue
-            finally:
-                record = None  # drop the raw record before the next pair loads
-            print(f"{what}: kept {len(y)} epochs")
-            yield key, x, y
-            del x, y  # hold no chunk while the next pair loads
-
     out.parent.mkdir(parents=True, exist_ok=True)
-    # the band-pass design imports scipy.signal (~1 s): pay that as set-up,
-    # before the first record is read, not inside the first record's work
-    preprocess.bandpass()
+    parts: dict[int, Path] = {}  # pair index -> the part file its worker writes
 
-    dataset = spool_epochs(kept_chunks(), channels, spool_dir=out.parent)
+    def worker_job(i: int) -> tuple:
+        fd, name = tempfile.mkstemp(suffix=".part", prefix=f"{out.name}.", dir=out.parent)
+        os.close(fd)
+        parts[i] = Path(name)
+        return (*pairs[i], channels, args.filter_all_channels, parts[i])
+
+    def outcomes(own, futures):
+        """(i, what, outcome) of every pair i in order, as `_ingest_pair` gives them.
+        This process preprocesses each of its own pairs before it waits for the
+        workers' pairs ahead of it, so it does not idle while it has a pair to
+        do, and it holds one pair's epochs at a time."""
+        def workers(lo, hi):
+            for i in range(lo, hi):
+                yield (i, *_worker_result(futures.pop(i), "preprocess", "record"))
+
+        done = 0
+        for k in own:
+            mine = _ingest_pair(*pairs[k], channels, args.filter_all_channels)
+            yield from workers(done, k)
+            yield (k, *mine)
+            mine, done = None, k + 1
+        yield from workers(done, len(pairs))
+
+    def kept_chunks(own, futures):
+        nonlocal skipped
+        for i, what, outcome in outcomes(own, futures):
+            if isinstance(outcome, Exception):
+                _warn(f"{what}: {type(outcome).__name__}: {outcome}")
+                skipped += 1
+            else:
+                print(f"{what}: kept {len(outcome[2])} epochs")
+                yield outcome
+            outcome = None  # hold no chunk while the next pair loads
+            if i in parts:  # spooled, or never written
+                parts.pop(i).unlink()
+
+    def remove_parts():
+        for part in parts.values():
+            part.unlink(missing_ok=True)
+
+    large = sum(_psg_bytes(psg) >= LARGE_PSG_BYTES for psg, _ in pairs)
+    with contextlib.ExitStack() as stack:
+        stack.callback(remove_parts)  # last, once no worker writes a part any more
+        own, futures = stack.enter_context(_dealt(
+            range(len(pairs)), worker_job, _ingest_part,
+            functools.partial(os.nice, WORKER_NICE), most=large,
+        ))
+        # the band-pass design imports scipy.signal (~1 s): pay that as set-up,
+        # while the workers start and before the first record is read
+        preprocess.bandpass()
+        dataset = spool_epochs(kept_chunks(own, futures), channels, spool_dir=out.parent)
     with dataset.x:  # the spool file; the kept epochs are never all in memory
         if not dataset.n_epochs:
             return _fail("no records loaded")
@@ -249,14 +410,6 @@ def _keep_batch_memory() -> None:
 
 # --- train ----------------------------------------------------------------------
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, which `taskset` narrows."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
 def _run_fold(
     cache_path: Path,
     cache_crc: str,
@@ -290,26 +443,15 @@ def _run_fold(
 
 
 def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, float | Exception]:
-    """Run `_run_fold(*jobs[i])` for every fold i on min(folds, usable CPUs) processes.
+    """Run `_run_fold(*jobs[i])` for every fold i, dealt over processes by `_dealt`.
 
-    This process trains `list(jobs)[0::n]` on `dataset`, which it has read already.
-    Spawned workers train the rest, each reading the cache by path; spawned,
-    not forked, because this process already runs BLAS threads. Once a fold
-    fails no further fold starts. Returns each fold that ran mapped to its
-    accuracy or the Exception it raised; a worker that died gives WorkerDied.
+    This process trains its share on `dataset`, which it has read already;
+    each worker reads the cache by path. Once a fold fails no further fold
+    starts. Returns each fold that ran mapped to its accuracy or the
+    Exception it raised; a worker that died gives WorkerDied.
     """
-    wanted = list(jobs)
-    n = min(len(wanted), _usable_cpus())
-    own = wanted[0::n]
     outcomes: dict[int, float | Exception] = {}
-    with contextlib.ExitStack() as stack:
-        futures = {}
-        if n > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                n - 1, mp_context=multiprocessing.get_context("spawn"),
-                initializer=_keep_batch_memory,
-            ))
-            futures = {i: pool.submit(_run_fold, *jobs[i]) for i in wanted if i not in own}
+    with _dealt(jobs, jobs.__getitem__, _run_fold, _keep_batch_memory) as (own, futures):
         for i in own:
             if any(f.done() and f.exception() is not None for f in futures.values()):
                 break
@@ -324,13 +466,7 @@ def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, flo
             if future.cancel():  # not started: a fold failed
                 continue
             try:
-                outcomes[i] = future.result()
-            except BrokenProcessPool:
-                outcomes[i] = WorkerDied(
-                    "a training worker exited before its fold finished; a script that "
-                    "calls ulws.cli.main must do so under `if __name__ == \"__main__\":`, "
-                    "because each spawned worker imports that script again"
-                )
+                outcomes[i] = _worker_result(future, "training", "fold")
             except Exception as e:
                 outcomes[i] = e
     return outcomes
@@ -357,6 +493,7 @@ def cmd_train(args) -> int:
     _check_out(out_dir, [out_dir, *fold_dirs.values()],
                [f for d in fold_dirs.values() for f in _fold_files(d)]
                + _manifest_files(out_dir, "train"))
+    _probe_dirs(out_dir, [out_dir, *fold_dirs.values()])
     jobs = {
         i: (cache_path, dataset.crc32, folds[i], mcfg,
             dataclasses.replace(tcfg, seed=tcfg.seed + i), fold_dirs[i])

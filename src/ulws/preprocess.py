@@ -19,6 +19,23 @@ peak RSS fell from 274 to 236 MiB with this account.
 them into (epoch, channel, sample) order a block at a time, so the
 epochs kept so far wait in a spool file, not in RAM, and `write_cache`
 checks and copies them from there into the cache in one pass of blocks.
+A record can also reach the spool as a file that `write_epochs` wrote,
+copied a MiB at a time.
+
+`ulws preprocess` (`cli.cmd_preprocess`) deals the sorted pairs over
+n = min(large PSG files, usable CPUs) processes. A large PSG file is at
+least `cli.LARGE_PSG_BYTES` (16 MiB, about 6 h of four 100 Hz channels),
+a record that takes about as long to ingest as a spawned worker takes to
+start, so small inputs run in one process and never start a worker. The
+ulws process preprocesses pairs[0::n] itself; n - 1 spawned workers, at
+a lower CPU priority, preprocess the others, each writing a kept
+record's epochs to a part file beside the cache. The ulws process does
+each of its own pairs before it waits for the workers' pairs ahead of
+it, and spools the records in pair order, appending each part file and
+deleting it, so the cache, stdout and stderr do not depend on n. Each process holds one record at a time:
+together they hold n records, the largest of them one. A script that
+calls `ulws.cli.main` must do so under `if __name__ == "__main__":`,
+because each worker imports it again.
 """
 
 from __future__ import annotations
@@ -26,6 +43,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import shutil
 import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -60,6 +79,8 @@ FILTER_ORDER = 4
 FILTER_BLOCK = 1 << 18
 # epochs per block when a dataset's x is checked or written
 ROW_BLOCK = 256
+# bytes per read when a file of epochs is copied into the spool
+COPY_BYTES = 1 << 20
 
 # 30 minutes of surrounding wake kept on each side of the sleep span
 WAKE_MARGIN_EPOCHS = 60
@@ -431,25 +452,39 @@ def preprocess_record(
     return x, y
 
 
+def write_epochs(fh, x: np.ndarray) -> None:
+    """Write x's epochs to the binary file `fh` as (epoch, channel, sample) float32,
+    a channel-major x interleaved a block at a time, never whole."""
+    fh.writelines(np.ascontiguousarray(b, dtype=np.float32) for b in _row_blocks(x))
+
+
 def spool_epochs(
-    chunks: Iterable[tuple[str, np.ndarray, np.ndarray]],
+    chunks: Iterable[tuple[str, np.ndarray | Path, np.ndarray]],
     channels: list[str],
     spool_dir: str | Path | None = None,
 ) -> EpochDataset:
-    """Concatenate (subject_key, x, y) chunks, as `preprocess_record` gives them, on disk.
+    """Concatenate (subject_key, x, y) chunks on disk.
 
-    Each chunk's epochs go to an unnamed spool file in `spool_dir` as they
-    arrive, so kept epochs take no memory while later records are
-    preprocessed. The dataset's x is a SpooledEpochs on that file: close it
-    when done. The chunks are not checked again here; `write_cache`
-    validates what it writes.
+    x is the epochs as `preprocess_record` gives them, or the path of a
+    file that `write_epochs` wrote them to, which is copied a small buffer
+    at a time. Each chunk's epochs go to an unnamed spool file in
+    `spool_dir` as they arrive, so kept epochs take no memory while later
+    records are preprocessed. The dataset's x is a SpooledEpochs on that
+    file: close it when done. The chunks are not checked again here;
+    `write_cache` validates what it writes.
     """
     ys, subjects = [], []
     spool = tempfile.TemporaryFile(dir=spool_dir)
     try:
         for key, x, y in chunks:
-            # a channel-major x is interleaved a block at a time, never whole
-            spool.writelines(np.ascontiguousarray(b, dtype=np.float32) for b in _row_blocks(x))
+            if isinstance(x, np.ndarray):
+                write_epochs(spool, x)
+            else:
+                with open(x, "rb") as part:
+                    size = os.fstat(part.fileno()).st_size
+                    if size != len(y) * len(channels) * EPOCH_SAMPLES * 4:
+                        raise InvalidDataset(f"{x}: {size} bytes for {len(y)} epochs")
+                    shutil.copyfileobj(part, spool, COPY_BYTES)
             ys.append(y)
             subjects.extend([key] * len(y))
             del x, y

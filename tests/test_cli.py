@@ -11,6 +11,7 @@ import warnings
 import weakref
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,6 +409,105 @@ def test_preprocess_peak_memory_is_bounded_by_one_record(tmp_path):
 
     raw_record = len(DEFAULT_CHANNELS) * n_epochs * 3000 * 4
     assert peak_bytes(4) - peak_bytes(1) < raw_record
+
+
+def write_mixed_pairs(directory):
+    """Five pairs in (subject, night) order: a good night, a truncated PSG
+    (TruncatedData), a PSG whose EMG runs at 1 Hz (WrongSampleRate), a good
+    night, and a PSG file name that is not UTF-8 (InvalidDataset)."""
+    write_record_pair(directory, "SC4001", seed=1)
+    psg, _ = write_record_pair(directory, "SC4011", seed=2)
+    psg.write_bytes(psg.read_bytes()[:-100])
+    psg, _ = write_record_pair(directory, "SC4021", seed=3)
+    psg.write_bytes(psg_bytes(24, [*((label, 100.0) for label in DEFAULT_CHANNELS[:3]),
+                                   (DEFAULT_CHANNELS[3], 1.0)], seed=3))
+    write_record_pair(directory, "SC4031", seed=4)
+    write_record_pair(directory, os.fsdecode(b"SC40\xff1"), seed=5)
+
+
+def test_preprocess_outputs_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch):
+    """With 2 CPUs and every PSG counted as large, a worker takes pairs 1 and 3:
+    the truncated PSG and a good night. The cache, stdout and stderr come out
+    as with 1 CPU, and no part file is left beside the cache."""
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    write_mixed_pairs(data_dir)
+    monkeypatch.setattr(cli, "LARGE_PSG_BYTES", 0)
+    seen = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}" / "cache.ulws"
+        argv = ["preprocess", "--data-dir", str(data_dir), "--out", str(out)]
+        code, pools, _ = train_on_cpus(monkeypatch, cpus, lambda: main(argv))
+        assert code == 0 and pools == ([1] if cpus == 2 else [])
+        captured = capsys.readouterr()
+        seen[cpus] = out.read_bytes(), captured.out.replace(str(out), "OUT"), captured.err
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "cache.ulws", "cache.ulws.manifest.json", "runlog.jsonl"]
+    assert seen[1] == seen[2]
+    out, err = seen[1][1], seen[1][2]
+    assert out.splitlines()[:2] == ["SC400 night 1: kept 24 epochs",
+                                    "SC403 night 1: kept 24 epochs"]
+    assert "skipped: 3" in out.splitlines()
+    assert [line.split(": ")[2] for line in err.splitlines()] == [
+        "TruncatedData", "WrongSampleRate", "InvalidDataset"]
+
+
+def test_preprocess_of_small_records_starts_no_worker(tmp_path, monkeypatch):
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    for i, stem in enumerate(["SC4001", "SC4012", "SC4021"]):
+        write_record_pair(data_dir, stem, seed=i)
+    argv = ["preprocess", "--data-dir", str(data_dir), "--out", str(tmp_path / "cache.ulws")]
+    code, pools, _ = train_on_cpus(monkeypatch, 4, lambda: main(argv))
+    assert code == 0 and pools == []
+
+
+def test_preprocess_with_workers_and_no_record_kept_leaves_no_part_file(tmp_path, capsys,
+                                                                        monkeypatch):
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    write_mixed_pairs(data_dir)
+    for stem in ("SC4001", "SC4031"):  # only the three failing pairs stay
+        for path in data_dir.glob(f"{stem}*"):
+            path.unlink()
+    monkeypatch.setattr(cli, "LARGE_PSG_BYTES", 0)
+    out = tmp_path / "out" / "cache.ulws"
+    argv = ["preprocess", "--data-dir", str(data_dir), "--out", str(out)]
+    code, pools, _ = train_on_cpus(monkeypatch, 2, lambda: main(argv))
+    assert code == 2 and pools == [1]
+    assert capsys.readouterr().err.splitlines()[-1] == "error: no records loaded"
+    assert list(out.parent.iterdir()) == []
+
+
+UNGUARDED_PREPROCESS = """
+import sys
+import ulws.cli
+ulws.cli._usable_cpus = lambda: 2
+ulws.cli.LARGE_PSG_BYTES = 0
+sys.exit(ulws.cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_dead_preprocess_worker_is_a_typed_error(tmp_path):
+    """Without a __main__ guard each spawned worker runs the script again and dies on start."""
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    for i, stem in enumerate(["SC4001", "SC4012"]):
+        write_record_pair(data_dir, stem, seed=i)
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_PREPROCESS)
+    out = tmp_path / "out" / "cache.ulws"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, str(script), "preprocess", "--data-dir", str(data_dir), "--out", str(out)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 2
+    last = run.stderr.strip().splitlines()[-1]
+    assert last.startswith("error: WorkerDied: a preprocess worker exited before its record")
+    assert 'if __name__ == "__main__":' in last
+    assert "BrokenProcessPool" not in run.stderr and "Traceback" not in run.stderr
+    assert sorted(out.parent.iterdir()) == []  # no cache, no part file
 
 
 # --- count ---------------------------------------------------------------------
@@ -940,7 +1040,7 @@ def test_dead_worker_exits_3_with_a_typed_error(toy_cache, configs, tmp_path):
     last = run.stderr.strip().splitlines()[-1]
     assert last.startswith("error: fold 1: WorkerDied: ")
     assert 'if __name__ == "__main__":' in last
-    assert "BrokenProcessPool" not in run.stderr
+    assert "BrokenProcessPool" not in run.stderr and "Traceback" not in run.stderr
 
 
 def test_run_fold_in_a_worker_rejects_a_changed_cache(toy_cache, configs, tmp_path):
@@ -1038,6 +1138,30 @@ def test_a_bad_out_is_refused_before_any_work(toy_cache, configs, tmp_path, caps
     assert str(taken) in captured.err
     assert "directory" in captured.err and "Traceback" not in captured.err
     assert sorted(tmp_path.rglob("*")) == before  # the check creates nothing
+
+
+def test_train_refuses_an_unwritable_fold_directory_before_any_fold(toy_cache, configs,
+                                                                     tmp_path, capsys,
+                                                                     monkeypatch):
+    """Making fold1 fails (as it would for a directory without write permission,
+    which tests running as root cannot show with chmod): the run exits 2 before
+    fold 0 trains, and leaves no directory behind."""
+    mkdir = Path.mkdir
+
+    def refusing_fold1(self, *args, **kwargs):
+        if self.name == "fold1":
+            raise PermissionError(13, "Permission denied", str(self))
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", refusing_fold1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    code = run_train(toy_cache, configs, tmp_path / "run", fold="all")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: BadOutputPath: --out {tmp_path / 'run'}: cannot write "
+                                   f"to {tmp_path / 'run' / 'fold1'}: Permission denied")
+    assert not (tmp_path / "run" / "fold0" / "checkpoint.ulwm").exists()
+    assert not (tmp_path / "run").exists() and captured.out == ""
 
 
 def test_importing_the_cli_leaves_scipy_signal_out():

@@ -46,6 +46,7 @@ from ulws.preprocess import (
     spool_epochs,
     trim_wake,
     write_cache,
+    write_epochs,
 )
 from ulws.synthetic import sinusoid_dataset
 
@@ -630,6 +631,25 @@ def test_a_spooled_dataset_writes_the_bytes_of_the_collected_one(tmp_path, monke
     assert len(reads) == 2 and sum(reads) == spooled.x.nbytes
     assert spooled.x.spool.closed
     assert (tmp_path / "spooled.ulws").read_bytes() == collected.read_bytes()
+
+
+def test_a_file_of_epochs_spools_as_the_array_it_holds(tmp_path):
+    """A chunk whose x is a file that write_epochs wrote spools the same bytes
+    as the array; one of the wrong size for its labels is refused."""
+    chunks = random_chunks([120, 180, 7])
+    part = tmp_path / "chunk1.part"
+    with open(part, "wb") as fh:
+        write_epochs(fh, chunks[1][1])
+    from_file = [chunks[0], (chunks[1][0], part, chunks[1][2]), chunks[2]]
+    paths = [tmp_path / "from_arrays.ulws", tmp_path / "from_file.ulws"]
+    for given, path in zip((chunks, from_file), paths):
+        dataset = spool_epochs(iter(given), ["A", "B"], spool_dir=tmp_path)
+        with dataset.x:
+            write_cache(dataset, path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    short = [(chunks[1][0], part, chunks[1][2][:-1])]
+    with pytest.raises(InvalidDataset, match="bytes for 179 epochs"):
+        spool_epochs(iter(short), ["A", "B"], spool_dir=tmp_path)
 
 
 def test_a_spooled_dataset_holding_nan_is_never_written(tmp_path):
