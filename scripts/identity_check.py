@@ -14,13 +14,17 @@ built in a temporary directory, removed at the end. Each side builds the same su
 in a directory of its own, with its own tree's code and scripts, every
 command under -W error::RuntimeWarning -W error::ResourceWarning:
 
-- the synthetic demo tree (scripts/synthetic_demo.py, its stdout included)
+- the synthetic demo tree (scripts/synthetic_demo.py)
 - the demo's 2 folds again with standard convolutions and with the study
   grid's ks7_ps4 sizes
 - `ulws count --json` for the 8 study variants
 - the seed-1 benchmark `ingest`, `train` and `predict` plans of
-  bench/gen.py: their inputs, and every output and stdout of their
-  commands; the `ingest` plan runs again with --filter-all-channels
+  bench/gen.py: their inputs, and every output of their commands; the
+  `ingest` plan runs again with --filter-all-channels
+
+Each command's stdout goes to a file and its stderr to a file beside it,
+<stdout>.stderr, and both are compared like any output: so are the
+warnings of the `ingest` plan's skipped pair.
 
 Every command runs in its side's directory with relative paths, so no
 output names its side. Then every file is compared byte for byte, apart
@@ -84,19 +88,20 @@ print(json.dumps(gen.write_inputs(workload, int(sys.argv[3]), Path(f"bench-{work
 
 
 def run(tree: Path, threads: int, cpus: set[int] | None, side: Path, args: list[str],
-        stdout=None) -> bytes:
+        stdout: str) -> bytes:
     """Run `python STRICT args` with tree's code in the side's directory, on `cpus`
-    (None: this process's); return its stdout, or write it to the file `stdout`
-    names there."""
+    (None: this process's). Its stdout goes to the file `stdout` names there, and
+    its stderr beside it, to `stdout`.stderr; returns its stdout."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=str(threads))
     command = [sys.executable, *STRICT, *args]
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
-    if stdout is None:
-        return subprocess.run(command, cwd=side, env=env, check=True, stdout=subprocess.PIPE,
-                              preexec_fn=pin).stdout
-    with open(side / stdout, "wb") as fh:
-        subprocess.run(command, cwd=side, env=env, check=True, stdout=fh, preexec_fn=pin)
-    return b""
+    with open(side / stdout, "wb") as out, open(side / f"{stdout}.stderr", "wb") as err:
+        code = subprocess.run(command, cwd=side, env=env, stdout=out, stderr=err,
+                              preexec_fn=pin).returncode
+    if code:
+        raise subprocess.CalledProcessError(code, command,
+                                            stderr=(side / f"{stdout}.stderr").read_bytes())
+    return (side / stdout).read_bytes()
 
 
 def build(tree: Path, threads: int, cpus: set[int] | None, side: Path) -> None:
@@ -110,10 +115,11 @@ def build(tree: Path, threads: int, cpus: set[int] | None, side: Path) -> None:
             ["-m", "ulws.cli", "train", "--cache", "demo/demo.ulws", "--model-config",
              f"{name}.json", "--train-config", "demo/train.json", "--folds", "2", "--fold",
              "all", "--out", f"demo/cv-{name}"], stdout=f"cv-{name}.txt")
-    run(tree, threads, cpus, side, ["-c", COUNT_VARIANTS])
+    run(tree, threads, cpus, side, ["-c", COUNT_VARIANTS], stdout="count.txt")
     for workload in BENCH_WORKLOADS:
         plan = json.loads(run(tree, threads, cpus, side, ["-c", BENCH_INPUTS, str(tree / "bench"),
-                                                    workload, str(BENCH_SEED)]))
+                                                    workload, str(BENCH_SEED)],
+                              stdout=f"bench-{workload}.plan.json"))
         for name, extra in {"out": [], **BENCH_RERUNS.get(workload, {})}.items():
             out = f"bench-{workload}/{name}"
             (side / out).mkdir()
@@ -182,6 +188,7 @@ def main() -> int:
     except subprocess.CalledProcessError as e:
         print(f"identity_check: {' '.join(map(str, e.cmd))[:300]} exited {e.returncode}",
               file=sys.stderr)
+        sys.stderr.buffer.write(e.stderr[-4000:])
         return 1
     print(json.dumps(verdict, indent=2))
     return 0 if verdict["identical"] else 1

@@ -42,9 +42,9 @@ from .evaluation import N_CLASSES
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import (
     EpochDataset,
+    SpooledEpochs,
     preprocess_record,
     read_cache,
-    spool_epochs,
     write_cache,
     write_epochs,
 )
@@ -77,8 +77,9 @@ CHECKPOINT, HISTORY, PREDICTIONS = "checkpoint.ulwm", "history.jsonl", "predicti
 # ingest (6 h of four 100 Hz channels), so smaller inputs, and the many tiny
 # ones of the tests, stay in one process.
 LARGE_PSG_BYTES = 16 << 20
-# every record waits on the ulws process to spool it, so its workers run at
-# this niceness and yield it the CPU, from before their imports on
+# its workers run at this niceness, from before their imports on, and yield the
+# ulws process the CPU: on the benchmark's `ingest` workload this took ~9% off
+# set-up against niceness 0 (8 alternating pairs)
 WORKER_NICE = 19
 
 # mallopt parameters from glibc's malloc.h
@@ -262,10 +263,12 @@ def _psg_bytes(psg: Path) -> int:
         return 0
 
 
-def _ingest_pair(psg: Path, hyp: Path, channels: list[str], filter_all_channels: bool):
-    """Load and preprocess one pair: (what, (key, x, y)) for a kept pair, or (what,
-    the UlwsError or OSError that skips it). `what` names the PSG file, or the
-    record once it has loaded."""
+def _ingest_pair(psg: Path, hyp: Path, channels: list[str], filter_all_channels: bool,
+                 part: Path):
+    """Load and preprocess one pair, and write a kept pair's epochs to the file
+    `part` as `write_epochs` writes them: (what, (key, y)) for a kept pair, or
+    (what, the UlwsError or OSError that skips it). `what` names the PSG file,
+    or the record once it has loaded."""
     key, night = subject_key_and_night(psg)
     what = psg.name
     try:
@@ -277,25 +280,15 @@ def _ingest_pair(psg: Path, hyp: Path, channels: list[str], filter_all_channels:
         EpochDataset(x, y, [key] * len(y), channels).validate()
     except (UlwsError, OSError) as e:  # a bad, unreadable or vanished file skips its pair
         return what, e.with_traceback(None)  # the traceback would hold the record
-    return what, (key, x, y)
-
-
-def _ingest_part(psg: Path, hyp: Path, channels: list[str], filter_all_channels: bool,
-                 part: Path):
-    """`_ingest_pair` in a worker: a kept pair's epochs go to the file `part`, as
-    `write_epochs` writes them, and `part` comes back in their place."""
-    what, outcome = _ingest_pair(psg, hyp, channels, filter_all_channels)
-    if isinstance(outcome, Exception):
-        return what, outcome
-    key, x, y = outcome
-    with open(part, "wb") as fh:
+    with open(part, "wb") as fh:  # a failed write ends the run
         write_epochs(fh, x)
-    return what, (key, part, y)
+    return what, (key, y)
 
 
 def cmd_preprocess(args) -> int:
     out = Path(args.out)
     _check_out(out, [], [out, *_manifest_files(out.parent, out.name)])
+    _probe_dirs(out, [out.parent])
     data_dir = Path(args.data_dir)
     channels = [c.strip() for c in args.channels.split(",")] if args.channels else DEFAULT_CHANNELS
     pairs, skipped = _discover_pairs(data_dir)
@@ -305,9 +298,9 @@ def cmd_preprocess(args) -> int:
     # this is the (subject, night) order without loading anything
     pairs.sort(key=lambda pair: subject_key_and_night(pair[0]))
     out.parent.mkdir(parents=True, exist_ok=True)
-    parts: dict[int, Path] = {}  # pair index -> the part file its worker writes
+    parts: dict[int, Path] = {}  # pair index -> the part file its kept epochs go to
 
-    def worker_job(i: int) -> tuple:
+    def job(i: int) -> tuple:
         fd, name = tempfile.mkstemp(suffix=".part", prefix=f"{out.name}.", dir=out.parent)
         os.close(fd)
         parts[i] = Path(name)
@@ -316,52 +309,46 @@ def cmd_preprocess(args) -> int:
     def outcomes(own, futures):
         """(i, what, outcome) of every pair i in order, as `_ingest_pair` gives them.
         This process preprocesses each of its own pairs before it waits for the
-        workers' pairs ahead of it, so it does not idle while it has a pair to
-        do, and it holds one pair's epochs at a time."""
+        workers' pairs ahead of it, so it does not idle while it has a pair to do."""
         def workers(lo, hi):
             for i in range(lo, hi):
                 yield (i, *_worker_result(futures.pop(i), "preprocess", "record"))
 
         done = 0
         for k in own:
-            mine = _ingest_pair(*pairs[k], channels, args.filter_all_channels)
+            mine = _ingest_pair(*job(k))
             yield from workers(done, k)
             yield (k, *mine)
-            mine, done = None, k + 1
+            done = k + 1
         yield from workers(done, len(pairs))
 
-    def kept_chunks(own, futures):
-        nonlocal skipped
-        for i, what, outcome in outcomes(own, futures):
-            if isinstance(outcome, Exception):
-                _warn(f"{what}: {type(outcome).__name__}: {outcome}")
-                skipped += 1
-            else:
-                print(f"{what}: kept {len(outcome[2])} epochs")
-                yield outcome
-            outcome = None  # hold no chunk while the next pair loads
-            if i in parts:  # spooled, or never written
-                parts.pop(i).unlink()
-
-    def remove_parts():
+    kept: list[tuple[Path, int]] = []  # (part file, epochs) of each kept pair in order
+    ys, keys = [], []
+    large = sum(_psg_bytes(psg) >= LARGE_PSG_BYTES for psg, _ in pairs)
+    try:
+        with _dealt(range(len(pairs)), job, _ingest_pair,
+                    functools.partial(os.nice, WORKER_NICE), most=large) as (own, futures):
+            # the band-pass design imports scipy.signal (~1 s): pay that as set-up,
+            # while the workers start and before the first record is read
+            preprocess.bandpass()
+            for i, what, outcome in outcomes(own, futures):
+                if isinstance(outcome, Exception):
+                    _warn(f"{what}: {type(outcome).__name__}: {outcome}")
+                    skipped += 1
+                else:
+                    key, y = outcome
+                    print(f"{what}: kept {len(y)} epochs")
+                    kept.append((parts[i], len(y)))
+                    ys.append(y)
+                    keys += [key] * len(y)
+        if not kept:
+            return _fail("no records loaded")
+        dataset = EpochDataset(SpooledEpochs(kept, len(channels)), np.concatenate(ys), keys,
+                               channels)
+        cache_crc = write_cache(dataset, out)
+    finally:  # once no worker writes a part any more
         for part in parts.values():
             part.unlink(missing_ok=True)
-
-    large = sum(_psg_bytes(psg) >= LARGE_PSG_BYTES for psg, _ in pairs)
-    with contextlib.ExitStack() as stack:
-        stack.callback(remove_parts)  # last, once no worker writes a part any more
-        own, futures = stack.enter_context(_dealt(
-            range(len(pairs)), worker_job, _ingest_part,
-            functools.partial(os.nice, WORKER_NICE), most=large,
-        ))
-        # the band-pass design imports scipy.signal (~1 s): pay that as set-up,
-        # while the workers start and before the first record is read
-        preprocess.bandpass()
-        dataset = spool_epochs(kept_chunks(own, futures), channels, spool_dir=out.parent)
-    with dataset.x:  # the spool file; the kept epochs are never all in memory
-        if not dataset.n_epochs:
-            return _fail("no records loaded")
-        cache_crc = write_cache(dataset, out)
     print(f"wrote {dataset.n_epochs} epochs x {dataset.n_channels} channels to {out}")
     print(f"skipped: {skipped}")
     _write_manifest(
@@ -646,6 +633,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     out = Path(args.out)
     _check_out(out, [], [out, *_manifest_files(out.parent, out.name)])
+    _probe_dirs(out, [out.parent])
     _keep_batch_memory()
     params = load_checkpoint(Path(args.checkpoint))
     dataset = read_cache(Path(args.cache))

@@ -15,12 +15,11 @@ into the middle of the filter's padded float64 buffer (63 MB for 22 h at
 On the benchmark's `ingest` workload (three 22 h nights, 2 cores) the
 peak RSS fell from 274 to 236 MiB with this account.
 
-`spool_epochs` spools the epochs of one record at a time, interleaving
-them into (epoch, channel, sample) order a block at a time, so the
-epochs kept so far wait in a spool file, not in RAM, and `write_cache`
-checks and copies them from there into the cache in one pass of blocks.
-A record can also reach the spool as a file that `write_epochs` wrote,
-copied a MiB at a time.
+`write_epochs` writes a record's epochs to a file in (epoch, channel,
+sample) order, interleaving them a block at a time, so the epochs kept
+so far wait in files, not in RAM. `write_cache` reads them back, as a
+`SpooledEpochs`, and checks and copies them into the cache in one pass
+of blocks.
 
 `ulws preprocess` (`cli.cmd_preprocess`) deals the sorted pairs over
 n = min(large PSG files, usable CPUs) processes. A large PSG file is at
@@ -28,14 +27,15 @@ least `cli.LARGE_PSG_BYTES` (16 MiB, about 6 h of four 100 Hz channels),
 a record that takes about as long to ingest as a spawned worker takes to
 start, so small inputs run in one process and never start a worker. The
 ulws process preprocesses pairs[0::n] itself; n - 1 spawned workers, at
-a lower CPU priority, preprocess the others, each writing a kept
-record's epochs to a part file beside the cache. The ulws process does
-each of its own pairs before it waits for the workers' pairs ahead of
-it, and spools the records in pair order, appending each part file and
-deleting it, so the cache, stdout and stderr do not depend on n. Each process holds one record at a time:
-together they hold n records, the largest of them one. A script that
-calls `ulws.cli.main` must do so under `if __name__ == "__main__":`,
-because each worker imports it again.
+a lower CPU priority, preprocess the others. Every process writes a kept
+record's epochs to a part file of its pair beside the cache. The ulws
+process does each of its own pairs before it waits for the workers'
+pairs ahead of it, and reports the pairs in pair order; the cache reads
+the part files in that order, so the cache, stdout and stderr do not
+depend on n. Each process holds one record at a time: together they
+hold n records, the largest of them one. A script that calls
+`ulws.cli.main` must do so under `if __name__ == "__main__":`, because
+each worker imports it again.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ import functools
 import itertools
 import math
 import os
-import shutil
-import tempfile
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -79,8 +76,6 @@ FILTER_ORDER = 4
 FILTER_BLOCK = 1 << 18
 # epochs per block when a dataset's x is checked or written
 ROW_BLOCK = 256
-# bytes per read when a file of epochs is copied into the spool
-COPY_BYTES = 1 << 20
 
 # 30 minutes of surrounding wake kept on each side of the sleep span
 WAKE_MARGIN_EPOCHS = 60
@@ -258,50 +253,46 @@ def expand_events(events, record_epochs: int) -> list[StageClass | None]:
 
 
 class SpooledEpochs:
-    """(N, C, T) float32 epochs held in an open spool file, as `EpochDataset.x`.
+    """(N, C, T) float32 epochs held in files that `write_epochs` wrote, as `EpochDataset.x`.
 
-    `spool_epochs` gives one, so that `write_cache` checks and writes the
-    kept epochs `ROW_BLOCK` rows at a time instead of reading them all back
-    into memory. It has an array's `shape`, `ndim`, `dtype` and `nbytes`;
-    closing it (or leaving its `with` block) deletes the spool.
+    `parts` is each file's path and epoch count, in order. `write_cache`
+    checks and writes the epochs `ROW_BLOCK` rows at a time instead of
+    reading them all back into memory. It has an array's `shape`, `ndim`,
+    `dtype` and `nbytes`; the files stay its caller's to remove.
     """
 
     ndim = 3
     dtype = np.dtype(np.float32)
 
-    def __init__(self, spool, shape: tuple[int, int, int]):
-        self.spool = spool
-        self.shape = shape
+    def __init__(self, parts: list[tuple[Path, int]], n_channels: int):
+        self.parts = parts
+        self.shape = (sum(n for _, n in parts), n_channels, EPOCH_SAMPLES)
 
     @property
     def nbytes(self) -> int:
         return math.prod(self.shape) * self.dtype.itemsize
 
     def blocks(self):
-        """The epochs in row blocks, read into one buffer that the next block reuses."""
-        n, c, t = self.shape
-        buf = np.empty((min(n, ROW_BLOCK), c, t), dtype=np.float32)
-        self.spool.seek(0)
-        for lo in range(0, n, ROW_BLOCK):
-            block = buf[: min(ROW_BLOCK, n - lo)]
-            container.read_exact(self.spool, block)
-            yield block
-
-    def close(self) -> None:
-        self.spool.close()
-
-    def __enter__(self) -> "SpooledEpochs":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """The epochs in row blocks, read into one buffer that the next block reuses.
+        A file whose size is not its epochs' raises InvalidDataset."""
+        _, c, t = self.shape
+        buf = np.empty((min(self.shape[0], ROW_BLOCK), c, t), dtype=np.float32)
+        for path, n in self.parts:
+            with open(path, "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                if size != n * c * t * buf.itemsize:
+                    raise InvalidDataset(f"{path}: {size} bytes for {n} epochs")
+                for lo in range(0, n, ROW_BLOCK):
+                    block = buf[: min(ROW_BLOCK, n - lo)]
+                    container.read_exact(fh, block)
+                    yield block
 
 
 @dataclass
 class EpochDataset:
     """N preprocessed epochs: x is (N, C, T) float32, y holds StageClass values.
 
-    x is an array, or the SpooledEpochs that `spool_epochs` gives for ingest.
+    x is an array, or for ingest the SpooledEpochs of the records' part files.
     """
 
     x: np.ndarray | SpooledEpochs
@@ -353,7 +344,7 @@ class EpochDataset:
 
 
 def _row_blocks(x: np.ndarray | SpooledEpochs):
-    """x in blocks of ROW_BLOCK rows: views of an array, or reads of a spool."""
+    """x in blocks of ROW_BLOCK rows: views of an array, or reads of part files."""
     if isinstance(x, SpooledEpochs):
         return x.blocks()
     return (x[i : i + ROW_BLOCK] for i in range(0, len(x), ROW_BLOCK))
@@ -388,7 +379,7 @@ def preprocess_record(
     view on (C, n, T) memory: each channel's epochs are one contiguous
     slab, and only the slabs written so far are touched. Its epochs are
     interleaved into (epoch, channel, sample) order a block at a time,
-    where they are written out (`spool_epochs`, `write_cache`).
+    where they are written out (`write_epochs`, `write_cache`).
 
     A record's peak is one channel's trace (the padded float64 buffer of
     a band-passed channel, 63 MB for 22 h at 100 Hz, or the float32 trace
@@ -458,44 +449,6 @@ def write_epochs(fh, x: np.ndarray) -> None:
     fh.writelines(np.ascontiguousarray(b, dtype=np.float32) for b in _row_blocks(x))
 
 
-def spool_epochs(
-    chunks: Iterable[tuple[str, np.ndarray | Path, np.ndarray]],
-    channels: list[str],
-    spool_dir: str | Path | None = None,
-) -> EpochDataset:
-    """Concatenate (subject_key, x, y) chunks on disk.
-
-    x is the epochs as `preprocess_record` gives them, or the path of a
-    file that `write_epochs` wrote them to, which is copied a small buffer
-    at a time. Each chunk's epochs go to an unnamed spool file in
-    `spool_dir` as they arrive, so kept epochs take no memory while later
-    records are preprocessed. The dataset's x is a SpooledEpochs on that
-    file: close it when done. The chunks are not checked again here;
-    `write_cache` validates what it writes.
-    """
-    ys, subjects = [], []
-    spool = tempfile.TemporaryFile(dir=spool_dir)
-    try:
-        for key, x, y in chunks:
-            if isinstance(x, np.ndarray):
-                write_epochs(spool, x)
-            else:
-                with open(x, "rb") as part:
-                    size = os.fstat(part.fileno()).st_size
-                    if size != len(y) * len(channels) * EPOCH_SAMPLES * 4:
-                        raise InvalidDataset(f"{x}: {size} bytes for {len(y)} epochs")
-                    shutil.copyfileobj(part, spool, COPY_BYTES)
-            ys.append(y)
-            subjects.extend([key] * len(y))
-            del x, y
-    except BaseException:
-        spool.close()
-        raise
-    y_all = np.concatenate(ys) if ys else np.zeros(0, dtype=np.uint8)
-    x = SpooledEpochs(spool, (len(y_all), len(channels), EPOCH_SAMPLES))
-    return EpochDataset(x=x, y=y_all, subject_keys=subjects, channel_labels=list(channels))
-
-
 # --- binary cache ---------------------------------------------------------
 #
 # magic "ULWS" | u8 version | u64 N, C, T | u32 sample rate, always SAMPLE_RATE_HZ
@@ -510,13 +463,13 @@ def _pack_str(s: str) -> bytes:
 
 
 def write_cache(dataset: EpochDataset, path: str | Path) -> str:
-    """Atomically write `dataset`, its arrays in place, a spooled x block by block.
+    """Atomically write `dataset`, its arrays in place, a SpooledEpochs x block by block.
 
     An x that is not in (epoch, channel, sample) order, as the channel-major
     epochs of `preprocess_record`, is interleaved a block at a time.
 
-    Each x block is checked for NaN and infinity as it is written, so a
-    spool is read once; a non-finite block raises NonFiniteSignal and
+    Each x block is checked for NaN and infinity as it is written, so
+    part files are read once; a non-finite block raises NonFiniteSignal and
     leaves no file. Returns the CRC-32 written.
     """
     dataset.validate()

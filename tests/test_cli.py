@@ -19,7 +19,7 @@ import scipy.signal
 
 from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
 from oracles import concatenated_dataset, pairwise_accuracy, pairwise_kappa, pairwise_macro_f1
-from ulws import cli, container, nn, preprocess, training
+from ulws import cli, container, model, nn, preprocess, training
 from ulws.cli import DEFAULT_CHANNELS, _keep_batch_memory, _run_fold, _train_folds, main
 from ulws.edf import load_record
 from ulws.errors import ChecksumMismatch, NonFiniteGradient
@@ -460,6 +460,33 @@ def test_preprocess_of_small_records_starts_no_worker(tmp_path, monkeypatch):
     argv = ["preprocess", "--data-dir", str(data_dir), "--out", str(tmp_path / "cache.ulws")]
     code, pools, _ = train_on_cpus(monkeypatch, 4, lambda: main(argv))
     assert code == 0 and pools == []
+
+
+def test_preprocess_on_one_cpu_writes_every_kept_pair_to_a_part_file(tmp_path, capsys,
+                                                                   monkeypatch):
+    """Every kept pair's epochs reach the cache through a part file beside it,
+    written by write_epochs, and no part file is left afterwards."""
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    write_mixed_pairs(data_dir)
+    monkeypatch.setattr(cli, "LARGE_PSG_BYTES", 0)
+    out = tmp_path / "out" / "cache.ulws"
+    written, write_epochs = [], cli.write_epochs
+
+    def recording_write_epochs(fh, x):
+        written.append((Path(fh.name), len(x)))
+        write_epochs(fh, x)
+
+    monkeypatch.setattr(cli, "write_epochs", recording_write_epochs)
+    argv = ["preprocess", "--data-dir", str(data_dir), "--out", str(out)]
+    code, pools, _ = train_on_cpus(monkeypatch, 1, lambda: main(argv))
+    assert code == 0 and pools == []
+    assert [n for _, n in written] == [24, 24] == [len(read_cache(out).y) // 2] * 2
+    assert all(p.parent == out.parent and p.name.startswith("cache.ulws.")
+               and p.suffix == ".part" for p, _ in written)
+    assert sorted(p.name for p in out.parent.iterdir()) == [
+        "cache.ulws", "cache.ulws.manifest.json", "runlog.jsonl"]
+    assert "skipped: 3" in capsys.readouterr().out.splitlines()
 
 
 def test_preprocess_with_workers_and_no_record_kept_leaves_no_part_file(tmp_path, capsys,
@@ -1162,6 +1189,40 @@ def test_train_refuses_an_unwritable_fold_directory_before_any_fold(toy_cache, c
                                    f"to {tmp_path / 'run' / 'fold1'}: Permission denied")
     assert not (tmp_path / "run" / "fold0" / "checkpoint.ulwm").exists()
     assert not (tmp_path / "run").exists() and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["preprocess", "predict"])
+def test_an_unwritable_out_directory_is_refused_before_any_work(toy_cache, tmp_path, capsys,
+                                                                monkeypatch, command):
+    """Making --out's directory fails (as it would without write permission, which
+    tests running as root cannot show with chmod): the run exits 2 before it reads
+    a record or scores an epoch, and leaves no directory behind."""
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    write_record_pair(data_dir, "SC4001", seed=1)
+    checkpoint = tmp_path / "model.ulwm"
+    save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=0), checkpoint)
+    out = tmp_path / "out" / "result"
+    mkdir, work = Path.mkdir, []
+
+    def refusing_out_dir(self, *args, **kwargs):
+        if self == out.parent:
+            raise PermissionError(13, "Permission denied", str(self))
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", refusing_out_dir)
+    monkeypatch.setattr(cli, "load_record", lambda *args: work.append(args))
+    monkeypatch.setattr(model, "model_forward", lambda *args, **kwargs: work.append(args))
+    argv = {
+        "preprocess": ["--data-dir", str(data_dir)],
+        "predict": ["--checkpoint", str(checkpoint), "--cache", str(toy_cache)],
+    }[command]
+    code = main([command, *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and work == []
+    assert captured.err.startswith(f"error: BadOutputPath: --out {out}: cannot write "
+                                   f"to {out.parent}: Permission denied")
+    assert not out.parent.exists() and captured.out == ""
 
 
 def test_importing_the_cli_leaves_scipy_signal_out():

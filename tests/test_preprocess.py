@@ -37,13 +37,13 @@ from ulws.preprocess import (
     EPOCH_SAMPLES,
     ROW_BLOCK,
     EpochDataset,
+    SpooledEpochs,
     StageClass,
     expand_events,
     filtfilt,
     map_stage_label,
     preprocess_record,
     read_cache,
-    spool_epochs,
     trim_wake,
     write_cache,
     write_epochs,
@@ -586,22 +586,29 @@ def test_non_finite_record_raises_without_a_numpy_warning(toy_record, monkeypatc
             preprocess_record(broken, channels)
 
 
-def test_spool_matches_concatenation(toy_record, tmp_path):
+def write_parts(chunks, directory):
+    """Each chunk's epochs written to a part file of its own, as `ulws preprocess`
+    writes them; returns each file's path and epoch count."""
+    parts = []
+    for key, x, y in chunks:
+        path = directory / f"{key}.part"
+        with open(path, "wb") as fh:
+            write_epochs(fh, x)
+        parts.append((path, len(y)))
+    return parts
+
+
+def test_part_files_read_back_as_the_concatenated_epochs(toy_record, tmp_path):
     record, channels = toy_record
     records = [renamed(record, "SC398"), renamed(record, "SC399")]
     chunks = [(r.subject_key, *preprocess_record(r, channels)) for r in records]
-    ds = spool_epochs(iter(chunks), channels, spool_dir=tmp_path)
-    with ds.x:
-        assert ds.x.shape == (78, 4, 3000)
-        spooled = np.concatenate([block.copy() for block in ds.x.blocks()])
-    assert ds.x.spool.closed
-    assert list(tmp_path.iterdir()) == []  # the spool file is gone
-    assert np.array_equal(spooled, np.concatenate([x for _, x, _ in chunks]))
-    assert np.array_equal(ds.y, np.concatenate([y for *_, y in chunks]))
-    assert ds.subject_keys == ["SC398"] * 39 + ["SC399"] * 39
-    assert ds.channel_labels == channels
-    with spool_epochs(iter([]), channels).x as empty:
-        assert empty.shape == (0, 4, 3000) and list(empty.blocks()) == []
+    x = SpooledEpochs(write_parts(chunks, tmp_path), len(channels))
+    assert x.shape == (78, 4, 3000) and x.ndim == 3 and x.dtype == np.float32
+    assert x.nbytes == 78 * 4 * 3000 * 4
+    read = np.concatenate([block.copy() for block in x.blocks()])
+    assert np.array_equal(read, np.concatenate([x for _, x, _ in chunks]))
+    empty = SpooledEpochs([], len(channels))
+    assert empty.shape == (0, 4, 3000) and list(empty.blocks()) == []
 
 
 def random_chunks(sizes, n_channels=2, seed=0):
@@ -611,10 +618,17 @@ def random_chunks(sizes, n_channels=2, seed=0):
              rng.integers(0, 5, n).astype(np.uint8)) for i, n in enumerate(sizes)]
 
 
-def test_a_spooled_dataset_writes_the_bytes_of_the_collected_one(tmp_path, monkeypatch):
-    chunks = random_chunks([120, 180, 7])  # 307 epochs: a second, partial ROW_BLOCK
+def part_dataset(chunks, parts, channels):
+    """The EpochDataset of `chunks` whose x is the SpooledEpochs of their part files."""
+    collected = concatenated_dataset(chunks, channels)
+    return dataclasses.replace(collected, x=SpooledEpochs(parts, len(channels)))
+
+
+def test_a_dataset_of_part_files_writes_the_bytes_of_the_collected_one(tmp_path, monkeypatch):
+    chunks = random_chunks([120, 300, 7])  # a full and a partial ROW_BLOCK in the middle part
     collected = tmp_path / "collected.ulws"
     want = write_cache(concatenated_dataset(chunks, ["A", "B"]), collected)
+    dataset = part_dataset(chunks, write_parts(chunks, tmp_path), ["A", "B"])
     read_exact, reads = container.read_exact, []
 
     def counted_read_exact(fh, view):
@@ -622,56 +636,36 @@ def test_a_spooled_dataset_writes_the_bytes_of_the_collected_one(tmp_path, monke
         read_exact(fh, view)
 
     monkeypatch.setattr(container, "read_exact", counted_read_exact)
-    spooled = spool_epochs(iter(chunks), ["A", "B"], spool_dir=tmp_path)
-    with spooled.x:
-        assert spooled.x.shape == (307, 2, EPOCH_SAMPLES) and spooled.n_epochs == 307
-        assert spooled.x.nbytes == 307 * 2 * EPOCH_SAMPLES * 4
-        assert write_cache(spooled, tmp_path / "spooled.ulws") == want
-    # the spool is read once, in its two ROW_BLOCKs, to be checked and copied
-    assert len(reads) == 2 and sum(reads) == spooled.x.nbytes
-    assert spooled.x.spool.closed
-    assert (tmp_path / "spooled.ulws").read_bytes() == collected.read_bytes()
+    assert dataset.n_epochs == 427
+    assert write_cache(dataset, tmp_path / "parts.ulws") == want
+    # each part is read once, ROW_BLOCK rows at a time, to be checked and copied
+    row = 2 * EPOCH_SAMPLES * 4
+    assert reads == [120 * row, ROW_BLOCK * row, (300 - ROW_BLOCK) * row, 7 * row]
+    assert (tmp_path / "parts.ulws").read_bytes() == collected.read_bytes()
 
 
-def test_a_file_of_epochs_spools_as_the_array_it_holds(tmp_path):
-    """A chunk whose x is a file that write_epochs wrote spools the same bytes
-    as the array; one of the wrong size for its labels is refused."""
+def test_a_part_file_of_the_wrong_size_is_refused(tmp_path):
     chunks = random_chunks([120, 180, 7])
-    part = tmp_path / "chunk1.part"
-    with open(part, "wb") as fh:
-        write_epochs(fh, chunks[1][1])
-    from_file = [chunks[0], (chunks[1][0], part, chunks[1][2]), chunks[2]]
-    paths = [tmp_path / "from_arrays.ulws", tmp_path / "from_file.ulws"]
-    for given, path in zip((chunks, from_file), paths):
-        dataset = spool_epochs(iter(given), ["A", "B"], spool_dir=tmp_path)
-        with dataset.x:
-            write_cache(dataset, path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    short = [(chunks[1][0], part, chunks[1][2][:-1])]
+    parts = write_parts(chunks, tmp_path)
+    parts[1] = (parts[1][0], 179)  # one epoch fewer than the file holds
+    dataset = EpochDataset(SpooledEpochs(parts, 2), np.zeros(306, np.uint8), ["SC400"] * 306,
+                           ["A", "B"])
     with pytest.raises(InvalidDataset, match="bytes for 179 epochs"):
-        spool_epochs(iter(short), ["A", "B"], spool_dir=tmp_path)
-
-
-def test_a_spooled_dataset_holding_nan_is_never_written(tmp_path):
-    chunks = random_chunks([200, 100])
-    chunks[1][1][80, 1, 7] = np.nan  # epoch 280, in the second ROW_BLOCK
-    dataset = spool_epochs(chunks, ["A", "B"])
-    with dataset.x, pytest.raises(NonFiniteSignal):
         write_cache(dataset, tmp_path / "bad.ulws")
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["SC400.part", "SC401.part", "SC402.part"]
 
 
-def test_spool_epochs_closes_its_spool_when_the_chunks_fail():
-    def failing_chunks():
-        yield from random_chunks([3])
-        raise NonFiniteSignal("the next record failed")
-
+def test_a_dataset_of_part_files_holding_nan_is_never_written(tmp_path):
+    chunks = random_chunks([200, 100])
+    chunks[1][1][80, 1, 7] = np.nan  # in the second part
+    dataset = part_dataset(chunks, write_parts(chunks, tmp_path), ["A", "B"])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NonFiniteSignal):
-            spool_epochs(failing_chunks(), ["A", "B"])
+            write_cache(dataset, tmp_path / "bad.ulws")
         gc.collect()
-    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]  # parts closed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["SC400.part", "SC401.part"]
 
 
 # --- container: atomic writes and memory ------------------------------------------------
@@ -864,14 +858,22 @@ def test_a_record_peaks_at_one_padded_trace_the_epoch_buffer_and_its_output(tmp_
     assert all(x[:, c].flags.c_contiguous for c in range(len(CHANNELS)))
 
 
-def test_spooling_a_channel_major_record_interleaves_it_a_block_at_a_time(tmp_path):
+def test_a_channel_major_record_goes_to_its_part_file_and_back_a_block_at_a_time(tmp_path):
     n, c = 3 * ROW_BLOCK + 5, 4
     slabs = np.random.default_rng(0).standard_normal((c, n, EPOCH_SAMPLES)).astype(np.float32)
     x = slabs.transpose(1, 0, 2)  # (n, C, T), as preprocess_record gives it
-    y = np.zeros(n, np.uint8)
-    dataset, peak = traced_peak(spool_epochs, [("SC401", x, y)], [f"C{i}" for i in range(c)],
-                                tmp_path)
-    with dataset.x:
-        assert peak < x.nbytes / 2  # one interleaved block at a time, never the whole record
-        spooled = np.concatenate([block.copy() for block in dataset.x.blocks()])
-    assert np.array_equal(spooled, x)
+    part = tmp_path / "SC401.part"
+
+    def write():
+        with open(part, "wb") as fh:
+            write_epochs(fh, x)
+
+    def read_back():
+        return [len(block) for block in SpooledEpochs([(part, n)], c).blocks()]
+
+    # one interleaved block at a time, never the whole record
+    assert traced_peak(write)[1] < x.nbytes / 2
+    rows, peak = traced_peak(read_back)
+    assert peak < x.nbytes / 2 and rows == [ROW_BLOCK] * 3 + [5]
+    read = np.concatenate([block.copy() for block in SpooledEpochs([(part, n)], c).blocks()])
+    assert np.array_equal(read, x)
