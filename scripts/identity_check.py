@@ -7,9 +7,10 @@
 
 `--ref` extracts the commit with `git archive`. `--two-threads` runs its
 1-thread side under a 1-CPU affinity mask, so there `ulws train` trains
-every fold and `ulws preprocess` every record in one process, and the
-other side deals the folds and the large records over worker processes:
-the check then compares serial against parallel runs too. Everything is
+every fold and `ulws preprocess` every channel of every record in one
+process, and the other side deals the folds, and the channels of the
+large records, over worker processes: the check then compares serial
+against parallel runs too. Everything is
 built in a temporary directory, removed at the end. Each side builds the same suite
 in a directory of its own, with its own tree's code and scripts, every
 command under -W error::RuntimeWarning -W error::ResourceWarning:
@@ -27,8 +28,10 @@ Each command's stdout goes to a file and its stderr to a file beside it,
 warnings of the `ingest` plan's skipped pair.
 
 Every command runs in its side's directory with relative paths, so no
-output names its side. Then every file is compared byte for byte, apart
-from the run logs and manifests, which hold wall-clock times. Prints one
+output should name its side. Then every file is compared byte for byte,
+apart from the run logs, which hold wall-clock times; a manifest
+(`*.manifest.json`) is compared with its side's directory, wherever it
+names it, replaced by one placeholder. Prints one
 JSON verdict naming each file that differs or exists on one side only, and
 exits 1 on any difference, on fewer than 6 fold checkpoints a side, or
 when a command fails. It trains, so it is not part of the test suite.
@@ -48,7 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STRICT = ["-W", "error::RuntimeWarning", "-W", "error::ResourceWarning"]
-UNCOMPARED = ("runlog.jsonl", "*.manifest.json")  # wall-clock times
+UNCOMPARED = ("runlog.jsonl",)  # wall-clock times
+MANIFEST = "*.manifest.json"
 MIN_CHECKPOINTS = 6
 # the demo's model with standard convolutions, which run through sgemm too, and with
 # the ks7_ps4 sizes: on 3000-sample epochs OpenBLAS threads the conv products from
@@ -134,6 +138,17 @@ def compared_files(side: Path) -> set[str]:
             if p.is_file() and not any(fnmatch.fnmatch(p.name, u) for u in UNCOMPARED)}
 
 
+def identical(da: Path, db: Path, name: str) -> bool:
+    """Whether the file `name` holds the same bytes in both sides; for a
+    manifest, once each side's directory, as JSON spells it, is replaced by
+    one placeholder."""
+    if not fnmatch.fnmatch(Path(name).name, MANIFEST):
+        return filecmp.cmp(da / name, db / name, shallow=False)
+    a, b = ((side / name).read_bytes().replace(json.dumps(str(side))[1:-1].encode(), b"<side>")
+            for side in (da, db))
+    return a == b
+
+
 def checkpoints(side: Path) -> int:
     return sum(1 for p in side.rglob("checkpoint.ulwm") if p.parent.name.startswith("fold"))
 
@@ -163,7 +178,7 @@ def check(args, work: Path) -> dict:
         build(tree, threads, cpus, dirs[label])
     (a, da), (b, db) = dirs.items()
     fa, fb = compared_files(da), compared_files(db)
-    differ = sorted(f for f in fa & fb if not filecmp.cmp(da / f, db / f, shallow=False))
+    differ = sorted(f for f in fa & fb if not identical(da, db, f))
     found = {label: checkpoints(d) for label, d in dirs.items()}
     return {
         "sides": list(dirs),

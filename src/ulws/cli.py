@@ -18,11 +18,13 @@ import functools
 import io
 import json
 import multiprocessing
+import itertools
 import os
+import signal
 import sys
 import tempfile
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from .errors import (
     BadConfig,
     BadOutputPath,
     ChecksumMismatch,
+    NonFiniteSignal,
     ShapeMismatch,
     UlwsError,
     WorkerDied,
@@ -46,7 +49,6 @@ from .preprocess import (
     preprocess_record,
     read_cache,
     write_cache,
-    write_epochs,
 )
 from .training import FoldSplit, TrainConfig, _score, subject_folds, split_indices, train_fold
 
@@ -71,11 +73,11 @@ STAGE_NAMES = ["W", "N1", "N2", "N3", "REM"]
 FOLD_PREFIX = "fold"
 CHECKPOINT, HISTORY, PREDICTIONS = "checkpoint.ulwm", "history.jsonl", "predictions.csv"
 
-# `preprocess` deals its pairs over as many processes as it has PSG files of
-# at least this size, up to one per usable CPU. A worker takes about 1.3 s to
-# start (python, numpy, scipy.signal), about what a record this size takes to
-# ingest (6 h of four 100 Hz channels), so smaller inputs, and the many tiny
-# ones of the tests, stay in one process.
+# `preprocess` deals its units, one channel of one pair each, over as many
+# processes as it has PSG files of at least this size, up to one per usable
+# CPU. A worker takes about 1.3 s to start (python, numpy, scipy.signal), about
+# what a record this size takes to ingest (6 h of four 100 Hz channels), so
+# smaller inputs, and the many tiny ones of the tests, stay in one process.
 LARGE_PSG_BYTES = 16 << 20
 # its workers run at this niceness, from before their imports on, and yield the
 # ulws process the CPU: on the benchmark's `ingest` workload this took ~9% off
@@ -192,50 +194,91 @@ _GUARD = ("a script that calls ulws.cli.main must do so under `if __name__ == \"
 
 
 @contextlib.contextmanager
-def _dealt(keys, job, fn, initializer, most: int | None = None):
-    """Deal `keys` over n = min(most, usable CPUs) processes, `most` defaulting to len(keys).
+def _dealt(keys, job, fn, initializer, task: tuple[str, str], most: int | None = None, here=None):
+    """Run `fn(*job(key))` for every key over n = min(most, usable CPUs) processes,
+    `most` defaulting to len(keys), and yield an iterator of (key, outcome).
 
-    Yields (own, futures). This process runs its share, `list(keys)[0::n]`,
-    itself. Every other key's Future runs `fn(*job(key))` on one of n - 1
-    workers, each started by `initializer`. The workers are spawned, not
-    forked, because this process may already run BLAS threads, and all
-    their jobs are submitted at once, so they start while this process
-    sets up. The caller reads or cancels every future. Leaving on an
-    exception cancels the jobs not yet started and waits for the running
-    ones; leaving normally lets the idle workers exit while this process
-    goes on.
+    An outcome is what the call returned or the Exception it raised;
+    WorkerDied, with `task` = (worker, work) naming them, for a worker that
+    exited before it returned. This process runs `keys[0]` itself, with
+    `here(key)` in place of the call if given, and submits every other key
+    at once to n - 1 workers, each started by `initializer`. They are
+    spawned, not forked, because this process may already run BLAS
+    threads, and they start while it sets up. It then walks the keys in
+    order and runs itself each one whose Future it can still cancel, one
+    that no worker has taken: the pool holds at most n keys for its n - 1
+    workers (it queues one call beyond them), so this process keeps
+    `keys[0]` and never idles while a key waits. Between keys it yields
+    the workers' finished outcomes, so a caller that stops at a failure
+    starts no further key, and then it waits for the rest.
+
+    The workers start with SIGINT blocked, so Ctrl-C reaches this process
+    alone. Leaving on an exception stops them without waiting for their
+    work; leaving normally cancels the keys no worker has taken, waits for
+    any still running, and lets idle workers exit while this process goes on.
     """
     keys = list(keys)
     n = max(1, min(len(keys) if most is None else most, _usable_cpus()))
-    futures = {}
+    futures = {}  # key -> Future, for every key submitted to the workers
+
+    def run_here(key):
+        try:
+            return here(key) if here else fn(*job(key))
+        except Exception as e:
+            return e
+
+    def walk():
+        waiting = dict(futures)  # the submitted keys whose outcome is not yielded yet
+        for key in keys:
+            for held in [held for held, future in waiting.items() if future.done()]:
+                yield held, _worker_outcome(waiting.pop(held), *task)
+            if key not in futures or futures[key].cancel():
+                waiting.pop(key, None)
+                yield key, run_here(key)
+        for held, future in list(waiting.items()):
+            yield held, _worker_outcome(future, *task)
+
     if n == 1:
-        yield keys, futures
+        yield walk()
         return
     pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("spawn"),
                                initializer=initializer)
     try:
+        # the pool spawns its workers as keys are submitted, and each inherits
+        # this thread's signal mask
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            for k, key in enumerate(keys):
-                if k % n:
-                    futures[key] = pool.submit(fn, *job(key))
+            for key in keys[1:]:
+                futures[key] = pool.submit(fn, *job(key))
         except RuntimeError:
             # multiprocessing refuses to spawn from a worker still importing its script,
             # and a worker that died on start gives BrokenProcessPool, a RuntimeError too
             raise WorkerDied(f"could not start a worker process; {_GUARD}") from None
-        yield keys[0::n], futures
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield walk()
     except BaseException:
-        pool.shutdown(cancel_futures=True)
+        # the pool's own processes, as ProcessPoolExecutor.terminate_workers
+        # (Python 3.14) stops them
+        workers = list(pool._processes.values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.terminate()
+            worker.join()
         raise
-    pool.shutdown(wait=False)
+    pool.shutdown(wait=not all(future.done() for future in futures.values()),
+                  cancel_futures=True)
 
 
-def _worker_result(future, worker: str, task: str):
-    """The future's result; WorkerDied if its worker exited before giving it."""
+def _worker_outcome(future, worker: str, work: str):
+    """The future's result or the Exception it raised; WorkerDied if its
+    worker exited before giving it."""
     try:
         return future.result()
     except BrokenProcessPool:
-        raise WorkerDied(
-            f"a {worker} worker exited before its {task} finished; {_GUARD}") from None
+        return WorkerDied(f"a {worker} worker exited before its {work} finished; {_GUARD}")
+    except Exception as e:
+        return e
 
 
 # --- preprocess -------------------------------------------------------------
@@ -263,25 +306,43 @@ def _psg_bytes(psg: Path) -> int:
         return 0
 
 
-def _ingest_pair(psg: Path, hyp: Path, channels: list[str], filter_all_channels: bool,
-                 part: Path):
-    """Load and preprocess one pair, and write a kept pair's epochs to the file
-    `part` as `write_epochs` writes them: (what, (key, y)) for a kept pair, or
-    (what, the UlwsError or OSError that skips it). `what` names the PSG file,
-    or the record once it has loaded."""
+def _ingest_unit(psg: Path, hyp: Path, channels: list[str], channel: int,
+                 filter_all_channels: bool, part: Path):
+    """Load one pair, preprocess its channel `channels[channel]`, and write that
+    channel's float32 epochs as its slab of the pair's file `part` (see
+    SpooledEpochs): (what, (key, y)), or (what, the UlwsError or OSError of
+    the channel). `what` names the PSG file, or the record once it has loaded."""
     key, night = subject_key_and_night(psg)
     what = psg.name
     try:
         record = load_record(psg, hyp, channels)
         what = f"{key} night {night}"
-        x, y = preprocess_record(record, channels, filter_all_channels)
-        # a key the cache cannot store, from a file name that is not UTF-8,
-        # skips its pair here rather than failing write_cache for every pair
-        EpochDataset(x, y, [key] * len(y), channels).validate()
+        x, y = preprocess_record(record, channels, filter_all_channels, channel)
     except (UlwsError, OSError) as e:  # a bad, unreadable or vanished file skips its pair
         return what, e.with_traceback(None)  # the traceback would hold the record
-    with open(part, "wb") as fh:  # a failed write ends the run
-        write_epochs(fh, x)
+    slab = x[:, 0]
+    with open(part, "r+b") as fh:  # made by cmd_preprocess; a failed write ends the run
+        fh.seek(channel * slab.nbytes)
+        fh.write(slab)
+    return what, (key, y)
+
+
+def _pair_outcome(units: list, part: Path, channels: list[str]):
+    """A pair's (what, outcome) from its units' in channel order, as one process
+    preprocessing the whole record gives it: the first error that is not
+    NonFiniteSignal (a load error or MissingChannel is every unit's), else the
+    first NonFiniteSignal, else (key, y) if the cache can store the key."""
+    errors = [unit for unit in units if isinstance(unit[1], Exception)]
+    if errors:
+        return next((e for e in errors if not isinstance(e[1], NonFiniteSignal)), errors[0])
+    what, (key, y) = units[0]
+    try:
+        # a key the cache cannot store, from a file name that is not UTF-8,
+        # skips its pair here rather than failing write_cache for every pair
+        EpochDataset(SpooledEpochs([(part, len(y))], len(channels)), y, [key] * len(y),
+                     channels).validate()
+    except UlwsError as e:
+        return what, e
     return what, (key, y)
 
 
@@ -298,49 +359,48 @@ def cmd_preprocess(args) -> int:
     # this is the (subject, night) order without loading anything
     pairs.sort(key=lambda pair: subject_key_and_night(pair[0]))
     out.parent.mkdir(parents=True, exist_ok=True)
-    parts: dict[int, Path] = {}  # pair index -> the part file its kept epochs go to
+    sizes = [_psg_bytes(psg) for psg, _ in pairs]
+    filtered = [preprocess.band_passed(label, args.filter_all_channels) for label in channels]
+    # a unit is one channel of one pair: band-passed channels first, the
+    # longest pairs first among them, so the shortest units come last
+    units = sorted(itertools.product(range(len(pairs)), range(len(channels))),
+                   key=lambda unit: (not filtered[unit[1]], -sizes[unit[0]]))
+    parts: dict[int, Path] = {}  # pair index -> the part file its channels' slabs go to
 
-    def job(i: int) -> tuple:
-        fd, name = tempfile.mkstemp(suffix=".part", prefix=f"{out.name}.", dir=out.parent)
-        os.close(fd)
-        parts[i] = Path(name)
-        return (*pairs[i], channels, args.filter_all_channels, parts[i])
+    def job(unit: tuple[int, int]) -> tuple:
+        i, c = unit
+        if i not in parts:
+            fd, name = tempfile.mkstemp(suffix=".part", prefix=f"{out.name}.", dir=out.parent)
+            os.close(fd)
+            parts[i] = Path(name)
+        return (*pairs[i], channels, c, args.filter_all_channels, parts[i])
 
-    def outcomes(own, futures):
-        """(i, what, outcome) of every pair i in order, as `_ingest_pair` gives them.
-        This process preprocesses each of its own pairs before it waits for the
-        workers' pairs ahead of it, so it does not idle while it has a pair to do."""
-        def workers(lo, hi):
-            for i in range(lo, hi):
-                yield (i, *_worker_result(futures.pop(i), "preprocess", "record"))
-
-        done = 0
-        for k in own:
-            mine = _ingest_pair(*job(k))
-            yield from workers(done, k)
-            yield (k, *mine)
-            done = k + 1
-        yield from workers(done, len(pairs))
-
+    done = {}  # unit -> its (what, outcome)
     kept: list[tuple[Path, int]] = []  # (part file, epochs) of each kept pair in order
     ys, keys = [], []
-    large = sum(_psg_bytes(psg) >= LARGE_PSG_BYTES for psg, _ in pairs)
+    large = sum(size >= LARGE_PSG_BYTES for size in sizes)
     try:
-        with _dealt(range(len(pairs)), job, _ingest_pair,
-                    functools.partial(os.nice, WORKER_NICE), most=large) as (own, futures):
+        with _dealt(units, job, _ingest_unit, functools.partial(os.nice, WORKER_NICE),
+                    ("preprocess", "channel"), most=large) as dealt:
             # the band-pass design imports scipy.signal (~1 s): pay that as set-up,
             # while the workers start and before the first record is read
             preprocess.bandpass()
-            for i, what, outcome in outcomes(own, futures):
-                if isinstance(outcome, Exception):
-                    _warn(f"{what}: {type(outcome).__name__}: {outcome}")
-                    skipped += 1
-                else:
-                    key, y = outcome
-                    print(f"{what}: kept {len(y)} epochs")
-                    kept.append((parts[i], len(y)))
-                    ys.append(y)
-                    keys += [key] * len(y)
+            for unit, outcome in dealt:
+                if isinstance(outcome, Exception):  # a failed write or a dead worker
+                    raise outcome
+                done[unit] = outcome
+        for i in range(len(pairs)):
+            what, outcome = _pair_outcome([done[i, c] for c in range(len(channels))], parts[i],
+                                          channels)
+            if isinstance(outcome, Exception):
+                _warn(f"{what}: {type(outcome).__name__}: {outcome}")
+                skipped += 1
+            else:
+                key, y = outcome
+                print(f"{what}: kept {len(y)} epochs")
+                kept.append((parts[i], len(y)))
+                ys.append(y)
+                keys += [key] * len(y)
         if not kept:
             return _fail("no records loaded")
         dataset = EpochDataset(SpooledEpochs(kept, len(channels)), np.concatenate(ys), keys,
@@ -432,30 +492,18 @@ def _run_fold(
 def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, float | Exception]:
     """Run `_run_fold(*jobs[i])` for every fold i, dealt over processes by `_dealt`.
 
-    This process trains its share on `dataset`, which it has read already;
+    This process trains its folds on `dataset`, which it has read already;
     each worker reads the cache by path. Once a fold fails no further fold
-    starts. Returns each fold that ran mapped to its accuracy or the
-    Exception it raised; a worker that died gives WorkerDied.
+    starts. Returns each fold that gave its outcome mapped to its accuracy
+    or the Exception it raised; a worker that died gives WorkerDied.
     """
     outcomes: dict[int, float | Exception] = {}
-    with _dealt(jobs, jobs.__getitem__, _run_fold, _keep_batch_memory) as (own, futures):
-        for i in own:
-            if any(f.done() and f.exception() is not None for f in futures.values()):
+    with _dealt(jobs, jobs.__getitem__, _run_fold, _keep_batch_memory, ("training", "fold"),
+                here=lambda i: _run_fold(*jobs[i], dataset=dataset)) as dealt:
+        for i, outcome in dealt:
+            outcomes[i] = outcome
+            if isinstance(outcome, Exception):
                 break
-            try:
-                outcomes[i] = _run_fold(*jobs[i], dataset=dataset)
-            except Exception as e:
-                outcomes[i] = e
-                break
-        if not any(isinstance(outcome, Exception) for outcome in outcomes.values()):
-            wait(futures.values(), return_when=FIRST_EXCEPTION)
-        for i, future in futures.items():
-            if future.cancel():  # not started: a fold failed
-                continue
-            try:
-                outcomes[i] = _worker_result(future, "training", "fold")
-            except Exception as e:
-                outcomes[i] = e
     return outcomes
 
 
@@ -704,13 +752,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UlwsError as e:
         return _fail(f"{type(e).__name__}: {e}")
     except OSError as e:
         return _fail(str(e))
+    except KeyboardInterrupt:  # the workers are stopped and the part and temp files gone
+        return _fail("interrupted", 130)
 
 
 if __name__ == "__main__":

@@ -125,7 +125,7 @@ class TooFewSubjects(UlwsError):
 
 
 class WorkerDied(UlwsError):
-    """A fold's worker process ended without returning the fold's outcome."""
+    """A worker process ended without returning the outcome of its fold or ingest unit."""
 
 
 # --- command line --------------------------------------------------------

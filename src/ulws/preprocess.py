@@ -4,38 +4,35 @@ Band-pass filtering of the EEG channels, stage-text mapping, wake-period
 trimming around the main sleep span, 30-second epoching with per-record
 z-scoring, and a checksummed binary dataset cache.
 
-`preprocess_record` gives a record's finite epochs or raises a UlwsError.
-It reads one channel at a time from the PSG file. A record's memory is
-one channel's trace, the float64 epoch buffer, and the float32 epochs of
-the channels done so far, each channel's in a contiguous slab: never the
-whole night of every channel, nor a float32 trace beside the band-pass
-buffer, nor a second copy of the epochs. A band-passed channel is decoded
-into the middle of the filter's padded float64 buffer (63 MB for 22 h at
-100 Hz) and filtered there; another is read as a float32 trace (32 MB).
-On the benchmark's `ingest` workload (three 22 h nights, 2 cores) the
-peak RSS fell from 274 to 236 MiB with this account.
+`preprocess_record` gives a record's finite epochs, or one channel's, or
+raises a UlwsError. It reads one channel at a time from the PSG file. A
+band-passed channel is decoded into the middle of the filter's padded
+float64 buffer (63 MB for 22 h at 100 Hz) and filtered there; another is
+read as a float32 trace (32 MB). Its retained epochs go through one
+float64 epoch buffer (26 MB for 1,083 epochs) into the channel's own
+contiguous float32 slab (13 MB).
 
-`write_epochs` writes a record's epochs to a file in (epoch, channel,
-sample) order, interleaving them a block at a time, so the epochs kept
-so far wait in files, not in RAM. `write_cache` reads them back, as a
-`SpooledEpochs`, and checks and copies them into the cache in one pass
-of blocks.
-
-`ulws preprocess` (`cli.cmd_preprocess`) deals the sorted pairs over
-n = min(large PSG files, usable CPUs) processes. A large PSG file is at
-least `cli.LARGE_PSG_BYTES` (16 MiB, about 6 h of four 100 Hz channels),
-a record that takes about as long to ingest as a spawned worker takes to
-start, so small inputs run in one process and never start a worker. The
-ulws process preprocesses pairs[0::n] itself; n - 1 spawned workers, at
-a lower CPU priority, preprocess the others. Every process writes a kept
-record's epochs to a part file of its pair beside the cache. The ulws
-process does each of its own pairs before it waits for the workers'
-pairs ahead of it, and reports the pairs in pair order; the cache reads
-the part files in that order, so the cache, stdout and stderr do not
-depend on n. Each process holds one record at a time: together they
-hold n records, the largest of them one. A script that calls
-`ulws.cli.main` must do so under `if __name__ == "__main__":`, because
-each worker imports it again.
+`ulws preprocess` (`cli.cmd_preprocess`) makes one channel of one pair
+its unit of work, so a process holds one trace, the epoch buffer and
+one slab at a time: never a whole night of every channel. Each unit
+loads its pair's header and hypnogram, preprocesses its channel, writes
+the slab into its pair's part file beside the cache, and frees what it
+allocated. The units are dealt over n = min(large PSG files, usable
+CPUs) processes, band-passed channels first and the longest pairs first
+among them. A large PSG file is at least `cli.LARGE_PSG_BYTES` (16 MiB,
+about 6 h of four 100 Hz channels), a record that takes about as long to
+ingest as a spawned worker takes to start, so small inputs run in one
+process and never start a worker. The ulws process runs the first unit
+and then each next unit that no worker has taken; n - 1 spawned
+workers, at a lower CPU priority, take the others as they free up. The
+ulws process reports the pairs in pair order, and `SpooledEpochs`
+interleaves each pair's channel slabs into the cache in that order, so
+the cache, stdout and stderr do not depend on n or on which process ran
+a unit. On the benchmark's `ingest` workload (three 22 h nights, 2
+cores) the peak RSS fell from 231 to 194 MiB with units of one channel
+instead of one record; 106 MiB of it is the imports. A script that
+calls `ulws.cli.main` must do so under `if __name__ == "__main__":`,
+because each worker imports it again.
 """
 
 from __future__ import annotations
@@ -253,10 +250,13 @@ def expand_events(events, record_epochs: int) -> list[StageClass | None]:
 
 
 class SpooledEpochs:
-    """(N, C, T) float32 epochs held in files that `write_epochs` wrote, as `EpochDataset.x`.
+    """(N, C, T) float32 epochs held in part files, as `EpochDataset.x`.
 
-    `parts` is each file's path and epoch count, in order. `write_cache`
-    checks and writes the epochs `ROW_BLOCK` rows at a time instead of
+    `parts` is each file's path and epoch count n, in order. A file holds
+    its n epochs channel-major: C slabs of (n, T) float32, channel c's at
+    byte c * n * T * 4, as `ulws preprocess` writes them a channel at a
+    time. `write_cache` checks and writes the epochs `ROW_BLOCK` rows at a
+    time, interleaved into (epoch, channel, sample) order, instead of
     reading them all back into memory. It has an array's `shape`, `ndim`,
     `dtype` and `nbytes`; the files stay its caller's to remove.
     """
@@ -273,19 +273,25 @@ class SpooledEpochs:
         return math.prod(self.shape) * self.dtype.itemsize
 
     def blocks(self):
-        """The epochs in row blocks, read into one buffer that the next block reuses.
-        A file whose size is not its epochs' raises InvalidDataset."""
+        """The epochs in row blocks, interleaved into one buffer that the next
+        block reuses, each channel's rows read through one slab buffer. A file
+        whose size is not its epochs' raises InvalidDataset."""
         _, c, t = self.shape
-        buf = np.empty((min(self.shape[0], ROW_BLOCK), c, t), dtype=np.float32)
+        rows = min(self.shape[0], ROW_BLOCK)
+        buf = np.empty((rows, c, t), dtype=np.float32)
+        slab = np.empty((rows, t), dtype=np.float32)
         for path, n in self.parts:
             with open(path, "rb") as fh:
                 size = os.fstat(fh.fileno()).st_size
                 if size != n * c * t * buf.itemsize:
                     raise InvalidDataset(f"{path}: {size} bytes for {n} epochs")
                 for lo in range(0, n, ROW_BLOCK):
-                    block = buf[: min(ROW_BLOCK, n - lo)]
-                    container.read_exact(fh, block)
-                    yield block
+                    k = min(ROW_BLOCK, n - lo)
+                    for channel in range(c):
+                        fh.seek((channel * n + lo) * t * buf.itemsize)
+                        container.read_exact(fh, slab[:k])
+                        buf[:k, channel] = slab[:k]
+                    yield buf[:k]
 
 
 @dataclass
@@ -355,38 +361,45 @@ def _all_finite(x: np.ndarray) -> bool:
     return all(np.isfinite(block).all() for block in _row_blocks(x))
 
 
-def _is_eeg(label: str) -> bool:
-    return label.upper().startswith("EEG")
+def band_passed(label: str, filter_all_channels: bool) -> bool:
+    """Whether ingest band-passes the channel `label`: an EEG channel (the
+    recorded signals the filter is specified for), or any with filter_all_channels."""
+    return filter_all_channels or label.upper().startswith("EEG")
 
 
 def preprocess_record(
     record: RawRecord,
     channels: list[str],
     filter_all_channels: bool = False,
+    channel: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One record -> (x (n, C, T) float32, y (n,) uint8), x all finite.
 
-    Band-pass is applied to EEG channels only (the recorded signals the
-    filter is specified for) unless filter_all_channels is set. Each
-    channel is z-scored per record over the retained epochs. A record
-    whose epochs come out NaN or infinite raises NonFiniteSignal, and no
-    numpy warning is emitted on the way.
+    With `channel`, the index of one of `channels`, x is that channel's
+    epochs alone, (n, 1, T): a unit of `ulws preprocess`. The retained
+    epochs, the MissingChannel check and every float operation are those
+    of the whole record, so its epochs are the whole record's x[:, channel]
+    bit for bit.
+
+    Band-pass is applied to EEG channels only unless filter_all_channels
+    is set (`band_passed`). Each channel is z-scored per record over the
+    retained epochs. Epochs that come out NaN or infinite raise
+    NonFiniteSignal, after every channel's own errors, and no numpy
+    warning is emitted on the way.
 
     Channels are read from `record.psg_path` one at a time: read (into
     the filter's padded float64 buffer when band-passed), filter in
     place, epoch into one float64 buffer, z-score, round into the
     channel's slab of x, then dropped. x is channel-major, a (n, C, T)
     view on (C, n, T) memory: each channel's epochs are one contiguous
-    slab, and only the slabs written so far are touched. Its epochs are
-    interleaved into (epoch, channel, sample) order a block at a time,
-    where they are written out (`write_epochs`, `write_cache`).
+    slab, and only the slabs written so far are touched. `write_cache`
+    interleaves it into (epoch, channel, sample) order a block at a time.
 
-    A record's peak is one channel's trace (the padded float64 buffer of
-    a band-passed channel, 63 MB for 22 h at 100 Hz, or the float32 trace
+    The peak is one channel's trace (the padded float64 buffer of a
+    band-passed channel, 63 MB for 22 h at 100 Hz, or the float32 trace
     of another, 32 MB), the float64 epoch buffer (26 MB for 1,083 kept
-    epochs) and the float32 slabs done so far (13 MB a channel). The
-    benchmark's `ingest` peak fell from 274 to 236 MiB with it, 106 MiB
-    of which are the imports.
+    epochs) and the float32 slabs done so far (13 MB a channel): for one
+    channel, one slab.
     """
     # NaN or infinity in a trace is reported once, by the check at the end
     with np.errstate(invalid="ignore", over="ignore"):
@@ -406,17 +419,18 @@ def preprocess_record(
 
         t = EPOCH_SAMPLES
         n = len(retained)
+        picked = range(len(channels)) if channel is None else [channel]
         # mean() and std() sum in the order numpy takes over x[:, c] of a float64
         # (n, C, T) array, the order that fixes the cache bytes: rows T + 1 apart
         # cannot be merged into one run, like those of x[:, c]; with C == 1 that
-        # slice is one run.
+        # slice is one run. C is every channel's count, also for one channel.
         epochs = np.empty((n, t + (len(channels) > 1)))[:, :t]
         # allocated after epochs, which takes the heap memory an earlier record
         # freed, so x is mapped fresh and only the slabs it is given are resident
-        x = np.empty((len(channels), n, t), dtype=np.float32).transpose(1, 0, 2)
+        x = np.empty((len(picked), n, t), dtype=np.float32).transpose(1, 0, 2)
         with open(record.psg_path, "rb") as fh:
-            for c, label in enumerate(channels):
-                filtered = filter_all_channels or _is_eeg(label)
+            for c, label in enumerate(channels[i] for i in picked):
+                filtered = band_passed(label, filter_all_channels)
                 trace = read_signal(fh, header, record.channels[label],
                                     bandpass().padlen if filtered else 0)
                 samples = filtfilt(trace.padded, trace.pad) if filtered else trace.samples
@@ -441,12 +455,6 @@ def preprocess_record(
         raise NonFiniteSignal("preprocessed epochs hold NaN or infinity")
     y = np.array([int(lab) for _, lab in retained], dtype=np.uint8)
     return x, y
-
-
-def write_epochs(fh, x: np.ndarray) -> None:
-    """Write x's epochs to the binary file `fh` as (epoch, channel, sample) float32,
-    a channel-major x interleaved a block at a time, never whole."""
-    fh.writelines(np.ascontiguousarray(b, dtype=np.float32) for b in _row_blocks(x))
 
 
 # --- binary cache ---------------------------------------------------------

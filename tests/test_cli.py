@@ -4,9 +4,11 @@ import multiprocessing
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import weakref
 import zlib
@@ -367,8 +369,9 @@ def test_preprocess_holds_no_earlier_record_or_chunk_while_a_pair_loads(tmp_path
     monkeypatch.setattr(cli, "preprocess_record", tracked_preprocess_record)
     assert main(["preprocess", "--data-dir", str(data_dir), "--out",
                  str(tmp_path / "cache.ulws")]) == 0
-    # the raw record and the epochs of each earlier pair are gone when a pair loads
-    assert alive_at_load == [[], [False, False], [False] * 4]
+    # each unit (one channel of one pair, 12 here) loads its pair: the raw record
+    # and the epochs of every earlier unit are gone when it does
+    assert alive_at_load == [[False] * 2 * k for k in range(12)]
 
 
 PEAK_PROBE = """
@@ -426,9 +429,11 @@ def write_mixed_pairs(directory):
 
 
 def test_preprocess_outputs_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch):
-    """With 2 CPUs and every PSG counted as large, a worker takes pairs 1 and 3:
-    the truncated PSG and a good night. The cache, stdout and stderr come out
-    as with 1 CPU, and no part file is left beside the cache."""
+    """With 2 CPUs and every PSG counted as large, a worker takes units, one
+    channel of one pair each, at least the two the pool queues for it at once:
+    channel 1 of the first good night and channel 0 of the second, since the
+    largest PSG files come first. The cache, stdout and stderr come out as
+    with 1 CPU, and no part file is left beside the cache."""
     data_dir = tmp_path / "edf"
     data_dir.mkdir()
     write_mixed_pairs(data_dir)
@@ -464,26 +469,37 @@ def test_preprocess_of_small_records_starts_no_worker(tmp_path, monkeypatch):
 
 def test_preprocess_on_one_cpu_writes_every_kept_pair_to_a_part_file(tmp_path, capsys,
                                                                    monkeypatch):
-    """Every kept pair's epochs reach the cache through a part file beside it,
-    written by write_epochs, and no part file is left afterwards."""
+    """Every kept pair's epochs reach the cache through one part file beside it,
+    each channel's unit writing its own slab, band-passed channels first, and
+    no part file is left afterwards."""
     data_dir = tmp_path / "edf"
     data_dir.mkdir()
     write_mixed_pairs(data_dir)
     monkeypatch.setattr(cli, "LARGE_PSG_BYTES", 0)
     out = tmp_path / "out" / "cache.ulws"
-    written, write_epochs = [], cli.write_epochs
+    written, ingest_unit = [], cli._ingest_unit
 
-    def recording_write_epochs(fh, x):
-        written.append((Path(fh.name), len(x)))
-        write_epochs(fh, x)
+    def recording_ingest_unit(psg, hyp, channels, channel, filter_all_channels, part):
+        outcome = ingest_unit(psg, hyp, channels, channel, filter_all_channels, part)
+        written.append((psg.name[:6], channel, part, part.stat().st_size))
+        return outcome
 
-    monkeypatch.setattr(cli, "write_epochs", recording_write_epochs)
+    monkeypatch.setattr(cli, "_ingest_unit", recording_ingest_unit)
     argv = ["preprocess", "--data-dir", str(data_dir), "--out", str(out)]
     code, pools, _ = train_on_cpus(monkeypatch, 1, lambda: main(argv))
     assert code == 0 and pools == []
-    assert [n for _, n in written] == [24, 24] == [len(read_cache(out).y) // 2] * 2
-    assert all(p.parent == out.parent and p.name.startswith("cache.ulws.")
-               and p.suffix == ".part" for p, _ in written)
+    assert len(written) == 5 * 4
+    # the EEG channels' units, band-passed, before the others
+    assert {c for _, c, _, _ in written[:10]} == {0, 1}
+    slab = 24 * preprocess.EPOCH_SAMPLES * 4
+    for stem in ("SC4001", "SC4031"):  # the kept pairs
+        units = [(c, part, size) for s, c, part, size in written if s == stem]
+        assert [(c, size) for c, _, size in units] == [(c, (c + 1) * slab) for c in range(4)]
+        part = units[0][1]
+        assert {p for _, p, _ in units} == {part}
+        assert part.parent == out.parent and part.name.startswith("cache.ulws.")
+        assert part.suffix == ".part"
+    assert len(read_cache(out).y) == 2 * 24
     assert sorted(p.name for p in out.parent.iterdir()) == [
         "cache.ulws", "cache.ulws.manifest.json", "runlog.jsonl"]
     assert "skipped: 3" in capsys.readouterr().out.splitlines()
@@ -531,10 +547,184 @@ def test_a_dead_preprocess_worker_is_a_typed_error(tmp_path):
     )
     assert run.returncode == 2
     last = run.stderr.strip().splitlines()[-1]
-    assert last.startswith("error: WorkerDied: a preprocess worker exited before its record")
+    assert last.startswith("error: WorkerDied: a preprocess worker exited before its channel")
     assert 'if __name__ == "__main__":' in last
     assert "BrokenProcessPool" not in run.stderr and "Traceback" not in run.stderr
     assert sorted(out.parent.iterdir()) == []  # no cache, no part file
+
+
+NAN_IN_CHANNEL_0 = """
+import sys
+import numpy as np
+import ulws.cli
+import ulws.preprocess
+
+read_signal = ulws.preprocess.read_signal
+
+
+def read_with_nan(fh, header, i, pad):  # a spawned worker imports this script too
+    trace = read_signal(fh, header, i, pad)
+    if header.labels[i] == "EEG Fpz-Cz" and ("SC4012" in fh.name or "SC4021" in fh.name):
+        trace.samples[100] = np.nan
+    return trace
+
+
+ulws.preprocess.read_signal = read_with_nan
+if __name__ == "__main__":
+    ulws.cli.LARGE_PSG_BYTES = 0
+    ulws.cli._usable_cpus = lambda: int(sys.argv[1])
+    sys.exit(ulws.cli.main(sys.argv[2:]))
+"""
+
+
+def test_a_pairs_error_does_not_depend_on_the_process_that_ran_each_channel(tmp_path):
+    """A pair's units report the error that preprocessing its whole record
+    gives, once, on 1 CPU and on 2. SC4012 has NaN in channel 0 and a
+    constant channel 2 (DegenerateSignal, whose check comes before the
+    finiteness one), SC4021 NaN in channel 0 alone (NonFiniteSignal) and
+    SC4031 no EMG channel (MissingChannel). On 2 CPUs the worker takes at
+    least the two units the pool queues for it at once, the first PSG's
+    channel 1 and SC4012's channel 0, so the worker reports SC4012's NaN."""
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    for i, stem in enumerate(["SC4001", "SC4012", "SC4021", "SC4031", "SC4041"]):
+        write_record_pair(data_dir, stem, seed=i)
+    signals = [FixtureSignal(label, 3000, digital=sine_digital(3000 * 24, 1.0 + 2.0 * i, 100.0))
+               for i, label in enumerate(DEFAULT_CHANNELS)]
+    signals[2].digital = np.full(3000 * 24, 7, dtype=np.int16)  # EOG: one digital word
+    (data_dir / "SC4012E0-PSG.edf").write_bytes(edf_bytes(signals, n_data_records=24))
+    (data_dir / "SC4031E0-PSG.edf").write_bytes(edf_bytes(signals[:3], n_data_records=24))
+    script = tmp_path / "nan.py"
+    script.write_text(NAN_IN_CHANNEL_0)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    seen = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}" / "cache.ulws"
+        run = subprocess.run([sys.executable, str(script), str(cpus), "preprocess", "--data-dir",
+                              str(data_dir), "--out", str(out)],
+                             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        seen[cpus] = out.read_bytes(), run.stdout.replace(str(out), "OUT"), run.stderr
+    assert seen[1] == seen[2]
+    _, stdout, stderr = seen[1]
+    assert stderr.splitlines() == [
+        "warning: SC401 night 2: DegenerateSignal: channel 'EOG horizontal' constant over "
+        "retained epochs",
+        "warning: SC402 night 1: NonFiniteSignal: preprocessed epochs hold NaN or infinity",
+        "warning: SC4031E0-PSG.edf: MissingChannel: channel 'EMG submental' not in "
+        "['EEG Fpz-Cz', 'EEG Pz-Oz', 'EOG horizontal']",
+    ]
+    assert stdout.splitlines() == ["SC400 night 1: kept 24 epochs", "SC404 night 1: kept 24 epochs",
+                                   "wrote 48 epochs x 4 channels to OUT", "skipped: 3"]
+
+
+SLOW_READS = """
+import os
+import sys
+import time
+from pathlib import Path
+import ulws.cli
+import ulws.preprocess
+
+read_signal = ulws.preprocess.read_signal
+
+
+def slow_read_signal(*args):  # a spawned worker imports this script too
+    Path(__file__).with_name(f"reading.{os.getpid()}").touch()
+    time.sleep(60)
+    return read_signal(*args)
+
+
+ulws.preprocess.read_signal = slow_read_signal
+if __name__ == "__main__":
+    ulws.cli.LARGE_PSG_BYTES = 0
+    ulws.cli._usable_cpus = lambda: 2
+    sys.exit(ulws.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/<pid>/status")
+def test_ctrl_c_mid_ingest_stops_every_process_and_leaves_no_file(tmp_path):
+    """SIGINT to the run's process group, as Ctrl-C sends it, while the ulws
+    process and its worker each read a channel, a read that sleeps 60 s: the
+    run ends at once with exit code 130 and one line on stderr, no traceback
+    from any process, the worker stopped rather than awaited, and no part or
+    temp file left."""
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    for i, stem in enumerate(["SC4001", "SC4012"]):
+        write_record_pair(data_dir, stem, seed=i)
+    script = tmp_path / "slow.py"
+    script.write_text(SLOW_READS)
+    out = tmp_path / "out" / "cache.ulws"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.Popen(
+        [sys.executable, str(script), "preprocess", "--data-dir", str(data_dir), "--out", str(out)],
+        env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while len(list(tmp_path.glob("reading.*"))) < 2:  # both processes mid-read
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        workers = {int(p.suffix[1:]) for p in tmp_path.glob("reading.*")} - {run.pid}
+        assert len(workers) == 1
+        worker = workers.pop()
+        with open(f"/proc/{worker}/status") as fh:  # the worker leaves SIGINT to the ulws process
+            blocked = next(int(line.split()[1], 16) for line in fh if line.startswith("SigBlk:"))
+        assert blocked & 1 << (signal.SIGINT - 1)
+        os.killpg(run.pid, signal.SIGINT)
+        interrupted = time.monotonic()
+        stdout, stderr = run.communicate(timeout=50)
+        took = time.monotonic() - interrupted
+    finally:
+        if run.poll() is None:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.communicate()
+    assert (run.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+    assert took < 30  # the reads sleep 60 s
+    with pytest.raises(ProcessLookupError):  # stopped and reaped
+        os.kill(worker, 0)
+    assert list(out.parent.iterdir()) == []
+
+
+def test_dealt_runs_every_key_once_and_a_stuck_worker_holds_no_other_back(monkeypatch):
+    """The worker sleeps 3 s on its first key, and the pool queues one more
+    key behind it; this process runs every other key meanwhile."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ran_here = []
+
+    def here(key):
+        ran_here.append(key)
+        time.sleep(0.5 if key == 0 else 0)  # the pool has queued the worker's keys by then
+        return -key
+
+    def job(key):
+        return (3.0 if key == 1 else 0.0,)
+
+    def dealt_outcomes():
+        with cli._dealt(range(8), job, time.sleep, None, ("test", "key"), here=here) as dealt:
+            return list(dealt)
+
+    outcomes = call_with_timeout(dealt_outcomes, 120)
+    assert [key for key, _ in outcomes] == [0, 3, 4, 5, 6, 7, 1, 2]
+    assert ran_here == [0, 3, 4, 5, 6, 7]
+    assert dict(outcomes) == {key: None if key in (1, 2) else -key for key in range(8)}
+
+
+def test_dealt_stops_its_workers_on_an_interrupt_without_waiting_for_them(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    others = set(multiprocessing.active_children())  # an earlier test's idle workers
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        with cli._dealt(range(3), lambda key: (60.0,), time.sleep, None, ("test", "key"),
+                        here=lambda key: None) as dealt:
+            assert next(dealt) == (0, None)
+            workers = set(multiprocessing.active_children()) - others
+            raise KeyboardInterrupt
+    assert time.monotonic() - started < 30  # each worker key sleeps 60 s
+    assert len(workers) == 1 and not workers.pop().is_alive()
 
 
 # --- count ---------------------------------------------------------------------

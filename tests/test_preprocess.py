@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
 from oracles import best_lag, concatenated_dataset, preprocess_whole_record, sos_gain
-from ulws import container, preprocess
+from ulws import cli, container, preprocess
 from ulws.edf import HypnogramEvent, load_record, parse_hypnogram, read_signal
 from ulws.errors import (
     AllWake,
@@ -46,7 +46,6 @@ from ulws.preprocess import (
     read_cache,
     trim_wake,
     write_cache,
-    write_epochs,
 )
 from ulws.synthetic import sinusoid_dataset
 
@@ -587,13 +586,15 @@ def test_non_finite_record_raises_without_a_numpy_warning(toy_record, monkeypatc
 
 
 def write_parts(chunks, directory):
-    """Each chunk's epochs written to a part file of its own, as `ulws preprocess`
-    writes them; returns each file's path and epoch count."""
+    """Each chunk's epochs written to a part file of its own, channel-major, one
+    channel's slab after another, as `ulws preprocess` writes them; returns each
+    file's path and epoch count."""
     parts = []
     for key, x, y in chunks:
         path = directory / f"{key}.part"
         with open(path, "wb") as fh:
-            write_epochs(fh, x)
+            for c in range(x.shape[1]):
+                fh.write(np.ascontiguousarray(x[:, c]))
         parts.append((path, len(y)))
     return parts
 
@@ -638,9 +639,10 @@ def test_a_dataset_of_part_files_writes_the_bytes_of_the_collected_one(tmp_path,
     monkeypatch.setattr(container, "read_exact", counted_read_exact)
     assert dataset.n_epochs == 427
     assert write_cache(dataset, tmp_path / "parts.ulws") == want
-    # each part is read once, ROW_BLOCK rows at a time, to be checked and copied
-    row = 2 * EPOCH_SAMPLES * 4
-    assert reads == [120 * row, ROW_BLOCK * row, (300 - ROW_BLOCK) * row, 7 * row]
+    # each part is read once, ROW_BLOCK rows of each channel at a time, to be checked and copied
+    row = EPOCH_SAMPLES * 4
+    assert reads == [n * row for n in (120, 120, ROW_BLOCK, ROW_BLOCK, 300 - ROW_BLOCK,
+                                       300 - ROW_BLOCK, 7, 7)]
     assert (tmp_path / "parts.ulws").read_bytes() == collected.read_bytes()
 
 
@@ -863,10 +865,13 @@ def test_a_channel_major_record_goes_to_its_part_file_and_back_a_block_at_a_time
     slabs = np.random.default_rng(0).standard_normal((c, n, EPOCH_SAMPLES)).astype(np.float32)
     x = slabs.transpose(1, 0, 2)  # (n, C, T), as preprocess_record gives it
     part = tmp_path / "SC401.part"
+    part.touch()
 
-    def write():
-        with open(part, "wb") as fh:
-            write_epochs(fh, x)
+    def write():  # as each channel's unit of `ulws preprocess` writes its slab
+        for channel in range(c):
+            with open(part, "r+b") as fh:
+                fh.seek(channel * slabs[channel].nbytes)
+                fh.write(slabs[channel])
 
     def read_back():
         return [len(block) for block in SpooledEpochs([(part, n)], c).blocks()]
@@ -877,3 +882,35 @@ def test_a_channel_major_record_goes_to_its_part_file_and_back_a_block_at_a_time
     assert peak < x.nbytes / 2 and rows == [ROW_BLOCK] * 3 + [5]
     read = np.concatenate([block.copy() for block in SpooledEpochs([(part, n)], c).blocks()])
     assert np.array_equal(read, x)
+
+
+@pytest.mark.parametrize("filter_all", [False, True], ids=["eeg-filtered", "all-filtered"])
+def test_a_unit_peaks_at_one_trace_the_epoch_buffer_and_one_channels_epochs(tmp_path, filter_all):
+    """The traced peak of one `ulws preprocess` unit (cli._ingest_unit: load the
+    pair, preprocess one channel, write its slab) over a 6 h, 4-channel record.
+
+    It holds one padded float64 trace, the float64 epoch buffer and that
+    channel's float32 epochs, plus two filter blocks' copies: not the slabs
+    of the record's other channels (8.2 MiB each here). A channel that is
+    not band-passed holds its float32 trace, and then `std`'s float64
+    temporary over the epochs, in the padded trace's place.
+    """
+    n_epochs = 720
+    psg, hyp = tmp_path / "SC4001E0-PSG.edf", tmp_path / "SC4001EC-Hypnogram.edf"
+    psg.write_bytes(psg_bytes(n_epochs=n_epochs, seed=2))
+    hyp.write_bytes(hypnogram_bytes(stage_events(
+        [("Sleep stage W", 20), ("Sleep stage 2", n_epochs - 40), ("Sleep stage W", 20)])))
+    part = tmp_path / "SC4001.part"
+    part.touch()
+    padlen = preprocess.bandpass().padlen  # designed before the trace starts
+    whole, _ = preprocess_record(load_record(psg, hyp, CHANNELS), CHANNELS, filter_all)
+    padded_trace = 8 * (n_epochs * EPOCH_SAMPLES + 2 * padlen)
+    for c, label in enumerate(CHANNELS):
+        (what, (key, y)), peak = traced_peak(cli._ingest_unit, psg, hyp, CHANNELS, c, filter_all,
+                                             part)
+        epoch_buffer = 8 * len(y) * (EPOCH_SAMPLES + 1)
+        slab = 4 * len(y) * EPOCH_SAMPLES
+        assert peak <= padded_trace + epoch_buffer + slab + 2 * 8 * FILTER_BLOCK, label
+    # the slabs in the part file are the whole record's channels, bit for bit
+    read = np.concatenate([block.copy() for block in SpooledEpochs([(part, len(y))], 4).blocks()])
+    assert (what, key) == ("SC400 night 1", "SC400") and np.array_equal(read, whole)
