@@ -11,9 +11,13 @@ nothing here is part of the routine test gate.
 Note: in some releases the submental EMG channel is stored as a 1 Hz
 envelope; records whose requested channels are not all at 100 Hz are
 rejected. Drop EMG from --channels in that case.
+
+An existing cache in --workdir is reused only if its manifest names the
+channels that --channels asks for.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -26,6 +30,20 @@ def run(argv: list[str]) -> None:
     code = ulws(argv)
     if code != 0:
         sys.exit(code)
+
+
+def check_cached_channels(cache: Path, channels: str) -> None:
+    """Exit unless `cache` holds the comma-separated `channels`, in order, as the
+    manifest that `ulws preprocess` wrote beside it records them."""
+    manifest = cache.with_name(cache.name + ".manifest.json")
+    wanted = [c.strip() for c in channels.split(",")] if channels else DEFAULT_CHANNELS
+    try:
+        cached = json.loads(manifest.read_text())["channels"]
+    except (OSError, ValueError, KeyError) as e:
+        sys.exit(f"{cache}: cannot read its channels from {manifest}: {e!r}")
+    if cached != wanted:
+        sys.exit(f"{cache} holds channels {cached}, but --channels asks for {wanted}; "
+                 "remove the cache to rebuild it, or pass its channels")
 
 
 def main() -> None:
@@ -45,6 +63,7 @@ def main() -> None:
         run(["preprocess", "--data-dir", args.data_dir, "--out", str(cache),
              "--channels", args.channels])
     else:
+        check_cached_channels(cache, args.channels)
         print(f"reusing cache {cache}")
 
     run(["train", "--cache", str(cache), "--folds", str(args.folds),

@@ -31,25 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, complexity, container, evaluation, nn, preprocess
-from .edf import load_record, subject_key_and_night
-from .errors import (
-    BadConfig,
-    BadOutputPath,
-    ChecksumMismatch,
-    NonFiniteSignal,
-    ShapeMismatch,
-    UlwsError,
-    WorkerDied,
-)
+from .edf import subject_key_and_night
+from .errors import BadConfig, BadOutputPath, ChecksumMismatch, ShapeMismatch, UlwsError, WorkerDied
 from .evaluation import N_CLASSES
 from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .preprocess import (
-    EpochDataset,
-    SpooledEpochs,
-    preprocess_record,
-    read_cache,
-    write_cache,
-)
+from .preprocess import EpochDataset, SpooledEpochs, read_cache, write_cache
 from .training import FoldSplit, TrainConfig, _score, subject_folds, split_indices, train_fold
 
 DEFAULT_CHANNELS = ["EEG Fpz-Cz", "EEG Pz-Oz", "EOG horizontal", "EMG submental"]
@@ -80,8 +66,8 @@ CHECKPOINT, HISTORY, PREDICTIONS = "checkpoint.ulwm", "history.jsonl", "predicti
 # smaller inputs, and the many tiny ones of the tests, stay in one process.
 LARGE_PSG_BYTES = 16 << 20
 # its workers run at this niceness, from before their imports on, and yield the
-# ulws process the CPU: on the benchmark's `ingest` workload this took ~9% off
-# set-up against niceness 0 (8 alternating pairs)
+# ulws process the CPU: against niceness 0, set-up on the benchmark's `ingest`
+# workload (2 CPUs) was lower in 10 of 10 alternating pairs (1.79 s against 1.92 s)
 WORKER_NICE = 19
 
 # mallopt parameters from glibc's malloc.h
@@ -122,9 +108,14 @@ def _fold_files(fold_dir: Path) -> list[Path]:
 def _check_out(out: Path, dirs: list[Path], files: list[Path]) -> None:
     """Refuse an --out that the command's outputs could not be written to, before
     it trains or scores anything: a directory where one of `files` goes, a
-    non-directory where one of `dirs` goes, or a non-directory above --out.
-    `dirs` and `files` are every path the command writes, --out among them.
-    Creates nothing."""
+    non-directory where one of `dirs` goes, a non-directory above --out, or
+    one of `dirs` that cannot be made or written to (permissions, a read-only
+    file system). `dirs` are the directories the command writes in, `files`
+    every file it writes, --out among them.
+
+    It makes each of `dirs` and a file in it, then removes what it made, so
+    the file tree is left as it was.
+    """
     for parent in out.parents:
         if parent.exists() and not parent.is_dir():
             raise BadOutputPath(f"--out {out}: {parent} is not a directory")
@@ -133,15 +124,6 @@ def _check_out(out: Path, dirs: list[Path], files: list[Path]) -> None:
         if path.exists() and path.is_dir() != directory:
             which = "" if path == out else f": {path}"
             raise BadOutputPath(f"--out {out}{which} is {'not ' if directory else ''}a directory")
-
-
-def _probe_dirs(out: Path, dirs: list[Path]) -> None:
-    """Make each of `dirs` and a file in it, then remove what this made.
-
-    A directory that cannot be made or written to (permissions, a read-only
-    file system) then ends the command in BadOutputPath before any work,
-    not after it. The file tree is left as it was.
-    """
     made: list[Path] = []
     try:
         for directory in dirs:
@@ -194,9 +176,11 @@ _GUARD = ("a script that calls ulws.cli.main must do so under `if __name__ == \"
 
 
 @contextlib.contextmanager
-def _dealt(keys, job, fn, initializer, task: tuple[str, str], most: int | None = None, here=None):
-    """Run `fn(*job(key))` for every key over n = min(most, usable CPUs) processes,
-    `most` defaulting to len(keys), and yield an iterator of (key, outcome).
+def _dealt(jobs: dict, fn, initializer, task: tuple[str, str], most: int | None = None,
+           here=None):
+    """Run `fn(*jobs[key])` for every key of `jobs`, in its order, over
+    n = min(most, usable CPUs) processes, `most` defaulting to len(jobs), and
+    yield an iterator of (key, outcome).
 
     An outcome is what the call returned or the Exception it raised;
     WorkerDied, with `task` = (worker, work) naming them, for a worker that
@@ -213,17 +197,19 @@ def _dealt(keys, job, fn, initializer, task: tuple[str, str], most: int | None =
     starts no further key, and then it waits for the rest.
 
     The workers start with SIGINT blocked, so Ctrl-C reaches this process
-    alone. Leaving on an exception stops them without waiting for their
-    work; leaving normally cancels the keys no worker has taken, waits for
-    any still running, and lets idle workers exit while this process goes on.
+    alone. Leaving on an exception stops them with SIGTERM without waiting
+    for their work, and each removes its open `container.open_atomic`
+    temporaries as it ends; leaving normally cancels the keys no worker has
+    taken, waits for any still running, and lets idle workers exit while
+    this process goes on.
     """
-    keys = list(keys)
+    keys = list(jobs)
     n = max(1, min(len(keys) if most is None else most, _usable_cpus()))
     futures = {}  # key -> Future, for every key submitted to the workers
 
     def run_here(key):
         try:
-            return here(key) if here else fn(*job(key))
+            return here(key) if here else fn(*jobs[key])
         except Exception as e:
             return e
 
@@ -249,7 +235,8 @@ def _dealt(keys, job, fn, initializer, task: tuple[str, str], most: int | None =
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             for key in keys[1:]:
-                futures[key] = pool.submit(fn, *job(key))
+                futures[key] = pool.submit(container.removing_temporaries_on_sigterm, fn,
+                                           *jobs[key])
         except RuntimeError:
             # multiprocessing refuses to spawn from a worker still importing its script,
             # and a worker that died on start gives BrokenProcessPool, a RuntimeError too
@@ -306,50 +293,9 @@ def _psg_bytes(psg: Path) -> int:
         return 0
 
 
-def _ingest_unit(psg: Path, hyp: Path, channels: list[str], channel: int,
-                 filter_all_channels: bool, part: Path):
-    """Load one pair, preprocess its channel `channels[channel]`, and write that
-    channel's float32 epochs as its slab of the pair's file `part` (see
-    SpooledEpochs): (what, (key, y)), or (what, the UlwsError or OSError of
-    the channel). `what` names the PSG file, or the record once it has loaded."""
-    key, night = subject_key_and_night(psg)
-    what = psg.name
-    try:
-        record = load_record(psg, hyp, channels)
-        what = f"{key} night {night}"
-        x, y = preprocess_record(record, channels, filter_all_channels, channel)
-    except (UlwsError, OSError) as e:  # a bad, unreadable or vanished file skips its pair
-        return what, e.with_traceback(None)  # the traceback would hold the record
-    slab = x[:, 0]
-    with open(part, "r+b") as fh:  # made by cmd_preprocess; a failed write ends the run
-        fh.seek(channel * slab.nbytes)
-        fh.write(slab)
-    return what, (key, y)
-
-
-def _pair_outcome(units: list, part: Path, channels: list[str]):
-    """A pair's (what, outcome) from its units' in channel order, as one process
-    preprocessing the whole record gives it: the first error that is not
-    NonFiniteSignal (a load error or MissingChannel is every unit's), else the
-    first NonFiniteSignal, else (key, y) if the cache can store the key."""
-    errors = [unit for unit in units if isinstance(unit[1], Exception)]
-    if errors:
-        return next((e for e in errors if not isinstance(e[1], NonFiniteSignal)), errors[0])
-    what, (key, y) = units[0]
-    try:
-        # a key the cache cannot store, from a file name that is not UTF-8,
-        # skips its pair here rather than failing write_cache for every pair
-        EpochDataset(SpooledEpochs([(part, len(y))], len(channels)), y, [key] * len(y),
-                     channels).validate()
-    except UlwsError as e:
-        return what, e
-    return what, (key, y)
-
-
 def cmd_preprocess(args) -> int:
     out = Path(args.out)
-    _check_out(out, [], [out, *_manifest_files(out.parent, out.name)])
-    _probe_dirs(out, [out.parent])
+    _check_out(out, [out.parent], [out, *_manifest_files(out.parent, out.name)])
     data_dir = Path(args.data_dir)
     channels = [c.strip() for c in args.channels.split(",")] if args.channels else DEFAULT_CHANNELS
     pairs, skipped = _discover_pairs(data_dir)
@@ -365,22 +311,19 @@ def cmd_preprocess(args) -> int:
     # longest pairs first among them, so the shortest units come last
     units = sorted(itertools.product(range(len(pairs)), range(len(channels))),
                    key=lambda unit: (not filtered[unit[1]], -sizes[unit[0]]))
-    parts: dict[int, Path] = {}  # pair index -> the part file its channels' slabs go to
-
-    def job(unit: tuple[int, int]) -> tuple:
-        i, c = unit
-        if i not in parts:
-            fd, name = tempfile.mkstemp(suffix=".part", prefix=f"{out.name}.", dir=out.parent)
-            os.close(fd)
-            parts[i] = Path(name)
-        return (*pairs[i], channels, c, args.filter_all_channels, parts[i])
-
+    parts: list[Path] = []  # each pair's part file, which its channels' slabs go to
     done = {}  # unit -> its (what, outcome)
     kept: list[tuple[Path, int]] = []  # (part file, epochs) of each kept pair in order
     ys, keys = [], []
     large = sum(size >= LARGE_PSG_BYTES for size in sizes)
     try:
-        with _dealt(units, job, _ingest_unit, functools.partial(os.nice, WORKER_NICE),
+        for _ in pairs:
+            fd, name = tempfile.mkstemp(suffix=".part", prefix=f"{out.name}.", dir=out.parent)
+            os.close(fd)
+            parts.append(Path(name))
+        jobs = {(i, c): (*pairs[i], channels, c, args.filter_all_channels, parts[i])
+                for i, c in units}
+        with _dealt(jobs, preprocess.ingest_unit, functools.partial(os.nice, WORKER_NICE),
                     ("preprocess", "channel"), most=large) as dealt:
             # the band-pass design imports scipy.signal (~1 s): pay that as set-up,
             # while the workers start and before the first record is read
@@ -389,16 +332,15 @@ def cmd_preprocess(args) -> int:
                 if isinstance(outcome, Exception):  # a failed write or a dead worker
                     raise outcome
                 done[unit] = outcome
-        for i in range(len(pairs)):
-            what, outcome = _pair_outcome([done[i, c] for c in range(len(channels))], parts[i],
-                                          channels)
+        for i, part in enumerate(parts):
+            what, outcome = preprocess.pair_outcome([done[i, c] for c in range(len(channels))])
             if isinstance(outcome, Exception):
                 _warn(f"{what}: {type(outcome).__name__}: {outcome}")
                 skipped += 1
             else:
                 key, y = outcome
                 print(f"{what}: kept {len(y)} epochs")
-                kept.append((parts[i], len(y)))
+                kept.append((part, len(y)))
                 ys.append(y)
                 keys += [key] * len(y)
         if not kept:
@@ -407,7 +349,7 @@ def cmd_preprocess(args) -> int:
                                channels)
         cache_crc = write_cache(dataset, out)
     finally:  # once no worker writes a part any more
-        for part in parts.values():
+        for part in parts:
             part.unlink(missing_ok=True)
     print(f"wrote {dataset.n_epochs} epochs x {dataset.n_channels} channels to {out}")
     print(f"skipped: {skipped}")
@@ -498,7 +440,7 @@ def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, flo
     or the Exception it raised; a worker that died gives WorkerDied.
     """
     outcomes: dict[int, float | Exception] = {}
-    with _dealt(jobs, jobs.__getitem__, _run_fold, _keep_batch_memory, ("training", "fold"),
+    with _dealt(jobs, _run_fold, _keep_batch_memory, ("training", "fold"),
                 here=lambda i: _run_fold(*jobs[i], dataset=dataset)) as dealt:
         for i, outcome in dealt:
             outcomes[i] = outcome
@@ -528,7 +470,6 @@ def cmd_train(args) -> int:
     _check_out(out_dir, [out_dir, *fold_dirs.values()],
                [f for d in fold_dirs.values() for f in _fold_files(d)]
                + _manifest_files(out_dir, "train"))
-    _probe_dirs(out_dir, [out_dir, *fold_dirs.values()])
     jobs = {
         i: (cache_path, dataset.crc32, folds[i], mcfg,
             dataclasses.replace(tcfg, seed=tcfg.seed + i), fold_dirs[i])
@@ -680,8 +621,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     out = Path(args.out)
-    _check_out(out, [], [out, *_manifest_files(out.parent, out.name)])
-    _probe_dirs(out, [out.parent])
+    _check_out(out, [out.parent], [out, *_manifest_files(out.parent, out.name)])
     _keep_batch_memory()
     params = load_checkpoint(Path(args.checkpoint))
     dataset = read_cache(Path(args.cache))

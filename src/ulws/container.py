@@ -6,6 +6,8 @@ Writes stream their parts through one incremental CRC into a temporary
 file next to the target, then rename it over the target, so a failed or
 interrupted write leaves any existing file as it was. `open_atomic` is
 that temporary file and rename, which the CLI's text artefacts use too.
+A worker that runs its work through `removing_temporaries_on_sigterm`
+removes its open temporaries when it is stopped with SIGTERM.
 Reads fill one buffer and hand back a view of the body, so callers can
 build numpy arrays on it with `np.frombuffer` and no further copy.
 
@@ -20,11 +22,15 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import signal
 import zlib
 from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import BadMagic, ChecksumMismatch, VersionMismatch
+
+# the temporaries of this process's open_atomic blocks, for its SIGTERM handler
+_open_temporaries: set[Path] = set()
 
 
 @contextlib.contextmanager
@@ -38,6 +44,7 @@ def open_atomic(path: str | Path, mode: str = "wb", **kwargs):
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    _open_temporaries.add(tmp)  # before the file exists, so the handler never misses it
     try:
         with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
             yield fh
@@ -45,6 +52,22 @@ def open_atomic(path: str | Path, mode: str = "wb", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    finally:
+        _open_temporaries.discard(tmp)
+
+
+def _remove_temporaries_and_exit(signum, frame) -> None:
+    for tmp in list(_open_temporaries):
+        tmp.unlink(missing_ok=True)
+    os._exit(128 + signum)
+
+
+def removing_temporaries_on_sigterm(fn, *args):
+    """`fn(*args)`, in a process whose SIGTERM from now on removes the temporaries
+    of its open `open_atomic` blocks, which SIGTERM's default action leaves, and
+    then ends the process at once, as that action does."""
+    signal.signal(signal.SIGTERM, _remove_temporaries_and_exit)
+    return fn(*args)
 
 
 def write(path: str | Path, magic: bytes, version: int, parts: Iterable) -> str:

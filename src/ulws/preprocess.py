@@ -4,35 +4,17 @@ Band-pass filtering of the EEG channels, stage-text mapping, wake-period
 trimming around the main sleep span, 30-second epoching with per-record
 z-scoring, and a checksummed binary dataset cache.
 
-`preprocess_record` gives a record's finite epochs, or one channel's, or
-raises a UlwsError. It reads one channel at a time from the PSG file. A
-band-passed channel is decoded into the middle of the filter's padded
-float64 buffer (63 MB for 22 h at 100 Hz) and filtered there; another is
-read as a float32 trace (32 MB). Its retained epochs go through one
-float64 epoch buffer (26 MB for 1,083 epochs) into the channel's own
-contiguous float32 slab (13 MB).
+`preprocess_record` gives a record's finite epochs, or one channel's,
+reading one channel at a time from the PSG file, or raises a UlwsError.
 
-`ulws preprocess` (`cli.cmd_preprocess`) makes one channel of one pair
-its unit of work, so a process holds one trace, the epoch buffer and
-one slab at a time: never a whole night of every channel. Each unit
-loads its pair's header and hypnogram, preprocesses its channel, writes
-the slab into its pair's part file beside the cache, and frees what it
-allocated. The units are dealt over n = min(large PSG files, usable
-CPUs) processes, band-passed channels first and the longest pairs first
-among them. A large PSG file is at least `cli.LARGE_PSG_BYTES` (16 MiB,
-about 6 h of four 100 Hz channels), a record that takes about as long to
-ingest as a spawned worker takes to start, so small inputs run in one
-process and never start a worker. The ulws process runs the first unit
-and then each next unit that no worker has taken; n - 1 spawned
-workers, at a lower CPU priority, take the others as they free up. The
-ulws process reports the pairs in pair order, and `SpooledEpochs`
-interleaves each pair's channel slabs into the cache in that order, so
-the cache, stdout and stderr do not depend on n or on which process ran
-a unit. On the benchmark's `ingest` workload (three 22 h nights, 2
-cores) the peak RSS fell from 231 to 194 MiB with units of one channel
-instead of one record; 106 MiB of it is the imports. A script that
-calls `ulws.cli.main` must do so under `if __name__ == "__main__":`,
-because each worker imports it again.
+`ulws preprocess` works in units of one channel of one pair, so a
+process holds one trace, the epoch buffer and one slab at a time, never
+a whole night of every channel. `ingest_unit` runs a unit: it loads the
+pair's header and hypnogram, preprocesses its channel and writes that
+channel's slab into the pair's part file, in the layout `SpooledEpochs`
+reads back into the cache. `pair_outcome` gives a pair, from its units'
+outcomes, the outcome `preprocess_record` gives its whole record, so the
+cache, stdout and stderr do not depend on which process ran a unit.
 """
 
 from __future__ import annotations
@@ -49,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import container
-from .edf import SAMPLE_RATE_HZ, RawRecord, read_signal
+from .edf import SAMPLE_RATE_HZ, RawRecord, load_record, read_signal, subject_key_and_night
 from .errors import (
     AllWake,
     ChecksumMismatch,
@@ -254,10 +236,10 @@ class SpooledEpochs:
 
     `parts` is each file's path and epoch count n, in order. A file holds
     its n epochs channel-major: C slabs of (n, T) float32, channel c's at
-    byte c * n * T * 4, as `ulws preprocess` writes them a channel at a
-    time. `write_cache` checks and writes the epochs `ROW_BLOCK` rows at a
-    time, interleaved into (epoch, channel, sample) order, instead of
-    reading them all back into memory. It has an array's `shape`, `ndim`,
+    byte c * n * T * 4, as `ingest_unit` writes them a channel at a time.
+    `write_cache` checks and writes the epochs `ROW_BLOCK` rows at a time,
+    interleaved into (epoch, channel, sample) order, instead of reading
+    them all back into memory. It has an array's `shape`, `ndim`,
     `dtype` and `nbytes`; the files stay its caller's to remove.
     """
 
@@ -334,11 +316,7 @@ class EpochDataset:
             )
         if self.y.size and (self.y.min() < 0 or self.y.max() >= N_STAGES):
             raise InvalidDataset(f"labels outside [0, {N_STAGES})")
-        for name in {*self.channel_labels, *self.subject_keys}:  # the cache stores them as UTF-8
-            try:
-                name.encode("utf-8")
-            except UnicodeEncodeError:
-                raise InvalidDataset(f"{name!r} is not UTF-8 text") from None
+        _check_utf8({*self.channel_labels, *self.subject_keys})
 
     def equals(self, other: "EpochDataset") -> bool:
         return (
@@ -347,6 +325,15 @@ class EpochDataset:
             and self.subject_keys == other.subject_keys
             and self.channel_labels == other.channel_labels
         )
+
+
+def _check_utf8(names) -> None:
+    """Raise InvalidDataset for a name the cache, which stores names as UTF-8, cannot store."""
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidDataset(f"{name!r} is not UTF-8 text") from None
 
 
 def _row_blocks(x: np.ndarray | SpooledEpochs):
@@ -455,6 +442,48 @@ def preprocess_record(
         raise NonFiniteSignal("preprocessed epochs hold NaN or infinity")
     y = np.array([int(lab) for _, lab in retained], dtype=np.uint8)
     return x, y
+
+
+def ingest_unit(psg: Path, hyp: Path, channels: list[str], channel: int,
+                filter_all_channels: bool, part: Path):
+    """One unit of `ulws preprocess`: load the pair, preprocess its channel
+    `channels[channel]`, and write that channel's float32 epochs as its slab
+    of the pair's part file `part`, which exists already (see SpooledEpochs).
+
+    Returns (what, (key, y)), or (what, the UlwsError or OSError that skips
+    the pair). `what` names the PSG file, or the record once it has loaded.
+    A failed write of the slab raises.
+    """
+    key, night = subject_key_and_night(psg)
+    what = psg.name
+    try:
+        record = load_record(psg, hyp, channels)
+        what = f"{key} night {night}"
+        x, y = preprocess_record(record, channels, filter_all_channels, channel)
+    except (UlwsError, OSError) as e:  # a bad, unreadable or vanished file skips its pair
+        return what, e.with_traceback(None)  # the traceback would hold the record
+    slab = x[:, 0]
+    with open(part, "r+b") as fh:
+        fh.seek(channel * slab.nbytes)
+        fh.write(slab)
+    return what, (key, y)
+
+
+def pair_outcome(units: list):
+    """A pair's (what, outcome) from its units' `ingest_unit` results in channel
+    order, as `preprocess_record` gives the whole record: the first error that
+    is not NonFiniteSignal (a load error or MissingChannel is every unit's),
+    else the first NonFiniteSignal, else (key, y) if the cache can store the
+    key, which is checked last."""
+    errors = [unit for unit in units if isinstance(unit[1], Exception)]
+    if errors:
+        return next((e for e in errors if not isinstance(e[1], NonFiniteSignal)), errors[0])
+    what, (key, _) = units[0]
+    try:
+        _check_utf8([key])  # a key the cache cannot store skips its pair, not every pair
+    except InvalidDataset as e:
+        return what, e
+    return units[0]
 
 
 # --- binary cache ---------------------------------------------------------

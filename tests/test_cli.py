@@ -281,7 +281,7 @@ def test_preprocess_skips_a_psg_removed_after_its_header_was_read(tmp_path, caps
             psg.unlink()  # preprocess_record opens the PSG again to read its channels
         return record
 
-    monkeypatch.setattr(cli, "load_record", load_then_remove)
+    monkeypatch.setattr(preprocess, "load_record", load_then_remove)
     out = tmp_path / "cache.ulws"
     assert main(["preprocess", "--data-dir", str(data_dir), "--out", str(out)]) == 0
     captured = capsys.readouterr()
@@ -365,8 +365,8 @@ def test_preprocess_holds_no_earlier_record_or_chunk_while_a_pair_loads(tmp_path
         chunks.append(weakref.ref(x.base))  # the memory of x, which is a channel-major view
         return x, y
 
-    monkeypatch.setattr(cli, "load_record", tracked_load_record)
-    monkeypatch.setattr(cli, "preprocess_record", tracked_preprocess_record)
+    monkeypatch.setattr(preprocess, "load_record", tracked_load_record)
+    monkeypatch.setattr(preprocess, "preprocess_record", tracked_preprocess_record)
     assert main(["preprocess", "--data-dir", str(data_dir), "--out",
                  str(tmp_path / "cache.ulws")]) == 0
     # each unit (one channel of one pair, 12 here) loads its pair: the raw record
@@ -477,14 +477,14 @@ def test_preprocess_on_one_cpu_writes_every_kept_pair_to_a_part_file(tmp_path, c
     write_mixed_pairs(data_dir)
     monkeypatch.setattr(cli, "LARGE_PSG_BYTES", 0)
     out = tmp_path / "out" / "cache.ulws"
-    written, ingest_unit = [], cli._ingest_unit
+    written, ingest_unit = [], preprocess.ingest_unit
 
     def recording_ingest_unit(psg, hyp, channels, channel, filter_all_channels, part):
         outcome = ingest_unit(psg, hyp, channels, channel, filter_all_channels, part)
         written.append((psg.name[:6], channel, part, part.stat().st_size))
         return outcome
 
-    monkeypatch.setattr(cli, "_ingest_unit", recording_ingest_unit)
+    monkeypatch.setattr(preprocess, "ingest_unit", recording_ingest_unit)
     argv = ["preprocess", "--data-dir", str(data_dir), "--out", str(out)]
     code, pools, _ = train_on_cpus(monkeypatch, 1, lambda: main(argv))
     assert code == 0 and pools == []
@@ -689,6 +689,68 @@ def test_ctrl_c_mid_ingest_stops_every_process_and_leaves_no_file(tmp_path):
     assert list(out.parent.iterdir()) == []
 
 
+SLOW_WRITES = """
+import contextlib
+import os
+import sys
+import time
+from pathlib import Path
+import ulws.cli
+import ulws.container
+
+open_atomic = ulws.container.open_atomic
+
+
+@contextlib.contextmanager
+def slow_open_atomic(path, *args, **kwargs):  # a spawned worker imports this script too
+    with open_atomic(path, *args, **kwargs) as fh:
+        Path(__file__).with_name(f"writing.{os.getpid()}").touch()
+        time.sleep(60)
+        yield fh
+
+
+ulws.container.open_atomic = slow_open_atomic
+if __name__ == "__main__":
+    ulws.cli._usable_cpus = lambda: 2
+    sys.exit(ulws.cli.main(sys.argv[1:]))
+"""
+
+
+def test_ctrl_c_mid_train_leaves_no_temporary_file(toy_cache, configs, tmp_path):
+    """SIGINT to the run's process group while the ulws process and its fold
+    worker each write a fold's checkpoint through open_atomic, a write that
+    sleeps 60 s: the run ends at once with exit code 130 and one line on
+    stderr, and neither process leaves its temporary file under --out."""
+    script = tmp_path / "slow.py"
+    script.write_text(SLOW_WRITES)
+    out = tmp_path / "run"
+    model_cfg, train_cfg = configs
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.Popen(
+        [sys.executable, str(script), "train", "--cache", str(toy_cache), "--model-config",
+         str(model_cfg), "--train-config", str(train_cfg), "--folds", "2", "--out", str(out)],
+        env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while len(list(tmp_path.glob("writing.*"))) < 2:  # both processes mid-write
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        assert len(list(out.rglob("*.tmp"))) == 2
+        os.killpg(run.pid, signal.SIGINT)
+        interrupted = time.monotonic()
+        stdout, stderr = run.communicate(timeout=50)
+        took = time.monotonic() - interrupted
+    finally:
+        if run.poll() is None:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.communicate()
+    assert (run.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+    assert took < 30  # the writes sleep 60 s
+    assert list(out.rglob("*.tmp")) == []
+
+
 def test_dealt_runs_every_key_once_and_a_stuck_worker_holds_no_other_back(monkeypatch):
     """The worker sleeps 3 s on its first key, and the pool queues one more
     key behind it; this process runs every other key meanwhile."""
@@ -704,7 +766,8 @@ def test_dealt_runs_every_key_once_and_a_stuck_worker_holds_no_other_back(monkey
         return (3.0 if key == 1 else 0.0,)
 
     def dealt_outcomes():
-        with cli._dealt(range(8), job, time.sleep, None, ("test", "key"), here=here) as dealt:
+        with cli._dealt({key: job(key) for key in range(8)}, time.sleep, None, ("test", "key"),
+                        here=here) as dealt:
             return list(dealt)
 
     outcomes = call_with_timeout(dealt_outcomes, 120)
@@ -718,7 +781,7 @@ def test_dealt_stops_its_workers_on_an_interrupt_without_waiting_for_them(monkey
     others = set(multiprocessing.active_children())  # an earlier test's idle workers
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        with cli._dealt(range(3), lambda key: (60.0,), time.sleep, None, ("test", "key"),
+        with cli._dealt(dict.fromkeys(range(3), (60.0,)), time.sleep, None, ("test", "key"),
                         here=lambda key: None) as dealt:
             assert next(dealt) == (0, None)
             workers = set(multiprocessing.active_children()) - others
@@ -1339,7 +1402,7 @@ def test_a_bad_out_is_refused_before_any_work(toy_cache, configs, tmp_path, caps
     def unreachable(*args, **kwargs):
         pytest.fail(f"{command} called {expensive} with a bad --out")
 
-    monkeypatch.setattr(cli, expensive, unreachable)
+    monkeypatch.setattr(preprocess if expensive == "load_record" else cli, expensive, unreachable)
     before = sorted(tmp_path.rglob("*"))
     model_cfg, train_cfg = configs
     argv = {
@@ -1401,7 +1464,7 @@ def test_an_unwritable_out_directory_is_refused_before_any_work(toy_cache, tmp_p
         return mkdir(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "mkdir", refusing_out_dir)
-    monkeypatch.setattr(cli, "load_record", lambda *args: work.append(args))
+    monkeypatch.setattr(preprocess, "load_record", lambda *args: work.append(args))
     monkeypatch.setattr(model, "model_forward", lambda *args, **kwargs: work.append(args))
     argv = {
         "preprocess": ["--data-dir", str(data_dir)],

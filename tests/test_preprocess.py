@@ -15,16 +15,19 @@ from hypothesis import strategies as st
 
 from edf_fixtures import FixtureSignal, edf_bytes, hypnogram_bytes, psg_bytes, sine_digital
 from oracles import best_lag, concatenated_dataset, preprocess_whole_record, sos_gain
-from ulws import cli, container, preprocess
+from ulws import container, preprocess
 from ulws.edf import HypnogramEvent, load_record, parse_hypnogram, read_signal
 from ulws.errors import (
     AllWake,
     BadMagic,
     ChecksumMismatch,
     EpochAlignmentError,
+    DegenerateSignal,
     InvalidDataset,
+    MissingChannel,
     NonFiniteSignal,
     SignalTooShort,
+    TruncatedData,
     UnknownLabel,
     VersionMismatch,
 )
@@ -886,7 +889,7 @@ def test_a_channel_major_record_goes_to_its_part_file_and_back_a_block_at_a_time
 
 @pytest.mark.parametrize("filter_all", [False, True], ids=["eeg-filtered", "all-filtered"])
 def test_a_unit_peaks_at_one_trace_the_epoch_buffer_and_one_channels_epochs(tmp_path, filter_all):
-    """The traced peak of one `ulws preprocess` unit (cli._ingest_unit: load the
+    """The traced peak of one `ulws preprocess` unit (preprocess.ingest_unit: load the
     pair, preprocess one channel, write its slab) over a 6 h, 4-channel record.
 
     It holds one padded float64 trace, the float64 epoch buffer and that
@@ -906,11 +909,51 @@ def test_a_unit_peaks_at_one_trace_the_epoch_buffer_and_one_channels_epochs(tmp_
     whole, _ = preprocess_record(load_record(psg, hyp, CHANNELS), CHANNELS, filter_all)
     padded_trace = 8 * (n_epochs * EPOCH_SAMPLES + 2 * padlen)
     for c, label in enumerate(CHANNELS):
-        (what, (key, y)), peak = traced_peak(cli._ingest_unit, psg, hyp, CHANNELS, c, filter_all,
-                                             part)
+        (what, (key, y)), peak = traced_peak(preprocess.ingest_unit, psg, hyp, CHANNELS, c,
+                                             filter_all, part)
         epoch_buffer = 8 * len(y) * (EPOCH_SAMPLES + 1)
         slab = 4 * len(y) * EPOCH_SAMPLES
         assert peak <= padded_trace + epoch_buffer + slab + 2 * 8 * FILTER_BLOCK, label
     # the slabs in the part file are the whole record's channels, bit for bit
     read = np.concatenate([block.copy() for block in SpooledEpochs([(part, len(y))], 4).blocks()])
     assert (what, key) == ("SC400 night 1", "SC400") and np.array_equal(read, whole)
+
+
+def _pair(*outcomes, what="SC400 night 1", key="SC400"):
+    """A pair's units, in channel order: each outcome an error, or None for kept epochs."""
+    y = np.zeros(24, dtype=np.uint8)
+    return [(what, (key, y) if outcome is None else outcome) for outcome in outcomes]
+
+
+NON_UTF8 = os.fsdecode(b"SC40\xff")  # the key of a PSG file name that is not UTF-8
+PAIR_OUTCOMES = {
+    # load_record's errors are every unit's, and the record never loaded
+    "load-error": (_pair(*[TruncatedData("data ends early")] * 4, what="SC4001E0-PSG.edf"),
+                   ("SC4001E0-PSG.edf", "TruncatedData: data ends early")),
+    "missing-channel": (_pair(*[MissingChannel("no EMG")] * 4, what="SC4001E0-PSG.edf"),
+                        ("SC4001E0-PSG.edf", "MissingChannel: no EMG")),
+    # a channel's own error beats NaN in an earlier channel, whose check comes last
+    "constant-after-nan": (_pair(None, NonFiniteSignal("NaN"), None, DegenerateSignal("flat")),
+                           ("SC400 night 1", "DegenerateSignal: flat")),
+    "nan": (_pair(None, NonFiniteSignal("NaN in 1"), NonFiniteSignal("NaN in 2"), None),
+            ("SC400 night 1", "NonFiniteSignal: NaN in 1")),
+    "non-utf8-key": (_pair(None, None, None, None, what="SC40\udcff night 1", key=NON_UTF8),
+                     ("SC40\udcff night 1", "InvalidDataset: 'SC40\\udcff' is not UTF-8 text")),
+    # the key is checked last, once every channel has its epochs
+    "non-utf8-key-and-nan": (_pair(None, NonFiniteSignal("NaN"), None, None, key=NON_UTF8),
+                             ("SC400 night 1", "NonFiniteSignal: NaN")),
+    "kept": (_pair(None, None, None, None), ("SC400 night 1", ("SC400", 24))),
+}
+
+
+@pytest.mark.parametrize("units, reported", PAIR_OUTCOMES.values(), ids=PAIR_OUTCOMES.keys())
+def test_a_pairs_outcome_from_its_units_is_that_of_its_whole_record(units, reported):
+    """pair_outcome gives the error that preprocess_record raises for the whole
+    record, else the kept epochs if the cache can store the key; here as
+    `ulws preprocess` reports it."""
+    what, outcome = preprocess.pair_outcome(units)
+    if isinstance(outcome, Exception):
+        assert (what, f"{type(outcome).__name__}: {outcome}") == reported
+    else:
+        key, y = outcome
+        assert (what, (key, len(y))) == reported
