@@ -12,8 +12,9 @@ Note: in some releases the submental EMG channel is stored as a 1 Hz
 envelope; records whose requested channels are not all at 100 Hz are
 rejected. Drop EMG from --channels in that case.
 
-An existing cache in --workdir is reused only if its manifest names the
-channels that --channels asks for.
+An existing cache in --workdir is reused only if it is the file its
+manifest names by CRC-32, and that manifest names the channels that
+--channels asks for.
 """
 
 import argparse
@@ -23,6 +24,8 @@ from pathlib import Path
 
 from ulws.cli import DEFAULT_CHANNELS
 from ulws.cli import main as ulws
+from ulws.errors import UlwsError
+from ulws.preprocess import read_cache
 
 
 def run(argv: list[str]) -> None:
@@ -32,15 +35,29 @@ def run(argv: list[str]) -> None:
         sys.exit(code)
 
 
-def check_cached_channels(cache: Path, channels: str) -> None:
-    """Exit unless `cache` holds the comma-separated `channels`, in order, as the
-    manifest that `ulws preprocess` wrote beside it records them."""
+def check_cache(cache: Path, channels: str) -> None:
+    """Exit unless `cache` is the file whose CRC-32 the manifest that `ulws
+    preprocess` wrote beside it names, and holds the comma-separated
+    `channels`, in order, as that manifest records them.
+
+    A cache rewritten after its manifest, as when the manifest's write
+    failed, sits beside the manifest of an earlier cache, whose channels
+    say nothing about it.
+    """
     manifest = cache.with_name(cache.name + ".manifest.json")
     wanted = [c.strip() for c in channels.split(",")] if channels else DEFAULT_CHANNELS
     try:
-        cached = json.loads(manifest.read_text())["channels"]
+        recorded = json.loads(manifest.read_text())
+        cached, named = recorded["channels"], recorded["cache_crc32"]
     except (OSError, ValueError, KeyError) as e:
-        sys.exit(f"{cache}: cannot read its channels from {manifest}: {e!r}")
+        sys.exit(f"{cache}: cannot read its channels and CRC-32 from {manifest}: {e!r}")
+    try:
+        crc = read_cache(cache).crc32
+    except (UlwsError, OSError) as e:
+        crc = f"unreadable ({type(e).__name__}: {e})"
+    if crc != named:
+        sys.exit(f"{cache}: CRC-32 is {crc}, but {manifest} names {named}; "
+                 "remove the cache to rebuild it")
     if cached != wanted:
         sys.exit(f"{cache} holds channels {cached}, but --channels asks for {wanted}; "
                  "remove the cache to rebuild it, or pass its channels")
@@ -63,7 +80,7 @@ def main() -> None:
         run(["preprocess", "--data-dir", args.data_dir, "--out", str(cache),
              "--channels", args.channels])
     else:
-        check_cached_channels(cache, args.channels)
+        check_cache(cache, args.channels)
         print(f"reusing cache {cache}")
 
     run(["train", "--cache", str(cache), "--folds", str(args.folds),

@@ -23,6 +23,7 @@ import os
 import signal
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -176,27 +177,26 @@ _GUARD = ("a script that calls ulws.cli.main must do so under `if __name__ == \"
 
 
 @contextlib.contextmanager
-def _dealt(jobs: dict, fn, initializer, task: tuple[str, str], most: int | None = None,
-           here=None):
+def _dealt(jobs: dict, fn, initializer, task: tuple[str, str], most: int | None = None):
     """Run `fn(*jobs[key])` for every key of `jobs`, in its order, over
     n = min(most, usable CPUs) processes, `most` defaulting to len(jobs), and
     yield an iterator of (key, outcome).
 
     An outcome is what the call returned or the Exception it raised;
     WorkerDied, with `task` = (worker, work) naming them, for a worker that
-    exited before it returned. This process runs `keys[0]` itself, with
-    `here(key)` in place of the call if given, and submits every other key
-    at once to n - 1 workers, each started by `initializer`. They are
-    spawned, not forked, because this process may already run BLAS
-    threads, and they start while it sets up. It then walks the keys in
-    order and runs itself each one whose Future it can still cancel, one
-    that no worker has taken: the pool holds at most n keys for its n - 1
-    workers (it queues one call beyond them), so this process keeps
-    `keys[0]` and never idles while a key waits. Between keys it yields
-    the workers' finished outcomes, so a caller that stops at a failure
-    starts no further key, and then it waits for the rest.
+    exited before it returned. This process runs `keys[0]` itself and
+    submits every other key at once to n - 1 workers, each started by
+    `initializer`. They are spawned, not forked, because this process may
+    already run BLAS threads, and they start while it sets up. It then walks
+    the keys in order and runs itself each one whose Future it can still
+    cancel, one that no worker has taken: the pool holds at most n keys for
+    its n - 1 workers (it queues one call beyond them), so this process
+    keeps `keys[0]` and never idles while a key waits. Between keys it
+    yields the workers' finished outcomes, so a caller that stops at a
+    failure starts no further key, and then it waits for the rest.
 
-    The workers start with SIGINT blocked, so Ctrl-C reaches this process
+    The workers start with SIGINT and SIGHUP blocked, so Ctrl-C and a closed
+    terminal, which signal the whole process group, reach this process
     alone. Leaving on an exception stops them with SIGTERM without waiting
     for their work, and each removes its open `container.open_atomic`
     temporaries as it ends; leaving normally cancels the keys no worker has
@@ -209,7 +209,7 @@ def _dealt(jobs: dict, fn, initializer, task: tuple[str, str], most: int | None 
 
     def run_here(key):
         try:
-            return here(key) if here else fn(*jobs[key])
+            return fn(*jobs[key])
         except Exception as e:
             return e
 
@@ -232,7 +232,7 @@ def _dealt(jobs: dict, fn, initializer, task: tuple[str, str], most: int | None 
     try:
         # the pool spawns its workers as keys are submitted, and each inherits
         # this thread's signal mask
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGHUP})
         try:
             for key in keys[1:]:
                 futures[key] = pool.submit(container.removing_temporaries_on_sigterm, fn,
@@ -406,19 +406,18 @@ def _run_fold(
     mcfg: ModelConfig,
     tcfg: TrainConfig,
     fold_dir: Path,
-    dataset: EpochDataset | None = None,
 ) -> float:
     """Train one fold, write its checkpoint, history and predictions; return their accuracy.
 
-    Without `dataset` the cache is read from `cache_path`, and the CRC-32 that this
-    read verified must still be `cache_crc`, the one the run started from.
+    The cache is read from `cache_path`, in whichever process runs the fold, and
+    the CRC-32 that this read verified must still be `cache_crc`, the one the run
+    started from.
     """
-    if dataset is None:
-        dataset = read_cache(cache_path)
-        if dataset.crc32 != cache_crc:
-            raise ChecksumMismatch(
-                f"{cache_path}: CRC-32 is {dataset.crc32}, but training started on {cache_crc}"
-            )
+    dataset = read_cache(cache_path)
+    if dataset.crc32 != cache_crc:
+        raise ChecksumMismatch(
+            f"{cache_path}: CRC-32 is {dataset.crc32}, but training started on {cache_crc}"
+        )
     params, history, probs = train_fold(dataset, split, mcfg, tcfg)
     checkpoint, history_file, predictions = _fold_files(fold_dir)
     fold_dir.mkdir(parents=True, exist_ok=True)
@@ -431,17 +430,16 @@ def _run_fold(
     return float((probs.argmax(axis=1) == dataset.y[test_idx]).mean())
 
 
-def _train_folds(jobs: dict[int, tuple], dataset: EpochDataset) -> dict[int, float | Exception]:
+def _train_folds(jobs: dict[int, tuple]) -> dict[int, float | Exception]:
     """Run `_run_fold(*jobs[i])` for every fold i, dealt over processes by `_dealt`.
 
-    This process trains its folds on `dataset`, which it has read already;
-    each worker reads the cache by path. Once a fold fails no further fold
-    starts. Returns each fold that gave its outcome mapped to its accuracy
-    or the Exception it raised; a worker that died gives WorkerDied.
+    Every fold, in this process or a worker, reads the cache by path. Once a
+    fold fails no further fold starts. Returns each fold that gave its outcome
+    mapped to its accuracy or the Exception it raised; a worker that died
+    gives WorkerDied.
     """
     outcomes: dict[int, float | Exception] = {}
-    with _dealt(jobs, _run_fold, _keep_batch_memory, ("training", "fold"),
-                here=lambda i: _run_fold(*jobs[i], dataset=dataset)) as dealt:
+    with _dealt(jobs, _run_fold, _keep_batch_memory, ("training", "fold")) as dealt:
         for i, outcome in dealt:
             outcomes[i] = outcome
             if isinstance(outcome, Exception):
@@ -462,6 +460,8 @@ def cmd_train(args) -> int:
     _check_fits(mcfg, dataset)
     tcfg = _train_config(args)
     folds = subject_folds(dataset.subject_keys, k=args.folds, seed=tcfg.seed)
+    cache_crc = dataset.crc32
+    del dataset  # each fold reads its own, so this process holds one copy while its fold trains
     wanted = list(range(args.folds)) if args.fold == "all" else [int(args.fold)]
     out_dir = Path(args.out)
     fold_dirs = {i: out_dir / f"{FOLD_PREFIX}{i}" for i in wanted}
@@ -471,11 +471,11 @@ def cmd_train(args) -> int:
                [f for d in fold_dirs.values() for f in _fold_files(d)]
                + _manifest_files(out_dir, "train"))
     jobs = {
-        i: (cache_path, dataset.crc32, folds[i], mcfg,
+        i: (cache_path, cache_crc, folds[i], mcfg,
             dataclasses.replace(tcfg, seed=tcfg.seed + i), fold_dirs[i])
         for i in wanted
     }
-    outcomes = _train_folds(jobs, dataset)
+    outcomes = _train_folds(jobs)
     # a fold is left out only once another one has failed
     failed = next((i for i in wanted if isinstance(outcomes.get(i), Exception)), None)
     if failed is not None:
@@ -490,7 +490,7 @@ def cmd_train(args) -> int:
         "train",
         {
             "command": ["train", str(cache_path), str(out_dir)],
-            "cache_crc32": dataset.crc32,
+            "cache_crc32": cache_crc,
             "model_config": mcfg.to_dict(),
             "train_config": tcfg.to_dict(),
             "folds": args.folds,
@@ -691,16 +691,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+class _Terminated(BaseException):
+    """SIGTERM or SIGHUP, raised as SIGINT raises KeyboardInterrupt; a
+    BaseException, so that no fold or unit takes it for its outcome."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated(signum)
+
+
+@contextlib.contextmanager
+def _terminating():
+    """Raise _Terminated on SIGTERM and SIGHUP within the block, then restore
+    their handlers. Only the main thread can set them, and only a signal left
+    at its default action is taken over, so one that is ignored (as under
+    `nohup`) or handled by the caller stays so."""
+    taken = [s for s in (signal.SIGTERM, signal.SIGHUP)
+             if threading.current_thread() is threading.main_thread()
+             and signal.getsignal(s) is signal.SIG_DFL]
+    for signum in taken:
+        signal.signal(signum, _raise_terminated)
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except UlwsError as e:
-        return _fail(f"{type(e).__name__}: {e}")
-    except OSError as e:
-        return _fail(str(e))
-    except KeyboardInterrupt:  # the workers are stopped and the part and temp files gone
-        return _fail("interrupted", 130)
+        yield
+    finally:
+        for signum in taken:
+            signal.signal(signum, signal.SIG_DFL)
+
+
+def main(argv=None) -> int:
+    with _terminating():
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except UlwsError as e:
+            return _fail(f"{type(e).__name__}: {e}")
+        except OSError as e:
+            return _fail(str(e))
+        except KeyboardInterrupt:  # the workers are stopped and the part and temp files gone
+            return _fail("interrupted", 130)
+        except _Terminated as e:  # likewise
+            return _fail("terminated", 128 + e.args[0])
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import multiprocessing
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 import zlib
@@ -643,6 +645,48 @@ if __name__ == "__main__":
 """
 
 
+def signal_mid_work(tmp_path, script, argv, marker, send):
+    """Run `script` with `argv` in a new session until it and its one worker
+    have each touched `<marker>.<pid>` beside it, call `send(pid of the run,
+    pid of the worker)`, and wait for the run to end.
+
+    Returns the run's (returncode, stdout, stderr), the seconds it took to end
+    after `send`, and the worker's pid.
+    """
+    path = tmp_path / "script.py"
+    path.write_text(script)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.Popen([sys.executable, str(path), *argv], env=env, cwd=tmp_path,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                           start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while len(list(tmp_path.glob(f"{marker}.*"))) < 2:  # both processes mid-work
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        workers = {int(p.suffix[1:]) for p in tmp_path.glob(f"{marker}.*")} - {run.pid}
+        assert len(workers) == 1
+        worker = workers.pop()
+        send(run.pid, worker)
+        sent = time.monotonic()
+        stdout, stderr = run.communicate(timeout=50)
+        took = time.monotonic() - sent
+    finally:  # after a failure, the run or a worker that outlived it may hold the pipes
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(run.pid, signal.SIGKILL)
+        run.communicate()
+    return (run.returncode, stdout, stderr), took, worker
+
+
+def preprocess_argv(tmp_path):
+    """Two record pairs to ingest into tmp_path/out/cache.ulws."""
+    data_dir = tmp_path / "edf"
+    data_dir.mkdir()
+    for i, stem in enumerate(["SC4001", "SC4012"]):
+        write_record_pair(data_dir, stem, seed=i)
+    return ["preprocess", "--data-dir", str(data_dir), "--out", str(tmp_path / "out" / "cache.ulws")]
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/<pid>/status")
 def test_ctrl_c_mid_ingest_stops_every_process_and_leaves_no_file(tmp_path):
     """SIGINT to the run's process group, as Ctrl-C sends it, while the ulws
@@ -650,43 +694,56 @@ def test_ctrl_c_mid_ingest_stops_every_process_and_leaves_no_file(tmp_path):
     run ends at once with exit code 130 and one line on stderr, no traceback
     from any process, the worker stopped rather than awaited, and no part or
     temp file left."""
-    data_dir = tmp_path / "edf"
-    data_dir.mkdir()
-    for i, stem in enumerate(["SC4001", "SC4012"]):
-        write_record_pair(data_dir, stem, seed=i)
-    script = tmp_path / "slow.py"
-    script.write_text(SLOW_READS)
-    out = tmp_path / "out" / "cache.ulws"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    run = subprocess.Popen(
-        [sys.executable, str(script), "preprocess", "--data-dir", str(data_dir), "--out", str(out)],
-        env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
-    )
-    try:
-        deadline = time.monotonic() + 120
-        while len(list(tmp_path.glob("reading.*"))) < 2:  # both processes mid-read
-            assert run.poll() is None and time.monotonic() < deadline
-            time.sleep(0.05)
-        workers = {int(p.suffix[1:]) for p in tmp_path.glob("reading.*")} - {run.pid}
-        assert len(workers) == 1
-        worker = workers.pop()
+    def ctrl_c(run, worker):
         with open(f"/proc/{worker}/status") as fh:  # the worker leaves SIGINT to the ulws process
             blocked = next(int(line.split()[1], 16) for line in fh if line.startswith("SigBlk:"))
         assert blocked & 1 << (signal.SIGINT - 1)
-        os.killpg(run.pid, signal.SIGINT)
-        interrupted = time.monotonic()
-        stdout, stderr = run.communicate(timeout=50)
-        took = time.monotonic() - interrupted
-    finally:
-        if run.poll() is None:
-            os.killpg(run.pid, signal.SIGKILL)
-            run.communicate()
-    assert (run.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+        os.killpg(run, signal.SIGINT)
+
+    ended, took, worker = signal_mid_work(tmp_path, SLOW_READS, preprocess_argv(tmp_path),
+                                          "reading", ctrl_c)
+    assert ended == (130, "", "error: interrupted\n")
     assert took < 30  # the reads sleep 60 s
     with pytest.raises(ProcessLookupError):  # stopped and reaped
         os.kill(worker, 0)
-    assert list(out.parent.iterdir()) == []
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+# SIGTERM as `kill`, `timeout` or a batch scheduler sends it, to the ulws process
+# alone, and SIGHUP as a closed terminal sends it, to the whole process group
+TERMINATIONS = {
+    "kill-SIGTERM": (signal.SIGTERM, os.kill),
+    "killpg-SIGHUP": (signal.SIGHUP, os.killpg),
+}
+
+
+def check_terminated(ended, termination):
+    """The run ended as on Ctrl-C, with 128 + the signal's number. A SIGHUP
+    to the group also ends multiprocessing's resource tracker, which does not
+    block it, and the tracker's relaunch can warn around the error line."""
+    signum, _ = TERMINATIONS[termination]
+    code, stdout, stderr = ended
+    assert (code, stdout) == (128 + signum, "")
+    if termination == "kill-SIGTERM":
+        assert stderr == "error: terminated\n"
+    else:
+        assert "error: terminated" in stderr.splitlines()
+
+
+@pytest.mark.parametrize("termination", TERMINATIONS)
+def test_a_terminating_signal_mid_ingest_stops_every_process_and_leaves_no_file(tmp_path,
+                                                                                termination):
+    """SIGTERM or SIGHUP while the ulws process and its worker each read a
+    channel: the run ends at once, the worker stopped and reaped, and no part
+    or temp file is left."""
+    signum, send = TERMINATIONS[termination]
+    ended, took, worker = signal_mid_work(tmp_path, SLOW_READS, preprocess_argv(tmp_path),
+                                          "reading", lambda run, worker: send(run, signum))
+    check_terminated(ended, termination)
+    assert took < 30  # the reads sleep 60 s
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker, 0)
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 SLOW_WRITES = """
@@ -716,64 +773,75 @@ if __name__ == "__main__":
 """
 
 
+def train_argv(toy_cache, configs, tmp_path):
+    """All folds of a 2-fold run into tmp_path/run."""
+    model_cfg, train_cfg = configs
+    return ["train", "--cache", str(toy_cache), "--model-config", str(model_cfg),
+            "--train-config", str(train_cfg), "--folds", "2", "--out", str(tmp_path / "run")]
+
+
 def test_ctrl_c_mid_train_leaves_no_temporary_file(toy_cache, configs, tmp_path):
     """SIGINT to the run's process group while the ulws process and its fold
     worker each write a fold's checkpoint through open_atomic, a write that
     sleeps 60 s: the run ends at once with exit code 130 and one line on
     stderr, and neither process leaves its temporary file under --out."""
-    script = tmp_path / "slow.py"
-    script.write_text(SLOW_WRITES)
     out = tmp_path / "run"
-    model_cfg, train_cfg = configs
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    run = subprocess.Popen(
-        [sys.executable, str(script), "train", "--cache", str(toy_cache), "--model-config",
-         str(model_cfg), "--train-config", str(train_cfg), "--folds", "2", "--out", str(out)],
-        env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
-    )
-    try:
-        deadline = time.monotonic() + 120
-        while len(list(tmp_path.glob("writing.*"))) < 2:  # both processes mid-write
-            assert run.poll() is None and time.monotonic() < deadline
-            time.sleep(0.05)
+
+    def ctrl_c(run, worker):
         assert len(list(out.rglob("*.tmp"))) == 2
-        os.killpg(run.pid, signal.SIGINT)
-        interrupted = time.monotonic()
-        stdout, stderr = run.communicate(timeout=50)
-        took = time.monotonic() - interrupted
-    finally:
-        if run.poll() is None:
-            os.killpg(run.pid, signal.SIGKILL)
-            run.communicate()
-    assert (run.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+        os.killpg(run, signal.SIGINT)
+
+    ended, took, _ = signal_mid_work(tmp_path, SLOW_WRITES,
+                                     train_argv(toy_cache, configs, tmp_path), "writing", ctrl_c)
+    assert ended == (130, "", "error: interrupted\n")
     assert took < 30  # the writes sleep 60 s
     assert list(out.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("termination", TERMINATIONS)
+def test_a_terminating_signal_mid_train_stops_every_process_and_leaves_no_temporary_file(
+        toy_cache, configs, tmp_path, termination):
+    """SIGTERM or SIGHUP while the ulws process and its fold worker each
+    write a fold's checkpoint: the run ends at once, the worker stopped and
+    reaped, and neither process leaves its temporary file under --out."""
+    signum, send = TERMINATIONS[termination]
+    out = tmp_path / "run"
+
+    def terminate(run, worker):
+        assert len(list(out.rglob("*.tmp"))) == 2
+        send(run, signum)
+
+    ended, took, worker = signal_mid_work(tmp_path, SLOW_WRITES,
+                                          train_argv(toy_cache, configs, tmp_path), "writing",
+                                          terminate)
+    check_terminated(ended, termination)
+    assert took < 30  # the writes sleep 60 s
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker, 0)
+    assert list(out.rglob("*.tmp")) == []
+
+
+def sleep_then_pid(seconds):  # a spawned worker imports this module to unpickle it
+    time.sleep(seconds)
+    return os.getpid()
 
 
 def test_dealt_runs_every_key_once_and_a_stuck_worker_holds_no_other_back(monkeypatch):
     """The worker sleeps 3 s on its first key, and the pool queues one more
     key behind it; this process runs every other key meanwhile."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    ran_here = []
-
-    def here(key):
-        ran_here.append(key)
-        time.sleep(0.5 if key == 0 else 0)  # the pool has queued the worker's keys by then
-        return -key
-
-    def job(key):
-        return (3.0 if key == 1 else 0.0,)
+    # key 0 runs here while the pool queues the worker's keys
+    seconds = {key: 0.5 if key == 0 else 3.0 if key == 1 else 0.0 for key in range(8)}
 
     def dealt_outcomes():
-        with cli._dealt({key: job(key) for key in range(8)}, time.sleep, None, ("test", "key"),
-                        here=here) as dealt:
+        with cli._dealt({key: (seconds[key],) for key in range(8)}, sleep_then_pid, None,
+                        ("test", "key")) as dealt:
             return list(dealt)
 
     outcomes = call_with_timeout(dealt_outcomes, 120)
     assert [key for key, _ in outcomes] == [0, 3, 4, 5, 6, 7, 1, 2]
-    assert ran_here == [0, 3, 4, 5, 6, 7]
-    assert dict(outcomes) == {key: None if key in (1, 2) else -key for key in range(8)}
+    assert [key for key, pid in outcomes if pid == os.getpid()] == [0, 3, 4, 5, 6, 7]
+    assert dict(outcomes)[1] == dict(outcomes)[2] != os.getpid()
 
 
 def test_dealt_stops_its_workers_on_an_interrupt_without_waiting_for_them(monkeypatch):
@@ -781,9 +849,9 @@ def test_dealt_stops_its_workers_on_an_interrupt_without_waiting_for_them(monkey
     others = set(multiprocessing.active_children())  # an earlier test's idle workers
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        with cli._dealt(dict.fromkeys(range(3), (60.0,)), time.sleep, None, ("test", "key"),
-                        here=lambda key: None) as dealt:
-            assert next(dealt) == (0, None)
+        with cli._dealt({0: (0.0,), 1: (60.0,), 2: (60.0,)}, sleep_then_pid, None,
+                        ("test", "key")) as dealt:
+            assert next(dealt) == (0, os.getpid())
             workers = set(multiprocessing.active_children()) - others
             raise KeyboardInterrupt
     assert time.monotonic() - started < 30  # each worker key sleeps 60 s
@@ -1258,7 +1326,7 @@ def test_a_worker_fold_error_of_any_type_is_its_outcome(toy_cache, configs, tmp_
     mcfg, tcfg = ModelConfig.from_dict(TINY_MODEL), TrainConfig.from_dict(TINY_TRAIN)
     jobs = {i: (toy_cache, ds.crc32, splits[i], mcfg, tcfg, tmp_path / f"fold{i}")
             for i in splits}
-    outcomes, pools, _ = train_on_cpus(monkeypatch, 2, lambda: _train_folds(jobs, ds))
+    outcomes, pools, _ = train_on_cpus(monkeypatch, 2, lambda: _train_folds(jobs))
     assert pools == [1]
     assert type(outcomes[1]) is ValueError and "empty side of the split" in str(outcomes[1])
 
@@ -1323,47 +1391,78 @@ def test_dead_worker_exits_3_with_a_typed_error(toy_cache, configs, tmp_path):
     assert "BrokenProcessPool" not in run.stderr and "Traceback" not in run.stderr
 
 
-def test_run_fold_in_a_worker_rejects_a_changed_cache(toy_cache, configs, tmp_path):
-    """A cache of the same size but other content, swapped in after the run started."""
-    cache = tmp_path / "cache.ulws"
-    shutil.copyfile(toy_cache, cache)
-    assert run_train(cache, configs, tmp_path / "run") == 0
-    run_crc = json.loads((tmp_path / "run" / "train.manifest.json").read_text())["cache_crc32"]
-    ds = read_cache(cache)
-    args = (cache, run_crc, subject_folds(ds.subject_keys, k=2)[1],
-            ModelConfig.from_dict(TINY_MODEL), TrainConfig.from_dict(TINY_TRAIN))
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        assert 0.0 <= pool.submit(_run_fold, *args, tmp_path / "same").result(timeout=120) <= 1.0
-        write_cache(sinusoid_dataset(n_epochs=48, n_channels=2, epoch_samples=200,
-                                     n_subjects=4, seed=10), cache)
-        assert cache.stat().st_size == toy_cache.stat().st_size
-        assert cache.read_bytes() != toy_cache.read_bytes()
-        with pytest.raises(ChecksumMismatch, match="training started on"):
-            pool.submit(_run_fold, *args, tmp_path / "swapped").result(timeout=120)
-    assert not (tmp_path / "swapped").exists()
-
-
 def other_toy_cache(path):
     """Write a valid cache of the toy cache's size but other content to `path`."""
     write_cache(sinusoid_dataset(n_epochs=48, n_channels=2, epoch_samples=200, n_subjects=4,
                                  seed=10), path)
 
 
-def test_train_manifest_names_the_cache_it_trained_on(toy_cache, configs, tmp_path, monkeypatch):
-    """Another valid cache of the same size swapped in right after train has read its cache."""
+@pytest.mark.parametrize("run", ["train-1-cpu", "train-2-cpus", "run_fold"])
+def test_train_manifest_names_the_cache_it_trained_on(toy_cache, configs, tmp_path, capsys,
+                                                      monkeypatch, run):
+    """Another valid cache of the same size, swapped in once train has read its
+    cache: each fold reads the cache by path, in whichever process runs it, and
+    fails with ChecksumMismatch, so no manifest names bytes that were not
+    trained on. `run_fold` runs one fold in this process, on the cache the run
+    started from and then on the swapped one."""
     cache = tmp_path / "cache.ulws"
     shutil.copyfile(toy_cache, cache)
     trained_on = stored_crc(cache)
+    out = tmp_path / "run"
+    if run == "run_fold":
+        ds = read_cache(cache)
+        args = (cache, trained_on, subject_folds(ds.subject_keys, k=2)[1],
+                ModelConfig.from_dict(TINY_MODEL), TrainConfig.from_dict(TINY_TRAIN))
+        assert 0.0 <= _run_fold(*args, out / "same") <= 1.0
+        other_toy_cache(cache)
+        with pytest.raises(ChecksumMismatch, match="training started on"):
+            _run_fold(*args, out / "swapped")
+        assert not (out / "swapped").exists()
+    else:
+        def swapping_read_cache(path):
+            monkeypatch.setattr(cli, "read_cache", read_cache)  # this read alone swaps
+            dataset = read_cache(path)
+            other_toy_cache(path)
+            return dataset
 
-    def swapping_read_cache(path):
-        dataset = read_cache(path)
-        other_toy_cache(path)
-        return dataset
-
-    monkeypatch.setattr(cli, "read_cache", swapping_read_cache)
-    assert run_train(cache, configs, tmp_path / "run") == 0
+        monkeypatch.setattr(cli, "read_cache", swapping_read_cache)
+        code, _, _ = train_on_cpus(monkeypatch, 1 if run == "train-1-cpu" else 2,
+                                   lambda: run_train(cache, configs, out, fold="all"))
+        assert code == 3
+        assert capsys.readouterr() == ("", f"error: fold 0: ChecksumMismatch: {cache}: CRC-32 is "
+                                           f"{stored_crc(cache)}, but training started on "
+                                           f"{trained_on}\n")
+        # nor did a worker that took fold 1 write it: the run leaves no file
+        assert not out.exists()
     assert cache.stat().st_size == toy_cache.stat().st_size and stored_crc(cache) != trained_on
-    assert manifest_of(tmp_path / "run" / "train")["cache_crc32"] == trained_on
+    assert not (out / "train.manifest.json").exists()
+
+
+def test_the_ulws_process_holds_one_copy_of_the_cache_while_its_fold_trains(configs, tmp_path,
+                                                                            monkeypatch):
+    """On 1 CPU, the memory live when this process's fold enters train_fold:
+    the fold's own read of the cache, and none kept from the read that set the
+    run up."""
+    cache = tmp_path / "cache.ulws"
+    write_cache(sinusoid_dataset(n_epochs=400, n_channels=2, epoch_samples=200, n_subjects=4,
+                                 seed=9), cache)
+    live = []
+    train_fold = cli.train_fold
+
+    def measuring_train_fold(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.stop()  # the fold trains untraced
+        return train_fold(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "train_fold", measuring_train_fold)
+    tracemalloc.start()
+    try:
+        assert run_train(cache, configs, tmp_path / "run") == 0
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 1
+    assert live[0] < 1.5 * cache.stat().st_size + (128 << 10)
 
 
 @pytest.mark.parametrize("command, taken, kind, out_rel, expensive", [
