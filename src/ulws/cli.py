@@ -23,7 +23,6 @@ import os
 import signal
 import sys
 import tempfile
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -195,13 +194,14 @@ def _dealt(jobs: dict, fn, initializer, task: tuple[str, str], most: int | None 
     yields the workers' finished outcomes, so a caller that stops at a
     failure starts no further key, and then it waits for the rest.
 
-    The workers start with SIGINT and SIGHUP blocked, so Ctrl-C and a closed
-    terminal, which signal the whole process group, reach this process
-    alone. Leaving on an exception stops them with SIGTERM without waiting
-    for their work, and each removes its open `container.open_atomic`
-    temporaries as it ends; leaving normally cancels the keys no worker has
-    taken, waits for any still running, and lets idle workers exit while
-    this process goes on.
+    The workers and the resource tracker start with SIGINT and SIGHUP
+    blocked, so Ctrl-C and a closed terminal, which signal the whole process
+    group, reach this process alone. Leaving on an exception stops the
+    workers with SIGTERM without waiting for their work, and a busy one
+    removes its temporary as it ends (`container.ending_when_terminated`);
+    leaving normally cancels the keys no worker has taken, waits for any
+    still running, and lets idle workers exit while this process goes on.
+    A worker ends too when this process dies, even by SIGKILL.
     """
     keys = list(jobs)
     n = max(1, min(len(keys) if most is None else most, _usable_cpus()))
@@ -227,16 +227,20 @@ def _dealt(jobs: dict, fn, initializer, task: tuple[str, str], most: int | None 
     if n == 1:
         yield walk()
         return
-    pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("spawn"),
-                               initializer=initializer)
+    # the pool starts multiprocessing's resource tracker, then spawns its workers
+    # as keys are submitted, and each inherits this thread's signal mask
+    blocked = {signal.SIGINT, signal.SIGHUP}
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, blocked)
     try:
-        # the pool spawns its workers as keys are submitted, and each inherits
-        # this thread's signal mask
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGHUP})
+        pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("spawn"),
+                                   initializer=initializer)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, blocked)  # the tracker's launch unblocks SIGINT
         try:
             for key in keys[1:]:
-                futures[key] = pool.submit(container.removing_temporaries_on_sigterm, fn,
-                                           *jobs[key])
+                futures[key] = pool.submit(container.ending_when_terminated, fn, *jobs[key])
         except RuntimeError:
             # multiprocessing refuses to spawn from a worker still importing its script,
             # and a worker that died on start gives BrokenProcessPool, a RuntimeError too
@@ -691,35 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Terminated(BaseException):
-    """SIGTERM or SIGHUP, raised as SIGINT raises KeyboardInterrupt; a
-    BaseException, so that no fold or unit takes it for its outcome."""
-
-
-def _raise_terminated(signum, frame):
-    raise _Terminated(signum)
-
-
-@contextlib.contextmanager
-def _terminating():
-    """Raise _Terminated on SIGTERM and SIGHUP within the block, then restore
-    their handlers. Only the main thread can set them, and only a signal left
-    at its default action is taken over, so one that is ignored (as under
-    `nohup`) or handled by the caller stays so."""
-    taken = [s for s in (signal.SIGTERM, signal.SIGHUP)
-             if threading.current_thread() is threading.main_thread()
-             and signal.getsignal(s) is signal.SIG_DFL]
-    for signum in taken:
-        signal.signal(signum, _raise_terminated)
-    try:
-        yield
-    finally:
-        for signum in taken:
-            signal.signal(signum, signal.SIG_DFL)
-
-
 def main(argv=None) -> int:
-    with _terminating():
+    with container.terminating():
         try:
             args = build_parser().parse_args(argv)
             return args.func(args)
@@ -729,7 +706,7 @@ def main(argv=None) -> int:
             return _fail(str(e))
         except KeyboardInterrupt:  # the workers are stopped and the part and temp files gone
             return _fail("interrupted", 130)
-        except _Terminated as e:  # likewise
+        except container.Terminated as e:  # likewise
             return _fail("terminated", 128 + e.args[0])
 
 

@@ -6,8 +6,9 @@ Writes stream their parts through one incremental CRC into a temporary
 file next to the target, then rename it over the target, so a failed or
 interrupted write leaves any existing file as it was. `open_atomic` is
 that temporary file and rename, which the CLI's text artefacts use too.
-A worker that runs its work through `removing_temporaries_on_sigterm`
-removes its open temporaries when it is stopped with SIGTERM.
+Within `terminating()`, where the `ulws` process and every worker call
+run, SIGTERM and SIGHUP raise `Terminated`, so `open_atomic` removes the
+temporary of a write that they end.
 Reads fill one buffer and hand back a view of the body, so callers can
 build numpy arrays on it with `np.frombuffer` and no further copy.
 
@@ -20,17 +21,20 @@ a later open of the same path.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
+import multiprocessing
 import os
 import signal
+import threading
 import zlib
 from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import BadMagic, ChecksumMismatch, VersionMismatch
 
-# the temporaries of this process's open_atomic blocks, for its SIGTERM handler
-_open_temporaries: set[Path] = set()
+# from linux/prctl.h
+PR_SET_PDEATHSIG = 1
 
 
 @contextlib.contextmanager
@@ -44,7 +48,6 @@ def open_atomic(path: str | Path, mode: str = "wb", **kwargs):
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    _open_temporaries.add(tmp)  # before the file exists, so the handler never misses it
     try:
         with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
             yield fh
@@ -52,22 +55,65 @@ def open_atomic(path: str | Path, mode: str = "wb", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class Terminated(BaseException):
+    """SIGTERM or SIGHUP, raised as SIGINT raises KeyboardInterrupt; a
+    BaseException, so that no fold or unit takes it for its outcome."""
+
+
+def _raise_terminated(signum, frame):
+    raise Terminated(signum)
+
+
+@contextlib.contextmanager
+def terminating():
+    """Raise Terminated on SIGTERM and SIGHUP within the block, then restore
+    their handlers. Only the main thread can set them, and only a signal left
+    at its default action is taken over, so one that is ignored (as under
+    `nohup`) or handled by the caller stays so."""
+    taken = [s for s in (signal.SIGTERM, signal.SIGHUP)
+             if threading.current_thread() is threading.main_thread()
+             and signal.getsignal(s) is signal.SIG_DFL]
+    for signum in taken:
+        signal.signal(signum, _raise_terminated)
+    try:
+        yield
     finally:
-        _open_temporaries.discard(tmp)
+        for signum in taken:
+            signal.signal(signum, signal.SIG_DFL)
 
 
-def _remove_temporaries_and_exit(signum, frame) -> None:
-    for tmp in list(_open_temporaries):
-        tmp.unlink(missing_ok=True)
-    os._exit(128 + signum)
+def _die_with_parent() -> None:
+    """Have the death of the `ulws` process, even by SIGKILL, send this worker
+    SIGTERM (Linux), and end the worker now if that process is gone already.
+
+    The signal comes when the thread that spawned the worker ends, and
+    `ProcessPoolExecutor.submit` spawns workers from the submitting thread,
+    which in the CLI is the main thread.
+    """
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):  # no prctl on this platform
+        return
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    prctl(PR_SET_PDEATHSIG, signal.SIGTERM)
+    if os.getppid() != multiprocessing.parent_process().pid:  # it died before the prctl
+        os._exit(128 + signal.SIGTERM)
 
 
-def removing_temporaries_on_sigterm(fn, *args):
-    """`fn(*args)`, in a process whose SIGTERM from now on removes the temporaries
-    of its open `open_atomic` blocks, which SIGTERM's default action leaves, and
-    then ends the process at once, as that action does."""
-    signal.signal(signal.SIGTERM, _remove_temporaries_and_exit)
-    return fn(*args)
+def ending_when_terminated(fn, *args):
+    """`fn(*args)` in a pool worker, within `terminating()`. A Terminated, once
+    it has unwound `fn`'s `open_atomic` blocks, ends the worker with 128 + the
+    signal's number, where the pool's worker loop would take it for the call's
+    outcome. Between calls the signals keep their default action, which ends
+    an idle worker at once and silently."""
+    _die_with_parent()
+    with terminating():
+        try:
+            return fn(*args)
+        except Terminated as e:
+            os._exit(128 + e.args[0])
 
 
 def write(path: str | Path, magic: bytes, version: int, parts: Iterable) -> str:

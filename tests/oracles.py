@@ -151,6 +151,78 @@ def broadcast_batchnorm(x, gamma, beta, running_mean, running_var, grad_out, eps
     return y, grad_x, grad_gamma, grad_beta, running_mean, running_var
 
 
+# --- the whole model, in the paper's layer order ------------------------------
+
+def reference_forward(x, params, mode, eps=1e-3):
+    """(probs, stats) of ULW-SleepNet for (B, C, T) epochs x, in float64 and in
+    the paper's layer order, from the arrays of a model.ModelParams alone.
+
+    Each block sums a main stream, two stages of a stride-1 SAME conv, BN,
+    ReLU and max-pool, and a shortcut of two width-1 convs, each strided by
+    pool_stride. A SAME conv takes explicit taps over a zero-padded copy;
+    a separable one is a depthwise conv, then a pointwise one. Max-pool
+    windows start every pool_stride samples and end early at the input's
+    end. Global average pooling follows, then the head: dense, ReLU, dense,
+    softmax. Dropout is left out (rate 0). BN uses the batch statistics in
+    train mode, and `stats` maps each BN layer's name to them, (mean, var),
+    so that the running statistics' update can be checked; in infer mode it
+    uses the running statistics and `stats` is empty.
+
+    Assumption: the channels share one extractor, so every channel's rows
+    run through it as rows of one batch, and train-mode BN pools its
+    statistics over all of them. The paper says "channel-wise parameter
+    sharing" and no more.
+    """
+    stats = {}
+
+    def f64(a):
+        return np.asarray(a, dtype=np.float64)
+
+    def taps(h, k, stride):  # what each of k taps reads of h's SAME zero-padded copy
+        length = h.shape[2]
+        out = -(-length // stride)
+        total = max((out - 1) * stride + k - length, 0)
+        padded = np.pad(h, ((0, 0), (0, 0), (total // 2, total - total // 2)))
+        return [padded[:, :, t : t + (out - 1) * stride + 1 : stride] for t in range(k)]
+
+    def conv(h, p, stride):
+        if hasattr(p, "depthwise"):
+            depthwise = f64(p.depthwise)
+            h = sum(tap * w[:, None] for tap, w in zip(taps(h, len(depthwise), stride), depthwise))
+            return np.einsum("bml,mn->bnl", h, f64(p.pointwise)) + f64(p.bias)[:, None]
+        kernel = f64(p.kernel)
+        return sum(np.einsum("bml,mn->bnl", tap, w)
+                   for tap, w in zip(taps(h, len(kernel), stride), kernel)) + f64(p.bias)[:, None]
+
+    def batch_norm(h, p, name):
+        if mode == "train":
+            stats[name] = mean, var = h.mean(axis=(0, 2)), h.var(axis=(0, 2))
+        else:
+            mean, var = f64(p.running_mean), f64(p.running_var)
+        scale = f64(p.gamma) / np.sqrt(var + eps)
+        return (h - mean[:, None]) * scale[:, None] + f64(p.beta)[:, None]
+
+    def max_pool(h, size, stride):
+        starts = range(0, h.shape[2], stride)
+        return np.stack([h[:, :, j : j + size].max(axis=2) for j in starts], axis=2)
+
+    b, c, t = x.shape
+    h = f64(x).reshape(b * c, 1, t)
+    for i, block in enumerate(params.blocks):
+        main = h
+        for stage in (1, 2):
+            main = conv(main, getattr(block, f"main_conv{stage}"), 1)
+            main = batch_norm(main, getattr(block, f"bn{stage}"), f"blocks.{i}.bn{stage}")
+            main = max_pool(np.maximum(main, 0), block.pool_size, block.pool_stride)
+        shortcut = conv(h, block.shortcut_conv1, block.pool_stride)
+        h = main + conv(shortcut, block.shortcut_conv2, block.pool_stride)
+    features = h.mean(axis=2).reshape(b, -1)  # each epoch's channels in order
+    hidden = np.maximum(features @ f64(params.head_hidden.weight) + f64(params.head_hidden.bias), 0)
+    logits = hidden @ f64(params.head_out.weight) + f64(params.head_out.bias)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True), stats
+
+
 # --- metrics by direct pairwise counting (no confusion matrix) --------------
 
 def pairwise_accuracy(y_true, y_pred) -> float:

@@ -718,16 +718,11 @@ TERMINATIONS = {
 
 
 def check_terminated(ended, termination):
-    """The run ended as on Ctrl-C, with 128 + the signal's number. A SIGHUP
-    to the group also ends multiprocessing's resource tracker, which does not
-    block it, and the tracker's relaunch can warn around the error line."""
+    """The run ended as on Ctrl-C, with 128 + the signal's number and one line
+    on stderr: multiprocessing's resource tracker blocks SIGHUP too, so a
+    SIGHUP to the group leaves it running and silent."""
     signum, _ = TERMINATIONS[termination]
-    code, stdout, stderr = ended
-    assert (code, stdout) == (128 + signum, "")
-    if termination == "kill-SIGTERM":
-        assert stderr == "error: terminated\n"
-    else:
-        assert "error: terminated" in stderr.splitlines()
+    assert ended == (128 + signum, "", "error: terminated\n")
 
 
 @pytest.mark.parametrize("termination", TERMINATIONS)
@@ -744,6 +739,39 @@ def test_a_terminating_signal_mid_ingest_stops_every_process_and_leaves_no_file(
     with pytest.raises(ProcessLookupError):
         os.kill(worker, 0)
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def has_ended(pid):
+    """Whether process `pid` has ended: it is gone, or it is a zombie, which an
+    orphan's new parent (PID 1 of a container, say) may never reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def wait_until_ended(pid, seconds=30):
+    deadline = time.monotonic() + seconds
+    while not has_ended(pid):
+        assert time.monotonic() < deadline, f"process {pid} still runs"
+        time.sleep(0.05)
+
+
+def kill_run(run, worker):
+    os.kill(run, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+def test_a_killed_run_mid_ingest_takes_its_worker_with_it(tmp_path):
+    """SIGKILL to the ulws process alone, while it and its worker each read a
+    channel, a read that sleeps 60 s: the worker, sent SIGTERM as its parent
+    dies, ends at once. The killed process's part files may stay."""
+    ended, took, worker = signal_mid_work(tmp_path, SLOW_READS, preprocess_argv(tmp_path),
+                                          "reading", kill_run)
+    assert ended[0] == -signal.SIGKILL  # stderr unchecked: the tracker may warn of leaks
+    assert took < 30  # the worker held the stderr pipe until it ended
+    wait_until_ended(worker)
 
 
 SLOW_WRITES = """
@@ -821,6 +849,23 @@ def test_a_terminating_signal_mid_train_stops_every_process_and_leaves_no_tempor
     assert list(out.rglob("*.tmp")) == []
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+def test_a_killed_run_mid_train_takes_its_worker_and_the_workers_temporary_with_it(
+        toy_cache, configs, tmp_path):
+    """SIGKILL to the ulws process alone, while it and its fold worker each
+    write a fold's checkpoint: the worker ends at once and removes its
+    temporary. The killed process's own temporary stays, as SIGKILL leaves it."""
+    out = tmp_path / "run"
+    ended, took, worker = signal_mid_work(tmp_path, SLOW_WRITES,
+                                          train_argv(toy_cache, configs, tmp_path), "writing",
+                                          kill_run)
+    assert ended[0] == -signal.SIGKILL
+    assert took < 30  # the writes sleep 60 s
+    wait_until_ended(worker)
+    assert [p for p in out.rglob("*.tmp") if f".{worker}." in p.name] == []
+    assert not (out / "fold1" / "checkpoint.ulwm").exists()
+
+
 def sleep_then_pid(seconds):  # a spawned worker imports this module to unpickle it
     time.sleep(seconds)
     return os.getpid()
@@ -844,18 +889,32 @@ def test_dealt_runs_every_key_once_and_a_stuck_worker_holds_no_other_back(monkey
     assert dict(outcomes)[1] == dict(outcomes)[2] != os.getpid()
 
 
-def test_dealt_stops_its_workers_on_an_interrupt_without_waiting_for_them(monkeypatch):
+@pytest.mark.parametrize("worker_is", ["busy", "idle"])
+def test_dealt_stops_its_workers_on_an_interrupt_without_waiting_for_them(monkeypatch, capfd,
+                                                                          worker_is):
+    """The worker is stopped, not awaited, whether its keys sleep 60 s or it has
+    done them; an idle worker ends by SIGTERM's default action, as no handler
+    is left installed between calls. No process prints anything."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     others = set(multiprocessing.active_children())  # an earlier test's idle workers
+    seconds = 60.0 if worker_is == "busy" else 0.0
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        with cli._dealt({0: (0.0,), 1: (60.0,), 2: (60.0,)}, sleep_then_pid, None,
+        # key 0 runs here while the pool queues the worker's keys
+        with cli._dealt({0: (0.5,), 1: (seconds,), 2: (seconds,)}, sleep_then_pid, None,
                         ("test", "key")) as dealt:
             assert next(dealt) == (0, os.getpid())
+            if worker_is == "idle":
+                assert os.getpid() not in dict(dealt).values()
             workers = set(multiprocessing.active_children()) - others
             raise KeyboardInterrupt
-    assert time.monotonic() - started < 30  # each worker key sleeps 60 s
-    assert len(workers) == 1 and not workers.pop().is_alive()
+    assert time.monotonic() - started < 30  # each busy worker key sleeps 60 s
+    assert len(workers) == 1
+    worker = workers.pop()
+    assert not worker.is_alive()
+    if worker_is == "idle":
+        assert worker.exitcode == -signal.SIGTERM
+    assert capfd.readouterr() == ("", "")
 
 
 # --- count ---------------------------------------------------------------------
