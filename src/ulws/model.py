@@ -285,6 +285,8 @@ def _store_grads(grads: dict[str, np.ndarray], name: str, layer, returned: tuple
 
 @dataclass
 class DsscCache:
+    """One block's forward state; dssc_backward sets each field to None as it reads it."""
+
     conv1: nn.ConvCache
     bn1: nn.BatchNormCache | None  # None in infer mode
     pool1: nn.MaxPoolCache  # no argmax table in infer mode
@@ -319,28 +321,40 @@ def dssc_backward(
     input_grad: bool,
 ) -> np.ndarray | None:
     """Store this block's parameter gradients in `grads`; return grad_x, or None
-    without input_grad, where the block's input convs compute no input gradient."""
+    without input_grad, where the block's input convs compute no input gradient.
+
+    Consumes `cache`: each field is set to None as the backward call that
+    reads it is made, so each layer's cache is freed once that call returns,
+    not when the block's backward ends.
+    """
+
+    def take(field: str):
+        layer_cache = getattr(cache, field)
+        setattr(cache, field, None)
+        return layer_cache
 
     def backward(name: str, kernel, layer_cache, g: np.ndarray, **kw) -> np.ndarray | None:
         return _store_grads(grads, f"{prefix}.{name}", layer_cache.params,
                             kernel(layer_cache, g, **kw))
 
-    g = nn.relu_backward(cache.relu2, grad_out)
-    g = nn.maxpool1d_backward(cache.pool2, g)
-    g = backward("bn2", nn.batchnorm_backward, cache.bn2, g)
-    g = backward("main_conv2", nn.conv1d_backward, cache.conv2, g)
-    g = nn.relu_backward(cache.relu1, g)
-    g = nn.maxpool1d_backward(cache.pool1, g)
-    g = backward("bn1", nn.batchnorm_backward, cache.bn1, g)
-    g = backward("main_conv1", nn.conv1d_backward, cache.conv1, g, input_grad=input_grad)
+    g = nn.relu_backward(take("relu2"), grad_out)
+    g = nn.maxpool1d_backward(take("pool2"), g)
+    g = backward("bn2", nn.batchnorm_backward, take("bn2"), g)
+    g = backward("main_conv2", nn.conv1d_backward, take("conv2"), g)
+    g = nn.relu_backward(take("relu1"), g)
+    g = nn.maxpool1d_backward(take("pool1"), g)
+    g = backward("bn1", nn.batchnorm_backward, take("bn1"), g)
+    g = backward("main_conv1", nn.conv1d_backward, take("conv1"), g, input_grad=input_grad)
 
-    gs = backward("shortcut_conv2", nn.conv1d_backward, cache.shortcut2, grad_out)
-    gs = backward("shortcut_conv1", nn.conv1d_backward, cache.shortcut1, gs, input_grad=input_grad)
+    gs = backward("shortcut_conv2", nn.conv1d_backward, take("shortcut2"), grad_out)
+    gs = backward("shortcut_conv1", nn.conv1d_backward, take("shortcut1"), gs, input_grad=input_grad)
     return g + gs if input_grad else None
 
 
 @dataclass
 class ExtractorCache:
+    """extractor_backward pops each block cache and dropout mask off as it reads it."""
+
     blocks: list[DsscCache]
     dropout_masks: list[np.ndarray | None]
     gap_length: int
@@ -374,15 +388,29 @@ def extractor_forward(
     return feats, ExtractorCache(block_caches, masks, gap_length)
 
 
+def _check_unconsumed(cache: ExtractorCache) -> None:
+    """Raise ValueError unless `cache` is a train-mode cache no backward pass has read."""
+    if not cache.blocks or any(blk.bn1 is None for blk in cache.blocks):
+        raise ValueError("a backward pass needs the cache of a train-mode forward pass, "
+                         "and each cache serves one backward pass")
+
+
 def extractor_backward(
     cache: ExtractorCache, grad_feats: np.ndarray, grads: dict[str, np.ndarray]
 ) -> None:
-    """Store the extractor's parameter gradients in `grads`; nothing reads the input's."""
+    """Store the extractor's parameter gradients in `grads`; nothing reads the input's.
+
+    Consumes `cache`: each block's cache and dropout mask is popped off it
+    before its backward, so a block's activations are freed once its backward
+    returns. A cache that is not train-mode, or that a backward pass has
+    already read, raises ValueError before any gradient is computed.
+    """
+    _check_unconsumed(cache)
     g = nn.global_avg_pool_backward(cache.gap_length, grad_feats)
     for i in reversed(range(1, len(cache.blocks))):
-        g = dssc_backward(cache.blocks[i], g, f"blocks.{i}", grads, input_grad=True)
-        g = nn.dropout_backward(cache.dropout_masks[i - 1], g)
-    dssc_backward(cache.blocks[0], g, "blocks.0", grads, input_grad=False)
+        g = dssc_backward(cache.blocks.pop(), g, f"blocks.{i}", grads, input_grad=True)
+        g = nn.dropout_backward(cache.dropout_masks.pop(), g)
+    dssc_backward(cache.blocks.pop(), g, "blocks.0", grads, input_grad=False)
 
 
 @dataclass
@@ -446,7 +474,11 @@ def model_backward(cache: ModelCache, labels: np.ndarray) -> dict[str, np.ndarra
 
     Extractor gradients sum the per-channel contributions (the adjoint of
     parameter sharing), which the channel-stacked batch axis does for free.
+    The backward consumes the extractor's cache (see extractor_backward), so
+    its peak stays near the forward's live set; each train-mode cache serves
+    one call, and any other raises ValueError before a gradient is computed.
     """
+    _check_unconsumed(cache.extractor)
     grads: dict[str, np.ndarray] = {}
     g = nn.softmax_xent_backward(cache.probs, np.asarray(labels))
     g = _store_grads(grads, "head_out", cache.head_out,
@@ -465,8 +497,9 @@ def model_loss(cache: ModelCache, labels: np.ndarray) -> float:
     return nn.softmax_xent_forward(cache.logits, np.asarray(labels))
 
 
-def predict(params: ModelParams, x: np.ndarray, batch_size: int = 8):
-    """Infer-mode forward over all epochs: (predicted labels, probabilities).
+def predict(params: ModelParams, x: np.ndarray, batch_size: int = 8, *,
+            rows: np.ndarray | None = None):
+    """Infer-mode forward over all epochs, or over x[rows]: (predicted labels, probabilities).
 
     Rows are scored independently and the head pads every batch to a
     multiple of HEAD_ROWS rows, so the batch size changes memory and speed
@@ -477,11 +510,18 @@ def predict(params: ModelParams, x: np.ndarray, batch_size: int = 8):
     it is 98 MB, above the size that malloc serves from its heap, so every
     such array is mapped and page-faulted afresh and predict got slower,
     not faster.
+
+    Without `rows` each batch is a slice of x, a view. With an index array
+    `rows`, each batch gathers its own rows of x, so no copy of x[rows] is
+    ever made.
     """
+    def batch(i: int) -> np.ndarray:
+        return x[i : i + batch_size] if rows is None else x[rows[i : i + batch_size]]
+
     probs = np.concatenate(
         [np.zeros((0, params.config.n_classes), dtype=x.dtype)]
-        + [model_forward(x[i : i + batch_size], params, mode="infer")[0]
-           for i in range(0, len(x), batch_size)]
+        + [model_forward(batch(i), params, mode="infer")[0]
+           for i in range(0, len(x if rows is None else rows), batch_size)]
     )
     return probs.argmax(axis=1), probs
 

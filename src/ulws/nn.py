@@ -18,7 +18,10 @@ Layout contract:
 - Caches hold no more than the backward pass needs: a convolution keeps
   its unpadded input and rebuilds its GEMM columns from it. In infer mode,
   batch norm keeps nothing and max pooling builds no argmax table, so a
-  backward pass needs a train-mode forward.
+  backward pass needs a train-mode forward. No kernel keeps a reference to
+  a cache it was given, so the model's backward pass frees each layer's
+  cache once the kernel that reads it returns (see model.dssc_backward),
+  and each cache serves one backward pass.
 - A convolution builds its GEMM columns, which are (K*M + 1)/M times its
   input, a few samples at a time: at most COLUMNS_BYTES of them (or one
   sample's, if that is more) exist at once, in the forward and in the

@@ -169,11 +169,13 @@ def split_indices(dataset: EpochDataset, split: FoldSplit) -> tuple[np.ndarray, 
 
 # --- training loop -------------------------------------------------------------
 
-def _score(params: ModelParams, x_test: np.ndarray, where: str) -> tuple[np.ndarray, np.ndarray]:
-    """predict(params, x_test), or NonFiniteOutput naming `where` if a probability is not finite."""
+def _score(params: ModelParams, x: np.ndarray, where: str,
+           rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """predict(params, x, rows=rows), or NonFiniteOutput naming `where` if a
+    probability is not finite."""
     # a diverged model's NaN and overflow are reported once, by the check below
     with np.errstate(all="ignore"):
-        pred, probs = predict(params, x_test)
+        pred, probs = predict(params, x, rows=rows)
     if not np.isfinite(probs).all():
         raise NonFiniteOutput(f"{where}: the model's probabilities hold NaN or infinity")
     return pred, probs
@@ -206,7 +208,7 @@ def train_fold(
 
     x = dataset.x.astype(np.float32, copy=False)
     y = dataset.y.astype(np.int64)
-    x_test, y_test = x[test_idx], y[test_idx]
+    y_test = y[test_idx]  # the test pass gathers its batches of x: no copy of the test set
 
     params = build_model(mcfg, seed=tcfg.seed)
     state = init_adam(params)
@@ -230,7 +232,7 @@ def train_fold(
             del cache, grads
             loss_sum += loss * len(batch)
             n_seen += len(batch)
-        pred, probs = _score(params, x_test, f"fold {split.fold_index}, epoch {epoch}")
+        pred, probs = _score(params, x, f"fold {split.fold_index}, epoch {epoch}", test_idx)
         row = {
             "epoch": epoch,
             "lr": lr,
@@ -239,5 +241,5 @@ def train_fold(
         }
         history.append(row)
     if probs is None:
-        _, probs = _score(params, x_test, f"fold {split.fold_index}, initial parameters")
+        _, probs = _score(params, x, f"fold {split.fold_index}, initial parameters", test_idx)
     return params, history, probs

@@ -1289,9 +1289,9 @@ def test_train_scores_each_test_set_once_per_epoch(toy_cache, configs, tmp_path,
     train_cfg.write_text(json.dumps(dict(TINY_TRAIN, epochs=epochs)))
     scored_x = []
 
-    def recording_predict(params, x, *args):
-        scored_x.append(x.copy())
-        return predict(params, x, *args)
+    def recording_predict(params, x, *args, rows=None, **kwargs):
+        scored_x.append(x.copy() if rows is None else x[rows])  # the rows actually scored
+        return predict(params, x, *args, rows=rows, **kwargs)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(training, "predict", recording_predict)
@@ -1739,11 +1739,11 @@ def test_predict_manifest_names_the_inputs_it_read(toy_cache, configs, tmp_path,
     shutil.copyfile(toy_cache, cache)
     scored = {"checkpoint_crc32": stored_crc(checkpoint), "cache_crc32": stored_crc(cache)}
 
-    def swapping_predict(params, x, *args):
+    def swapping_predict(params, x, *args, **kwargs):
         save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=1), checkpoint)
         write_cache(sinusoid_dataset(n_epochs=48, n_channels=2, epoch_samples=200,
                                      n_subjects=4, seed=10), cache)
-        return predict(params, x, *args)
+        return predict(params, x, *args, **kwargs)
 
     monkeypatch.setattr(training, "predict", swapping_predict)
     pred_csv = tmp_path / "pred.csv"

@@ -322,6 +322,7 @@ def test_backward_computes_no_gradient_for_the_model_input(conv_type, monkeypatc
     assert {name for name, wanted in calls.items() if not wanted} == {
         "blocks.0.main_conv1", "blocks.0.shortcut_conv1"}
     feats_grad = rng.standard_normal((6, TINY.filters[-1])).astype(np.float32)
+    _, cache = model_forward(x, params, mode="train")  # a backward consumes its cache
     assert extractor_backward(cache.extractor, feats_grad, {}) is None
 
     dssc_backward = model.dssc_backward
@@ -331,11 +332,54 @@ def test_backward_computes_no_gradient_for_the_model_input(conv_type, monkeypatc
 
     monkeypatch.setattr(model, "dssc_backward", with_input_grad)
     calls.clear()
+    _, cache = model_forward(x, params, mode="train")
     reference = model_backward(cache, y)
     assert all(calls.values())
     assert set(reference) == set(grads)
     for name, g in grads.items():
         assert np.array_equal(g, reference[name]), name
+
+
+def test_backward_frees_each_layer_cache_it_has_used():
+    """model_backward pops every block cache and dropout mask off the extractor's
+    cache and empties each block cache's fields as it goes."""
+    params = build_model(dataclasses.replace(TINY, dropout_block=0.2), seed=4)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 2, 32)).astype(np.float32)
+    _, cache = model_forward(x, params, mode="train", rng=rng)
+    blocks = list(cache.extractor.blocks)
+    assert all(mask is not None for mask in cache.extractor.dropout_masks)
+    model_backward(cache, np.array([0, 2, 4]))
+    assert cache.extractor.blocks == [] and cache.extractor.dropout_masks == []
+    for blk in blocks:
+        assert all(getattr(blk, f.name) is None for f in dataclasses.fields(blk))
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_backward_refuses_a_used_or_infer_mode_cache(mode, monkeypatch):
+    """A second backward on one cache, or a backward on an infer-mode cache, raises
+    ValueError before any gradient is computed: a raise, so python -O keeps it."""
+    from ulws.model import extractor_backward
+
+    params = build_model(TINY, seed=4)
+    x = np.random.default_rng(9).standard_normal((3, 2, 32)).astype(np.float32)
+    y = np.array([0, 2, 4])
+    _, cache = model_forward(x, params, mode=mode)
+    if mode == "train":
+        model_backward(cache, y)
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("a gradient was computed from a refused cache")
+
+    for kernel in ("softmax_xent_backward", "global_avg_pool_backward", "relu_backward"):
+        monkeypatch.setattr(nn, kernel, unreachable)
+    refused = "needs the cache of a train-mode forward pass, and each cache serves one"
+    with pytest.raises(ValueError, match=refused):
+        model_backward(cache, y)
+    grads = {}
+    with pytest.raises(ValueError, match=refused):
+        extractor_backward(cache.extractor, np.ones((6, TINY.filters[-1]), np.float32), grads)
+    assert grads == {}
 
 
 def test_degenerate_forward_head_bias_gradient():
@@ -454,6 +498,18 @@ def test_model_infer_keeps_no_backward_state():
         assert blk.pool1.argmax is None and blk.pool2.argmax is None
     _, cache = model_forward(x, params, "train", rng=np.random.default_rng(2))
     assert all(blk.pool1.argmax is not None for blk in cache.extractor.blocks)
+
+
+def test_predict_scores_the_rows_it_is_given():
+    """predict(x, rows=idx) scores x[idx] bit for bit, in any order and with repeats."""
+    params = build_model(TINY, seed=6)
+    x = np.random.default_rng(9).standard_normal((20, 2, 32)).astype(np.float32)
+    rows = np.array([19, 3, 3, 0, 7, 12, 5, 11, 2, 18, 1])
+    for batch_size in (1, 3, 8):
+        labels, probs = predict(params, x, batch_size, rows=rows)
+        want_labels, want_probs = predict(params, x[rows], batch_size)
+        assert np.array_equal(probs, want_probs) and np.array_equal(labels, want_labels)
+    assert predict(params, x, rows=rows[:0])[1].shape == (0, TINY.n_classes)
 
 
 def test_predict_batches_match_single_pass():
