@@ -10,6 +10,7 @@ Diagnostics go to stderr, data to stdout; exit code 0 means no fatal error.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import contextlib
 import ctypes
 import csv
@@ -23,6 +24,7 @@ import os
 import signal
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -200,8 +202,9 @@ def _dealt(jobs: dict, fn, initializer, task: tuple[str, str], most: int | None 
     workers with SIGTERM without waiting for their work, and a busy one
     removes its temporary as it ends (`container.ending_when_terminated`);
     leaving normally cancels the keys no worker has taken, waits for any
-    still running, and lets idle workers exit while this process goes on.
-    A worker ends too when this process dies, even by SIGKILL.
+    still running, then stops the idle workers in the same way and waits
+    for the pool's manager thread, not for the workers' own exit. A worker
+    ends too when this process dies, even by SIGKILL.
     """
     keys = list(jobs)
     n = max(1, min(len(keys) if most is None else most, _usable_cpus()))
@@ -249,16 +252,28 @@ def _dealt(jobs: dict, fn, initializer, task: tuple[str, str], most: int | None 
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         yield walk()
     except BaseException:
-        # the pool's own processes, as ProcessPoolExecutor.terminate_workers
-        # (Python 3.14) stops them
-        workers = list(pool._processes.values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for worker in workers:
-            worker.terminate()
-            worker.join()
+        _stop_workers(pool)
         raise
-    pool.shutdown(wait=not all(future.done() for future in futures.values()),
-                  cancel_futures=True)
+    for future in futures.values():
+        future.cancel()
+    concurrent.futures.wait(futures.values())
+    # an exiting interpreter wakes a manager thread still alive through a pipe
+    # that the thread may have just closed, and prints the OSError
+    _stop_workers(pool).join()
+
+
+def _stop_workers(pool: ProcessPoolExecutor) -> threading.Thread:
+    """Shut `pool` down without waiting for its work: cancel the keys no
+    worker has taken, and stop the pool's own processes with SIGTERM, as
+    ProcessPoolExecutor.terminate_workers (Python 3.14) stops them. An idle
+    worker ends at once; a busy one removes its temporary as it ends. Returns
+    the pool's manager thread, which ends once it has seen the shutdown."""
+    workers, manager = list(pool._processes.values()), pool._executor_manager_thread
+    pool.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        worker.terminate()
+        worker.join()
+    return manager
 
 
 def _worker_outcome(future, worker: str, work: str):

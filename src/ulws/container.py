@@ -9,13 +9,16 @@ that temporary file and rename, which the CLI's text artefacts use too.
 Within `terminating()`, where the `ulws` process and every worker call
 run, SIGTERM and SIGHUP raise `Terminated`, so `open_atomic` removes the
 temporary of a write that they end.
-Reads fill one buffer and hand back a view of the body, so callers can
-build numpy arrays on it with `np.frombuffer` and no further copy.
+`read_verified` reads a file once, front to back, in blocks of at most
+BLOCK bytes: its caller parses the body as it streams through the CRC, and
+gets the open file back to read the body's bytes again from, so no reader
+holds a whole-file buffer. A damaged CRC is reported before any error the
+caller finds in the content it covers.
 
 The CRC-32 is also the file's identity. `write` returns the CRC it wrote
-and `read` the CRC it verified, as 8 hex digits, so a manifest or a fold
-worker's guard names the bytes this process wrote or read, never those of
-a later open of the same path.
+and `read_verified` the CRC it verified, as 8 hex digits, so a manifest or
+a fold worker's guard names the bytes this process wrote or read, never
+those of a later open of the same path.
 """
 
 from __future__ import annotations
@@ -31,10 +34,15 @@ import zlib
 from collections.abc import Iterable
 from pathlib import Path
 
-from .errors import BadMagic, ChecksumMismatch, VersionMismatch
+import numpy as np
+
+from .errors import BadMagic, ChecksumMismatch, UlwsError, VersionMismatch
 
 # from linux/prctl.h
 PR_SET_PDEATHSIG = 1
+
+# bytes a verifying read takes from the file at a time
+BLOCK = 1 << 20
 
 
 @contextlib.contextmanager
@@ -145,21 +153,77 @@ def read_exact(fh, view) -> None:
         view = view[n:]
 
 
-def read(path: str | Path, magic: bytes, version: int, kind: str) -> tuple[memoryview, str]:
-    """Check magic, CRC and version; return a writable view of the body and the CRC."""
-    with open(path, "rb") as fh:
+class Body:
+    """The body of a container file that `read_verified` is reading: the bytes
+    between the version and the CRC, in order. Every byte read, by the parser
+    or by the read of the rest that follows it, goes into the CRC."""
+
+    def __init__(self, fh, path):
+        self.fh, self.path = fh, path
+        self.remaining = os.fstat(fh.fileno()).st_size - fh.tell() - 4  # before the CRC
+        self.crc = 0
+
+    def readinto(self, view) -> None:
+        """Fill the writable buffer `view` with the next bytes of the body."""
+        view = memoryview(view).cast("B")
+        if view.nbytes > self.remaining:
+            raise ChecksumMismatch(f"{self.path}: truncated")
+        read_exact(self.fh, view)
+        self.crc = zlib.crc32(view, self.crc)
+        self.remaining -= view.nbytes
+
+    def read(self, n: int) -> bytearray:
+        buf = bytearray(n)
+        self.readinto(buf)
+        return buf
+
+    def blocks(self, n: int, dtype="u1"):
+        """The next `n` bytes of the body, a whole number of `dtype` items, as
+        arrays of `dtype` of at most BLOCK bytes, read into one buffer that the
+        next block reuses."""
+        dtype = np.dtype(dtype)
+        buf = np.empty(max(1, min(n, BLOCK) // dtype.itemsize), dtype)
+        while n:
+            block = buf[: min(n, buf.nbytes) // dtype.itemsize]
+            self.readinto(block)
+            n -= block.nbytes
+            yield block
+
+
+def read_verified(path: str | Path, magic: bytes, version: int, kind: str, parse):
+    """Check magic, CRC and version of the file at `path` in one pass; return
+    (what `parse` returned, the CRC, the open file).
+
+    `parse(body)` reads the body through `body`, a Body, as far as it needs;
+    the rest is then read in blocks. A UlwsError that `parse` raises is
+    raised once the CRC and the version have been found good, so a damaged
+    file gives ChecksumMismatch whatever its content. The open file is
+    unbuffered; the caller reads from it (with positioned reads, say) and
+    closes it.
+    """
+    fh = open(path, "rb")  # the short reads of names and sizes are buffered
+    try:
         if fh.read(len(magic)) != magic:
             raise BadMagic(f"{path}: not a {kind}")
-        size = os.fstat(fh.fileno()).st_size - len(magic)
-        if size < 5:
+        body = Body(fh, path)
+        if body.remaining < 1:
             raise ChecksumMismatch(f"{path}: truncated")
-        buf = bytearray(size)
-        read_exact(fh, buf)
-    body = memoryview(buf)[:-4]
-    crc = zlib.crc32(body)
-    if crc != int.from_bytes(buf[-4:], "little"):
-        raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
-    if body[0] != version:
-        raise VersionMismatch(f"{path}: {kind} version {body[0]}, expected {version}")
-    return body[1:], f"{crc:08x}"
-
+        found = body.read(1)[0]
+        try:
+            result, error = parse(body), None
+        except UlwsError as e:
+            result, error = None, e
+        for _ in body.blocks(body.remaining):
+            pass
+        stored = bytearray(4)
+        read_exact(fh, stored)
+        if body.crc != int.from_bytes(stored, "little"):
+            raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
+        if found != version:
+            raise VersionMismatch(f"{path}: {kind} version {found}, expected {version}")
+        if error is not None:
+            raise error
+        return result, f"{body.crc:08x}", fh.detach()
+    except BaseException:
+        fh.close()
+        raise

@@ -511,9 +511,10 @@ def predict(params: ModelParams, x: np.ndarray, batch_size: int = 8, *,
     such array is mapped and page-faulted afresh and predict got slower,
     not faster.
 
-    Without `rows` each batch is a slice of x, a view. With an index array
-    `rows`, each batch gathers its own rows of x, so no copy of x[rows] is
-    ever made.
+    Each batch is x[i : i + batch_size], or with an index array `rows` its
+    own rows of x, x[rows[i : i + batch_size]]: a view of an array x, or
+    for a cache's CacheEpochs the rows read from the file. No copy of x, or
+    of x[rows], is ever made.
     """
     def batch(i: int) -> np.ndarray:
         return x[i : i + batch_size] if rows is None else x[rows[i : i + batch_size]]
@@ -546,20 +547,27 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> ModelParams:
     from .complexity import count_flops  # complexity imports this module
 
-    body, crc = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "model checkpoint")
-    n_cfg = int.from_bytes(body[:4], "little")
-    config = ModelConfig.from_json(body[4 : 4 + n_cfg], f"{path}: config")
-    pos = 4 + n_cfg
-    # sized before anything is allocated: the trainable scalars plus each
-    # block's bn1 and bn2 running mean and variance, float32 each
-    expected = 4 * (count_flops(config).total_params + 4 * sum(config.filters))
-    if len(body) - pos != expected:
-        raise ChecksumMismatch(
-            f"{path}: payload is {len(body) - pos} bytes, its config needs {expected}"
-        )
-    params = build_model(config, seed=0, dtype=np.float32)
-    for _, arr in named_arrays(params, trainable_only=False):
-        arr[...] = np.frombuffer(body, dtype="<f4", count=arr.size, offset=pos).reshape(arr.shape)
-        pos += arr.size * 4
+    def parse(body: container.Body) -> ModelParams:
+        size = body.remaining
+        n_cfg = int.from_bytes(body.read(min(4, size)), "little")
+        config = ModelConfig.from_json(bytes(body.read(min(n_cfg, body.remaining))),
+                                       f"{path}: config")
+        # sized before anything is allocated: the trainable scalars plus each
+        # block's bn1 and bn2 running mean and variance, float32 each
+        expected = 4 * (count_flops(config).total_params + 4 * sum(config.filters))
+        if size - 4 - n_cfg != expected:
+            raise ChecksumMismatch(
+                f"{path}: payload is {size - 4 - n_cfg} bytes, its config needs {expected}"
+            )
+        params = build_model(config, seed=0, dtype=np.float32)
+        for _, arr in named_arrays(params, trainable_only=False):
+            stored = np.empty(arr.shape, dtype="<f4")
+            body.readinto(stored)
+            arr[...] = stored
+        return params
+
+    params, crc, fh = container.read_verified(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                              "model checkpoint", parse)
+    fh.close()
     params.crc32 = crc
     return params

@@ -155,18 +155,28 @@ def _gemm_backward(x: np.ndarray, taps: np.ndarray, stride: int, pad_left: int,
     k, m, n = taps.shape
     b, _, out_length = grad_out.shape
     taps_2d = taps.reshape(k * m, n)
-    # each sample's weight gradient, summed over the batch in one pass, so the sum's
-    # order does not follow the chunks
-    grad_weights = np.empty((b, k * m + 1, n), dtype=np.result_type(x, grad_out))
+    chunks = _chunks(x, k, out_length)
+    dtype = np.result_type(x, grad_out)
+    # each sample's weight gradient, one chunk at a time, after a row 0 that holds
+    # the sum of the chunks before it: numpy sums axis 0 in order, so the running
+    # sum adds the samples in the order of one sum over the whole batch
+    most = min(chunks[0].stop, b) if chunks else 0  # samples in the largest chunk
+    grad_weights = np.empty((most + (len(chunks) > 1), k * m + 1, n), dtype)
     grad_x = np.zeros((b, m, x.shape[2]), np.result_type(taps, grad_out)) if input_grad else None
-    for rows in _chunks(x, k, out_length):
+    total = None if chunks else np.zeros((k * m + 1, n), dtype)
+    for rows in chunks:
         g = grad_out[rows]
         cols = _columns(x[rows], k, stride, pad_left, out_length)
-        _matmul(cols, g.swapaxes(1, 2), out=grad_weights[rows])
+        first = 0 if total is None else 1
+        products = grad_weights[: first + len(g)]
+        _matmul(cols, g.swapaxes(1, 2), out=products[first:])
         del cols  # the columns' gradient takes their place
+        if total is not None:
+            products[0] = total
+        total = products.sum(axis=0)
         if input_grad:
             _uncolumns(_matmul(taps_2d, g), k, stride, pad_left, grad_x[rows])
-    return grad_x, grad_weights.sum(axis=0)
+    return grad_x, total
 
 
 @dataclass

@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 import os
+import weakref
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -231,7 +232,23 @@ def expand_events(events, record_epochs: int) -> list[StageClass | None]:
     return labels
 
 
-class SpooledEpochs:
+class _FileEpochs:
+    """(N, C, T) float32 epochs that stay in files, with an array's `shape`,
+    `ndim`, `dtype`, `nbytes` and length."""
+
+    ndim = 3
+    dtype = np.dtype(np.float32)
+    shape: tuple[int, int, int]
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * self.dtype.itemsize
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+
+class SpooledEpochs(_FileEpochs):
     """(N, C, T) float32 epochs held in part files, as `EpochDataset.x`.
 
     `parts` is each file's path and epoch count n, in order. A file holds
@@ -239,20 +256,12 @@ class SpooledEpochs:
     byte c * n * T * 4, as `ingest_unit` writes them a channel at a time.
     `write_cache` checks and writes the epochs `ROW_BLOCK` rows at a time,
     interleaved into (epoch, channel, sample) order, instead of reading
-    them all back into memory. It has an array's `shape`, `ndim`,
-    `dtype` and `nbytes`; the files stay its caller's to remove.
+    them all back into memory. The files stay its caller's to remove.
     """
-
-    ndim = 3
-    dtype = np.dtype(np.float32)
 
     def __init__(self, parts: list[tuple[Path, int]], n_channels: int):
         self.parts = parts
         self.shape = (sum(n for _, n in parts), n_channels, EPOCH_SAMPLES)
-
-    @property
-    def nbytes(self) -> int:
-        return math.prod(self.shape) * self.dtype.itemsize
 
     def blocks(self):
         """The epochs in row blocks, interleaved into one buffer that the next
@@ -276,14 +285,75 @@ class SpooledEpochs:
                     yield buf[:k]
 
 
+class CacheEpochs(_FileEpochs):
+    """The (N, C, T) float32 epochs of a cache that `read_cache` verified, as
+    `EpochDataset.x`, read from the file only as they are asked for.
+
+    Indexing reads the rows it names into a new float32 array: a slice, an
+    int, a list or an index array of rows, optionally followed by indices
+    into the trailing axes (`x[rows, 0]`). `np.asarray(x)` reads every row.
+    Each run of adjacent rows takes one positioned read (`os.preadv`) of the
+    descriptor that `read_cache` verified, so nothing beyond the rows asked
+    for is held, every process that reads the same cache shares the OS page
+    cache's one copy, and threads may read concurrently.
+
+    The rows come from the file that was verified: an atomic replace of its
+    path, as every ulws writer makes one, does not change them. A file
+    written in place by another program is not guarded against; one that
+    was cut short raises ChecksumMismatch on the read that comes back short.
+    The descriptor is closed when x is dropped.
+    """
+
+    def __init__(self, fh, offset: int, shape: tuple[int, int, int], path):
+        self.shape, self.path = shape, path
+        self._fd, self._offset = fh.fileno(), offset
+        self._close = weakref.finalize(self, fh.close)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the epochs are read into a new array")
+        x = self[:]
+        return x if dtype is None else x.astype(dtype, copy=False)
+
+    def __getitem__(self, key):
+        rows, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+        n = self.shape[0]
+        if isinstance(rows, slice):
+            rows = np.arange(*rows.indices(n))
+        elif (index := np.asarray(rows)).dtype.kind not in "iu":  # a mask, say: numpy's rules
+            rows = np.arange(n)[rows]
+        elif index.size and not -n <= index.min() <= index.max() < n:
+            raise IndexError(f"row index out of range for {n} epochs")
+        else:
+            rows = index.astype(np.intp, copy=False)
+        out = np.empty((rows.size, *self.shape[1:]), dtype="<f4")
+        self._read(np.where(rows < 0, rows + n, rows).ravel(), out)
+        out = out.reshape(rows.shape + self.shape[1:]).astype(np.float32, copy=False)
+        return out[(slice(None),) * rows.ndim + rest] if rest else out
+
+    def _read(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Fill out[i] with epoch rows[i], one preadv for each run of adjacent rows."""
+        row_bytes = math.prod(self.shape[1:]) * out.itemsize
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
+        for lo, hi in zip(starts, [*starts[1:], len(rows)]):
+            view = memoryview(out[lo:hi]).cast("B")
+            at = self._offset + int(rows[lo]) * row_bytes
+            while view:
+                got = os.preadv(self._fd, [view], at)
+                if not got:
+                    raise ChecksumMismatch(f"{self.path}: truncated since it was read")
+                view, at = view[got:], at + got
+
+
 @dataclass
 class EpochDataset:
     """N preprocessed epochs: x is (N, C, T) float32, y holds StageClass values.
 
-    x is an array, or for ingest the SpooledEpochs of the records' part files.
+    x is an array; for ingest the SpooledEpochs of the records' part files;
+    from `read_cache` the CacheEpochs that reads the cache's rows as asked.
     """
 
-    x: np.ndarray | SpooledEpochs
+    x: np.ndarray | SpooledEpochs | CacheEpochs
     y: np.ndarray
     subject_keys: list[str]
     channel_labels: list[str]
@@ -336,8 +406,8 @@ def _check_utf8(names) -> None:
             raise InvalidDataset(f"{name!r} is not UTF-8 text") from None
 
 
-def _row_blocks(x: np.ndarray | SpooledEpochs):
-    """x in blocks of ROW_BLOCK rows: views of an array, or reads of part files."""
+def _row_blocks(x: np.ndarray | SpooledEpochs | CacheEpochs):
+    """x in blocks of ROW_BLOCK rows: views of an array, or reads of files."""
     if isinstance(x, SpooledEpochs):
         return x.blocks()
     return (x[i : i + ROW_BLOCK] for i in range(0, len(x), ROW_BLOCK))
@@ -532,42 +602,55 @@ def write_cache(dataset: EpochDataset, path: str | Path) -> str:
 
 
 def read_cache(path: str | Path) -> EpochDataset:
-    """Read and validate a cache; x and y are views on the one buffer the file was read into."""
-    body, crc = container.read(path, CACHE_MAGIC, CACHE_VERSION, "dataset cache")
-    if len(body) < 28:
-        raise ChecksumMismatch(f"{path}: header truncated")
-    n, c, t = (int.from_bytes(body[i : i + 8], "little") for i in (0, 8, 16))
-    rate = int.from_bytes(body[24:28], "little")
-    if rate != SAMPLE_RATE_HZ:  # the model's time grid is SAMPLE_RATE_HZ samples a second
-        raise InvalidDataset(f"{path}: epochs sampled at {rate} Hz, need {SAMPLE_RATE_HZ:g} Hz")
-    pos = 28
+    """Read and check a cache; its x is a CacheEpochs that reads rows from the file as asked.
 
-    def unpack_str() -> str:
-        nonlocal pos
-        length = int.from_bytes(body[pos : pos + 4], "little")
-        if pos + 4 + length > len(body):
-            raise ChecksumMismatch(f"{path}: header truncated")
-        try:
-            s = str(body[pos + 4 : pos + 4 + length], "utf-8")
-        except UnicodeDecodeError:
-            raise InvalidDataset(f"{path}: a channel label or subject key is not UTF-8") from None
-        pos += 4 + length
-        return s
+    The file is read once, front to back, in blocks of at most
+    container.BLOCK bytes: the CRC, the header, names and labels, and the
+    finiteness of every epoch are checked on the way, and no whole-file
+    buffer is held. No allocation is sized by the header before the file's
+    size agrees with it, and a bad CRC is reported before any error in the
+    content it covers.
+    """
+    def parse(body: container.Body):
+        def take(n: int) -> bytearray:
+            if n > body.remaining:
+                raise ChecksumMismatch(f"{path}: header truncated")
+            return body.read(n)
 
-    channel_labels = [unpack_str() for _ in range(c)]
-    subject_keys = [unpack_str() for _ in range(n)]
-    payload = n * c * t * 4
-    extra = len(body) - (pos + payload + n)
-    if extra:
-        raise ChecksumMismatch(f"{path}: body is {extra:+d} bytes off the size its header gives")
-    x = np.frombuffer(body, dtype="<f4", count=n * c * t, offset=pos).reshape(n, c, t)
-    y = np.frombuffer(body, dtype=np.uint8, count=n, offset=pos + payload)
-    dataset = EpochDataset(
-        x=x, y=y, subject_keys=subject_keys, channel_labels=channel_labels, crc32=crc
-    )
-    try:  # a CRC-valid file may still hold NaN or a label past the stages
-        if not _all_finite(x):
-            raise NonFiniteSignal("epochs hold NaN or infinity")
+        head = take(28)
+        n, c, t = (int.from_bytes(head[i : i + 8], "little") for i in (0, 8, 16))
+        rate = int.from_bytes(head[24:28], "little")
+        if rate != SAMPLE_RATE_HZ:  # the model's time grid is SAMPLE_RATE_HZ samples a second
+            raise InvalidDataset(f"{path}: epochs sampled at {rate} Hz, need {SAMPLE_RATE_HZ:g} Hz")
+
+        def unpack_str() -> str:
+            raw = take(int.from_bytes(take(4), "little"))
+            try:
+                return str(raw, "utf-8")
+            except UnicodeDecodeError:
+                raise InvalidDataset(f"{path}: a channel label or subject key is not UTF-8") from None
+
+        channel_labels = [unpack_str() for _ in range(c)]
+        subject_keys = [unpack_str() for _ in range(n)]
+        payload = n * c * t * 4
+        extra = body.remaining - (payload + n)
+        if extra:
+            raise ChecksumMismatch(f"{path}: body is {extra:+d} bytes off the size its header gives")
+        offset = body.fh.tell()
+        finite = True
+        for block in body.blocks(payload, "<f4"):
+            finite &= bool(np.isfinite(block).all())
+        y = np.frombuffer(body.read(n), dtype=np.uint8)
+        if not finite:  # a CRC-valid file may still hold NaN or a label past the stages
+            raise NonFiniteSignal(f"{path}: epochs hold NaN or infinity")
+        return (n, c, t), offset, y, subject_keys, channel_labels
+
+    found, crc, fh = container.read_verified(path, CACHE_MAGIC, CACHE_VERSION, "dataset cache",
+                                             parse)
+    shape, offset, y, subject_keys, channel_labels = found
+    dataset = EpochDataset(x=CacheEpochs(fh, offset, shape, path), y=y, subject_keys=subject_keys,
+                           channel_labels=channel_labels, crc32=crc)
+    try:
         dataset.validate()
     except UlwsError as e:
         raise type(e)(f"{path}: {e}") from None

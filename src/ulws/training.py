@@ -206,9 +206,9 @@ def train_fold(
     if leaked := sorted(set(split.train_subjects) & set(split.test_subjects)):
         raise ValueError(f"fold {split.fold_index}: subjects {leaked} on both sides of the split")
 
-    x = dataset.x.astype(np.float32, copy=False)
+    x = dataset.x  # each batch gathers its rows of x: no copy of x or of the test set
     y = dataset.y.astype(np.int64)
-    y_test = y[test_idx]  # the test pass gathers its batches of x: no copy of the test set
+    y_test = y[test_idx]
 
     params = build_model(mcfg, seed=tcfg.seed)
     state = init_adam(params)
@@ -220,7 +220,7 @@ def train_fold(
         loss_sum, n_seen = 0.0, 0
         for batch in make_batches(len(train_idx), tcfg.batch_size, [tcfg.seed, 2, epoch]):
             rows = train_idx[batch]
-            xb, yb = x[rows], y[rows]
+            xb, yb = x[rows].astype(np.float32, copy=False), y[rows]
             # a diverging step is reported once, by adam_step's NonFiniteGradient
             with np.errstate(over="ignore", invalid="ignore"):
                 _, cache = model_forward(xb, params, mode="train", rng=dropout_rng)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import json
@@ -622,6 +623,7 @@ def test_a_pairs_error_does_not_depend_on_the_process_that_ran_each_channel(tmp_
 
 SLOW_READS = """
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -639,6 +641,7 @@ def slow_read_signal(*args):  # a spawned worker imports this script too
 
 ulws.preprocess.read_signal = slow_read_signal
 if __name__ == "__main__":
+    signal.signal(signal.SIGINT, signal.default_int_handler)  # see signal_mid_work
     ulws.cli.LARGE_PSG_BYTES = 0
     ulws.cli._usable_cpus = lambda: 2
     sys.exit(ulws.cli.main(sys.argv[1:]))
@@ -652,6 +655,10 @@ def signal_mid_work(tmp_path, script, argv, marker, send):
 
     Returns the run's (returncode, stdout, stderr), the seconds it took to end
     after `send`, and the worker's pid.
+
+    A test run started as a background job inherits SIGINT ignored, and Python
+    then installs no KeyboardInterrupt handler; so each script's main block
+    installs it, as a run from a terminal has it.
     """
     path = tmp_path / "script.py"
     path.write_text(script)
@@ -777,6 +784,7 @@ def test_a_killed_run_mid_ingest_takes_its_worker_with_it(tmp_path):
 SLOW_WRITES = """
 import contextlib
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -796,6 +804,7 @@ def slow_open_atomic(path, *args, **kwargs):  # a spawned worker imports this sc
 
 ulws.container.open_atomic = slow_open_atomic
 if __name__ == "__main__":
+    signal.signal(signal.SIGINT, signal.default_int_handler)  # see signal_mid_work
     ulws.cli._usable_cpus = lambda: 2
     sys.exit(ulws.cli.main(sys.argv[1:]))
 """
@@ -1102,7 +1111,7 @@ def bad_config_cases():
 def checkpoint_with_config(path, blob):
     """A CRC-valid checkpoint of TINY_MODEL whose config JSON is `blob`."""
     save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=0), path)
-    body, _ = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    body = path.read_bytes()[5:-4]  # between the version and the CRC
     arrays = body[4 + int.from_bytes(body[:4], "little"):]
     container.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                     [len(blob).to_bytes(4, "little") + blob, arrays])
@@ -1390,6 +1399,22 @@ def test_a_worker_fold_error_of_any_type_is_its_outcome(toy_cache, configs, tmp_
     assert type(outcomes[1]) is ValueError and "empty side of the split" in str(outcomes[1])
 
 
+def test_train_folds_leaves_no_pool_thread_behind(toy_cache, tmp_path, monkeypatch):
+    """Once _train_folds on 2 folds and 2 CPUs returns, the pool's manager
+    thread has ended, so an exiting interpreter has no thread to wake through
+    a pipe that the thread may have just closed."""
+    ds = read_cache(toy_cache)
+    splits = subject_folds(ds.subject_keys, k=2)
+    mcfg, tcfg = ModelConfig.from_dict(TINY_MODEL), TrainConfig.from_dict(TINY_TRAIN)
+    jobs = {i: (toy_cache, ds.crc32, splits[i], mcfg, tcfg, tmp_path / f"fold{i}") for i in (0, 1)}
+    del ds
+    earlier = set(threading.enumerate())  # an earlier test's pool may still wind down
+    outcomes, pools, _ = train_on_cpus(monkeypatch, 2, lambda: _train_folds(jobs))
+    assert pools == [1] and all(isinstance(outcomes[i], float) for i in jobs)
+    assert [thread for thread in set(threading.enumerate()) - earlier
+            if isinstance(thread, concurrent.futures.process._ExecutorManagerThread)] == []
+
+
 
 @pytest.fixture(scope="module")
 def two_channel_cache(tmp_path_factory):
@@ -1500,8 +1525,9 @@ def test_train_manifest_names_the_cache_it_trained_on(toy_cache, configs, tmp_pa
 def test_the_ulws_process_holds_one_copy_of_the_cache_while_its_fold_trains(configs, tmp_path,
                                                                             monkeypatch):
     """On 1 CPU, the memory live when this process's fold enters train_fold:
-    the fold's own read of the cache, and none kept from the read that set the
-    run up."""
+    the names and labels of the fold's own read of the cache (86 KB for a
+    643 KB cache), no copy of its epochs, which each batch reads as it needs
+    them, and nothing kept from the read that set the run up."""
     cache = tmp_path / "cache.ulws"
     write_cache(sinusoid_dataset(n_epochs=400, n_channels=2, epoch_samples=200, n_subjects=4,
                                  seed=9), cache)
@@ -1521,7 +1547,7 @@ def test_the_ulws_process_holds_one_copy_of_the_cache_while_its_fold_trains(conf
     finally:
         tracemalloc.stop()
     assert len(live) == 1
-    assert live[0] < 1.5 * cache.stat().st_size + (128 << 10)
+    assert live[0] < cache.stat().st_size // 4
 
 
 @pytest.mark.parametrize("command, taken, kind, out_rel, expensive", [
@@ -1785,6 +1811,64 @@ def test_predict_manifest_names_the_bytes_it_read(toy_cache, configs, tmp_path, 
     assert stored_crc(cache) != read["cache_crc32"]
     manifest = manifest_of(pred_csv)
     assert {key: manifest[key] for key in read} == read
+
+
+def test_predict_on_a_cache_cut_short_after_it_was_read_exits_2(toy_cache, tmp_path, capsys,
+                                                                monkeypatch):
+    """The cache is cut in half in place once read_cache has verified it: the
+    first read of a row it no longer holds raises ChecksumMismatch, and predict
+    exits 2 with one error line and writes no CSV."""
+    checkpoint, cache = tmp_path / "model.ulwm", tmp_path / "cache.ulws"
+    save_checkpoint(build_model(ModelConfig.from_dict(TINY_MODEL), seed=0), checkpoint)
+    shutil.copyfile(toy_cache, cache)
+
+    def cutting_read_cache(path):
+        dataset = read_cache(path)
+        os.truncate(path, path.stat().st_size // 2)
+        return dataset
+
+    monkeypatch.setattr(cli, "read_cache", cutting_read_cache)
+    pred_csv = tmp_path / "pred.csv"
+    code = main(["predict", "--checkpoint", str(checkpoint), "--cache", str(cache),
+                 "--out", str(pred_csv)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: ChecksumMismatch: {cache}: truncated since it was read\n"
+    assert not pred_csv.exists()
+
+
+PREDICT_PEAK_PROBE = """
+import sys
+from ulws.cli import main
+
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_predict_peak_memory_does_not_grow_with_the_cache(tmp_path):
+    """`ulws predict` of a default-model checkpoint peaks less than one batch of
+    8 epochs higher on a cache of 1024 epochs than on one of 256: each batch
+    reads its own rows of the cache, which it never holds whole (37 MB more).
+    VmHWM belongs to the child's own address space."""
+    checkpoint = tmp_path / "model.ulwm"
+    save_checkpoint(build_model(ModelConfig(), seed=0), checkpoint)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def peak_bytes(n_epochs):
+        cache = tmp_path / f"{n_epochs}.ulws"
+        write_cache(sinusoid_dataset(n_epochs=n_epochs, seed=1), cache)
+        run = subprocess.run([sys.executable, "-c", PREDICT_PEAK_PROBE, "predict", "--checkpoint",
+                              str(checkpoint), "--cache", str(cache),
+                              "--out", str(tmp_path / f"{n_epochs}.csv")],
+                             env=env, capture_output=True, text=True, check=True, timeout=300)
+        return int(run.stdout.splitlines()[-1]) * 1024
+
+    batch = 8 * ModelConfig().n_input_channels * ModelConfig().input_length * 4
+    assert peak_bytes(1024) - peak_bytes(256) < batch
 
 
 def test_predict_shape_mismatch(toy_cache, configs, tmp_path, capsys):

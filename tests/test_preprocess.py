@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -39,6 +40,7 @@ from ulws.preprocess import (
     FILTER_ORDER,
     EPOCH_SAMPLES,
     ROW_BLOCK,
+    CacheEpochs,
     EpochDataset,
     SpooledEpochs,
     StageClass,
@@ -410,19 +412,61 @@ def test_cache_version_mismatch(tmp_path):
         read_cache(path)
 
 
-def test_read_cache_returns_views_on_one_buffer(tmp_path):
+def test_read_cache_x_reads_the_rows_it_is_asked_for(tmp_path, monkeypatch):
+    """x holds no epochs: each index reads its rows from the file that read_cache
+    verified into a new float32 array, as numpy indexes the epochs, with one
+    preadv for each run of adjacent rows. An atomic replace of the path leaves
+    the rows as they were."""
     ds = sinusoid_dataset(n_epochs=6, n_channels=2, epoch_samples=50, seed=8)
     path = tmp_path / "toy.ulws"
     write_cache(ds, path)
-    again = read_cache(path)
-    assert again.equals(ds) and again.x.flags.writeable
+    x = read_cache(path).x
+    assert isinstance(x, CacheEpochs)
+    assert (x.shape, x.ndim, x.dtype, x.nbytes, len(x)) == (ds.x.shape, 3, np.float32,
+                                                             ds.x.nbytes, 6)
+    offsets, preadv = [], os.preadv
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, at: offsets.append(at)
+                        or preadv(fd, buffers, at))
+    for key, runs in [(slice(1, 5), 1), (4, 1), (-1, 1), ([0, 1, 2, 5], 2),
+                      (np.array([5, 4, 3]), 3), ((slice(None), 1), 1),
+                      (([3, 3], 0, slice(10, 20)), 2), (np.arange(6) % 2 == 0, 3), ([], 0)]:
+        offsets.clear()
+        got, want = x[key], ds.x[key]
+        assert got.dtype == np.float32 and got.shape == want.shape, key
+        assert np.array_equal(got, want) and len(offsets) == runs, key
+    with pytest.raises(IndexError):
+        x[[0, 6]]
+    x[0:2][...] = 0  # each read is the caller's own array
+    write_cache(sinusoid_dataset(n_epochs=6, n_channels=2, epoch_samples=50, seed=9), path)
+    assert np.array_equal(np.asarray(x), ds.x)
 
-    def owner(a):
-        while isinstance(a, np.ndarray):
-            a = a.base
-        return a.obj if isinstance(a, memoryview) else a
 
-    assert isinstance(owner(again.x), bytearray) and owner(again.x) is owner(again.y)
+def test_a_cache_cut_short_after_it_was_read_gives_checksum_mismatch(tmp_path):
+    """Cut in place into its last epoch: the rows the file still holds read as
+    they were written, and the read of the last one names the file."""
+    ds = sinusoid_dataset(n_epochs=6, n_channels=2, epoch_samples=50, seed=8)
+    path = tmp_path / "toy.ulws"
+    write_cache(ds, path)
+    x = read_cache(path).x
+    os.truncate(path, path.stat().st_size - 100)  # 6 labels, the CRC and 90 payload bytes
+    assert np.array_equal(x[:5], ds.x[:5])
+    with pytest.raises(ChecksumMismatch, match=f"^{re.escape(str(path))}: truncated"):
+        x[5]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+def test_dropping_a_dataset_read_from_a_cache_closes_its_file(tmp_path):
+    path = tmp_path / "toy.ulws"
+    write_cache(sinusoid_dataset(n_epochs=6, n_channels=2, epoch_samples=50, seed=8), path)
+    before = len(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dataset = read_cache(path)
+        assert len(os.listdir("/proc/self/fd")) == before + 1
+        del dataset
+        assert len(os.listdir("/proc/self/fd")) == before
+        gc.collect()
+    assert caught == []
 
 
 def rewrite_body(path, edit):
@@ -746,7 +790,7 @@ def test_cache_io_memory_growth(tmp_path):
         return float(run.stdout)
 
     assert growth("write") <= 0.5  # the payload is written in place, not copied
-    assert growth("read") <= 1.2  # one buffer, with x and y as views on it
+    assert growth("read") <= 0.1  # blocks of container.BLOCK bytes; x reads rows when asked
 
 
 FILTER_PROBE = """

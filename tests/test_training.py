@@ -436,12 +436,14 @@ with open("/proc/self/status") as fh:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
 def test_train_step_peak_memory_does_not_grow_with_the_kernel():
-    """One default-model step of 32 epochs peaks less than 16 MiB higher at kernel_size 31 than at 3.
+    """One default-model step of 32 epochs peaks less than 4 MiB higher at kernel_size 31 than at 3.
 
     A conv's GEMM columns are (K*M + 1)/M times its input. Built for the whole
     batch at once, block 0's second conv alone would take 190 MB at 31; built
     COLUMNS_BYTES at a time, the columns add about 1 MiB at any kernel size.
-    VmHWM belongs to the child's own address space.
+    The per-sample weight gradients are summed one chunk at a time too: kept
+    for the whole batch, they took 15.2 MiB more at 31; chunked, the step
+    peaks 1.2-1.6 MiB higher. VmHWM belongs to the child's own address space.
     """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
@@ -450,4 +452,4 @@ def test_train_step_peak_memory_does_not_grow_with_the_kernel():
                              env=env, capture_output=True, text=True, check=True, timeout=300)
         return int(run.stdout.splitlines()[-1]) * 1024
 
-    assert peak_bytes(31) - peak_bytes(3) < 16 * 2**20
+    assert peak_bytes(31) - peak_bytes(3) < 4 * 2**20
