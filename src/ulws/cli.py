@@ -37,7 +37,7 @@ from .edf import subject_key_and_night
 from .errors import BadConfig, BadOutputPath, ChecksumMismatch, ShapeMismatch, UlwsError, WorkerDied
 from .evaluation import N_CLASSES
 from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .preprocess import EpochDataset, SpooledEpochs, read_cache, write_cache
+from .preprocess import EpochDataset, FileEpochs, read_cache, write_cache
 from .training import FoldSplit, TrainConfig, _score, subject_folds, split_indices, train_fold
 
 DEFAULT_CHANNELS = ["EEG Fpz-Cz", "EEG Pz-Oz", "EOG horizontal", "EMG submental"]
@@ -330,7 +330,7 @@ def cmd_preprocess(args) -> int:
     # longest pairs first among them, so the shortest units come last
     units = sorted(itertools.product(range(len(pairs)), range(len(channels))),
                    key=lambda unit: (not filtered[unit[1]], -sizes[unit[0]]))
-    parts: list[Path] = []  # each pair's part file, which its channels' slabs go to
+    parts: list[Path] = []  # each pair's part file, which its channels' rows go to
     done = {}  # unit -> its (what, outcome)
     kept: list[tuple[Path, int]] = []  # (part file, epochs) of each kept pair in order
     ys, keys = [], []
@@ -364,8 +364,8 @@ def cmd_preprocess(args) -> int:
                 keys += [key] * len(y)
         if not kept:
             return _fail("no records loaded")
-        dataset = EpochDataset(SpooledEpochs(kept, len(channels)), np.concatenate(ys), keys,
-                               channels)
+        dataset = EpochDataset(FileEpochs.of_parts(kept, len(channels)), np.concatenate(ys),
+                               keys, channels)
         cache_crc = write_cache(dataset, out)
     finally:  # once no worker writes a part any more
         for part in parts:

@@ -136,11 +136,12 @@ def write(path: str | Path, magic: bytes, version: int, parts: Iterable) -> str:
         for part in itertools.chain([bytes([version])], parts):
             crc = zlib.crc32(part, crc)
             fh.write(part)
+            del part  # before the next part is made, which may take its memory
         fh.write(crc.to_bytes(4, "little"))
     return f"{crc:08x}"
 
 
-def read_exact(fh, view) -> None:
+def _read_exact(fh, view) -> None:
     """Fill the writable buffer `view` from `fh`, or raise ChecksumMismatch."""
     view = memoryview(view)
     if not view.nbytes:
@@ -168,7 +169,7 @@ class Body:
         view = memoryview(view).cast("B")
         if view.nbytes > self.remaining:
             raise ChecksumMismatch(f"{self.path}: truncated")
-        read_exact(self.fh, view)
+        _read_exact(self.fh, view)
         self.crc = zlib.crc32(view, self.crc)
         self.remaining -= view.nbytes
 
@@ -216,7 +217,7 @@ def read_verified(path: str | Path, magic: bytes, version: int, kind: str, parse
         for _ in body.blocks(body.remaining):
             pass
         stored = bytearray(4)
-        read_exact(fh, stored)
+        _read_exact(fh, stored)
         if body.crc != int.from_bytes(stored, "little"):
             raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
         if found != version:

@@ -511,18 +511,16 @@ def predict(params: ModelParams, x: np.ndarray, batch_size: int = 8, *,
     such array is mapped and page-faulted afresh and predict got slower,
     not faster.
 
-    Each batch is x[i : i + batch_size], or with an index array `rows` its
-    own rows of x, x[rows[i : i + batch_size]]: a view of an array x, or
-    for a cache's CacheEpochs the rows read from the file. No copy of x, or
-    of x[rows], is ever made.
+    `rows`, an index array, names the rows to score; None means every row.
+    Each batch is x[rows[i : i + batch_size]]: its own rows of an array x,
+    or for a FileEpochs x the rows read from its files. No copy of x, or of
+    x[rows], is ever made.
     """
-    def batch(i: int) -> np.ndarray:
-        return x[i : i + batch_size] if rows is None else x[rows[i : i + batch_size]]
-
+    rows = np.arange(len(x)) if rows is None else rows
     probs = np.concatenate(
         [np.zeros((0, params.config.n_classes), dtype=x.dtype)]
-        + [model_forward(batch(i), params, mode="infer")[0]
-           for i in range(0, len(x if rows is None else rows), batch_size)]
+        + [model_forward(x[rows[i : i + batch_size]], params, mode="infer")[0]
+           for i in range(0, len(rows), batch_size)]
     )
     return probs.argmax(axis=1), probs
 

@@ -8,17 +8,20 @@ z-scoring, and a checksummed binary dataset cache.
 reading one channel at a time from the PSG file, or raises a UlwsError.
 
 `ulws preprocess` works in units of one channel of one pair, so a
-process holds one trace, the epoch buffer and one slab at a time, never
-a whole night of every channel. `ingest_unit` runs a unit: it loads the
-pair's header and hypnogram, preprocesses its channel and writes that
-channel's slab into the pair's part file, in the layout `SpooledEpochs`
-reads back into the cache. `pair_outcome` gives a pair, from its units'
+process holds one trace, the epoch buffer and one channel's epochs at a
+time, never a whole night of every channel. `ingest_unit` runs a unit: it
+loads the pair's header and hypnogram, preprocesses its channel and writes
+each of that channel's rows at its place in the cache's (epoch, channel,
+sample) order, so the pair's part file is its slice of the cache's payload,
+which `FileEpochs` reads. `pair_outcome` gives a pair, from its units'
 outcomes, the outcome `preprocess_record` gives its whole record, so the
 cache, stdout and stderr do not depend on which process ran a unit.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import functools
 import itertools
 import math
@@ -232,13 +235,55 @@ def expand_events(events, record_epochs: int) -> list[StageClass | None]:
     return labels
 
 
-class _FileEpochs:
-    """(N, C, T) float32 epochs that stay in files, with an array's `shape`,
-    `ndim`, `dtype`, `nbytes` and length."""
+class FileEpochs:
+    """(N, C, T) float32 epochs kept in files, as `EpochDataset.x`, read only as asked for.
+
+    `files` lists, in row order, each file's open binary file, the byte
+    offset of its first epoch and its epoch count; the epochs lie as in the
+    cache's payload. `read_cache` gives the cache's verified descriptor,
+    `ulws preprocess` the kept pairs' part files (`of_parts`).
+
+    Indexing reads the rows a key names into a new float32 array and indexes
+    the trailing axes as numpy does; None, a boolean scalar or a mask over
+    more than the rows raises IndexError. Each run of adjacent rows in one
+    file takes one `os.preadv`, so nothing beyond the rows asked for is
+    held, processes share the OS page cache's copy, and threads may read
+    concurrently. An atomic replace of a path, as every ulws writer makes
+    one, leaves the rows as they were; a file cut short in place raises
+    ChecksumMismatch on the read that comes back short. The files are
+    closed when x is dropped.
+    """
 
     ndim = 3
     dtype = np.dtype(np.float32)
-    shape: tuple[int, int, int]
+
+    def __init__(self, files: list[tuple], shape: tuple[int, int, int]):
+        self.shape = shape
+        starts = [0, *itertools.accumulate(n for _, _, n in files)]
+        self._starts = starts[:-1]  # each file's first row, which bisect finds a row's file by
+        self._files = [(fh.fileno(), offset, start, start + n, fh.name)
+                       for start, (fh, offset, n) in zip(starts, files)]
+        stack = contextlib.ExitStack()
+        for fh, _, _ in files:
+            stack.callback(fh.close)
+        self._close = weakref.finalize(self, stack.close)
+
+    @classmethod
+    def of_parts(cls, parts: list[tuple[Path, int]], n_channels: int) -> FileEpochs:
+        """The epochs of part files, given as each file's path and epoch count
+        n. A file whose size is not its n epochs' raises InvalidDataset. The
+        files stay their caller's to remove."""
+        shape = (sum(n for _, n in parts), n_channels, EPOCH_SAMPLES)
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path, n in parts:
+                fh = stack.enter_context(open(path, "rb", buffering=0))
+                size = os.fstat(fh.fileno()).st_size
+                if size != n * math.prod(shape[1:]) * cls.dtype.itemsize:
+                    raise InvalidDataset(f"{path}: {size} bytes for {n} epochs")
+                files.append((fh, 0, n))
+            stack.pop_all()  # the files are x's now
+        return cls(files, shape)
 
     @property
     def nbytes(self) -> int:
@@ -247,68 +292,6 @@ class _FileEpochs:
     def __len__(self) -> int:
         return self.shape[0]
 
-
-class SpooledEpochs(_FileEpochs):
-    """(N, C, T) float32 epochs held in part files, as `EpochDataset.x`.
-
-    `parts` is each file's path and epoch count n, in order. A file holds
-    its n epochs channel-major: C slabs of (n, T) float32, channel c's at
-    byte c * n * T * 4, as `ingest_unit` writes them a channel at a time.
-    `write_cache` checks and writes the epochs `ROW_BLOCK` rows at a time,
-    interleaved into (epoch, channel, sample) order, instead of reading
-    them all back into memory. The files stay its caller's to remove.
-    """
-
-    def __init__(self, parts: list[tuple[Path, int]], n_channels: int):
-        self.parts = parts
-        self.shape = (sum(n for _, n in parts), n_channels, EPOCH_SAMPLES)
-
-    def blocks(self):
-        """The epochs in row blocks, interleaved into one buffer that the next
-        block reuses, each channel's rows read through one slab buffer. A file
-        whose size is not its epochs' raises InvalidDataset."""
-        _, c, t = self.shape
-        rows = min(self.shape[0], ROW_BLOCK)
-        buf = np.empty((rows, c, t), dtype=np.float32)
-        slab = np.empty((rows, t), dtype=np.float32)
-        for path, n in self.parts:
-            with open(path, "rb") as fh:
-                size = os.fstat(fh.fileno()).st_size
-                if size != n * c * t * buf.itemsize:
-                    raise InvalidDataset(f"{path}: {size} bytes for {n} epochs")
-                for lo in range(0, n, ROW_BLOCK):
-                    k = min(ROW_BLOCK, n - lo)
-                    for channel in range(c):
-                        fh.seek((channel * n + lo) * t * buf.itemsize)
-                        container.read_exact(fh, slab[:k])
-                        buf[:k, channel] = slab[:k]
-                    yield buf[:k]
-
-
-class CacheEpochs(_FileEpochs):
-    """The (N, C, T) float32 epochs of a cache that `read_cache` verified, as
-    `EpochDataset.x`, read from the file only as they are asked for.
-
-    Indexing reads the rows it names into a new float32 array: a slice, an
-    int, a list or an index array of rows, optionally followed by indices
-    into the trailing axes (`x[rows, 0]`). `np.asarray(x)` reads every row.
-    Each run of adjacent rows takes one positioned read (`os.preadv`) of the
-    descriptor that `read_cache` verified, so nothing beyond the rows asked
-    for is held, every process that reads the same cache shares the OS page
-    cache's one copy, and threads may read concurrently.
-
-    The rows come from the file that was verified: an atomic replace of its
-    path, as every ulws writer makes one, does not change them. A file
-    written in place by another program is not guarded against; one that
-    was cut short raises ChecksumMismatch on the read that comes back short.
-    The descriptor is closed when x is dropped.
-    """
-
-    def __init__(self, fh, offset: int, shape: tuple[int, int, int], path):
-        self.shape, self.path = shape, path
-        self._fd, self._offset = fh.fileno(), offset
-        self._close = weakref.finalize(self, fh.close)
-
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("the epochs are read into a new array")
@@ -316,44 +299,58 @@ class CacheEpochs(_FileEpochs):
         return x if dtype is None else x.astype(dtype, copy=False)
 
     def __getitem__(self, key):
-        rows, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+        key = key if isinstance(key, tuple) else (key,)
+        if any(k is None or isinstance(k, (bool, np.bool_)) for k in key):
+            raise IndexError("epochs in files take no None or boolean scalar in a key")
+        if key and key[0] is Ellipsis:  # one that stands for no axis drops, else rows come first
+            axes = sum(np.ndim(k) if np.asarray(k).dtype == bool else 1 for k in key[1:])
+            key = key[1:] if axes >= self.ndim else (slice(None), *key)
+        rows, rest = (key[0], key[1:]) if key else (slice(None), ())
         n = self.shape[0]
         if isinstance(rows, slice):
-            rows = np.arange(*rows.indices(n))
+            index = np.arange(*rows.indices(n))
         elif (index := np.asarray(rows)).dtype.kind not in "iu":  # a mask, say: numpy's rules
-            rows = np.arange(n)[rows]
+            index = np.arange(n)[rows]
         elif index.size and not -n <= index.min() <= index.max() < n:
             raise IndexError(f"row index out of range for {n} epochs")
-        else:
-            rows = index.astype(np.intp, copy=False)
-        out = np.empty((rows.size, *self.shape[1:]), dtype="<f4")
-        self._read(np.where(rows < 0, rows + n, rows).ravel(), out)
-        out = out.reshape(rows.shape + self.shape[1:]).astype(np.float32, copy=False)
-        return out[(slice(None),) * rows.ndim + rest] if rest else out
+        index = index.astype(np.intp, copy=False)
+        out = np.empty((index.size, *self.shape[1:]), dtype="<f4")
+        self._read(np.where(index < 0, index + n, index).ravel(), out)
+        out = out.astype(np.float32, copy=False)
+        if isinstance(rows, slice):
+            return out[(slice(None), *rest)]
+        if rest:  # the rows read stand in for the index that named them
+            return out[(np.arange(index.size).reshape(index.shape), *rest)]
+        return out.reshape(index.shape + self.shape[1:])
 
     def _read(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """Fill out[i] with epoch rows[i], one preadv for each run of adjacent rows."""
+        """Fill out[i] with epoch rows[i], one preadv for each run of adjacent
+        rows inside one file."""
         row_bytes = math.prod(self.shape[1:]) * out.itemsize
         starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
         for lo, hi in zip(starts, [*starts[1:], len(rows)]):
-            view = memoryview(out[lo:hi]).cast("B")
-            at = self._offset + int(rows[lo]) * row_bytes
-            while view:
-                got = os.preadv(self._fd, [view], at)
-                if not got:
-                    raise ChecksumMismatch(f"{self.path}: truncated since it was read")
-                view, at = view[got:], at + got
+            while lo < hi:  # the run's rows in the file that holds its first
+                row = int(rows[lo])
+                fd, offset, start, end, name = self._files[bisect.bisect(self._starts, row) - 1]
+                k = min(hi - lo, end - row)
+                view = memoryview(out[lo : lo + k]).cast("B")
+                lo, at = lo + k, offset + (row - start) * row_bytes
+                while view:
+                    got = os.preadv(fd, [view], at)
+                    if not got:
+                        raise ChecksumMismatch(f"{name}: truncated since it was read")
+                    view, at = view[got:], at + got
 
 
 @dataclass
 class EpochDataset:
     """N preprocessed epochs: x is (N, C, T) float32, y holds StageClass values.
 
-    x is an array; for ingest the SpooledEpochs of the records' part files;
-    from `read_cache` the CacheEpochs that reads the cache's rows as asked.
+    x is an array, or the FileEpochs that reads its rows as asked: from
+    `read_cache` the cache's, for ingest the kept pairs' part files'.
     """
 
-    x: np.ndarray | SpooledEpochs | CacheEpochs
+    x: np.ndarray | FileEpochs
     y: np.ndarray
     subject_keys: list[str]
     channel_labels: list[str]
@@ -406,10 +403,8 @@ def _check_utf8(names) -> None:
             raise InvalidDataset(f"{name!r} is not UTF-8 text") from None
 
 
-def _row_blocks(x: np.ndarray | SpooledEpochs | CacheEpochs):
+def _row_blocks(x: np.ndarray | FileEpochs):
     """x in blocks of ROW_BLOCK rows: views of an array, or reads of files."""
-    if isinstance(x, SpooledEpochs):
-        return x.blocks()
     return (x[i : i + ROW_BLOCK] for i in range(0, len(x), ROW_BLOCK))
 
 
@@ -517,12 +512,14 @@ def preprocess_record(
 def ingest_unit(psg: Path, hyp: Path, channels: list[str], channel: int,
                 filter_all_channels: bool, part: Path):
     """One unit of `ulws preprocess`: load the pair, preprocess its channel
-    `channels[channel]`, and write that channel's float32 epochs as its slab
-    of the pair's part file `part`, which exists already (see SpooledEpochs).
+    `channels[channel]`, and write each of that channel's float32 epochs at
+    its place in the pair's part file `part`, which exists already: row i
+    at byte (i * C + channel) * T * 4, as the cache's payload orders them
+    (see FileEpochs).
 
     Returns (what, (key, y)), or (what, the UlwsError or OSError that skips
     the pair). `what` names the PSG file, or the record once it has loaded.
-    A failed write of the slab raises.
+    A failed or short write of a row raises.
     """
     key, night = subject_key_and_night(psg)
     what = psg.name
@@ -532,10 +529,10 @@ def ingest_unit(psg: Path, hyp: Path, channels: list[str], channel: int,
         x, y = preprocess_record(record, channels, filter_all_channels, channel)
     except (UlwsError, OSError) as e:  # a bad, unreadable or vanished file skips its pair
         return what, e.with_traceback(None)  # the traceback would hold the record
-    slab = x[:, 0]
     with open(part, "r+b") as fh:
-        fh.seek(channel * slab.nbytes)
-        fh.write(slab)
+        for i, row in enumerate(x[:, 0]):
+            fh.seek((i * len(channels) + channel) * row.nbytes)
+            fh.write(row)
     return what, (key, y)
 
 
@@ -570,10 +567,11 @@ def _pack_str(s: str) -> bytes:
 
 
 def write_cache(dataset: EpochDataset, path: str | Path) -> str:
-    """Atomically write `dataset`, its arrays in place, a SpooledEpochs x block by block.
+    """Atomically write `dataset`, its x `ROW_BLOCK` rows at a time.
 
-    An x that is not in (epoch, channel, sample) order, as the channel-major
-    epochs of `preprocess_record`, is interleaved a block at a time.
+    An array x is written in place, or, if it is not in (epoch, channel,
+    sample) order, as the channel-major epochs of `preprocess_record`,
+    interleaved a block at a time; a FileEpochs x is read a block at a time.
 
     Each x block is checked for NaN and infinity as it is written, so
     part files are read once; a non-finite block raises NonFiniteSignal and
@@ -602,7 +600,7 @@ def write_cache(dataset: EpochDataset, path: str | Path) -> str:
 
 
 def read_cache(path: str | Path) -> EpochDataset:
-    """Read and check a cache; its x is a CacheEpochs that reads rows from the file as asked.
+    """Read and check a cache; its x is a FileEpochs that reads rows from the file as asked.
 
     The file is read once, front to back, in blocks of at most
     container.BLOCK bytes: the CRC, the header, names and labels, and the
@@ -648,8 +646,8 @@ def read_cache(path: str | Path) -> EpochDataset:
     found, crc, fh = container.read_verified(path, CACHE_MAGIC, CACHE_VERSION, "dataset cache",
                                              parse)
     shape, offset, y, subject_keys, channel_labels = found
-    dataset = EpochDataset(x=CacheEpochs(fh, offset, shape, path), y=y, subject_keys=subject_keys,
-                           channel_labels=channel_labels, crc32=crc)
+    dataset = EpochDataset(x=FileEpochs([(fh, offset, shape[0])], shape), y=y,
+                           subject_keys=subject_keys, channel_labels=channel_labels, crc32=crc)
     try:
         dataset.validate()
     except UlwsError as e:

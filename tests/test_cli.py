@@ -473,7 +473,7 @@ def test_preprocess_of_small_records_starts_no_worker(tmp_path, monkeypatch):
 def test_preprocess_on_one_cpu_writes_every_kept_pair_to_a_part_file(tmp_path, capsys,
                                                                    monkeypatch):
     """Every kept pair's epochs reach the cache through one part file beside it,
-    each channel's unit writing its own slab, band-passed channels first, and
+    each channel's unit writing its own rows, band-passed channels first, and
     no part file is left afterwards."""
     data_dir = tmp_path / "edf"
     data_dir.mkdir()
@@ -494,10 +494,11 @@ def test_preprocess_on_one_cpu_writes_every_kept_pair_to_a_part_file(tmp_path, c
     assert len(written) == 5 * 4
     # the EEG channels' units, band-passed, before the others
     assert {c for _, c, _, _ in written[:10]} == {0, 1}
-    slab = 24 * preprocess.EPOCH_SAMPLES * 4
+    row = preprocess.EPOCH_SAMPLES * 4  # one channel of one epoch, at its place in the cache
     for stem in ("SC4001", "SC4031"):  # the kept pairs
         units = [(c, part, size) for s, c, part, size in written if s == stem]
-        assert [(c, size) for c, _, size in units] == [(c, (c + 1) * slab) for c in range(4)]
+        assert [(c, size) for c, _, size in units] == [(c, (23 * 4 + c + 1) * row)
+                                                       for c in range(4)]
         part = units[0][1]
         assert {p for _, p, _ in units} == {part}
         assert part.parent == out.parent and part.name.startswith("cache.ulws.")
@@ -1853,22 +1854,31 @@ def test_predict_peak_memory_does_not_grow_with_the_cache(tmp_path):
     """`ulws predict` of a default-model checkpoint peaks less than one batch of
     8 epochs higher on a cache of 1024 epochs than on one of 256: each batch
     reads its own rows of the cache, which it never holds whole (37 MB more).
-    VmHWM belongs to the child's own address space."""
+    VmHWM belongs to the child's own address space.
+
+    Each size's peak is the least of three runs. A run's VmHWM spreads by
+    a few hundred KiB in its file-backed pages (RssFile: the shared
+    libraries' pages that page faults map, which depends on what the OS
+    page cache holds), while its anonymous pages stay within ~12 KiB; one
+    high run of the larger cache alone could pass for a batch.
+    """
     checkpoint = tmp_path / "model.ulwm"
     save_checkpoint(build_model(ModelConfig(), seed=0), checkpoint)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for n_epochs in (256, 1024):
+        write_cache(sinusoid_dataset(n_epochs=n_epochs, seed=1), tmp_path / f"{n_epochs}.ulws")
 
     def peak_bytes(n_epochs):
-        cache = tmp_path / f"{n_epochs}.ulws"
-        write_cache(sinusoid_dataset(n_epochs=n_epochs, seed=1), cache)
         run = subprocess.run([sys.executable, "-c", PREDICT_PEAK_PROBE, "predict", "--checkpoint",
-                              str(checkpoint), "--cache", str(cache),
+                              str(checkpoint), "--cache", str(tmp_path / f"{n_epochs}.ulws"),
                               "--out", str(tmp_path / f"{n_epochs}.csv")],
                              env=env, capture_output=True, text=True, check=True, timeout=300)
         return int(run.stdout.splitlines()[-1]) * 1024
 
+    small, large = (min(peaks) for peaks in zip(*[(peak_bytes(256), peak_bytes(1024))
+                                                  for _ in range(3)]))
     batch = 8 * ModelConfig().n_input_channels * ModelConfig().input_length * 4
-    assert peak_bytes(1024) - peak_bytes(256) < batch
+    assert large - small < batch, f"VmHWM {large} B at 1024 epochs, {small} B at 256"
 
 
 def test_predict_shape_mismatch(toy_cache, configs, tmp_path, capsys):

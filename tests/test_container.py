@@ -2,10 +2,12 @@
 
 Damaged files either read back as an object whose `crc32` is the CRC the
 file stores, or fail with a typed UlwsError; no other exception escapes.
+Epochs kept in files, a cache's or part files', index as numpy indexes them.
 """
 
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from ulws import container
 from ulws.errors import UlwsError
 from ulws.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
-from ulws.preprocess import read_cache, write_cache
+from ulws.preprocess import FileEpochs, read_cache, write_cache
 from ulws.synthetic import sinusoid_dataset
 
 TINY_MODEL = ModelConfig.from_dict({
@@ -114,3 +116,68 @@ def test_an_atomic_text_write_writes_the_bytes_of_an_in_place_one(tmp_path):
         with container.open_atomic(tmp_path / "atomic", "w", newline=newline) as fh:
             fh.write(text)
         assert (tmp_path / "atomic").read_bytes() == (tmp_path / "in-place").read_bytes()
+
+
+# each count of part files: their epochs, so that runs of rows cross their boundaries
+PART_SIZES = {1: [9], 2: [4, 5], 3: [1, 5, 3], 4: [2, 2, 1, 4]}
+
+
+@pytest.fixture(scope="module")
+def epochs_in_files(tmp_path_factory):
+    """The FileEpochs of one cache and of its epochs in 1-4 part files, by name."""
+    directory = tmp_path_factory.mktemp("epochs")
+    dataset = sinusoid_dataset(n_epochs=9, n_channels=2, seed=5)
+    x = dataset.x
+    write_cache(dataset, directory / "epochs.ulws")
+    found = {"cache": read_cache(directory / "epochs.ulws").x}
+    for count, sizes in PART_SIZES.items():
+        parts = []
+        for i, n in enumerate(sizes):
+            path, lo = directory / f"{count}.{i}.part", sum(sizes[:i])
+            path.write_bytes(x[lo : lo + n].tobytes())
+            parts.append((path, n))
+        found[f"{count} parts"] = FileEpochs.of_parts(parts, 2)
+    assert all(np.array_equal(np.asarray(epochs), x) for epochs in found.values())
+    return found
+
+
+def axis_index(n, masks=True):
+    """One index into an axis of n: an int, a slice of any step, a list of
+    ints (repeated, negative, or none), or a mask."""
+    bound = st.none() | st.integers(-n - 2, n + 2)
+    return st.one_of(
+        st.integers(-n, n - 1),
+        st.builds(slice, bound, bound, st.none() | st.integers(-3, 3).filter(bool)),
+        st.lists(st.integers(-n, n - 1), max_size=5),
+        *[st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)] * masks,
+    )
+
+
+@st.composite
+def epoch_keys(draw, shape):
+    """A key into (N, C, T) epochs: indices into its leading axes, then
+    optionally an Ellipsis and indices into its trailing ones."""
+    lead = draw(st.integers(0, 3))
+    trail = draw(st.integers(0, 3 - lead))
+    key = [draw(axis_index(n, masks=axis < 2)) for axis, n in enumerate(shape[:lead])]
+    if trail or draw(st.booleans()):
+        key.append(Ellipsis)
+    key += [draw(axis_index(n, masks=axis < 2))
+            for axis, n in enumerate(shape[3 - trail:], 3 - trail)]
+    return key[0] if len(key) == 1 and draw(st.booleans()) else tuple(key)
+
+
+@given(data=st.data())
+def test_epochs_in_files_index_as_numpy_indexes_them(epochs_in_files, data):
+    """x[key] is np.asarray(x)[key], shape, dtype and values, or both raise IndexError."""
+    x = epochs_in_files[data.draw(st.sampled_from(sorted(epochs_in_files)), label="files")]
+    key = data.draw(epoch_keys(x.shape), label="key")
+    try:
+        want = np.asarray(x)[key]
+    except IndexError:
+        with pytest.raises(IndexError):
+            x[key]
+        return
+    got = x[key]
+    assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.float32
+    assert np.array_equal(got, want)

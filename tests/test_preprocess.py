@@ -40,9 +40,8 @@ from ulws.preprocess import (
     FILTER_ORDER,
     EPOCH_SAMPLES,
     ROW_BLOCK,
-    CacheEpochs,
     EpochDataset,
-    SpooledEpochs,
+    FileEpochs,
     StageClass,
     expand_events,
     filtfilt,
@@ -421,7 +420,7 @@ def test_read_cache_x_reads_the_rows_it_is_asked_for(tmp_path, monkeypatch):
     path = tmp_path / "toy.ulws"
     write_cache(ds, path)
     x = read_cache(path).x
-    assert isinstance(x, CacheEpochs)
+    assert isinstance(x, FileEpochs)
     assert (x.shape, x.ndim, x.dtype, x.nbytes, len(x)) == (ds.x.shape, 3, np.float32,
                                                              ds.x.nbytes, 6)
     offsets, preadv = [], os.preadv
@@ -429,13 +428,16 @@ def test_read_cache_x_reads_the_rows_it_is_asked_for(tmp_path, monkeypatch):
                         or preadv(fd, buffers, at))
     for key, runs in [(slice(1, 5), 1), (4, 1), (-1, 1), ([0, 1, 2, 5], 2),
                       (np.array([5, 4, 3]), 3), ((slice(None), 1), 1),
-                      (([3, 3], 0, slice(10, 20)), 2), (np.arange(6) % 2 == 0, 3), ([], 0)]:
+                      (([3, 3], 0, slice(10, 20)), 2), (np.arange(6) % 2 == 0, 3), ([], 0),
+                      ((..., 0), 1), ((2, ..., 7), 1), (([0, 1], [1, 0]), 1),
+                      (np.array([5, 0], np.uint8), 2)]:
         offsets.clear()
         got, want = x[key], ds.x[key]
         assert got.dtype == np.float32 and got.shape == want.shape, key
         assert np.array_equal(got, want) and len(offsets) == runs, key
-    with pytest.raises(IndexError):
-        x[[0, 6]]
+    for key in ([0, 6], (None, 0), (True, 0), np.ones((6, 2), bool)):  # out of range, or not taken
+        with pytest.raises(IndexError):
+            x[key]
     x[0:2][...] = 0  # each read is the caller's own array
     write_cache(sinusoid_dataset(n_epochs=6, n_channels=2, epoch_samples=50, seed=9), path)
     assert np.array_equal(np.asarray(x), ds.x)
@@ -633,15 +635,13 @@ def test_non_finite_record_raises_without_a_numpy_warning(toy_record, monkeypatc
 
 
 def write_parts(chunks, directory):
-    """Each chunk's epochs written to a part file of its own, channel-major, one
-    channel's slab after another, as `ulws preprocess` writes them; returns each
-    file's path and epoch count."""
+    """Each chunk's epochs written to a part file of its own, in the cache's
+    (epoch, channel, sample) order, as `ulws preprocess` places them; returns
+    each file's path and epoch count."""
     parts = []
     for key, x, y in chunks:
         path = directory / f"{key}.part"
-        with open(path, "wb") as fh:
-            for c in range(x.shape[1]):
-                fh.write(np.ascontiguousarray(x[:, c]))
+        path.write_bytes(np.ascontiguousarray(x, dtype="<f4"))
         parts.append((path, len(y)))
     return parts
 
@@ -650,13 +650,12 @@ def test_part_files_read_back_as_the_concatenated_epochs(toy_record, tmp_path):
     record, channels = toy_record
     records = [renamed(record, "SC398"), renamed(record, "SC399")]
     chunks = [(r.subject_key, *preprocess_record(r, channels)) for r in records]
-    x = SpooledEpochs(write_parts(chunks, tmp_path), len(channels))
+    x = FileEpochs.of_parts(write_parts(chunks, tmp_path), len(channels))
     assert x.shape == (78, 4, 3000) and x.ndim == 3 and x.dtype == np.float32
     assert x.nbytes == 78 * 4 * 3000 * 4
-    read = np.concatenate([block.copy() for block in x.blocks()])
-    assert np.array_equal(read, np.concatenate([x for _, x, _ in chunks]))
-    empty = SpooledEpochs([], len(channels))
-    assert empty.shape == (0, 4, 3000) and list(empty.blocks()) == []
+    assert np.array_equal(np.asarray(x), np.concatenate([x for _, x, _ in chunks]))
+    empty = FileEpochs.of_parts([], len(channels))
+    assert empty.shape == (0, 4, 3000) and np.asarray(empty).shape == (0, 4, 3000)
 
 
 def random_chunks(sizes, n_channels=2, seed=0):
@@ -667,9 +666,9 @@ def random_chunks(sizes, n_channels=2, seed=0):
 
 
 def part_dataset(chunks, parts, channels):
-    """The EpochDataset of `chunks` whose x is the SpooledEpochs of their part files."""
+    """The EpochDataset of `chunks` whose x is the FileEpochs of their part files."""
     collected = concatenated_dataset(chunks, channels)
-    return dataclasses.replace(collected, x=SpooledEpochs(parts, len(channels)))
+    return dataclasses.replace(collected, x=FileEpochs.of_parts(parts, len(channels)))
 
 
 def test_a_dataset_of_part_files_writes_the_bytes_of_the_collected_one(tmp_path, monkeypatch):
@@ -677,19 +676,19 @@ def test_a_dataset_of_part_files_writes_the_bytes_of_the_collected_one(tmp_path,
     collected = tmp_path / "collected.ulws"
     want = write_cache(concatenated_dataset(chunks, ["A", "B"]), collected)
     dataset = part_dataset(chunks, write_parts(chunks, tmp_path), ["A", "B"])
-    read_exact, reads = container.read_exact, []
+    preadv, reads = os.preadv, []
 
-    def counted_read_exact(fh, view):
-        reads.append(memoryview(view).nbytes)
-        read_exact(fh, view)
+    def counted_preadv(fd, buffers, at):
+        reads.append(sum(memoryview(b).nbytes for b in buffers))
+        return preadv(fd, buffers, at)
 
-    monkeypatch.setattr(container, "read_exact", counted_read_exact)
+    monkeypatch.setattr(os, "preadv", counted_preadv)
     assert dataset.n_epochs == 427
     assert write_cache(dataset, tmp_path / "parts.ulws") == want
-    # each part is read once, ROW_BLOCK rows of each channel at a time, to be checked and copied
-    row = EPOCH_SAMPLES * 4
-    assert reads == [n * row for n in (120, 120, ROW_BLOCK, ROW_BLOCK, 300 - ROW_BLOCK,
-                                       300 - ROW_BLOCK, 7, 7)]
+    # each part is read once, ROW_BLOCK rows at a time, one read for the rows of
+    # a block inside one file, to be checked and written
+    row = 2 * EPOCH_SAMPLES * 4
+    assert reads == [n * row for n in (120, ROW_BLOCK - 120, 300 - (ROW_BLOCK - 120), 7)]
     assert (tmp_path / "parts.ulws").read_bytes() == collected.read_bytes()
 
 
@@ -697,9 +696,9 @@ def test_a_part_file_of_the_wrong_size_is_refused(tmp_path):
     chunks = random_chunks([120, 180, 7])
     parts = write_parts(chunks, tmp_path)
     parts[1] = (parts[1][0], 179)  # one epoch fewer than the file holds
-    dataset = EpochDataset(SpooledEpochs(parts, 2), np.zeros(306, np.uint8), ["SC400"] * 306,
-                           ["A", "B"])
     with pytest.raises(InvalidDataset, match="bytes for 179 epochs"):
+        dataset = EpochDataset(FileEpochs.of_parts(parts, 2), np.zeros(306, np.uint8),
+                               ["SC400"] * 306, ["A", "B"])
         write_cache(dataset, tmp_path / "bad.ulws")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["SC400.part", "SC401.part", "SC402.part"]
 
@@ -914,27 +913,26 @@ def test_a_channel_major_record_goes_to_its_part_file_and_back_a_block_at_a_time
     part = tmp_path / "SC401.part"
     part.touch()
 
-    def write():  # as each channel's unit of `ulws preprocess` writes its slab
+    def write():  # as each channel's unit of `ulws preprocess` writes its rows
         for channel in range(c):
             with open(part, "r+b") as fh:
-                fh.seek(channel * slabs[channel].nbytes)
-                fh.write(slabs[channel])
+                for i, row in enumerate(slabs[channel]):
+                    fh.seek((i * c + channel) * row.nbytes)
+                    fh.write(row)
 
-    def read_back():
-        return [len(block) for block in SpooledEpochs([(part, n)], c).blocks()]
-
-    # one interleaved block at a time, never the whole record
+    # one block at a time, never the whole record
     assert traced_peak(write)[1] < x.nbytes / 2
-    rows, peak = traced_peak(read_back)
-    assert peak < x.nbytes / 2 and rows == [ROW_BLOCK] * 3 + [5]
-    read = np.concatenate([block.copy() for block in SpooledEpochs([(part, n)], c).blocks()])
-    assert np.array_equal(read, x)
+    epochs = FileEpochs.of_parts([(part, n)], c)
+    assert [len(block) for block in preprocess._row_blocks(epochs)] == [ROW_BLOCK] * 3 + [5]
+    dataset = EpochDataset(epochs, np.zeros(n, np.uint8), ["SC401"] * n, ["A", "B", "C", "D"])
+    assert traced_peak(write_cache, dataset, tmp_path / "SC401.ulws")[1] < x.nbytes / 2
+    assert np.array_equal(np.asarray(read_cache(tmp_path / "SC401.ulws").x), x)
 
 
 @pytest.mark.parametrize("filter_all", [False, True], ids=["eeg-filtered", "all-filtered"])
 def test_a_unit_peaks_at_one_trace_the_epoch_buffer_and_one_channels_epochs(tmp_path, filter_all):
     """The traced peak of one `ulws preprocess` unit (preprocess.ingest_unit: load the
-    pair, preprocess one channel, write its slab) over a 6 h, 4-channel record.
+    pair, preprocess one channel, write its rows) over a 6 h, 4-channel record.
 
     It holds one padded float64 trace, the float64 epoch buffer and that
     channel's float32 epochs, plus two filter blocks' copies: not the slabs
@@ -958,8 +956,8 @@ def test_a_unit_peaks_at_one_trace_the_epoch_buffer_and_one_channels_epochs(tmp_
         epoch_buffer = 8 * len(y) * (EPOCH_SAMPLES + 1)
         slab = 4 * len(y) * EPOCH_SAMPLES
         assert peak <= padded_trace + epoch_buffer + slab + 2 * 8 * FILTER_BLOCK, label
-    # the slabs in the part file are the whole record's channels, bit for bit
-    read = np.concatenate([block.copy() for block in SpooledEpochs([(part, len(y))], 4).blocks()])
+    # the part file holds the whole record's epochs, bit for bit
+    read = np.asarray(FileEpochs.of_parts([(part, len(y))], 4))
     assert (what, key) == ("SC400 night 1", "SC400") and np.array_equal(read, whole)
 
 
