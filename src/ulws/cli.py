@@ -63,13 +63,17 @@ CHECKPOINT, HISTORY, PREDICTIONS = "checkpoint.ulwm", "history.jsonl", "predicti
 
 # `preprocess` deals its units, one channel of one pair each, over as many
 # processes as it has PSG files of at least this size, up to one per usable
-# CPU. A worker takes about 1.3 s to start (python, numpy, scipy.signal), about
-# what a record this size takes to ingest (6 h of four 100 Hz channels), so
-# smaller inputs, and the many tiny ones of the tests, stay in one process.
-LARGE_PSG_BYTES = 16 << 20
-# its workers run at this niceness, from before their imports on, and yield the
-# ulws process the CPU: against niceness 0, set-up on the benchmark's `ingest`
-# workload (2 CPUs) was lower in 10 of 10 alternating pairs (1.79 s against 1.92 s)
+# CPU. A forked worker starts and stops in 10-16 ms, but the units it takes
+# must also outweigh what dealing them costs: two pairs (2 CPUs, 11 alternating
+# runs) ingested as fast on one process as on two at 2.75 MiB each, and faster
+# on two in 9 of 11 runs at 4.1 MiB (187 ms against 210 ms) and in 11 of 11 at
+# 5.5 MiB. So smaller inputs (under ~1.5 h of four 100 Hz channels), and the
+# many tiny ones of the tests, stay in one process.
+LARGE_PSG_BYTES = 4 << 20
+# its workers run at this niceness from their start on, and yield the ulws
+# process the CPU: against niceness 0, set-up on the benchmark's `ingest`
+# workload (2 CPUs, spawned workers) was lower in 10 of 10 alternating pairs
+# (1.79 s against 1.92 s)
 WORKER_NICE = 19
 
 # mallopt parameters from glibc's malloc.h
@@ -173,8 +177,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_GUARD = ("a script that calls ulws.cli.main must do so under `if __name__ == \"__main__\":`, "
-          "because each spawned worker imports that script again")
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, found by its path among this process's
+    mappings (Linux), if it has the thread-count calls; None otherwise."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].rstrip("\n") for line in fh if "openblas" in line}
+    except OSError:  # no /proc on this platform
+        return None
+    for path in sorted(paths):
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(path)  # the mapped library itself, not a second copy
+            if all(hasattr(lib, f"scipy_openblas_{op}_num_threads64_") for op in ("get", "set")):
+                return lib
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Run the block with numpy's bundled OpenBLAS at `count` threads, then
+    give it back the count it had. A process forked inside the block starts
+    with `count` threads. Does nothing when the user chose the count, with
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, or when numpy's BLAS is another.
+    """
+    user_set = any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    lib = None if user_set else _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(count)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 @contextlib.contextmanager
@@ -187,24 +223,35 @@ def _dealt(jobs: dict, fn, initializer, task: tuple[str, str], most: int | None 
     WorkerDied, with `task` = (worker, work) naming them, for a worker that
     exited before it returned. This process runs `keys[0]` itself and
     submits every other key at once to n - 1 workers, each started by
-    `initializer`. They are spawned, not forked, because this process may
-    already run BLAS threads, and they start while it sets up. It then walks
-    the keys in order and runs itself each one whose Future it can still
-    cancel, one that no worker has taken: the pool holds at most n keys for
-    its n - 1 workers (it queues one call beyond them), so this process
-    keeps `keys[0]` and never idles while a key waits. Between keys it
-    yields the workers' finished outcomes, so a caller that stops at a
-    failure starts no further key, and then it waits for the rest.
+    `container.start_worker` and then `initializer`. It then walks the keys
+    in order and runs itself each one whose Future it can still cancel, one
+    that no worker has taken: the pool holds at most n keys for its n - 1
+    workers (it queues one call beyond them), so this process keeps
+    `keys[0]` and never idles while a key waits. Between keys it yields the
+    workers' finished outcomes, so a caller that stops at a failure starts
+    no further key, and then it waits for the rest. While the pool lives,
+    numpy's OpenBLAS runs max(1, usable CPUs // n) threads in each process
+    (`_blas_threads`), so the n processes do not fight over the cores.
 
-    The workers and the resource tracker start with SIGINT and SIGHUP
-    blocked, so Ctrl-C and a closed terminal, which signal the whole process
-    group, reach this process alone. Leaving on an exception stops the
-    workers with SIGTERM without waiting for their work, and a busy one
-    removes its temporary as it ends (`container.ending_when_terminated`);
-    leaving normally cancels the keys no worker has taken, waits for any
-    still running, then stops the idle workers in the same way and waits
-    for the pool's manager thread, not for the workers' own exit. A worker
-    ends too when this process dies, even by SIGKILL.
+    The workers are forked, at the first submit: each is a copy of this
+    process, with numpy, ulws and whatever the caller set up (the band-pass
+    design, malloc's settings) already in place, so a worker starts in
+    milliseconds, imports nothing and runs no script's main module again.
+    Forking needs this process to have one thread, which the CLI has: a
+    fork-context pool forks its workers before it starts its manager
+    thread, and numpy's bundled OpenBLAS parks its own threads across a
+    fork (`pthread_atfork`). No resource tracker is started: a fork-context
+    pool's semaphores are unnamed.
+
+    The workers start with SIGINT and SIGHUP blocked, so Ctrl-C and a closed
+    terminal, which signal the whole process group, reach this process
+    alone. Leaving on an exception stops the workers with SIGTERM without
+    waiting for their work, and a busy one removes its temporary as it ends
+    (`container.ending_when_terminated`); leaving normally cancels the keys
+    no worker has taken, waits for any still running, then stops the idle
+    workers in the same way and waits for the pool's manager thread, not
+    for the workers' own exit. A worker ends too when this process dies,
+    even by SIGKILL.
     """
     keys = list(jobs)
     n = max(1, min(len(keys) if most is None else most, _usable_cpus()))
@@ -230,36 +277,29 @@ def _dealt(jobs: dict, fn, initializer, task: tuple[str, str], most: int | None 
     if n == 1:
         yield walk()
         return
-    # the pool starts multiprocessing's resource tracker, then spawns its workers
-    # as keys are submitted, and each inherits this thread's signal mask
-    blocked = {signal.SIGINT, signal.SIGHUP}
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, blocked)
-    try:
-        pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("spawn"),
-                                   initializer=initializer)
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    try:
-        signal.pthread_sigmask(signal.SIG_BLOCK, blocked)  # the tracker's launch unblocks SIGINT
+    with _blas_threads(max(1, _usable_cpus() // n)):
+        pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=container.start_worker, initargs=(initializer,))
         try:
-            for key in keys[1:]:
-                futures[key] = pool.submit(container.ending_when_terminated, fn, *jobs[key])
-        except RuntimeError:
-            # multiprocessing refuses to spawn from a worker still importing its script,
-            # and a worker that died on start gives BrokenProcessPool, a RuntimeError too
-            raise WorkerDied(f"could not start a worker process; {_GUARD}") from None
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield walk()
-    except BaseException:
-        _stop_workers(pool)
-        raise
-    for future in futures.values():
-        future.cancel()
-    concurrent.futures.wait(futures.values())
-    # an exiting interpreter wakes a manager thread still alive through a pipe
-    # that the thread may have just closed, and prints the OSError
-    _stop_workers(pool).join()
+            # the first submit forks the workers, and each inherits this thread's signal mask
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGHUP})
+            try:
+                for key in keys[1:]:
+                    futures[key] = pool.submit(container.ending_when_terminated, fn, *jobs[key])
+            except RuntimeError:  # a worker that died on start gives BrokenProcessPool
+                raise WorkerDied("could not start a worker process") from None
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            yield walk()
+        except BaseException:
+            _stop_workers(pool)
+            raise
+        for future in futures.values():
+            future.cancel()
+        concurrent.futures.wait(futures.values())
+        # an exiting interpreter wakes a manager thread still alive through a pipe
+        # that the thread may have just closed, and prints the OSError
+        _stop_workers(pool).join()
 
 
 def _stop_workers(pool: ProcessPoolExecutor) -> threading.Thread:
@@ -282,7 +322,7 @@ def _worker_outcome(future, worker: str, work: str):
     try:
         return future.result()
     except BrokenProcessPool:
-        return WorkerDied(f"a {worker} worker exited before its {work} finished; {_GUARD}")
+        return WorkerDied(f"a {worker} worker exited before its {work} finished")
     except Exception as e:
         return e
 
@@ -342,11 +382,11 @@ def cmd_preprocess(args) -> int:
             parts.append(Path(name))
         jobs = {(i, c): (*pairs[i], channels, c, args.filter_all_channels, parts[i])
                 for i, c in units}
+        # the band-pass design imports scipy.signal (~1 s): pay that as set-up, before
+        # the first record is read and before the workers fork, so that they have it too
+        preprocess.bandpass()
         with _dealt(jobs, preprocess.ingest_unit, functools.partial(os.nice, WORKER_NICE),
                     ("preprocess", "channel"), most=large) as dealt:
-            # the band-pass design imports scipy.signal (~1 s): pay that as set-up,
-            # while the workers start and before the first record is read
-            preprocess.bandpass()
             for unit, outcome in dealt:
                 if isinstance(outcome, Exception):  # a failed write or a dead worker
                     raise outcome
@@ -458,7 +498,7 @@ def _train_folds(jobs: dict[int, tuple]) -> dict[int, float | Exception]:
     gives WorkerDied.
     """
     outcomes: dict[int, float | Exception] = {}
-    with _dealt(jobs, _run_fold, _keep_batch_memory, ("training", "fold")) as dealt:
+    with _dealt(jobs, _run_fold, None, ("training", "fold")) as dealt:
         for i, outcome in dealt:
             outcomes[i] = outcome
             if isinstance(outcome, Exception):

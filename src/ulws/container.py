@@ -96,9 +96,10 @@ def _die_with_parent() -> None:
     """Have the death of the `ulws` process, even by SIGKILL, send this worker
     SIGTERM (Linux), and end the worker now if that process is gone already.
 
-    The signal comes when the thread that spawned the worker ends, and
-    `ProcessPoolExecutor.submit` spawns workers from the submitting thread,
-    which in the CLI is the main thread.
+    The signal follows the thread that forked the worker: it comes when that
+    thread ends. A fork-context `ProcessPoolExecutor` forks its workers in
+    the thread that submits its first call, which in the CLI is the main
+    thread.
     """
     try:
         prctl = ctypes.CDLL(None).prctl
@@ -110,13 +111,29 @@ def _die_with_parent() -> None:
         os._exit(128 + signal.SIGTERM)
 
 
+def start_worker(initializer=None) -> None:
+    """A forked pool worker's start, then `initializer()` if given.
+
+    The worker is a copy of the `ulws` process, whose `terminating()` may
+    have installed handlers for SIGTERM and SIGHUP: each such handler goes
+    back to the default action, as across an exec, so that an idle worker
+    ends at once and silently. An ignored signal stays ignored. The worker
+    then dies with the `ulws` process (`_die_with_parent`).
+    """
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        if signal.getsignal(signum) is not signal.SIG_IGN:
+            signal.signal(signum, signal.SIG_DFL)
+    _die_with_parent()
+    if initializer is not None:
+        initializer()
+
+
 def ending_when_terminated(fn, *args):
     """`fn(*args)` in a pool worker, within `terminating()`. A Terminated, once
     it has unwound `fn`'s `open_atomic` blocks, ends the worker with 128 + the
     signal's number, where the pool's worker loop would take it for the call's
     outcome. Between calls the signals keep their default action, which ends
     an idle worker at once and silently."""
-    _die_with_parent()
     with terminating():
         try:
             return fn(*args)

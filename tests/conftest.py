@@ -13,7 +13,22 @@ examples each:
 Tests that set `max_examples` themselves keep their own budget.
 """
 
+import warnings
+
 from hypothesis import settings
+
+# A failing property's report imports hypothesis.extra._patching, which imports
+# libcst where that is installed, and libcst's classes warn that
+# mypy_extensions.TypedDict is deprecated. Under -W error::DeprecationWarning that
+# warning ends the run in INTERNALERROR before the falsifying example is printed,
+# so the module is imported once here with that one warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", r"mypy_extensions\.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst
+        pass
 
 settings.register_profile("default", max_examples=200, deadline=None)
 settings.register_profile("ci", max_examples=2000, deadline=None)

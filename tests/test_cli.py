@@ -529,32 +529,70 @@ def test_preprocess_with_workers_and_no_record_kept_leaves_no_part_file(tmp_path
 UNGUARDED_PREPROCESS = """
 import sys
 import ulws.cli
-ulws.cli._usable_cpus = lambda: 2
+ulws.cli._usable_cpus = lambda: int(sys.argv[1])
 ulws.cli.LARGE_PSG_BYTES = 0
-sys.exit(ulws.cli.main(sys.argv[1:]))
+sys.exit(ulws.cli.main(sys.argv[2:]))
+"""
+
+# the workers, and only they, die on their first unit
+DYING_PREPROCESS_WORKER = """
+import multiprocessing
+import os
+import ulws.preprocess
+
+ingest_unit = ulws.preprocess.ingest_unit
+
+
+def dying_ingest_unit(*args):
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return ingest_unit(*args)
+
+
+ulws.preprocess.ingest_unit = dying_ingest_unit
 """
 
 
-def test_a_dead_preprocess_worker_is_a_typed_error(tmp_path):
-    """Without a __main__ guard each spawned worker runs the script again and dies on start."""
+def run_unguarded_preprocess(tmp_path, script, cpus, out):
+    """Run `script`, which calls ulws.cli.main with no __main__ guard, as
+    `preprocess` of two record pairs into `out` on `cpus` CPUs."""
     data_dir = tmp_path / "edf"
-    data_dir.mkdir()
-    for i, stem in enumerate(["SC4001", "SC4012"]):
-        write_record_pair(data_dir, stem, seed=i)
-    script = tmp_path / "unguarded.py"
-    script.write_text(UNGUARDED_PREPROCESS)
-    out = tmp_path / "out" / "cache.ulws"
+    if not data_dir.exists():
+        data_dir.mkdir()
+        for i, stem in enumerate(["SC4001", "SC4012"]):
+            write_record_pair(data_dir, stem, seed=i)
+    path = tmp_path / "unguarded.py"
+    path.write_text(script)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    run = subprocess.run(
-        [sys.executable, str(script), "preprocess", "--data-dir", str(data_dir), "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, str(path), str(cpus), "preprocess", "--data-dir", str(data_dir),
+         "--out", str(out)],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
+
+
+def test_a_dead_preprocess_worker_is_a_typed_error(tmp_path):
+    out = tmp_path / "out" / "cache.ulws"
+    run = run_unguarded_preprocess(tmp_path, DYING_PREPROCESS_WORKER + UNGUARDED_PREPROCESS, 2,
+                                   out)
     assert run.returncode == 2
     last = run.stderr.strip().splitlines()[-1]
-    assert last.startswith("error: WorkerDied: a preprocess worker exited before its channel")
-    assert 'if __name__ == "__main__":' in last
+    assert last == "error: WorkerDied: a preprocess worker exited before its channel finished"
     assert "BrokenProcessPool" not in run.stderr and "Traceback" not in run.stderr
     assert sorted(out.parent.iterdir()) == []  # no cache, no part file
+
+
+def test_a_script_without_a_main_guard_preprocesses_on_every_cpu(tmp_path):
+    """The workers are forked, so none runs the script again: its run on 2
+    CPUs gives the cache, stdout and stderr of its run on 1."""
+    seen = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}" / "cache.ulws"
+        run = run_unguarded_preprocess(tmp_path, UNGUARDED_PREPROCESS, cpus, out)
+        assert run.returncode == 0, run.stderr
+        seen[cpus] = out.read_bytes(), run.stdout.replace(str(out), "OUT"), run.stderr
+    assert seen[1] == seen[2]
+    assert seen[1][1].splitlines()[-2:] == ["wrote 48 epochs x 4 channels to OUT", "skipped: 0"]
 
 
 NAN_IN_CHANNEL_0 = """
@@ -566,7 +604,7 @@ import ulws.preprocess
 read_signal = ulws.preprocess.read_signal
 
 
-def read_with_nan(fh, header, i, pad):  # a spawned worker imports this script too
+def read_with_nan(fh, header, i, pad):
     trace = read_signal(fh, header, i, pad)
     if header.labels[i] == "EEG Fpz-Cz" and ("SC4012" in fh.name or "SC4021" in fh.name):
         trace.samples[100] = np.nan
@@ -634,7 +672,7 @@ import ulws.preprocess
 read_signal = ulws.preprocess.read_signal
 
 
-def slow_read_signal(*args):  # a spawned worker imports this script too
+def slow_read_signal(*args):
     Path(__file__).with_name(f"reading.{os.getpid()}").touch()
     time.sleep(60)
     return read_signal(*args)
@@ -727,8 +765,7 @@ TERMINATIONS = {
 
 def check_terminated(ended, termination):
     """The run ended as on Ctrl-C, with 128 + the signal's number and one line
-    on stderr: multiprocessing's resource tracker blocks SIGHUP too, so a
-    SIGHUP to the group leaves it running and silent."""
+    on stderr."""
     signum, _ = TERMINATIONS[termination]
     assert ended == (128 + signum, "", "error: terminated\n")
 
@@ -777,7 +814,7 @@ def test_a_killed_run_mid_ingest_takes_its_worker_with_it(tmp_path):
     dies, ends at once. The killed process's part files may stay."""
     ended, took, worker = signal_mid_work(tmp_path, SLOW_READS, preprocess_argv(tmp_path),
                                           "reading", kill_run)
-    assert ended[0] == -signal.SIGKILL  # stderr unchecked: the tracker may warn of leaks
+    assert ended == (-signal.SIGKILL, "", "")  # forked workers start no resource tracker
     assert took < 30  # the worker held the stderr pipe until it ended
     wait_until_ended(worker)
 
@@ -796,7 +833,7 @@ open_atomic = ulws.container.open_atomic
 
 
 @contextlib.contextmanager
-def slow_open_atomic(path, *args, **kwargs):  # a spawned worker imports this script too
+def slow_open_atomic(path, *args, **kwargs):
     with open_atomic(path, *args, **kwargs) as fh:
         Path(__file__).with_name(f"writing.{os.getpid()}").touch()
         time.sleep(60)
@@ -876,9 +913,33 @@ def test_a_killed_run_mid_train_takes_its_worker_and_the_workers_temporary_with_
     assert not (out / "fold1" / "checkpoint.ulwm").exists()
 
 
-def sleep_then_pid(seconds):  # a spawned worker imports this module to unpickle it
+def sleep_then_pid(seconds):
     time.sleep(seconds)
     return os.getpid()
+
+
+SET_AFTER_IMPORT = "as imported"
+
+
+def pid_and_state(_):
+    return os.getpid(), SET_AFTER_IMPORT
+
+
+def test_dealt_workers_see_what_this_process_set_after_import(monkeypatch):
+    """A worker is a copy of this process, not a new interpreter that imports
+    the modules again: it sees the module attributes set after import."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(sys.modules[__name__], "SET_AFTER_IMPORT", "set after import")
+
+    def dealt_outcomes():
+        with cli._dealt({key: (key,) for key in range(3)}, pid_and_state, None,
+                        ("test", "key")) as dealt:
+            return dict(dealt)
+
+    outcomes = call_with_timeout(dealt_outcomes, 120)
+    workers = {key: outcome for key, outcome in outcomes.items() if outcome[0] != os.getpid()}
+    assert workers  # the pool queues keys 1 and 2 for its worker at once
+    assert {state for _, state in workers.values()} == {"set after import"}
 
 
 def test_dealt_runs_every_key_once_and_a_stuck_worker_holds_no_other_back(monkeypatch):
@@ -904,15 +965,18 @@ def test_dealt_stops_its_workers_on_an_interrupt_without_waiting_for_them(monkey
                                                                           worker_is):
     """The worker is stopped, not awaited, whether its keys sleep 60 s or it has
     done them; an idle worker ends by SIGTERM's default action, as no handler
-    is left installed between calls. No process prints anything."""
+    is left installed between calls, not even the one that `main`'s
+    `container.terminating()` installs in the process it is forked from. No
+    process prints anything."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     others = set(multiprocessing.active_children())  # an earlier test's idle workers
     seconds = 60.0 if worker_is == "busy" else 0.0
     started = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(KeyboardInterrupt), container.terminating():
         # key 0 runs here while the pool queues the worker's keys
         with cli._dealt({0: (0.5,), 1: (seconds,), 2: (seconds,)}, sleep_then_pid, None,
                         ("test", "key")) as dealt:
+            assert signal.getsignal(signal.SIGTERM) is container._raise_terminated
             assert next(dealt) == (0, os.getpid())
             if worker_is == "idle":
                 assert os.getpid() not in dict(dealt).values()
@@ -1248,7 +1312,7 @@ def train_on_cpus(monkeypatch, cpus, run):
     """`run()` with `cpus` usable CPUs.
 
     Returns its result, the sizes of the pools it made, and the folds this
-    process trained (spawned workers import an unpatched `train_fold`).
+    process trained (a forked worker records its folds in its own copy).
     """
     pools, trained = [], []
     train_fold = cli.train_fold
@@ -1449,19 +1513,32 @@ def test_train_with_no_epochs_reports_the_accuracy_of_each_fold_csv(two_channel_
         accuracy = np.mean([row["true"] == row["predicted"] for row in rows])
         assert lines[i] == f"fold {i}: 4 test subjects, final test_acc {accuracy:.4f}"
 
-UNGUARDED_TRAIN = """
+# with no __main__ guard; the fold workers, and only they, die on their first fold
+DYING_TRAIN_WORKER = """
+import multiprocessing
+import os
 import sys
 import ulws.cli
+
+train_fold = ulws.cli.train_fold
+
+
+def dying_train_fold(*args):
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return train_fold(*args)
+
+
+ulws.cli.train_fold = dying_train_fold
 ulws.cli._usable_cpus = lambda: 2
 sys.exit(ulws.cli.main(sys.argv[1:]))
 """
 
 
 def test_dead_worker_exits_3_with_a_typed_error(toy_cache, configs, tmp_path):
-    """Without a __main__ guard each spawned worker runs the script again and dies on start."""
     model_cfg, train_cfg = configs
-    script = tmp_path / "unguarded.py"
-    script.write_text(UNGUARDED_TRAIN)
+    script = tmp_path / "dying.py"
+    script.write_text(DYING_TRAIN_WORKER)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run(
         [sys.executable, str(script), "train", "--cache", str(toy_cache),
@@ -1471,9 +1548,9 @@ def test_dead_worker_exits_3_with_a_typed_error(toy_cache, configs, tmp_path):
     )
     assert run.returncode == 3
     last = run.stderr.strip().splitlines()[-1]
-    assert last.startswith("error: fold 1: WorkerDied: ")
-    assert 'if __name__ == "__main__":' in last
+    assert last == "error: fold 1: WorkerDied: a training worker exited before its fold finished"
     assert "BrokenProcessPool" not in run.stderr and "Traceback" not in run.stderr
+    assert not (tmp_path / "run" / "train.manifest.json").exists()
 
 
 def other_toy_cache(path):
